@@ -33,8 +33,11 @@ def render_json(obj) -> str:
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -60,6 +63,16 @@ def _default_seed() -> int:
         raise InputError(f"SCORZA_SEED must be an integer, got {env!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scorza",
@@ -74,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to a file instead of stdout")
         if height:
             p.add_argument(
-                "--height", type=int, default=10,
+                "--height", type=_positive_int, default=10,
                 help="bound on numerators and denominators of sampled rationals",
             )
 
@@ -243,11 +256,17 @@ def _cmd_verify(args, seed: int) -> int:
 
 
 def _cmd_invariant(args) -> int:
-    if args.point:
-        with open(args.point, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = json.load(sys.stdin)
+    source = args.point or "stdin"
+    try:
+        if args.point:
+            with open(args.point, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        else:
+            data = json.load(sys.stdin)
+    except OSError as exc:
+        raise InputError(f"cannot read {source!r}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
+        raise InputError(f"{source} is not valid JSON: {exc}") from exc
     point = st.StratumPoint.from_json(data)
     value = st.relative_invariant(point)
     obj = {

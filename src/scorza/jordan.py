@@ -147,6 +147,8 @@ class JordanElement:
         algebra = data["algebra"]
         field = algebra_field(algebra)
         upper = data["entries"]
+        if not isinstance(upper, list) or len(upper) != n:
+            raise InputError(f"expected {n} rows of upper-triangle entries")
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):

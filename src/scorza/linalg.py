@@ -1,13 +1,17 @@
 """Exact linear algebra over Gaussian rationals.
 
-Matrices are plain lists of lists of QI. Rank uses fraction-free Bareiss
-elimination over the Gaussian integers after clearing denominators row by
-row, which keeps entry growth polynomial and every division exact.
+Matrices are plain lists of lists of QI. mat_mul, mat_vec and rank share
+one integer-plane helper, _cleared, which writes a row or column as one
+integer denominator and integer real and imaginary parts. Products sum each
+entry as plain ints. Rank runs fraction-free Bareiss elimination over the
+Gaussian integers, which keeps entry growth polynomial and divisions exact.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import InputError
 from .scalars import QI, QI_ONE, QI_ZERO
@@ -46,27 +50,36 @@ def mat_scale(a: Matrix, s) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = shape(a)
-    rb, cb = shape(b)
+    (ra, ca), (rb, cb) = shape(a), shape(b)
     if ca != rb:
         raise InputError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        out.append([_dot(row, col) for col in bt])
-    return out
-
-
-def _dot(u, v) -> QI:
-    acc = QI_ZERO
-    for x, y in zip(u, v):
-        if x and y:
-            acc = acc + x * y
-    return acc
+    return _product(a, list(zip(*b)))
 
 
 def mat_vec(a: Matrix, v: list) -> list:
-    return [_dot(row, v) for row in a]
+    return [row[0] for row in _product(a, [v])]
+
+
+def _cleared(vec):
+    """One denominator d and integer lists re, im with vec[k] = (re[k] + i im[k]) / d."""
+    d = lcm(*[x.re.denominator for x in vec], *[x.im.denominator for x in vec])
+    re = [x.re.numerator * (d // x.re.denominator) for x in vec]
+    return d, re, [x.im.numerator * (d // x.im.denominator) for x in vec]
+
+
+def _product(a: Matrix, bt: list) -> Matrix:
+    """Rows of a times the columns bt, accumulated on the integer plane."""
+    cols = [_cleared(col) for col in bt]
+    out = []
+    for row in a:
+        da, ar, ai = _cleared(row)
+        out_row = []
+        for db, br, bi in cols:
+            re = sum(map(mul, ar, br)) - sum(map(mul, ai, bi))
+            im = sum(map(mul, ar, bi)) + sum(map(mul, ai, br))
+            out_row.append(QI._mk(Fraction(re, da * db), Fraction(im, da * db)))
+        out.append(out_row)
+    return out
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -101,12 +114,7 @@ def rank(m: Matrix) -> int:
     """Exact rank over Q(i) by fraction-free elimination on Gaussian integers."""
     if not m or not m[0]:
         return 0
-    work = []
-    for row in m:
-        scale = 1
-        for x in row:
-            scale = lcm(scale, x.re.denominator, x.im.denominator)
-        work.append([(int(x.re * scale), int(x.im * scale)) for x in row])
+    work = [list(zip(*_cleared(row)[1:])) for row in m]
     rows, cols = len(work), len(work[0])
     prev = (1, 0)
     r = 0
@@ -283,4 +291,6 @@ def matrix_to_json(m: Matrix) -> list:
 
 
 def matrix_from_json(rows: list) -> Matrix:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InputError("a matrix must be a JSON list of rows")
     return [[QI.from_json(x) for x in row] for row in rows]

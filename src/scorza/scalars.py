@@ -147,6 +147,8 @@ class QI:
 
     @staticmethod
     def from_json(data: dict) -> "QI":
+        if not isinstance(data, dict) or not {"re", "im"} <= data.keys():
+            raise InputError(f'expected {{"re": "p/q", "im": "p/q"}}, got {data!r}')
         return QI(parse_fraction(data["re"]), parse_fraction(data["im"]))
 
 
@@ -174,6 +176,8 @@ def fraction_str(f: Fraction) -> str:
 
 
 def parse_fraction(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise InputError(f"expected a rational string like \"p/q\", got {s!r}")
     try:
         if "/" in s:
             num, den = s.split("/")

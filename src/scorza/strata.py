@@ -171,26 +171,32 @@ class StratumPoint:
 
     @staticmethod
     def from_json(data: dict) -> "StratumPoint":
-        mobj = data["model"]
-        kind = mobj["kind"]
-        if kind == "sym":
-            model = sym_model(int(mobj["r"]))
-        elif kind == "mat":
-            model = mat_model(int(mobj["q"]), int(mobj["p"]))
-        elif kind == "skew":
-            model = skew_model(int(mobj["n"]))
-        elif kind == "exc27":
-            model = EXC27
-        else:
-            raise InputError(f"unknown model kind {kind!r}")
-        if kind == "exc27":
-            coords = JordanElement.from_json(data["coords"])
-        else:
-            coords = linalg.matrix_from_json(data["coords"])
-        point = StratumPoint(model, coords)
-        if "rank" in data:
-            point.cached_rank = int(data["rank"])
-        return point
+        """Inverse of to_json; a missing or ill-typed field raises InputError."""
+        try:
+            mobj = data["model"]
+            kind = mobj["kind"]
+            if kind == "sym":
+                model = sym_model(int(mobj["r"]))
+            elif kind == "mat":
+                model = mat_model(int(mobj["q"]), int(mobj["p"]))
+            elif kind == "skew":
+                model = skew_model(int(mobj["n"]))
+            elif kind == "exc27":
+                model = EXC27
+            else:
+                raise InputError(f"unknown model kind {kind!r}")
+            if kind == "exc27":
+                coords = JordanElement.from_json(data["coords"])
+            else:
+                coords = linalg.matrix_from_json(data["coords"])
+            rank = int(data["rank"]) if "rank" in data else None
+        except InputError:
+            raise
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise InputError(
+                f"malformed stratum point JSON ({type(exc).__name__}: {exc})"
+            ) from exc
+        return StratumPoint(model, coords, rank)
 
 
 def _validate_coords(model: PSpaceModel, coords):
@@ -199,6 +205,8 @@ def _validate_coords(model: PSpaceModel, coords):
             raise InputError("exc27 coordinates must be a 3x3 hermitian O_C element")
         return
     rows, cols = linalg.shape(coords)
+    if any(len(row) != cols for row in coords):
+        raise InputError("coordinate rows have different lengths")
     if model.kind == "sym":
         r = model.params[0]
         if (rows, cols) != (r, r):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from scorza import linalg
 from scorza.dual_pairs import dagger
 from scorza.scalars import QI
@@ -167,3 +169,43 @@ def test_console_script_help():
     for sub in ("catalog", "verify", "sample", "dim", "defects", "invariant",
                 "reduce"):
         assert sub in result.stdout
+
+
+SYM1_POINT = json.dumps({"model": {"kind": "sym", "r": 1},
+                         "coords": [[{"re": "1/1", "im": "0/1"}]]})
+UNWRITABLE = "{tmp}/missing-dir/out.json"
+
+MALFORMED = {
+    "invariant-bad-json-stdin": (["invariant"], "{not json"),
+    "invariant-bad-json-file": (["invariant", "--point", "{tmp}/bad.json"], None),
+    "invariant-missing-file": (["invariant", "--point", "{tmp}/none.json"], None),
+    "invariant-missing-keys": (["invariant"], "{}"),
+    "invariant-ill-typed-coords": (
+        ["invariant"], '{"model": {"kind": "mat", "q": 1, "p": 1}, "coords": 7}'),
+    "invariant-ragged-coords": (
+        ["invariant"], '{"model": {"kind": "sym", "r": 2}, "coords": '
+        '[[{"re": "1", "im": "0"}, {"re": "1", "im": "0"}], [{"re": "1", "im": "0"}]]}'),
+    "sample-height-0": (["sample", "--model", "sym:3", "--height", "0"], None),
+    "dim-height-0": (["dim", "--model", "sym:3", "--stratum", "1", "--height", "0"], None),
+    "defects-height-0": (["defects", "--model", "sym:3", "--height", "0"], None),
+    "reduce-height-0": (["reduce", "--case", "sp:2", "--s", "1", "--height", "0"], None),
+    "reduce-height-negative": (["reduce", "--case", "sp:2", "--s", "1", "--height", "-4"], None),
+    "catalog-out": (["catalog", "--k", "2", "--out", UNWRITABLE], None),
+    "verify-out": (["verify", "--suite", "composition", "--trials", "1",
+                    "--out", UNWRITABLE], None),
+    "sample-out": (["sample", "--model", "sym:3", "--out", UNWRITABLE], None),
+    "dim-out": (["dim", "--model", "sym:3", "--stratum", "1", "--out", UNWRITABLE], None),
+    "defects-out": (["defects", "--model", "sym:3", "--out", UNWRITABLE], None),
+    "invariant-out": (["invariant", "--out", UNWRITABLE], SYM1_POINT),
+    "reduce-out": (["reduce", "--case", "sp:2", "--s", "1", "--out", UNWRITABLE], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_without_traceback(case, tmp_path):
+    args, stdin = MALFORMED[case]
+    (tmp_path / "bad.json").write_text("{\"model\": ")
+    result = run_cli([a.format(tmp=tmp_path) for a in args], stdin=stdin)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "error:" in result.stderr

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from scorza import linalg
 from scorza.errors import InputError
@@ -23,6 +24,14 @@ def test_rank_matches_plain_gauss_on_random_matrices():
         cols = rng.randint(1, 6)
         m = random_qi_matrix(rng, rows, cols, height=6)
         assert linalg.rank(m) == linalg.rank_gauss(m)
+    # rank shares _cleared with the product: cover its extreme inputs too,
+    # including low-rank products a*b with a thin inner dimension
+    for kind in KINDS:
+        for rows, inner, cols in SHAPES:
+            a = _oracle_matrix(rng, rows, inner, kind)
+            b = _oracle_matrix(rng, inner, cols, kind)
+            for m in (a, linalg.mat_mul(a, b)):
+                assert linalg.rank(m) == linalg.rank_gauss(m)
 
 
 def test_rank_of_outer_product_sums():
@@ -107,3 +116,59 @@ def test_conj_transpose_and_shapes():
         linalg.mat_mul(m, linalg.zeros(3, 2))
     with pytest.raises(InputError):
         linalg.mat_add(m, linalg.zeros(3, 2))
+
+
+# --- sympy oracle for the integer-plane product ----------------------------
+
+KINDS = ("mixed", "real", "imag", "zero", "bigden")
+BIG_DENS = (1, 3**20, 2**61 - 1, 10**12 + 39, 997 * 1009)
+SHAPES = ((1, 1, 1), (1, 4, 1), (1, 3, 5), (4, 1, 3), (5, 3, 1), (3, 4, 2), (4, 4, 4))
+
+
+def _part(rng, kind):
+    if kind == "bigden":
+        return Fraction(rng.randint(-10**9, 10**9), rng.choice(BIG_DENS) * rng.randint(1, 40))
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def _oracle_matrix(rng, rows, cols, kind):
+    """Random matrix of one kind; kind "zero" empties row 0 and the last column."""
+    re0, im0 = kind == "imag", kind == "real"
+    m = [[QI(0 if re0 else _part(rng, kind), 0 if im0 else _part(rng, kind))
+          for _ in range(cols)] for _ in range(rows)]
+    if kind == "zero":
+        m[0] = [QI(0)] * cols
+        for row in m:
+            row[-1] = QI(0)
+    return m
+
+
+def _to_sympy(m):
+    return sympy.Matrix([
+        [sympy.Rational(x.re.numerator, x.re.denominator)
+         + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator) for x in row]
+        for row in m
+    ])
+
+
+def _from_sympy(e) -> QI:
+    e = sympy.expand(e)
+    re, im = sympy.re(e), sympy.im(e)
+    return QI(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mat_mul_and_mat_vec_match_sympy(kind):
+    rng = make_rng("linalg", "sympy-oracle", kind)
+    for rows, inner, cols in SHAPES:
+        for _ in range(2):
+            a = _oracle_matrix(rng, rows, inner, kind)
+            b = _oracle_matrix(rng, inner, cols, kind)
+            expected = _to_sympy(a) * _to_sympy(b)
+            got = linalg.mat_mul(a, b)
+            assert linalg.shape(got) == (rows, cols)
+            assert all(got[i][j] == _from_sympy(expected[i, j])
+                       for i in range(rows) for j in range(cols))
+            v = [row[0] for row in b]
+            expected_v = _to_sympy(a) * _to_sympy([[x] for x in v])
+            assert linalg.mat_vec(a, v) == [_from_sympy(e) for e in expected_v]
