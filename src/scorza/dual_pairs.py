@@ -34,6 +34,9 @@ _HYP = ((Fraction(5, 4), Fraction(3, 4)), (Fraction(13, 12), Fraction(5, 12)),
         (Fraction(17, 15), Fraction(8, 15)))
 
 
+_CASE_GRAMMAR = "sp:L | u:P,Q | ostar:D"
+
+
 @dataclass(frozen=True)
 class DualPairCase:
     kind: str
@@ -42,7 +45,9 @@ class DualPairCase:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise InputError(f"unknown dual-pair case {self.kind!r}")
+            raise InputError(
+                f"unknown dual-pair case {self.kind!r}; expected {_CASE_GRAMMAR}"
+            )
         expected = {"sp": 1, "u": 2, "ostar": 1}[self.kind]
         if len(self.params) != expected:
             raise InputError(f"case {self.kind} takes {expected} parameter(s)")
@@ -143,11 +148,11 @@ def parse_case(selector: str, s: int) -> DualPairCase:
     kind, _, args = text.partition(":")
     try:
         nums = tuple(int(a) for a in args.split(",")) if args else ()
-        return DualPairCase(kind, nums, s)
-    except (ValueError, InputError) as exc:
+    except ValueError as exc:
         raise InputError(
-            f"bad case selector {selector!r}; expected sp:L | u:P,Q | ostar:D"
+            f"bad case selector {selector!r}; expected {_CASE_GRAMMAR}"
         ) from exc
+    return DualPairCase(kind, nums, s)
 
 
 def _block(a, b, c, d) -> list:

@@ -5,7 +5,9 @@ skew n x n matrices, and the 27-dimensional hermitian 3 x 3 model over the
 complexified octonions. Rank is exact matrix rank (halved for skew), the
 relative invariant is the determinant / Pfaffian / cubic norm, and stratum
 dimensions are exact Jacobian ranks of rank-one-sum parameterizations at
-random rational points.
+random rational points. Every rank-one chart is quadratic, F(p) = B(p, p),
+so its Jacobian is written in closed form, DF(p)e = B(e, p) + B(p, e),
+without evaluating the chart.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from . import linalg
-from .cayley_dickson import CDElement, cd_scalar, random_cd
+from .cayley_dickson import _TABLES, CDElement, cd_scalar, random_cd
 from .errors import InputError, UnsupportedError
 from .jordan import (
     JordanElement,
@@ -25,11 +27,18 @@ from .jordan import (
     sharp,
 )
 from .sampling import derive_seed, make_rng, random_qi, random_qi_vector
-from .scalars import HALF, QI
+from .scalars import QI, QI_ZERO
 
 KINDS = ("sym", "mat", "skew", "exc27")
 
 _RANK1_RETRIES = 32
+
+# Largest Jacobian the dimension oracle will rank, in cells: s chart
+# blocks of chart_param_count rows by ambient_dim columns. It admits every
+# Scorza family of catalog_scorza(k) for k <= 6 (the largest is skew:15 at
+# s = 7, 210 x 105 = 22,050 cells, ranked in about 3.5 s on one Xeon vCPU
+# under Python 3.11); skew:16 at s = 8 (k = 7) already needs 30,720.
+MAX_JACOBIAN_CELLS = 25_000
 
 
 @dataclass(frozen=True)
@@ -430,18 +439,93 @@ def coords_vector(point: StratumPoint) -> list:
 
 
 def _chart_jacobian_columns(model: PSpaceModel, block: list) -> list:
-    # symmetric difference with unit step; exact because every chart is
-    # quadratic in its parameters
+    """Columns DF(p)e_t = B(e_t, p) + B(p, e_t) of the quadratic chart at p,
+    one per parameter, each in coords_vector order."""
+    if model.kind == "sym":
+        r = model.params[0]
+        cols = []
+        for t in range(r):
+            col = []
+            for i in range(r):
+                for j in range(i, r):
+                    if i == t:
+                        col.append(block[j] + block[j] if j == t else block[j])
+                    else:
+                        col.append(block[i] if j == t else QI_ZERO)
+            cols.append(col)
+        return cols
+    if model.kind == "mat":
+        q, p = model.params
+        v, w = block[:q], block[q:]
+        zero_row = [QI_ZERO] * p
+        cols = [zero_row * t + w + zero_row * (q - 1 - t) for t in range(q)]
+        for t in range(p):
+            col = [QI_ZERO] * (q * p)
+            col[t::p] = v
+            cols.append(col)
+        return cols
+    if model.kind == "skew":
+        n = model.params[0]
+        v, w = block[:n], block[n:]
+        return [_skew_column(w, t) for t in range(n)] + [
+            [-x for x in _skew_column(v, t)] for t in range(n)
+        ]
+    return _exc27_columns(block)
+
+
+def _skew_column(u: list, t: int) -> list:
+    # entries (i, j), i < j, of e_t u^T - u e_t^T
+    n = len(u)
+    col = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if i == t:
+                col.append(u[j])
+            elif j == t:
+                col.append(-u[i])
+            else:
+                col.append(QI_ZERO)
+    return col
+
+
+def _exc27_columns(block: list) -> list:
+    # v = (x, y, w 1) and M_ij = v_i conj(v_j); coords_vector order is
+    # M00, M11, M22 (scalar parts), then the octonion blocks M01, M02, M12
+    x, y, w = block[0:8], block[8:16], block[16]
+    ybar = [y[0]] + [-c for c in y[1:]]
+    table = _TABLES[3]
+    zero8 = [QI_ZERO] * 8
     cols = []
-    for t in range(len(block)):
-        plus = list(block)
-        minus = list(block)
-        plus[t] = block[t] + 1
-        minus[t] = block[t] - 1
-        fp = coords_vector(chart_point(model, plus))
-        fm = coords_vector(chart_point(model, minus))
-        cols.append([(a - b) * HALF for a, b in zip(fp, fm)])
+    for t in range(8):
+        # d/dx_t: M00 -> 2 x_t, M01 = x ybar -> e_t ybar, M02 = x w -> w e_t
+        m01 = [QI_ZERO] * 8
+        for j, (k, sign) in enumerate(table[t]):
+            m01[k] = ybar[j] if sign > 0 else -ybar[j]
+        m02 = list(zero8)
+        m02[t] = w
+        cols.append([x[t] + x[t], QI_ZERO, QI_ZERO] + m01 + m02 + zero8)
+    for t in range(8):
+        # d/dy_t: M11 -> 2 y_t, M01 -> x conj(e_t), M12 = y w -> w e_t
+        m01 = [QI_ZERO] * 8
+        for i in range(8):
+            k, sign = table[i][t]
+            m01[k] = x[i] if (sign > 0) == (t == 0) else -x[i]
+        m12 = list(zero8)
+        m12[t] = w
+        cols.append([QI_ZERO, y[t] + y[t], QI_ZERO] + m01 + zero8 + m12)
+    # d/dw: M22 = w^2 -> 2 w, M02 -> x, M12 -> y
+    cols.append([QI_ZERO, QI_ZERO, w + w] + zero8 + list(x) + list(y))
     return cols
+
+
+def _check_jacobian_cells(model: PSpaceModel, s: int):
+    rows = s * chart_param_count(model)
+    cells = rows * model.ambient_dim
+    if cells > MAX_JACOBIAN_CELLS:
+        raise InputError(
+            f"stratum {s} of {model} needs a {rows} x {model.ambient_dim} "
+            f"Jacobian ({cells} cells); the limit is {MAX_JACOBIAN_CELLS}"
+        )
 
 
 def stratum_dimension(
@@ -456,9 +540,13 @@ def stratum_dimension(
     Parameterizes the cone by s-fold sums of rank-one charts and takes the
     exact Jacobian rank at random rational points, maximized over several
     points; a degenerate draw can only underestimate, never overestimate.
+    Each chart block contributes its closed-form columns B(e_t, p) +
+    B(p, e_t). A Jacobian of more than MAX_JACOBIAN_CELLS cells is rejected
+    with InputError before any point is drawn.
     """
     if not 1 <= s <= model.max_rank:
         raise InputError(f"stratum index {s} outside 1..{model.max_rank}")
+    _check_jacobian_cells(model, s)
     ppc = chart_param_count(model)
     cap = min(model.ambient_dim, s * ppc)
     best = 0
@@ -490,6 +578,7 @@ def defects(model: PSpaceModel, seed: int = 0, height: int = 5) -> DefectData:
     stratum dimensions."""
     if model.max_rank < 2:
         raise InputError("defect analysis needs max rank >= 2")
+    _check_jacobian_cells(model, model.max_rank)  # the largest of the strata
     dims = [stratum_dimension(model, s, seed=seed, height=height)[1]
             for s in range(1, model.max_rank + 1)]
     ambient = model.ambient_proj_dim

@@ -198,6 +198,8 @@ MALFORMED = {
     "defects-out": (["defects", "--model", "sym:3", "--out", UNWRITABLE], None),
     "invariant-out": (["invariant", "--out", UNWRITABLE], SYM1_POINT),
     "reduce-out": (["reduce", "--case", "sp:2", "--s", "1", "--out", UNWRITABLE], None),
+    "dim-over-cost-limit": (["dim", "--model", "mat:40,40", "--stratum", "40"], None),
+    "defects-over-cost-limit": (["defects", "--model", "skew:16"], None),
 }
 
 
@@ -209,3 +211,17 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path):
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
     assert "error:" in result.stderr
+
+
+@pytest.mark.parametrize("case,s,message", [
+    ("sp:2", "0", "s must be >= 1"),
+    ("u:2,3", "1", "case u:P,Q needs P >= Q"),
+    ("ostar:1", "1", "case ostar:D needs D >= 2"),
+    ("sp:x", "1", "bad case selector 'sp:x'; expected sp:L | u:P,Q | ostar:D"),
+    ("xx:3", "1", "unknown dual-pair case 'xx'; expected sp:L | u:P,Q | ostar:D"),
+])
+def test_reduce_reports_the_real_case_error(case, s, message):
+    result = run_cli(["reduce", "--case", case, "--s", s])
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.strip() == f"error: {message}"

@@ -93,6 +93,14 @@ def test_sharp_adjoint_identities():
         assert generic_det(sharp(x)) == d * d
 
 
+def test_freudenthal_sharp_of_sharp():
+    # (x#)# = N(x) x on the 27-dimensional exceptional algebra
+    rng = make_rng("jd", "freudenthal")
+    for _ in range(25):
+        x = random_hermitian(rng, "O_C", 3, 5)
+        assert sharp(sharp(x)) == x.scale(generic_det(x))
+
+
 def test_generic_det_values_and_oracles():
     assert generic_det(jordan_diag("O_C", [QI(2), QI(3), QI(5)])) == QI(30)
     rng = make_rng("jd", "det")

@@ -172,3 +172,41 @@ def test_mat_mul_and_mat_vec_match_sympy(kind):
             v = [row[0] for row in b]
             expected_v = _to_sympy(a) * _to_sympy([[x] for x in v])
             assert linalg.mat_vec(a, v) == [_from_sympy(e) for e in expected_v]
+
+
+def _sympy_det(m) -> QI:
+    # exact determinant over sympy's Gaussian-rational domain QQ_I
+    dm = _to_sympy(m).to_DM()
+    return _from_sympy(dm.domain.to_sympy(dm.det()))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_det_matches_sympy(kind):
+    rng = make_rng("linalg", "sympy-det", kind)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(2):
+            m = _oracle_matrix(rng, n, n, kind)
+            assert linalg.det(m) == _sympy_det(m)
+
+
+def _skew_from_upper(m):
+    n = len(m)
+    return [[m[i][j] if i < j else -m[j][i] if i > j else QI(0) for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pfaffian_matches_sympy(kind):
+    rng = make_rng("linalg", "sympy-pfaffian", kind)
+    for half in (1, 2, 3):
+        n = 2 * half
+        # Pf(A)^2 = det(A) fixes the Pfaffian up to sign ...
+        a = _skew_from_upper(_oracle_matrix(rng, n, n, kind))
+        pf = linalg.pfaffian(a)
+        assert pf * pf == _sympy_det(a)
+        # ... and Pf [[0, M], [-M^T, 0]] = (-1)^(h(h-1)/2) det(M) fixes the sign
+        m = _oracle_matrix(rng, half, half, kind)
+        block = [[QI(0)] * half + list(row) for row in m]
+        block += [[-m[j][i] for j in range(half)] + [QI(0)] * half for i in range(half)]
+        sign = -1 if half * (half - 1) // 2 % 2 else 1
+        assert linalg.pfaffian(block) == _sympy_det(m) * sign

@@ -1,12 +1,16 @@
+import time
+
 import pytest
 
 from scorza import linalg
+from scorza.catalog import catalog_scorza
 from scorza.errors import InputError, UnsupportedError
 from scorza.jordan import generic_det, sharp
-from scorza.sampling import derive_seed
-from scorza.scalars import QI
+from scorza.sampling import derive_seed, make_rng, random_qi_vector
+from scorza.scalars import HALF, QI
 from scorza.strata import (
     EXC27,
+    MAX_JACOBIAN_CELLS,
     StratumPoint,
     chart_param_count,
     chart_point,
@@ -26,6 +30,7 @@ from scorza.strata import (
     sym_model,
     zero_point,
 )
+from scorza.strata import _chart_jacobian_columns
 
 ALL_MODELS = [sym_model(3), mat_model(3, 3), mat_model(3, 5), skew_model(6),
               skew_model(7), EXC27]
@@ -166,12 +171,53 @@ def test_stratum_dimension_nonregular_and_quadric():
         stratum_dimension(sym_model(3), 4)
 
 
+def _symmetric_difference_columns(model, block):
+    # (F(p + e_t) - F(p - e_t)) / 2 is exactly DF(p)e_t for a quadratic chart
+    cols = []
+    for t in range(len(block)):
+        plus, minus = list(block), list(block)
+        plus[t] = block[t] + 1
+        minus[t] = block[t] - 1
+        fp = coords_vector(chart_point(model, plus))
+        fm = coords_vector(chart_point(model, minus))
+        cols.append([(a - b) * HALF for a, b in zip(fp, fm)])
+    return cols
+
+
+@pytest.mark.parametrize("sel", ["sym:1", "sym:4", "mat:1,4", "mat:4,1", "mat:3,5",
+                                 "mat:4,4", "skew:2", "skew:6", "skew:7", "exc27"])
+def test_closed_form_jacobian_matches_symmetric_difference(sel):
+    model = parse_model(sel)
+    for t in range(12):
+        rng = make_rng("t-jacobian", sel, t)
+        block = random_qi_vector(rng, chart_param_count(model), 5)
+        got = _chart_jacobian_columns(model, block)
+        assert got == _symmetric_difference_columns(model, block)
+
+
+def test_stratum_dimension_cost_limit():
+    # every Scorza family up to k = 6 fits; the largest is skew:15 at s = 7
+    cells = {}
+    for k in range(2, 7):
+        for e in catalog_scorza(k):
+            model = parse_model(e.p_model)
+            cells[e.p_model] = (model.max_rank * chart_param_count(model)
+                                * model.ambient_dim)
+    assert max(cells.values()) == cells["skew:15"] == 210 * 105 <= MAX_JACOBIAN_CELLS
+    # rejected before any point is drawn, so at once
+    start = time.perf_counter()
+    for model, s in ((mat_model(40, 40), 40), (mat_model(40, 40), 1), (skew_model(16), 8)):
+        with pytest.raises(InputError, match="Jacobian"):
+            stratum_dimension(model, s)
+    with pytest.raises(InputError, match="Jacobian"):
+        defects(skew_model(16))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_chart_quadratic_consistency():
     # chart evaluations must satisfy the model symmetries and rank bound
     for model in ALL_MODELS:
         n = chart_param_count(model)
-        from scorza.sampling import make_rng, random_qi_vector
-
         rng = make_rng("t-chart", model.selector())
         params = random_qi_vector(rng, n, 5)
         p = chart_point(model, params)
