@@ -9,18 +9,25 @@ The doubling convention is fixed once as
 
 and a basis product table per level is generated from it at import time;
 the recursion is kept as the reference path for cross-checking.
+
+An element is stored as an integer plane: one positive denominator and the
+interleaved integer real/imaginary parts of its 2^level coefficients, in
+lowest terms (the denominator shares no factor with every part), so equal
+values have equal planes. All arithmetic, comparison and hashing runs on
+plane integers. QI coefficients are built only at the boundary: the public
+constructor takes them, and the cached `coeffs` tuple (used by `to_json`,
+the exc27 coordinate vector and callers of the public API) is built from
+the plane on first use. `norm`, `trace` and `scalar_part` return QI.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from random import Random
 
 from .errors import InputError
 from .scalars import QI, QI_ONE, QI_ZERO
-from .sampling import random_qi
 
 FIELD_Q = "Q"
 FIELD_QI = "Qi"
@@ -31,24 +38,57 @@ MAX_LEVEL = 3  # octonions; sedenions are out of scope
 LEVEL_NAMES = {0: "R", 1: "C", 2: "H", 3: "O"}
 
 
-@dataclass(frozen=True)
 class CDElement:
-    level: int
-    field: str
-    coeffs: tuple
+    """Immutable element; `CDElement(level, field, coeffs)` takes QI coefficients."""
 
-    def __post_init__(self):
-        if not 0 <= self.level <= MAX_LEVEL:
-            raise InputError(f"level {self.level} outside 0..{MAX_LEVEL}")
-        if self.field not in FIELDS:
-            raise InputError(f"unknown field tag {self.field!r}")
-        if len(self.coeffs) != 1 << self.level:
+    def __init__(self, level: int, field: str, coeffs):
+        coeffs = tuple(coeffs)
+        if not 0 <= level <= MAX_LEVEL:
+            raise InputError(f"level {level} outside 0..{MAX_LEVEL}")
+        if field not in FIELDS:
+            raise InputError(f"unknown field tag {field!r}")
+        if len(coeffs) != 1 << level:
             raise InputError(
-                f"level {self.level} needs {1 << self.level} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"level {level} needs {1 << level} coefficients, got {len(coeffs)}"
             )
-        if self.field == FIELD_Q and any(not c.is_real() for c in self.coeffs):
+        if field == FIELD_Q and any(not c.is_real() for c in coeffs):
             raise InputError("field tag Q requires real rational coefficients")
+        self.__dict__.update(level=level, field=field, _intform=_plane(coeffs), _coeffs=coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CDElement is immutable; cannot set {name!r}")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as QI values, built from the plane on first use."""
+        cached = self.__dict__.get("_coeffs")
+        if cached is None:
+            den, flat = self._intform
+            cached = tuple([
+                QI._mk(Fraction(flat[k], den), Fraction(flat[k + 1], den))
+                for k in range(0, len(flat), 2)
+            ])
+            self.__dict__["_coeffs"] = cached
+        return cached
+
+    def int_form(self) -> tuple:
+        """(den, flat): the denominator and the interleaved integer re/im pairs."""
+        return self._intform
+
+    def __eq__(self, other):
+        if other.__class__ is not CDElement:
+            return NotImplemented
+        return (
+            self._intform == other._intform
+            and self.level == other.level
+            and self.field == other.field
+        )
+
+    def __hash__(self):
+        return hash((self.level, self.field, self._intform))
+
+    def __repr__(self):
+        return f"CDElement(level={self.level!r}, field={self.field!r}, coeffs={self.coeffs!r})"
 
     def _require_match(self, other: "CDElement"):
         if self.level != other.level or self.field != other.field:
@@ -59,82 +99,75 @@ class CDElement:
 
     def __add__(self, other: "CDElement") -> "CDElement":
         self._require_match(other)
-        return CDElement(
-            self.level, self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        den, a, b = _aligned(self._intform, other._intform)
+        return _element(self.level, self.field, den, [p + q for p, q in zip(a, b)])
 
     def __sub__(self, other: "CDElement") -> "CDElement":
         self._require_match(other)
-        return CDElement(
-            self.level, self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        den, a, b = _aligned(self._intform, other._intform)
+        return _element(self.level, self.field, den, [p - q for p, q in zip(a, b)])
 
     def __neg__(self) -> "CDElement":
-        return CDElement(self.level, self.field, tuple(-a for a in self.coeffs))
+        den, flat = self._intform
+        return _element(self.level, self.field, den, [-v for v in flat])
 
     def __mul__(self, other: "CDElement") -> "CDElement":
         self._require_match(other)
         da, a = self.int_form()
         db, b = other.int_form()
-        out = _mul_int(_TABLES[self.level], a, b, 1 << self.level)
-        return _from_int(self.level, self.field, out, da * db)
-
-    def int_form(self) -> tuple:
-        """Cached (den, flat) with flat = interleaved integer re/im pairs."""
-        cached = getattr(self, "_intform", None)
-        if cached is not None:
-            return cached
-        den = 1
-        for c in self.coeffs:
-            den = lcm(den, c.re.denominator, c.im.denominator)
-        flat = []
-        for c in self.coeffs:
-            flat.append(int(c.re * den))
-            flat.append(int(c.im * den))
-        value = (den, flat)
-        object.__setattr__(self, "_intform", value)
-        return value
+        out = _mul_int(_TABLES[self.level], a, b, [0] * (2 << self.level))
+        return _element(self.level, self.field, da * db, out)
 
     def scale(self, s) -> "CDElement":
         s = s if isinstance(s, QI) else QI(s)
         if self.field == FIELD_Q and not s.is_real():
             raise InputError("cannot scale a Q-tagged element by a complex scalar")
-        return CDElement(self.level, self.field, tuple(c * s for c in self.coeffs))
+        ds, (sr, si) = _plane((s,))
+        den, flat = self._intform
+        out = []
+        for k in range(0, len(flat), 2):
+            r, i = flat[k], flat[k + 1]
+            out.append(r * sr - i * si)
+            out.append(r * si + i * sr)
+        return _element(self.level, self.field, den * ds, out)
 
     def conjugate(self) -> "CDElement":
         # scalar part fixed, imaginary basis part negated; the complex
         # scalars of a Qi-tagged element are untouched (C-linear involution)
-        return CDElement(
-            self.level,
-            self.field,
-            (self.coeffs[0],) + tuple(-c for c in self.coeffs[1:]),
-        )
+        den, flat = self._intform
+        return _element(self.level, self.field, den, [flat[0], flat[1]] + [-v for v in flat[2:]])
 
     def norm(self) -> QI:
-        acc = QI_ZERO
-        for c in self.coeffs:
-            if c:
-                acc = acc + c * c
-        return acc
+        """Sum of the squared coefficients, c_k * c_k (no complex conjugation)."""
+        den, flat = self._intform
+        re = im = 0
+        for k in range(0, len(flat), 2):
+            r, i = flat[k], flat[k + 1]
+            re += r * r - i * i
+            im += r * i
+        d2 = den * den
+        return QI._mk(Fraction(re, d2), Fraction(2 * im, d2))
 
     def trace(self) -> QI:
-        return self.coeffs[0] + self.coeffs[0]
+        den, flat = self._intform
+        return QI._mk(Fraction(2 * flat[0], den), Fraction(2 * flat[1], den))
 
     def scalar_part(self) -> QI:
-        return self.coeffs[0]
+        den, flat = self._intform
+        return QI._mk(Fraction(flat[0], den), Fraction(flat[1], den))
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
+        return not any(self._intform[1])
 
     def is_scalar(self) -> bool:
-        return all(not c for c in self.coeffs[1:])
+        return not any(self._intform[1][2:])
 
     def embed(self, level: int) -> "CDElement":
         """Embed into a higher level by zero-padding (subalgebra inclusion)."""
         if level < self.level or level > MAX_LEVEL:
             raise InputError(f"cannot embed level {self.level} into level {level}")
-        pad = (1 << level) - len(self.coeffs)
-        return CDElement(level, self.field, self.coeffs + (QI_ZERO,) * pad)
+        den, flat = self._intform
+        return _element(level, self.field, den, flat + (0,) * ((2 << level) - len(flat)))
 
     def to_json(self) -> dict:
         return {"level": self.level, "coeffs": [c.to_json() for c in self.coeffs]}
@@ -145,6 +178,43 @@ class CDElement:
         if field is None:
             field = FIELD_Q if all(c.is_real() for c in coeffs) else FIELD_QI
         return CDElement(int(data["level"]), field, coeffs)
+
+
+def _plane(coeffs: tuple) -> tuple:
+    """(den, flat) of QI values: the lcm of their denominators and the
+    interleaved integer parts over it, which are then in lowest terms."""
+    den = lcm(*[f.denominator for c in coeffs for f in (c.re, c.im)])
+    return den, tuple([f.numerator * (den // f.denominator) for c in coeffs for f in (c.re, c.im)])
+
+
+def _element(level: int, field: str, den: int, flat) -> CDElement:
+    """The element with plane flat/den, reduced to lowest terms.
+
+    Plane tuples are built from lists, whose length is known: a tuple built
+    from a generator is allocated at a guessed size and resized, which
+    drains CPython's per-size tuple free lists at one size and fills them
+    at another, so they grow to their cap and hold memory.
+    """
+    g = gcd(den, *flat)
+    if g > 1:
+        den //= g
+        flat = tuple([v // g for v in flat])
+    else:
+        flat = tuple(flat)
+    x = object.__new__(CDElement)
+    x.__dict__.update(level=level, field=field, _intform=(den, flat))
+    return x
+
+
+def _aligned(pa: tuple, pb: tuple) -> tuple:
+    """(den, a, b): two planes rescaled to their common denominator."""
+    da, a = pa
+    db, b = pb
+    if da == db:
+        return da, a, b
+    den = lcm(da, db)
+    sa, sb = den // da, den // db
+    return den, [v * sa for v in a], [v * sb for v in b]
 
 
 # --- named operation aliases -------------------------------------------------
@@ -191,104 +261,95 @@ def cd_scalar(s, level: int, field: str = FIELD_Q) -> CDElement:
 
 
 def random_cd(rng: Random, level: int, field: str = FIELD_Q, height: int = 10) -> CDElement:
+    """Coefficients drawn as `sampling.random_qi` draws them, straight into a plane.
+
+    Per coefficient: real numerator, real denominator, then (tag Qi only)
+    imaginary numerator and denominator, so seeded outputs match random_qi.
+    """
     real = field == FIELD_Q
-    return CDElement(
-        level, field, tuple(random_qi(rng, height, real=real) for _ in range(1 << level))
-    )
+    parts = []  # (numerator, denominator) in plane order
+    for _ in range(1 << level):
+        parts.append((rng.randint(-height, height), rng.randint(1, height)))
+        parts.append((0, 1) if real else (rng.randint(-height, height), rng.randint(1, height)))
+    den = lcm(*[q for _, q in parts])
+    return _element(level, field, den, [p * (den // q) for p, q in parts])
 
 
 # --- integer product kernel --------------------------------------------------
 
-def _mul_int(table, a: list, b: list, m: int) -> list:
-    """Table-driven product on interleaved integer coefficient planes."""
-    out = [0] * (2 * m)
-    for i in range(m):
-        ar = a[2 * i]
-        ai = a[2 * i + 1]
+def _mul_int(table, a, b, out: list) -> list:
+    """Table-driven product of interleaved integer planes, added into out."""
+    b_re, b_im = b[0::2], b[1::2]
+    for row, ar, ai in zip(table, a[0::2], a[1::2]):
         if not ar and not ai:
             continue
-        row = table[i]
-        for j in range(m):
-            br = b[2 * j]
-            bi = b[2 * j + 1]
-            if not br and not bi:
-                continue
-            k, sign = row[j]
+        for (k, sign), br, bi in zip(row, b_re, b_im):
             pr = ar * br - ai * bi
             pi = ar * bi + ai * br
+            k *= 2
             if sign > 0:
-                out[2 * k] += pr
-                out[2 * k + 1] += pi
+                out[k] += pr
+                out[k + 1] += pi
             else:
-                out[2 * k] -= pr
-                out[2 * k + 1] -= pi
+                out[k] -= pr
+                out[k + 1] -= pi
     return out
 
 
-def _from_int(level: int, field: str, flat: list, den: int) -> CDElement:
-    g = den
-    for v in flat:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                break
-    if g > 1:
-        den //= g
-        flat = [v // g for v in flat]
-    coeffs = tuple(
-        QI._mk(Fraction(flat[2 * k], den), Fraction(flat[2 * k + 1], den))
-        for k in range(len(flat) // 2)
-    )
-    return CDElement(level, field, coeffs)
-
-
 # --- reference recursion and generated product tables -----------------------
+# The recursion runs on tuples of Gaussian-integer pairs (re, im), apart
+# from the table kernel it cross-checks.
 
-def _tuple_conj(t: tuple) -> tuple:
+def _pairs_conj(t: tuple) -> tuple:
     if len(t) == 1:
         return t
     h = len(t) // 2
-    return _tuple_conj(t[:h]) + tuple(-c for c in t[h:])
+    return _pairs_conj(t[:h]) + tuple([(-r, -i) for r, i in t[h:]])
 
 
-def _tuple_mul(x: tuple, y: tuple) -> tuple:
+def _pairs_mul(x: tuple, y: tuple) -> tuple:
     if len(x) == 1:
-        return (x[0] * y[0],)
+        (ar, ai), (br, bi) = x[0], y[0]
+        return ((ar * br - ai * bi, ar * bi + ai * br),)
     h = len(x) // 2
     a, b = x[:h], x[h:]
     c, d = y[:h], y[h:]
-    left = tuple(
-        p - q for p, q in zip(_tuple_mul(a, c), _tuple_mul(_tuple_conj(d), b))
-    )
-    right = tuple(
-        p + q for p, q in zip(_tuple_mul(d, a), _tuple_mul(b, _tuple_conj(c)))
-    )
+    left = tuple([
+        (p[0] - q[0], p[1] - q[1])
+        for p, q in zip(_pairs_mul(a, c), _pairs_mul(_pairs_conj(d), b))
+    ])
+    right = tuple([
+        (p[0] + q[0], p[1] + q[1])
+        for p, q in zip(_pairs_mul(d, a), _pairs_mul(b, _pairs_conj(c)))
+    ])
     return left + right
 
 
 def reference_multiply(x: CDElement, y: CDElement) -> CDElement:
     """Product via the doubling recursion itself; table cross-check path."""
     x._require_match(y)
-    return CDElement(x.level, x.field, _tuple_mul(x.coeffs, y.coeffs))
+    da, a = x._intform
+    db, b = y._intform
+    x_pairs, y_pairs = (tuple([(f[k], f[k + 1]) for k in range(0, len(f), 2)]) for f in (a, b))
+    prod = _pairs_mul(x_pairs, y_pairs)
+    return _element(x.level, x.field, da * db, [v for pair in prod for v in pair])
 
 
 def _build_tables():
     tables = []
     for level in range(MAX_LEVEL + 1):
         n = 1 << level
-        basis = [
-            tuple(QI_ONE if i == k else QI_ZERO for i in range(n)) for k in range(n)
-        ]
+        basis = [tuple((int(i == k), 0) for i in range(n)) for k in range(n)]
         table = []
         for i in range(n):
             row = []
             for j in range(n):
-                prod = _tuple_mul(basis[i], basis[j])
-                entries = [(k, c) for k, c in enumerate(prod) if c]
-                if len(entries) != 1 or entries[0][1] not in (QI_ONE, -QI_ONE):
+                prod = _pairs_mul(basis[i], basis[j])
+                entries = [(k, c) for k, c in enumerate(prod) if c != (0, 0)]
+                if len(entries) != 1 or entries[0][1] not in ((1, 0), (-1, 0)):
                     raise RuntimeError("basis product is not a signed basis element")
-                k, c = entries[0]
-                row.append((k, 1 if c == QI_ONE else -1))
+                k, (c, _) = entries[0]
+                row.append((k, c))
             table.append(row)
         tables.append(table)
     return tables

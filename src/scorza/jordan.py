@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from random import Random
 
 from .cayley_dickson import (
     _TABLES,
+    _element,
     _mul_int,
     CDElement,
     FIELD_Q,
@@ -241,63 +242,39 @@ def random_hermitian(rng: Random, algebra: str, n: int, height: int = 10) -> Jor
 # --- operations --------------------------------------------------------------
 
 def _int_form(x: JordanElement) -> tuple:
-    """Cached (den, rows) with every entry as an interleaved integer plane."""
+    """Cached (den, rows): every entry's integer plane over one common den.
+
+    Built from the entries' own planes (see `cayley_dickson`) by integer
+    rescaling to the lcm of their denominators; no QI is touched.
+    """
     cached = getattr(x, "_intform", None)
     if cached is not None:
         return cached
-    den = 1
-    for row in x.entries:
-        for e in row:
-            for c in e.coeffs:
-                den = lcm(den, c.re.denominator, c.im.denominator)
-    rows = []
-    for row in x.entries:
-        line = []
-        for e in row:
-            flat = []
-            for c in e.coeffs:
-                flat.append(int(c.re * den))
-                flat.append(int(c.im * den))
-            line.append(flat)
-        rows.append(line)
+    planes = [[e.int_form() for e in row] for row in x.entries]
+    den = lcm(*[d for line in planes for d, _ in line])
+    rows = [
+        [flat if d == den else [v * (den // d) for v in flat] for d, flat in line]
+        for line in planes
+    ]
     value = (den, rows)
     object.__setattr__(x, "_intform", value)
     return value
 
 
 def _from_int_form(algebra: str, den: int, rows: list) -> JordanElement:
+    """The element whose entries are the planes rows[i][j] over den."""
     level, field = ALGEBRAS[algebra]
-    g = den
-    for line in rows:
-        for flat in line:
-            for v in flat:
-                if v:
-                    g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        den //= g
-        rows = [[[v // g for v in flat] for flat in line] for line in rows]
-    m = 1 << level
-    out = []
-    for line in rows:
-        entry_row = []
-        for flat in line:
-            coeffs = tuple(
-                QI._mk(Fraction(flat[2 * k], den), Fraction(flat[2 * k + 1], den))
-                for k in range(m)
-            )
-            entry_row.append(CDElement(level, field, coeffs))
-        out.append(tuple(entry_row))
-    return JordanElement(algebra, tuple(out))
+    return JordanElement(
+        algebra,
+        tuple([tuple([_element(level, field, den, flat) for flat in line]) for line in rows]),
+    )
 
 
 def jordan_product(x: JordanElement, y: JordanElement) -> JordanElement:
     x._require_match(y)
     level = algebra_level(x.algebra)
     table = _TABLES[level]
-    m = 1 << level
-    width = 2 * m
+    width = 2 << level
     n = x.n
     dx, X = _int_form(x)
     dy, Y = _int_form(y)
@@ -308,10 +285,8 @@ def jordan_product(x: JordanElement, y: JordanElement) -> JordanElement:
             acc = [0] * width
             for k in range(n):
                 # x_ik y_kj + y_ik x_kj, the symmetrized matrix product
-                for t, v in enumerate(_mul_int(table, X[i][k], Y[k][j], m)):
-                    acc[t] += v
-                for t, v in enumerate(_mul_int(table, Y[i][k], X[k][j], m)):
-                    acc[t] += v
+                _mul_int(table, X[i][k], Y[k][j], acc)
+                _mul_int(table, Y[i][k], X[k][j], acc)
             line.append(acc)
         rows.append(line)
     return _from_int_form(x.algebra, 2 * dx * dy, rows)

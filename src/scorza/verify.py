@@ -113,7 +113,7 @@ def _check(name, ops, trials, fn, threshold=1.0, info=None) -> CheckResult:
         if ok:
             passes += 1
         elif witness is None:
-            witness = wit
+            witness = _built(wit)
     required = trials if threshold >= 1 else math.ceil(threshold * trials)
     return CheckResult(
         name=name, trials=trials, passes=passes, required=required,
@@ -132,7 +132,7 @@ def _bound_and_generic(name, ops, trials, fn, threshold=0.95) -> CheckResult:
         if bound_ok:
             passes += 1
         elif witness is None:
-            witness = wit
+            witness = _built(wit)
         if generic_hit:
             generic += 1
     generic_required = math.ceil(threshold * trials)
@@ -142,6 +142,16 @@ def _bound_and_generic(name, ops, trials, fn, threshold=0.95) -> CheckResult:
         ops=tuple(ops), witness=witness,
         info={"generic": generic, "generic_required": generic_required},
     )
+
+
+def _built(wit):
+    """A failing trial's witness: a dict or None, or a thunk that builds one,
+    so that trials which pass never serialize their inputs."""
+    return wit() if callable(wit) else wit
+
+
+def _elements_witness(seed, t, *elements):
+    return lambda: {"seed": seed, "trial": t, "elements": [e.to_json() for e in elements]}
 
 
 # --- composition suite ---------------------------------------------------------
@@ -159,7 +169,7 @@ def suite_composition(trials: int, seed: int) -> list:
     def norm_oct(t):
         x, y = pair(t, "norm-oct", 3, "Q")
         ok = cd.norm_form(x * y) == cd.norm_form(x) * cd.norm_form(y)
-        return ok, _cd_witness(seed, t, x, y)
+        return ok, _elements_witness(seed, t, x, y)
 
     checks.append(_check(
         "norm_multiplicativity_octonions",
@@ -171,7 +181,7 @@ def suite_composition(trials: int, seed: int) -> list:
         fld = ("Q", "Qi")[(t // 4) % 2]
         x, y = pair(t, "norm-all", level, fld)
         ok = cd.norm_form(x * y) == cd.norm_form(x) * cd.norm_form(y)
-        return ok, _cd_witness(seed, t, x, y)
+        return ok, _elements_witness(seed, t, x, y)
 
     checks.append(_check(
         "norm_multiplicativity_all_levels",
@@ -183,7 +193,7 @@ def suite_composition(trials: int, seed: int) -> list:
         x, y = pair(t, "alt", 3, fld)
         xx = x * x
         ok = x * (x * y) == xx * y and (y * x) * x == y * xx
-        return ok, _cd_witness(seed, t, x, y)
+        return ok, _elements_witness(seed, t, x, y)
 
     checks.append(_check("alternative_laws", ("cd_multiply",), trials, alternative))
 
@@ -193,7 +203,7 @@ def suite_composition(trials: int, seed: int) -> list:
         rng = make_rng(seed, "assoc-low", t)
         x, y, z = (cd.random_cd(rng, level, fld) for _ in range(3))
         ok = (x * y) * z == x * (y * z)
-        return ok, _cd_witness(seed, t, x, y, z)
+        return ok, _elements_witness(seed, t, x, y, z)
 
     checks.append(_check(
         "associativity_levels_0_2", ("cd_multiply",), trials, assoc_low,
@@ -214,7 +224,7 @@ def suite_composition(trials: int, seed: int) -> list:
         fld = ("Q", "Qi")[t % 2]
         x, y = pair(t, "anti-auto", 3, fld)
         ok = cd.conjugate(x * y) == cd.conjugate(y) * cd.conjugate(x)
-        return ok, _cd_witness(seed, t, x, y)
+        return ok, _elements_witness(seed, t, x, y)
 
     checks.append(_check(
         "conjugation_anti_automorphism", ("conjugate", "cd_multiply"),
@@ -224,34 +234,26 @@ def suite_composition(trials: int, seed: int) -> list:
     def involution(t):
         rng = make_rng(seed, "involution", t)
         x = cd.random_cd(rng, 3, ("Q", "Qi")[t % 2])
-        return cd.conjugate(cd.conjugate(x)) == x, _cd_witness(seed, t, x)
+        return cd.conjugate(cd.conjugate(x)) == x, _elements_witness(seed, t, x)
 
     checks.append(_check("conjugation_involution", ("conjugate",), trials, involution))
 
     def trace_sym(t):
         x, y = pair(t, "trace-sym", 3, ("Q", "Qi")[t % 2])
         ok = cd.real_trace(x * y) == cd.real_trace(y * x)
-        return ok, _cd_witness(seed, t, x, y)
+        return ok, _elements_witness(seed, t, x, y)
 
     checks.append(_check("trace_symmetry", ("real_trace",), trials, trace_sym))
 
     def table_vs_recursion(t):
         x, y = pair(t, "table-ref", 3, ("Q", "Qi")[t % 2])
-        return x * y == cd.reference_multiply(x, y), _cd_witness(seed, t, x, y)
+        return x * y == cd.reference_multiply(x, y), _elements_witness(seed, t, x, y)
 
     checks.append(_check(
         "table_matches_doubling_recursion", ("cd_multiply",), trials,
         table_vs_recursion,
     ))
     return checks
-
-
-def _cd_witness(seed, t, *elements) -> dict:
-    return {
-        "seed": seed,
-        "trial": t,
-        "elements": [e.to_json() for e in elements],
-    }
 
 
 # --- jordan suite -----------------------------------------------------------------
@@ -270,7 +272,7 @@ def suite_jordan(trials: int, seed: int) -> list:
         x2 = jd.jordan_product(x, x)
         lhs = jd.jordan_product(x2, jd.jordan_product(x, y))
         rhs = jd.jordan_product(x, jd.jordan_product(x2, y))
-        return lhs == rhs, _jd_witness(seed, t, x, y)
+        return lhs == rhs, _elements_witness(seed, t, x, y)
 
     checks.append(_check("jordan_identity", ("jordan_product",), trials, jident))
 
@@ -279,7 +281,7 @@ def suite_jordan(trials: int, seed: int) -> list:
         x2 = jd.jordan_product(x, x)
         lhs = jd.jordan_product(x, jd.jordan_product(x, x2))
         rhs = jd.jordan_product(x2, x2)
-        return lhs == rhs, _jd_witness(seed, t, x)
+        return lhs == rhs, _elements_witness(seed, t, x)
 
     checks.append(_check("power_associativity", ("jordan_product",), trials, pow_assoc))
 
@@ -287,7 +289,7 @@ def suite_jordan(trials: int, seed: int) -> list:
         x = rnd(t, "tfsym-x", "O_C")
         y = rnd(t, "tfsym-y", "O_C")
         ok = jd.trace_form(x, y) == jd.trace_form(y, x)
-        return ok, _jd_witness(seed, t, x, y)
+        return ok, _elements_witness(seed, t, x, y)
 
     checks.append(_check(
         "trace_form_symmetric", ("trace_form", "jtrace"), trials, tf_sym,
@@ -298,7 +300,7 @@ def suite_jordan(trials: int, seed: int) -> list:
         if x.is_zero():
             return True, None
         val = jd.trace_form(x, x)
-        return val.is_real() and val.as_fraction() > 0, _jd_witness(seed, t, x)
+        return val.is_real() and val.as_fraction() > 0, _elements_witness(seed, t, x)
 
     checks.append(_check(
         "trace_form_positive_definite", ("trace_form",), trials, tf_pos,
@@ -308,7 +310,7 @@ def suite_jordan(trials: int, seed: int) -> list:
         x = rnd(t, "sharpid", "O_C")
         lhs = jd.jordan_product(jd.sharp(x), x)
         rhs = ident_oc.scale(jd.generic_det(x))
-        return lhs == rhs, _jd_witness(seed, t, x)
+        return lhs == rhs, _elements_witness(seed, t, x)
 
     checks.append(_check(
         "sharp_adjoint_identity", ("sharp", "generic_det", "jordan_product"),
@@ -318,7 +320,7 @@ def suite_jordan(trials: int, seed: int) -> list:
     def adjoint_det(t):
         x = rnd(t, "adjdet", "O_C")
         d = jd.generic_det(x)
-        return jd.generic_det(jd.sharp(x)) == d * d, _jd_witness(seed, t, x)
+        return jd.generic_det(jd.sharp(x)) == d * d, _elements_witness(seed, t, x)
 
     checks.append(_check(
         "adjoint_det_identity", ("sharp", "generic_det"), trials, adjoint_det,
@@ -327,7 +329,7 @@ def suite_jordan(trials: int, seed: int) -> list:
     def det_restriction(t):
         x = rnd(t, "detrestr", "C", height=8)
         ok = jd.generic_det(x) == linalg.det(jd.to_complex_matrix(x))
-        return ok, _jd_witness(seed, t, x)
+        return ok, _elements_witness(seed, t, x)
 
     checks.append(_check(
         "det_associative_restriction", ("generic_det",), trials, det_restriction,
@@ -338,13 +340,13 @@ def suite_jordan(trials: int, seed: int) -> list:
         x = jd.random_hermitian(rng, "O_C", 3, 5)
         lam = QI(random_fraction(rng, 7, nonzero=True))
         ok = jd.generic_det(x.scale(lam)) == lam ** 3 * jd.generic_det(x)
-        return ok, _jd_witness(seed, t, x)
+        return ok, _elements_witness(seed, t, x)
 
     checks.append(_check("det_degree_3_homogeneity", ("generic_det",), trials, det_homog))
 
     def freudenthal(t):
         x = rnd(t, "freud", "O_C")
-        return jd.freudenthal_det3(x) == jd.generic_det(x), _jd_witness(seed, t, x)
+        return jd.freudenthal_det3(x) == jd.generic_det(x), _elements_witness(seed, t, x)
 
     checks.append(_check(
         "closed_cubic_cross_check", ("generic_det",), trials, freudenthal,
@@ -360,7 +362,7 @@ def suite_jordan(trials: int, seed: int) -> list:
                 v = [cd.cd_scalar(q, 3, "Qi") for q in random_qi_vector(rng, 3, 5)]
                 x = x + jd.rank_one_from_vector("O_C", v)
             if jd.jordan_rank3(x) != linalg.rank(jd.to_complex_matrix(x)):
-                return False, _jd_witness(seed, t, x)
+                return False, _elements_witness(seed, t, x)
         return True, None
 
     checks.append(_check(
@@ -374,16 +376,12 @@ def suite_jordan(trials: int, seed: int) -> list:
         if a.is_zero():
             return True, None
         ok = jd.sharp(a).is_zero() and jd.jordan_rank3(a) == 1
-        return ok, _jd_witness(seed, t, a)
+        return ok, _elements_witness(seed, t, a)
 
     checks.append(_check(
         "rank_one_outer_squares", ("sharp", "jordan_rank3"), trials, rank_one_square,
     ))
     return checks
-
-
-def _jd_witness(seed, t, *elements) -> dict:
-    return {"seed": seed, "trial": t, "elements": [e.to_json() for e in elements]}
 
 
 # --- strata suite -------------------------------------------------------------------
@@ -560,8 +558,8 @@ def _secant_check(model, s, trials, seed) -> CheckResult:
     )
 
 
-def _pt_witness(seed, t, p) -> dict:
-    return {"seed": seed, "trial": t, "point": p.to_json()}
+def _pt_witness(seed, t, p):
+    return lambda: {"seed": seed, "trial": t, "point": p.to_json()}
 
 
 # --- moment suite ----------------------------------------------------------------
@@ -703,8 +701,8 @@ def _reduction_check(sel: str, s: int, r: int, trials: int, seed: int) -> CheckR
     )
 
 
-def _w_witness(seed, t, w) -> dict:
-    return {"seed": seed, "trial": t, "element": w.to_json()}
+def _w_witness(seed, t, w):
+    return lambda: {"seed": seed, "trial": t, "element": w.to_json()}
 
 
 # --- catalog suite -----------------------------------------------------------------

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from scorza.cayley_dickson import (
@@ -15,7 +17,7 @@ from scorza.cayley_dickson import (
     reference_multiply,
 )
 from scorza.errors import InputError
-from scorza.sampling import make_rng
+from scorza.sampling import make_rng, random_qi
 from scorza.scalars import QI
 
 
@@ -158,3 +160,116 @@ def test_json_round_trip():
     # field inference: real coefficients decode to tag Q
     x = random_cd(rng, 2, "Q")
     assert CDElement.from_json(x.to_json()) == x
+
+
+# --- integer-plane kernels against coefficient-wise QI arithmetic -------------
+
+def _qi_conj(t: tuple) -> tuple:
+    if len(t) == 1:
+        return t
+    h = len(t) // 2
+    return _qi_conj(t[:h]) + tuple(-c for c in t[h:])
+
+
+def _qi_mul(x: tuple, y: tuple) -> tuple:
+    """The doubling recursion (a, b)(c, d) = (ac - d*b, da + bc*) on QI tuples."""
+    if len(x) == 1:
+        return (x[0] * y[0],)
+    h = len(x) // 2
+    a, b, c, d = x[:h], x[h:], y[:h], y[h:]
+    left = tuple(p - q for p, q in zip(_qi_mul(a, c), _qi_mul(_qi_conj(d), b)))
+    right = tuple(p + q for p, q in zip(_qi_mul(d, a), _qi_mul(b, _qi_conj(c))))
+    return left + right
+
+
+_BIG_DENS = (2**61 - 1, 3**40, 10**18 + 9, 2**64, 7 * 11 * 13 * 10**9)
+
+
+def _oracle_samples(level: int, field: str) -> list:
+    """Zero, basis, random, pure-imaginary and large-mixed-denominator elements."""
+    n = 1 << level
+    rng = make_rng("cd", "oracle", level, field)
+    real = field == "Q"
+    out = [cd_zero(level, field), cd_one(level, field), cd_basis(level, n - 1, field)]
+    out += [random_cd(rng, level, field) for _ in range(6)]
+    big = []
+    for k in range(n):
+        re = Fraction(rng.randint(-10**20, 10**20), rng.choice(_BIG_DENS))
+        im = 0 if real else Fraction(rng.randint(-10**20, 10**20), rng.choice(_BIG_DENS))
+        big.append(QI(re, im))
+    out.append(CDElement(level, field, big))
+    if not real:
+        out.append(CDElement(level, field, [QI(0, Fraction(k + 1, 3 * k + 2)) for k in range(n)]))
+    # a fraction in the last slot beside an integer scalar part
+    mixed = [QI(0)] * n
+    mixed[0] = QI(5)
+    mixed[-1] = QI(Fraction(-7, 12))
+    out.append(CDElement(level, field, mixed))
+    return out
+
+
+def _same(x: CDElement, coeffs: tuple):
+    expected = CDElement(x.level, x.field, coeffs)
+    assert x.coeffs == tuple(coeffs)
+    assert x == expected and hash(x) == hash(expected)
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_integer_plane_kernels_match_qi_oracle(level, field):
+    samples = _oracle_samples(level, field)
+    scalars = [QI(0), QI(1), QI(Fraction(-3, 7)), QI(Fraction(2**70, 3**30))]
+    if field == "Qi":
+        scalars += [QI(0, Fraction(5, 6)), QI(Fraction(1, 2**40), Fraction(-9, 10**15))]
+    for x in samples:
+        cx = x.coeffs
+        assert x.is_zero() == all(not c for c in cx)
+        assert x.is_scalar() == all(not c for c in cx[1:])
+        assert x.scalar_part() == cx[0]
+        assert x.trace() == cx[0] + cx[0]
+        acc = QI(0)
+        for c in cx:
+            acc = acc + c * c
+        assert x.norm() == acc
+        _same(-x, tuple(-c for c in cx))
+        _same(x.conjugate(), (cx[0],) + tuple(-c for c in cx[1:]))
+        for s in scalars:
+            _same(x.scale(s), tuple(c * s for c in cx))
+        for high in range(level, 4):
+            _same(x.embed(high), cx + (QI(0),) * ((1 << high) - len(cx)))
+        for y in samples:
+            cy = y.coeffs
+            _same(x + y, tuple(a + b for a, b in zip(cx, cy)))
+            _same(x - y, tuple(a - b for a, b in zip(cx, cy)))
+            _same(x * y, _qi_mul(cx, cy))
+            _same(reference_multiply(x, y), _qi_mul(cx, cy))
+
+
+def test_planes_are_canonical():
+    # Fraction(6, 4) and Fraction(-10, 15) reduce on entry; the same value
+    # reached by arithmetic must land on the same plane
+    built = CDElement(2, "Qi", [QI(Fraction(6, 4)), QI(0, Fraction(-10, 15)), QI(0), QI(Fraction(4, 2))])
+    a = CDElement(2, "Qi", [QI(Fraction(1, 4)), QI(0, Fraction(1, 3)), QI(0), QI(Fraction(1, 3))])
+    b = CDElement(2, "Qi", [QI(Fraction(5, 4)), QI(0, -1), QI(0), QI(Fraction(5, 3))])
+    reached = a + b
+    assert reached == built and hash(reached) == hash(built)
+    assert reached.int_form() == built.int_form() == (6, (9, 0, 0, -4, 0, 0, 12, 0))
+    # a cancelling sum collapses to the canonical zero plane
+    x = random_cd(make_rng("cd", "canon"), 3, "Qi")
+    zero = x - x
+    assert zero == cd_zero(3, "Qi") and hash(zero) == hash(cd_zero(3, "Qi"))
+    assert zero.int_form() == (1, (0,) * 16)
+    # a product whose denominators cancel
+    half = cd_scalar(QI(Fraction(1, 2)), 3)
+    two = cd_scalar(QI(2), 3)
+    assert (half * two).int_form() == (1, (1,) + (0,) * 15) == cd_one(3).int_form()
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_random_cd_draws_like_random_qi(field):
+    for level in range(4):
+        a = random_cd(make_rng("cd", "draws", level), level, field, 7)
+        rng = make_rng("cd", "draws", level)
+        coeffs = [random_qi(rng, 7, real=field == "Q") for _ in range(1 << level)]
+        assert a == CDElement(level, field, coeffs)
+        assert a.coeffs == tuple(coeffs)

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from scorza import linalg
+from scorza import cayley_dickson, linalg
 from scorza.dual_pairs import dagger
+from scorza.sampling import make_rng
 from scorza.scalars import QI
 from scorza.verify import run_suite
 
@@ -155,6 +156,19 @@ def test_verify_failure_exit_code_and_witness():
     for c in dagger_checks:
         assert c.witness is not None
         assert "element" in c.witness and "alpha" in c.witness["element"]
+
+
+def test_verify_witness_is_the_first_failing_trial(monkeypatch):
+    # a transposed reference product fails the table cross-check; the
+    # witness, built only for the first failing trial, names its inputs
+    monkeypatch.setattr(cayley_dickson, "reference_multiply", lambda x, y: y * x)
+    report = run_suite("composition", trials=3, seed=11)
+    assert not report.passed
+    check = next(c for c in report.checks if c.name == "table_matches_doubling_recursion")
+    assert check.passes == 0
+    rng = make_rng(11, "table-ref", 0)
+    x, y = (cayley_dickson.random_cd(rng, 3, "Q") for _ in range(2))
+    assert check.witness == {"seed": 11, "trial": 0, "elements": [x.to_json(), y.to_json()]}
 
 
 def test_verify_all_exercises_every_operation():
