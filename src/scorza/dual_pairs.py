@@ -22,7 +22,9 @@ from . import linalg
 from .errors import InputError, UnsupportedError
 from .sampling import make_rng, random_fraction, random_qi, random_qi_matrix
 from .scalars import HALF, QI, QI_I, QI_ONE, QI_ZERO
-from .strata import PSpaceModel, StratumPoint, mat_model, skew_model, sym_model
+from .strata import (
+    PSpaceModel, StratumPoint, check_cells, mat_model, skew_model, sym_model,
+)
 
 KINDS = ("sp", "u", "ostar")
 
@@ -59,6 +61,9 @@ class DualPairCase:
             raise InputError("case ostar:D needs D >= 2")
         if self.s < 1:
             raise InputError("s must be >= 1")
+        v, s = self.v_size, self.s_size
+        check_cells(f"each {v} x {s} matrix of case {self}", v * s)
+        self.model()  # the reduced point's model is held to the same budget
 
     @property
     def r(self) -> int:
@@ -217,14 +222,14 @@ def dagger(w: WElement) -> list:
     return linalg.mat_mul(linalg.conj_transpose(w.alpha), linalg.conj_transpose(gv))
 
 
-def mu_K(w: WElement, dagger_fn=dagger) -> list:
+def mu_K(w: WElement) -> list:
     """Momentum map for the compact group H: -dagger(a) a, valued in Lie(H)."""
-    return linalg.mat_neg(linalg.mat_mul(dagger_fn(w), w.alpha))
+    return linalg.mat_neg(linalg.mat_mul(dagger(w), w.alpha))
 
 
-def mu_G(w: WElement, dagger_fn=dagger) -> list:
+def mu_G(w: WElement) -> list:
     """Momentum map for G: a dagger(a), valued in Lie(G)."""
-    return linalg.mat_mul(w.alpha, dagger_fn(w))
+    return linalg.mat_mul(w.alpha, dagger(w))
 
 
 def in_lie_h(case: DualPairCase, x: list) -> bool:
@@ -669,7 +674,7 @@ def _g_generator(case: DualPairCase, rng: Random) -> list:
         ident = linalg.identity(2 * d)
         j = case.j_v_matrix()
         return linalg.mat_add(linalg.mat_scale(ident, QI(c)), linalg.mat_scale(j, QI(s)))
-    # isotropic shear I - (v v^H + w w^H) K with w = J_q v
+    # isotropic shear I - (v v^H + w w^H) K = I - V (V^H K), V = [v | w], w = J_q v
     basis = isotropic_basis(case)
     v = [QI_ZERO] * (2 * d)
     for col in basis:
@@ -677,10 +682,6 @@ def _g_generator(case: DualPairCase, rng: Random) -> list:
         v = _vec_add(v, _vec_scale(col, coef))
     cv = case.structure_v()
     w = linalg.mat_vec(cv, [x.conjugate() for x in v])
-    proj = linalg.mat_add(_outer_h(v), _outer_h(w))
-    n_mat = linalg.mat_neg(linalg.mat_mul(proj, case.form_v_matrix()))
-    return linalg.mat_add(linalg.identity(2 * d), n_mat)
-
-
-def _outer_h(v: list) -> list:
-    return [[a * b.conjugate() for b in v] for a in v]
+    vw = [[a, b] for a, b in zip(v, w)]
+    vh_k = linalg.mat_mul(linalg.conj_transpose(vw), case.form_v_matrix())
+    return linalg.mat_sub(linalg.identity(2 * d), linalg.mat_mul(vw, vh_k))

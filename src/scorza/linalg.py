@@ -1,16 +1,17 @@
 """Exact linear algebra over Gaussian rationals.
 
-Matrices are plain lists of lists of QI. mat_mul, mat_vec and rank share
-one integer-plane helper, _cleared, which writes a row or column as one
-integer denominator and integer real and imaginary parts. Products sum each
-entry as plain ints. Rank runs fraction-free Bareiss elimination over the
-Gaussian integers, which keeps entry growth polynomial and divisions exact.
+Matrices are plain lists of lists of QI. Products, rank, det and inverse
+share one integer-plane helper, _cleared, which writes a row or column as
+one integer denominator and integer real and imaginary parts. Products sum
+each entry as plain ints. rank, det and inverse share one fraction-free
+Bareiss elimination over the Gaussian integers, _eliminate, which keeps
+entry growth polynomial and divisions exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 from .errors import InputError
@@ -108,19 +109,20 @@ def is_real_matrix(a: Matrix) -> bool:
     return all(x.is_real() for row in a for x in row)
 
 
-# --- rank ------------------------------------------------------------------
+# --- elimination: rank, determinant, inverse ---------------------------------
 
-def rank(m: Matrix) -> int:
-    """Exact rank over Q(i) by fraction-free elimination on Gaussian integers."""
-    if not m or not m[0]:
-        return 0
-    work = [list(zip(*_cleared(row)[1:])) for row in m]
-    rows, cols = len(work), len(work[0])
-    prev = (1, 0)
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        best = None
+def _eliminate(work: list, ncols: int, full: bool) -> tuple:
+    """Fraction-free (Bareiss 1968) elimination in place on rows of Gaussian-
+    integer pairs, pivoting in the first ncols columns; returns (rank, swap
+    sign, last pivot). Each update (pivot * x - f * y) / previous pivot is
+    exact, since after step k every entry is a k x k minor, and on a full-rank
+    square block sign * last pivot is the determinant. full=True also clears
+    above each pivot (Gauss-Jordan), leaving pivot block = last pivot * I.
+    """
+    rows, width = len(work), len(work[0]) if work else 0
+    prev, sign, r = (1, 0), 1, 0
+    for c in range(ncols):
+        pivot_row = best = None
         for i in range(r, rows):
             a, b = work[i][c]
             if a or b:
@@ -129,26 +131,67 @@ def rank(m: Matrix) -> int:
                     best, pivot_row = size, i
         if pivot_row is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][c]
-        for i in range(r + 1, rows):
-            fi = work[i][c]
-            rowi = work[i]
-            rowr = work[r]
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            sign = -sign
+        rowr = work[r]
+        pv = rowr[c]
+        lo = 0 if full else c + 1  # rows above the pivot need rescaling left of c
+        for rowi in work[:r] + work[r + 1:] if full else work[r + 1:]:
+            fi = rowi[c]
             if fi == (0, 0):
-                for j in range(c + 1, cols):
+                for j in range(lo, width):
                     rowi[j] = _zdiv(_zmul(pv, rowi[j]), prev)
             else:
-                for j in range(c + 1, cols):
+                for j in range(lo, width):
                     rowi[j] = _zdiv(
                         _zsub(_zmul(pv, rowi[j]), _zmul(fi, rowr[j])), prev
                     )
             rowi[c] = (0, 0)
         prev = pv
         r += 1
-        if r == rows:
-            break
-    return r
+    return r, sign, prev
+
+
+def _integer_rows(m: Matrix) -> tuple[list, list]:
+    """Row denominators d and Gaussian-integer rows z with m[i] = z[i] / d[i]."""
+    cleared = [_cleared(row) for row in m]
+    return [c[0] for c in cleared], [list(zip(re, im)) for _, re, im in cleared]
+
+
+def rank(m: Matrix) -> int:
+    """Exact rank over Q(i) by fraction-free elimination on Gaussian integers."""
+    return _eliminate(_integer_rows(m)[1], shape(m)[1], False)[0]
+
+
+def det(m: Matrix) -> QI:
+    """sign * last Bareiss pivot / product of the row denominators."""
+    n, c = shape(m)
+    if n != c:
+        raise InputError("determinant needs a square matrix")
+    dens, work = _integer_rows(m)
+    r, sign, (a, b) = _eliminate(work, n, False)
+    if r < n:
+        return QI_ZERO
+    den = prod(dens)
+    return QI._mk(Fraction(sign * a, den), Fraction(sign * b, den))
+
+
+def inverse(m: Matrix) -> Matrix:
+    """Fraction-free Gauss-Jordan on [A_int | I]: the left block ends as p * I
+    for the last pivot p, so A^-1 = (right block / p) * diag(row denominators)."""
+    n, c = shape(m)
+    if n != c:
+        raise InputError("inverse needs a square matrix")
+    dens, work = _integer_rows(m)
+    work = [row + [(int(i == j), 0) for j in range(n)] for i, row in enumerate(work)]
+    r, _, (pa, pb) = _eliminate(work, n, True)
+    if r < n:
+        raise InputError("matrix is singular")
+    norm = pa * pa + pb * pb
+    return [[QI._mk(Fraction((a * pa + b * pb) * d, norm),
+                    Fraction((b * pa - a * pb) * d, norm))
+             for (a, b), d in zip(row[n:], dens)] for row in work]
 
 
 def rank_gauss(m: Matrix) -> int:
@@ -196,51 +239,7 @@ def _zdiv(x, y):
     return (re, im)
 
 
-# --- determinant, inverse, Pfaffian ---------------------------------------
-
-def det(m: Matrix) -> QI:
-    n, c = shape(m)
-    if n != c:
-        raise InputError("determinant needs a square matrix")
-    if n == 0:
-        return QI_ONE
-    work = [row[:] for row in m]
-    acc = QI_ONE
-    sign = 1
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if work[i][col]), None)
-        if pivot_row is None:
-            return QI_ZERO
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            sign = -sign
-        pv = work[col][col]
-        acc = acc * pv
-        for i in range(col + 1, n):
-            if work[i][col]:
-                f = work[i][col] / pv
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return acc if sign > 0 else -acc
-
-
-def inverse(m: Matrix) -> Matrix:
-    n, c = shape(m)
-    if n != c:
-        raise InputError("inverse needs a square matrix")
-    work = [row[:] + ident_row for row, ident_row in zip(m, identity(n))]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if work[i][col]), None)
-        if pivot_row is None:
-            raise InputError("matrix is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return [row[n:] for row in work]
-
+# --- Pfaffian ----------------------------------------------------------------
 
 def is_skew(m: Matrix) -> bool:
     n, c = shape(m)

@@ -30,6 +30,7 @@ from .sampling import derive_seed, make_rng, random_qi, random_qi_vector
 from .scalars import QI, QI_ZERO
 
 KINDS = ("sym", "mat", "skew", "exc27")
+_MODEL_GRAMMAR = "sym:R | mat:Q,P | skew:N | exc27"
 
 _RANK1_RETRIES = 32
 
@@ -37,8 +38,16 @@ _RANK1_RETRIES = 32
 # blocks of chart_param_count rows by ambient_dim columns. It admits every
 # Scorza family of catalog_scorza(k) for k <= 6 (the largest is skew:15 at
 # s = 7, 210 x 105 = 22,050 cells, ranked in about 3.5 s on one Xeon vCPU
-# under Python 3.11); skew:16 at s = 8 (k = 7) already needs 30,720.
+# under Python 3.11); skew:16 at s = 8 (k = 7) already needs 30,720. The
+# same budget bounds a model's ambient_dim and a dual-pair case's matrix
+# size, so that no command starts work whose cost has no bound.
 MAX_JACOBIAN_CELLS = 25_000
+
+
+def check_cells(what: str, cells: int):
+    """Raise InputError when `what` has more than MAX_JACOBIAN_CELLS cells."""
+    if cells > MAX_JACOBIAN_CELLS:
+        raise InputError(f"{what} has {cells} cells; the limit is {MAX_JACOBIAN_CELLS}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +57,9 @@ class PSpaceModel:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise InputError(f"unknown model kind {self.kind!r}")
+            raise InputError(
+                f"unknown model kind {self.kind!r}; expected {_MODEL_GRAMMAR}"
+            )
         expected = {"sym": 1, "mat": 2, "skew": 1, "exc27": 0}[self.kind]
         if len(self.params) != expected:
             raise InputError(f"model {self.kind} takes {expected} parameter(s)")
@@ -56,6 +67,7 @@ class PSpaceModel:
             raise InputError("model parameters must be positive")
         if self.kind == "skew" and self.params[0] < 2:
             raise InputError("skew model needs n >= 2")
+        check_cells(f"the coordinate vector of {self}", self.ambient_dim)
 
     @property
     def max_rank(self) -> int:
@@ -126,11 +138,11 @@ def parse_model(selector: str) -> PSpaceModel:
     kind, _, args = text.partition(":")
     try:
         nums = tuple(int(a) for a in args.split(",")) if args else ()
-        return PSpaceModel(kind, nums)
-    except (ValueError, InputError) as exc:
+    except ValueError as exc:
         raise InputError(
-            f"bad model selector {selector!r}; expected sym:R | mat:Q,P | skew:N | exc27"
+            f"bad model selector {selector!r}; expected {_MODEL_GRAMMAR}"
         ) from exc
+    return PSpaceModel(kind, nums)
 
 
 @dataclass
@@ -519,13 +531,8 @@ def _exc27_columns(block: list) -> list:
 
 
 def _check_jacobian_cells(model: PSpaceModel, s: int):
-    rows = s * chart_param_count(model)
-    cells = rows * model.ambient_dim
-    if cells > MAX_JACOBIAN_CELLS:
-        raise InputError(
-            f"stratum {s} of {model} needs a {rows} x {model.ambient_dim} "
-            f"Jacobian ({cells} cells); the limit is {MAX_JACOBIAN_CELLS}"
-        )
+    rows, cols = s * chart_param_count(model), model.ambient_dim
+    check_cells(f"the {rows} x {cols} Jacobian of stratum {s} of {model}", rows * cols)
 
 
 def stratum_dimension(

@@ -567,11 +567,10 @@ def _pt_witness(seed, t, p):
 _MOMENT_CASES = ("sp:3", "u:3,3", "ostar:6")
 
 
-def suite_moment(trials: int, seed: int, dagger_fn=None) -> list:
+def suite_moment(trials: int, seed: int) -> list:
     checks = []
-    dfn = dagger_fn or dp.dagger
     for sel in _MOMENT_CASES:
-        checks.extend(_moment_case_checks(sel, trials, seed, dfn))
+        checks.extend(_moment_case_checks(sel, trials, seed))
 
     def w_dims(t):
         seqs = {
@@ -594,7 +593,7 @@ def suite_moment(trials: int, seed: int, dagger_fn=None) -> list:
     return checks
 
 
-def _moment_case_checks(sel: str, trials: int, seed: int, dfn) -> list:
+def _moment_case_checks(sel: str, trials: int, seed: int) -> list:
     checks = []
     base = dp.parse_case(sel, 2)
     r = base.r
@@ -602,10 +601,9 @@ def _moment_case_checks(sel: str, trials: int, seed: int, dfn) -> list:
     def dagger_identity(t):
         case = dp.parse_case(sel, 1 + t % 3)
         w = dp.random_w_element(case, derive_seed(seed, "dag", sel, t))
-        dg = dfn(w)
         # (dagger(a) u, v) = B(u, a v) over the full product basis
         gv = case.form_v_matrix()
-        lhs = linalg.conj_transpose(dg)
+        lhs = linalg.conj_transpose(dp.dagger(w))
         rhs = linalg.mat_mul(gv, w.alpha)
         return linalg.mat_eq(lhs, rhs), _w_witness(seed, t, w)
 
@@ -616,7 +614,7 @@ def _moment_case_checks(sel: str, trials: int, seed: int, dfn) -> list:
     def lie_membership(t):
         case = dp.parse_case(sel, 1 + t % 3)
         w = dp.random_w_element(case, derive_seed(seed, "lie", sel, t))
-        ok = dp.in_lie_h(case, dp.mu_K(w, dfn)) and dp.in_lie_g(case, dp.mu_G(w, dfn))
+        ok = dp.in_lie_h(case, dp.mu_K(w)) and dp.in_lie_g(case, dp.mu_G(w))
         return ok, _w_witness(seed, t, w)
 
     checks.append(_check(
@@ -829,31 +827,21 @@ def suite_catalog(trials: int, seed: int) -> list:
 
 # --- runner ---------------------------------------------------------------------
 
-def run_suite(name: str, trials: int, seed: int, dagger_fn=None) -> VerificationReport:
+def run_suite(name: str, trials: int, seed: int) -> VerificationReport:
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
     if not isinstance(trials, int) or trials < 1:
         raise InputError("trials must be >= 1")
     start = time.perf_counter()
-    if name == "all":
-        checks = (
-            suite_composition(trials, seed)
-            + suite_jordan(trials, seed)
-            + suite_strata(trials, seed)
-            + suite_moment(trials, seed, dagger_fn)
-            + suite_catalog(trials, seed)
-        )
-    else:
-        fn = {
-            "composition": suite_composition,
-            "jordan": suite_jordan,
-            "strata": suite_strata,
-            "catalog": suite_catalog,
-        }.get(name)
-        if name == "moment":
-            checks = suite_moment(trials, seed, dagger_fn)
-        else:
-            checks = fn(trials, seed)
+    suites = {
+        "composition": suite_composition,
+        "jordan": suite_jordan,
+        "strata": suite_strata,
+        "moment": suite_moment,
+        "catalog": suite_catalog,
+    }
+    names = list(suites) if name == "all" else [name]
+    checks = [c for n in names for c in suites[n](trials, seed)]
     checks.sort(key=lambda c: c.name)
     coverage_ok = None
     if name == "all":

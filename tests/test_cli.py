@@ -4,8 +4,7 @@ import sys
 
 import pytest
 
-from scorza import cayley_dickson, linalg
-from scorza.dual_pairs import dagger
+from scorza import cayley_dickson, dual_pairs, linalg
 from scorza.sampling import make_rng
 from scorza.scalars import QI
 from scorza.verify import run_suite
@@ -141,13 +140,16 @@ def test_defects_json():
     assert data["scorza_ok"] is False
 
 
-def test_verify_failure_exit_code_and_witness():
-    # corrupt dagger through the injection hook: the moment suite must fail
-    # and carry a reproducible witness
+def test_verify_failure_exit_code_and_witness(monkeypatch):
+    # a doubled dagger: the moment suite must fail and carry a reproducible
+    # witness
+    dagger = dual_pairs.dagger
+
     def corrupted(w):
         return linalg.mat_scale(dagger(w), QI(2))
 
-    report = run_suite("moment", trials=4, seed=7, dagger_fn=corrupted)
+    monkeypatch.setattr(dual_pairs, "dagger", corrupted)
+    report = run_suite("moment", trials=4, seed=7)
     assert not report.passed
     failing = [c for c in report.checks if not c.ok]
     assert failing
@@ -214,6 +216,10 @@ MALFORMED = {
     "reduce-out": (["reduce", "--case", "sp:2", "--s", "1", "--out", UNWRITABLE], None),
     "dim-over-cost-limit": (["dim", "--model", "mat:40,40", "--stratum", "40"], None),
     "defects-over-cost-limit": (["defects", "--model", "skew:16"], None),
+    "sample-sym-over-cost-limit": (["sample", "--model", "sym:100000"], None),
+    "sample-skew-over-cost-limit": (["sample", "--model", "skew:3000"], None),
+    "reduce-s-over-cost-limit": (["reduce", "--case", "ostar:6", "--s", "100000"], None),
+    "reduce-case-over-cost-limit": (["reduce", "--case", "sp:100000", "--s", "1"], None),
 }
 
 

@@ -174,19 +174,54 @@ def test_mat_mul_and_mat_vec_match_sympy(kind):
             assert linalg.mat_vec(a, v) == [_from_sympy(e) for e in expected_v]
 
 
+def _sympy_dm(m):
+    # the exact matrix over sympy's Gaussian-rational domain QQ_I
+    return _to_sympy(m).to_DM(domain=sympy.QQ_I)
+
+
 def _sympy_det(m) -> QI:
-    # exact determinant over sympy's Gaussian-rational domain QQ_I
-    dm = _to_sympy(m).to_DM()
+    dm = _sympy_dm(m)
     return _from_sympy(dm.domain.to_sympy(dm.det()))
+
+
+def _elimination_inputs(rng, kind):
+    """Random n x n matrices of one kind plus the elimination's edge cases: a
+    zero top-left entry (forces a swap and a sign), a rank n-1 product with no
+    zero row (for kinds other than "zero"), and rows over very different big
+    denominators (exercises the column rescale of the inverse)."""
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(2):
+            yield _oracle_matrix(rng, n, n, kind)
+    for n in (2, 4):
+        m = _oracle_matrix(rng, n, n, kind)
+        m[0][0] = QI(0)
+        m[1][0] = QI(1)
+        yield m
+        yield linalg.mat_mul(_oracle_matrix(rng, n + 1, n, kind),
+                             _oracle_matrix(rng, n, n + 1, kind))
+        yield [[x * QI(Fraction(1, BIG_DENS[i + 1])) for x in row]
+               for i, row in enumerate(_oracle_matrix(rng, n, n, kind))]
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_det_matches_sympy(kind):
+    # det, rank and inverse share one elimination: check all three
+    assert (linalg.det([]), linalg.rank([]), linalg.inverse([])) == (QI(1), 0, [])
     rng = make_rng("linalg", "sympy-det", kind)
-    for n in (1, 2, 3, 4, 5):
-        for _ in range(2):
-            m = _oracle_matrix(rng, n, n, kind)
-            assert linalg.det(m) == _sympy_det(m)
+    for m in _elimination_inputs(rng, kind):
+        dm = _sympy_dm(m)
+        det = linalg.det(m)
+        assert det == _sympy_det(m)
+        assert linalg.rank(m) == dm.rank()
+        if not det:
+            with pytest.raises(InputError):
+                linalg.inverse(m)
+            continue
+        expected = dm.inv()
+        assert linalg.inverse(m) == [
+            [_from_sympy(dm.domain.to_sympy(x)) for x in row]
+            for row in expected.to_list()
+        ]
 
 
 def _skew_from_upper(m):
