@@ -10,6 +10,16 @@ Everything is stored as exact complex matrices; the quaternionic case
 carries an antilinear structure map and all quaternion-linear maps commute
 with it. The frozen bases fix the p to matrix-model identification up to a
 scalar, which no downstream test depends on (rank and vanishing only).
+
+Two facts, checked in the tests on every case kind, carry the constants
+and the Cartan decomposition g = k + p:
+
+  Fact 1. G_V^2 = -I and the complex structure is J_V = -G_V, where G_V
+          is the Gram matrix of the form B on V; in the ostar case the
+          quaternionic structure matrix is G_V as well.
+  Fact 2. X in g means X^H G_V + G_V X = 0, that is X^H = G_V X G_V, so
+          by Fact 1 J_V X J_V = X^H. The J_V-commuting part of X is
+          therefore (X - X^H)/2 and the anticommuting part (X + X^H)/2.
 """
 
 from __future__ import annotations
@@ -103,40 +113,30 @@ class DualPairCase:
             return mat_model(self.params[1], self.params[0])
         return skew_model(self.params[0])
 
-    # form on V (conjugate-linear in the first slot): B(u, v) = u^H G_V v
+    # form on V (conjugate-linear in the first slot): B(u, v) = u^H G_V v;
+    # G_V is Omega for sp, -Omega for ostar and i diag(I_P, -I_Q) for u
     def form_v_matrix(self) -> list:
-        if self.kind == "sp":
-            ell = self.params[0]
-            return _block(
-                linalg.zeros(ell, ell), linalg.identity(ell),
-                linalg.mat_neg(linalg.identity(ell)), linalg.zeros(ell, ell),
-            )
         if self.kind == "u":
-            return linalg.mat_scale(_signature(*self.params), QI_I)
-        d = self.params[0]
-        return _omega_minus(d)
+            p, n = self.params[0], self.v_size
+            return [[(QI_I if i < p else -QI_I) if i == j else QI_ZERO
+                     for j in range(n)] for i in range(n)]
+        return _omega(self.params[0], 1 if self.kind == "sp" else -1)
 
     def j_v_matrix(self) -> list:
-        if self.kind == "sp":
-            ell = self.params[0]
-            return _block(
-                linalg.zeros(ell, ell), linalg.mat_neg(linalg.identity(ell)),
-                linalg.identity(ell), linalg.zeros(ell, ell),
-            )
-        if self.kind == "u":
-            return linalg.mat_scale(_signature(*self.params), -QI_I)
-        return linalg.mat_neg(_omega_minus(self.params[0]))
+        """The complex structure J_V = -G_V (Fact 1)."""
+        return linalg.mat_neg(self.form_v_matrix())
 
     # antilinear quaternionic structure X -> C conj(X) C^-1; matrices only
     def structure_v(self) -> list:
-        if self.kind != "ostar":
-            raise UnsupportedError("structure map exists in the quaternionic case only")
-        return _omega_minus(self.params[0])
+        return self._structure(self.params[0])
 
     def structure_s(self) -> list:
+        return self._structure(self.s)
+
+    def _structure(self, n: int) -> list:
         if self.kind != "ostar":
             raise UnsupportedError("structure map exists in the quaternionic case only")
-        return _omega_minus(self.s)
+        return _omega(n, -1)
 
     def w_complex_dim(self) -> int:
         """Complex dimension of W(s) under the complex structure J_V o (.)"""
@@ -166,22 +166,14 @@ def _block(a, b, c, d) -> list:
     return top + bot
 
 
-def _signature(p: int, q: int) -> list:
-    m = linalg.identity(p + q)
-    for i in range(p, p + q):
-        m[i][i] = -QI_ONE
-    return m
+def _omega(n: int, sign: int) -> list:
+    """The 2n x 2n matrix [[0, sign I], [-sign I, 0]]."""
+    one = QI_ONE if sign > 0 else -QI_ONE
+    return [[one if j == i + n else -one if i == j + n else QI_ZERO
+             for j in range(2 * n)] for i in range(2 * n)]
 
 
-def _omega_minus(n: int) -> list:
-    # [[0, -I],[I, 0]]
-    return _block(
-        linalg.zeros(n, n), linalg.mat_neg(linalg.identity(n)),
-        linalg.identity(n), linalg.zeros(n, n),
-    )
-
-
-def _is_h_linear(case: DualPairCase, m: list, rows_struct: list, cols_struct: list) -> bool:
+def _is_h_linear(m: list, rows_struct: list, cols_struct: list) -> bool:
     # quaternion-linearity: m @ C_cols == C_rows @ conj(m)
     lhs = linalg.mat_mul(m, cols_struct)
     rhs = linalg.mat_mul(rows_struct, linalg.mat_conj(m))
@@ -202,7 +194,7 @@ class WElement:
         if self.case.real_entries and not linalg.is_real_matrix(self.alpha):
             raise InputError("case sp uses real matrices")
         if self.case.kind == "ostar" and not _is_h_linear(
-            self.case, self.alpha, self.case.structure_v(), self.case.structure_s()
+            self.alpha, self.case.structure_v(), self.case.structure_s()
         ):
             raise InputError("alpha does not commute with the quaternionic structure")
 
@@ -233,67 +225,42 @@ def mu_G(w: WElement) -> list:
 
 
 def in_lie_h(case: DualPairCase, x: list) -> bool:
-    n = case.s_size
-    if linalg.shape(x) != (n, n):
-        return False
-    if not linalg.is_zero_matrix(linalg.mat_add(linalg.conj_transpose(x), x)):
-        return False
-    if case.real_entries and not linalg.is_real_matrix(x):
-        return False
-    if case.kind == "ostar":
-        cs = case.structure_s()
-        return _is_h_linear(case, x, cs, cs)
-    return True
+    return _is_member(case, x, on_v=False, group=False)
 
 
 def in_lie_g(case: DualPairCase, x: list) -> bool:
-    n = case.v_size
-    if linalg.shape(x) != (n, n):
-        return False
-    gv = case.form_v_matrix()
-    cond = linalg.mat_add(
-        linalg.mat_mul(linalg.conj_transpose(x), gv), linalg.mat_mul(gv, x)
-    )
-    if not linalg.is_zero_matrix(cond):
-        return False
-    if case.real_entries and not linalg.is_real_matrix(x):
-        return False
-    if case.kind == "ostar":
-        cv = case.structure_v()
-        return _is_h_linear(case, x, cv, cv)
-    return True
+    return _is_member(case, x, on_v=True, group=False)
 
 
 def in_group_h(case: DualPairCase, x: list) -> bool:
-    n = case.s_size
-    if linalg.shape(x) != (n, n):
-        return False
-    if not linalg.mat_eq(
-        linalg.mat_mul(linalg.conj_transpose(x), x), linalg.identity(n)
-    ):
-        return False
-    if case.real_entries and not linalg.is_real_matrix(x):
-        return False
-    if case.kind == "ostar":
-        cs = case.structure_s()
-        return _is_h_linear(case, x, cs, cs)
-    return True
+    return _is_member(case, x, on_v=False, group=True)
 
 
 def in_group_g(case: DualPairCase, y: list) -> bool:
-    n = case.v_size
-    if linalg.shape(y) != (n, n):
+    return _is_member(case, y, on_v=True, group=True)
+
+
+def _is_member(case: DualPairCase, x: list, on_v: bool, group: bool) -> bool:
+    """Membership in G or H (group) or in its Lie algebra, acting on V or
+    K^s. Checks the shape, then the form condition (X^H F X = F, or
+    X^H F + F X = 0, with F = G_V on V and F = I on K^s), then real entries
+    (sp), then quaternion-linearity (ostar)."""
+    n = case.v_size if on_v else case.s_size
+    if linalg.shape(x) != (n, n):
         return False
-    gv = case.form_v_matrix()
-    if not linalg.mat_eq(
-        linalg.mat_mul(linalg.conj_transpose(y), linalg.mat_mul(gv, y)), gv
-    ):
-        return False
-    if case.real_entries and not linalg.is_real_matrix(y):
+    xh = linalg.conj_transpose(x)
+    form = case.form_v_matrix() if on_v else linalg.identity(n)
+    fx = linalg.mat_mul(form, x) if on_v else x
+    if group:
+        ok = linalg.mat_eq(linalg.mat_mul(xh, fx), form)
+    else:
+        xhf = linalg.mat_mul(xh, form) if on_v else xh
+        ok = linalg.is_zero_matrix(linalg.mat_add(xhf, fx))
+    if not ok or (case.real_entries and not linalg.is_real_matrix(x)):
         return False
     if case.kind == "ostar":
-        cv = case.structure_v()
-        return _is_h_linear(case, y, cv, cv)
+        c = form if on_v else case.structure_s()  # on V the structure is G_V (Fact 1)
+        return _is_h_linear(x, c, c)
     return True
 
 
@@ -317,33 +284,30 @@ def equivariance_check(w: WElement, x: list, y: list) -> bool:
 # --- Cartan projection ----------------------------------------------------------
 
 def cartan_split(case: DualPairCase, x: list) -> tuple[list, list]:
-    """Split X in g into the J_V-commuting and J_V-anticommuting parts."""
-    j = case.j_v_matrix()
-    jxj = linalg.mat_mul(j, linalg.mat_mul(x, j))
-    x_k = linalg.mat_scale(linalg.mat_sub(x, jxj), HALF)
-    x_p = linalg.mat_scale(linalg.mat_add(x, jxj), HALF)
+    """Split X in g into the J_V-commuting and J_V-anticommuting parts,
+    (X - X^H)/2 and (X + X^H)/2, since J_V X J_V = X^H on g (Fact 2)."""
+    pairs = [list(zip(row, col)) for row, col in zip(x, zip(*x))]
+    x_k = [[(a - b.conjugate()) * HALF for a, b in row] for row in pairs]
+    x_p = [[(a + b.conjugate()) * HALF for a, b in row] for row in pairs]
     return x_k, x_p
 
 
 def cartan_project(x: list, case: DualPairCase) -> StratumPoint:
-    """Project X in g to p and identify p with the case's matrix model."""
+    """Project X in g to p and identify p with the case's matrix model: the
+    (P:, :P) block of X_p for u, and A + i B or A - i B for sp or ostar,
+    where [A | B] are the first rows of X_p."""
     if not in_lie_g(case, x):
         raise InputError("X does not lie in the Lie algebra of G")
-    _, x_p = cartan_split(case, x)
-    if case.kind == "sp":
-        ell = case.params[0]
-        a = [row[:ell] for row in x_p[:ell]]
-        b = [row[ell:] for row in x_p[:ell]]
-        m = linalg.mat_add(a, linalg.mat_scale(b, QI_I))
-        return StratumPoint(case.model(), m)
+
+    def x_p(i, j):  # entry (i, j) of the p part from cartan_split
+        return (x[i][j] + x[j][i].conjugate()) * HALF
+
+    n = case.params[0]
     if case.kind == "u":
-        p = case.params[0]
-        m = [row[:p] for row in x_p[p:]]
-        return StratumPoint(case.model(), m)
-    d = case.params[0]
-    a = [row[:d] for row in x_p[:d]]
-    b = [row[d:] for row in x_p[:d]]
-    m = linalg.mat_sub(a, linalg.mat_scale(b, QI_I))
+        m = [[x_p(i, j) for j in range(n)] for i in range(n, case.v_size)]
+    else:
+        unit = QI_I if case.kind == "sp" else -QI_I
+        m = [[x_p(i, j) + unit * x_p(i, n + j) for j in range(n)] for i in range(n)]
     return StratumPoint(case.model(), m)
 
 
@@ -404,35 +368,16 @@ def _quaternion_blocks(x: list, y: list) -> list:
 def isotropic_basis(case: DualPairCase) -> list:
     """Columns spanning a maximal B-isotropic subspace of V (complex span;
     closed under the quaternionic structure in the ostar case)."""
-    n = case.v_size
-    if case.kind == "sp":
-        ell = case.params[0]
-        cols = [_unit(n, i) for i in range(ell)]
-        return cols
-    if case.kind == "u":
+    if case.kind == "sp":  # e_i, i < L
+        cols = [{i: QI_ONE} for i in range(case.params[0])]
+    elif case.kind == "u":  # e_i + e_{P+i}, i < Q
         p, q = case.params
-        return [_vec_add(_unit(n, i), _unit(n, p + i)) for i in range(q)]
-    d = case.params[0]
-    r = case.r
-    cols = []
-    for m in range(r):
-        u = _vec_add(_unit(n, 2 * m), _vec_scale(_unit(n, 2 * m + 1), QI_I))
-        cols.append(u)
-    cv = case.structure_v()
-    cols += [linalg.mat_vec(cv, [x.conjugate() for x in u]) for u in cols[:r]]
-    return cols
-
-
-def _unit(n: int, i: int) -> list:
-    return [QI_ONE if j == i else QI_ZERO for j in range(n)]
-
-
-def _vec_add(u: list, v: list) -> list:
-    return [a + b for a, b in zip(u, v)]
-
-
-def _vec_scale(u: list, s: QI) -> list:
-    return [a * s for a in u]
+        cols = [{i: QI_ONE, p + i: QI_ONE} for i in range(q)]
+    else:  # u_m = e_2m + i e_2m+1, then their images e_D+2m - i e_D+2m+1 under C conj
+        d = case.params[0]
+        cols = [{o + 2 * m: QI_ONE, o + 2 * m + 1: unit}
+                for o, unit in ((0, QI_I), (d, -QI_I)) for m in range(case.r)]
+    return [[col.get(k, QI_ZERO) for k in range(case.v_size)] for col in cols]
 
 
 def sample_zero_level(
@@ -447,7 +392,7 @@ def sample_zero_level(
     """
     rng = make_rng(seed, "zero-level", case.selector(), case.s, height)
     basis = isotropic_basis(case)
-    t_mat = [list(row) for row in zip(*basis)]  # v_size x len(basis)
+    t_mat = linalg.transpose(basis)  # v_size x len(basis)
     if case.kind == "ostar":
         r = case.r
         x = random_qi_matrix(rng, r, case.s, height)
@@ -468,65 +413,41 @@ def sample_zero_level(
 
 def random_lie_g(case: DualPairCase, rng: Random, height: int = 5) -> list:
     """A random element of Lie(G), built directly from the block structure."""
+    def qi():  # real in the sp case
+        return random_qi(rng, height, real=case.real_entries)
+
+    def anti(x):
+        return -x.conjugate()
+
     if case.kind == "sp":
         ell = case.params[0]
         a = random_qi_matrix(rng, ell, ell, height, real=True)
-        b = _random_symmetric(rng, ell, height, real=True)
-        c = _random_symmetric(rng, ell, height, real=True)
-        neg_at = linalg.mat_neg(linalg.transpose(a))
-        return _block(a, b, c, neg_at)
+        b = _random_square(ell, qi, qi, lambda x: x)  # symmetric
+        c = _random_square(ell, qi, qi, lambda x: x)
+        return _block(a, b, c, linalg.mat_neg(linalg.transpose(a)))
     if case.kind == "u":
         p, q = case.params
-        a = _random_antihermitian(rng, p, height)
-        d = _random_antihermitian(rng, q, height)
+        a = _random_square(p, lambda: QI(0, random_fraction(rng, height)), qi, anti)
+        d = _random_square(q, lambda: QI(0, random_fraction(rng, height)), qi, anti)
         b = random_qi_matrix(rng, p, q, height)
         return _block(a, b, linalg.conj_transpose(b), d)
     d = case.params[0]
-    a = _random_complex_skew(rng, d, height)
-    b = _random_hermitian_mat(rng, d, height)
+    a = _random_square(d, lambda: QI_ZERO, qi, lambda x: -x)  # complex skew
+    b = _random_square(d, lambda: QI(random_fraction(rng, height)), qi, QI.conjugate)
     return _block(
         a, b, linalg.mat_neg(linalg.mat_conj(b)), linalg.mat_conj(a)
     )
 
 
-def _random_symmetric(rng: Random, n: int, height: int, real: bool = False) -> list:
+def _random_square(n: int, diag, off, mirror) -> list:
+    """An n x n matrix drawn row by row: m[i][i] = diag(), and for j > i
+    m[i][j] = off() and m[j][i] = mirror(m[i][j])."""
     m = linalg.zeros(n, n)
     for i in range(n):
-        m[i][i] = random_qi(rng, height, real=real)
+        m[i][i] = diag()
         for j in range(i + 1, n):
-            m[i][j] = m[j][i] = random_qi(rng, height, real=real)
-    return m
-
-
-def _random_antihermitian(rng: Random, n: int, height: int) -> list:
-    m = linalg.zeros(n, n)
-    for i in range(n):
-        m[i][i] = QI(0, random_fraction(rng, height))
-        for j in range(i + 1, n):
-            x = random_qi(rng, height)
-            m[i][j] = x
-            m[j][i] = -x.conjugate()
-    return m
-
-
-def _random_complex_skew(rng: Random, n: int, height: int) -> list:
-    m = linalg.zeros(n, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = random_qi(rng, height)
-            m[i][j] = x
-            m[j][i] = -x
-    return m
-
-
-def _random_hermitian_mat(rng: Random, n: int, height: int) -> list:
-    m = linalg.zeros(n, n)
-    for i in range(n):
-        m[i][i] = QI(random_fraction(rng, height))
-        for j in range(i + 1, n):
-            x = random_qi(rng, height)
-            m[i][j] = x
-            m[j][i] = x.conjugate()
+            m[i][j] = x = off()
+            m[j][i] = mirror(x)
     return m
 
 
@@ -565,12 +486,16 @@ def _rotation(rng: Random, n: int) -> list:
     if n < 2:
         return linalg.identity(n)
     c, s = _PYTH[rng.randrange(len(_PYTH))]
-    i, j = rng.sample(range(n), 2)
+    return _plane_rotations(n, [rng.sample(range(n), 2)], c, s, -s)
+
+
+def _plane_rotations(n: int, planes, c, s, t) -> list:
+    """The n x n identity with [[c, s], [t, c]] on rows and columns i, j
+    for each plane (i, j)."""
     m = linalg.identity(n)
-    m[i][i] = QI(c)
-    m[j][j] = QI(c)
-    m[i][j] = QI(s)
-    m[j][i] = QI(-s)
+    for i, j in planes:
+        m[i][i] = m[j][j] = QI(c)
+        m[i][j], m[j][i] = QI(s), QI(t)
     return m
 
 
@@ -584,8 +509,7 @@ def _h_generator(case: DualPairCase, rng: Random) -> list:
             return _permutation(rng, s, phases=True)
         if pick == 1:
             return _rotation(rng, s)
-        m = _permutation(rng, s, signs=False)
-        return m
+        return _permutation(rng, s, signs=False)
     # ostar: quaternionic permutations and unit-quaternion diagonals
     if rng.random() < 0.5:
         p = _permutation(rng, s, signs=False)
@@ -611,11 +535,10 @@ def _g_generator(case: DualPairCase, rng: Random) -> list:
         ell = case.params[0]
         pick = rng.randrange(3)
         if pick < 2:
-            b = linalg.zeros(ell, ell)
-            for i in range(ell):
-                for j in range(i, ell):
-                    v = QI(rng.randint(-2, 2))
-                    b[i][j] = b[j][i] = v
+            def small():
+                return QI(rng.randint(-2, 2))
+
+            b = _random_square(ell, small, small, lambda x: x)  # symmetric
             z = linalg.zeros(ell, ell)
             ident = linalg.identity(ell)
             return _block(ident, b, z, ident) if pick == 0 else _block(ident, z, b, ident)
@@ -628,28 +551,13 @@ def _g_generator(case: DualPairCase, rng: Random) -> list:
         return _block(m, z, z, m_inv_t)
     if case.kind == "u":
         p, q = case.params
-        n = p + q
         if rng.random() < 0.5:
             # block unitary
-            m = linalg.identity(n)
             top = _permutation(rng, p, phases=True)
             bot = _permutation(rng, q, phases=True)
-            for i in range(p):
-                for j in range(p):
-                    m[i][j] = top[i][j]
-            for i in range(q):
-                for j in range(q):
-                    m[p + i][p + j] = bot[i][j]
-            return m
-        c, s = _HYP[rng.randrange(len(_HYP))]
-        i = rng.randrange(p)
-        j = p + rng.randrange(q)
-        m = linalg.identity(n)
-        m[i][i] = QI(c)
-        m[j][j] = QI(c)
-        m[i][j] = QI(s)
-        m[j][i] = QI(s)
-        return m
+            return _block(top, linalg.zeros(p, q), linalg.zeros(q, p), bot)
+        c, s = _HYP[rng.randrange(len(_HYP))]  # a hyperbolic boost
+        return _plane_rotations(p + q, [(rng.randrange(p), p + rng.randrange(q))], c, s, s)
     # ostar
     d = case.params[0]
     pick = rng.randrange(3)
@@ -670,18 +578,16 @@ def _g_generator(case: DualPairCase, rng: Random) -> list:
             b[i][col] = qb
         return _quaternion_blocks(a, b)
     if pick == 1:
+        # c I + s J_V with J_V = [[0, I], [-I, 0]]
         c, s = _PYTH[rng.randrange(len(_PYTH))]
-        ident = linalg.identity(2 * d)
-        j = case.j_v_matrix()
-        return linalg.mat_add(linalg.mat_scale(ident, QI(c)), linalg.mat_scale(j, QI(s)))
-    # isotropic shear I - (v v^H + w w^H) K = I - V (V^H K), V = [v | w], w = J_q v
+        return _plane_rotations(2 * d, [(i, d + i) for i in range(d)], c, s, -s)
+    # isotropic shear I - (v v^H + w w^H) K = I - V (V^H K), V = [v | w], w = J_q v,
+    # with v = B c for the isotropic basis B; K = G_V is also the structure (Fact 1)
     basis = isotropic_basis(case)
-    v = [QI_ZERO] * (2 * d)
-    for col in basis:
-        coef = random_qi(rng, 3)
-        v = _vec_add(v, _vec_scale(col, coef))
-    cv = case.structure_v()
-    w = linalg.mat_vec(cv, [x.conjugate() for x in v])
+    coefs = [random_qi(rng, 3) for _ in basis]
+    v = linalg.mat_vec(linalg.transpose(basis), coefs)
+    gv = case.form_v_matrix()
+    w = linalg.mat_vec(gv, [x.conjugate() for x in v])
     vw = [[a, b] for a, b in zip(v, w)]
-    vh_k = linalg.mat_mul(linalg.conj_transpose(vw), case.form_v_matrix())
+    vh_k = linalg.mat_mul(linalg.conj_transpose(vw), gv)
     return linalg.mat_sub(linalg.identity(2 * d), linalg.mat_mul(vw, vh_k))

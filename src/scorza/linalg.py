@@ -194,29 +194,6 @@ def inverse(m: Matrix) -> Matrix:
              for (a, b), d in zip(row[n:], dens)] for row in work]
 
 
-def rank_gauss(m: Matrix) -> int:
-    """Plain division-based Gaussian rank; independent cross-check for rank()."""
-    if not m or not m[0]:
-        return 0
-    work = [row[:] for row in m]
-    rows, cols = shape(work)
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][c]
-        for i in range(r + 1, rows):
-            if work[i][c]:
-                f = work[i][c] / pv
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def _zmul(x, y):
     a, b = x
     c, d = y

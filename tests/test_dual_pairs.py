@@ -1,6 +1,11 @@
+import contextlib
+import hashlib
+import io
+import json
+
 import pytest
 
-from scorza import linalg
+from scorza import cli, linalg
 from scorza.dual_pairs import (
     WElement,
     cartan_project,
@@ -23,12 +28,14 @@ from scorza.dual_pairs import (
     sample_zero_level,
     veronese_map,
 )
-from scorza.errors import InputError
+from scorza.errors import InputError, UnsupportedError
 from scorza.sampling import derive_seed, make_rng, random_fraction, random_qi_vector
-from scorza.scalars import QI
+from scorza.scalars import HALF, QI
 from scorza.strata import rank_of
 
 CASES = ["sp:3", "u:3,3", "ostar:6"]
+# every case kind, with small, square and tall parameters
+ALL_CASES = ["sp:1", "sp:3", "u:2,1", "u:3,3", "u:4,2", "ostar:2", "ostar:5", "ostar:6"]
 
 
 def test_case_parsing_and_shapes():
@@ -46,18 +53,34 @@ def test_case_parsing_and_shapes():
         parse_case("sp:3", 0)
 
 
-@pytest.mark.parametrize("sel", CASES)
+@pytest.mark.parametrize("sel", ALL_CASES)
 def test_case_structural_invariants(sel):
-    case = parse_case(sel, 2)
-    j = case.j_v_matrix()
-    gv = case.form_v_matrix()
-    n = case.v_size
-    # J^2 = -1, positivity of B(u, J v) on the basis Gram matrix, J in g
-    assert linalg.mat_eq(linalg.mat_mul(j, j), linalg.mat_neg(linalg.identity(n)))
-    assert linalg.mat_eq(linalg.mat_mul(gv, j), linalg.identity(n))
-    assert in_lie_g(case, j)
-    # B is skew-hermitian: B(v,u) = -conj(B(u,v))
-    assert linalg.is_zero_matrix(linalg.mat_add(linalg.conj_transpose(gv), gv))
+    for s in (1, 2, 3):
+        case = parse_case(sel, s)
+        j = case.j_v_matrix()
+        gv = case.form_v_matrix()
+        n = case.v_size
+        minus_one = linalg.mat_neg(linalg.identity(n))
+        # J^2 = -1, positivity of B(u, J v) on the basis Gram matrix, J in g
+        assert linalg.mat_eq(linalg.mat_mul(j, j), minus_one)
+        assert linalg.mat_eq(linalg.mat_mul(gv, j), linalg.identity(n))
+        assert in_lie_g(case, j)
+        # B is skew-hermitian: B(v,u) = -conj(B(u,v))
+        assert linalg.is_zero_matrix(linalg.mat_add(linalg.conj_transpose(gv), gv))
+        # Fact 1: G_V^2 = -1 and J_V = -G_V; the quaternionic structure is G_V
+        assert linalg.mat_eq(linalg.mat_mul(gv, gv), minus_one)
+        assert linalg.mat_eq(j, linalg.mat_neg(gv))
+        if case.kind == "ostar":
+            assert linalg.mat_eq(case.structure_v(), gv)
+            cs = case.structure_s()
+            assert linalg.mat_eq(
+                linalg.mat_mul(cs, cs), linalg.mat_neg(linalg.identity(case.s_size))
+            )
+        else:
+            with pytest.raises(UnsupportedError):
+                case.structure_v()
+            with pytest.raises(UnsupportedError):
+                case.structure_s()
 
 
 def test_dagger_hand_example_sp1():
@@ -163,7 +186,7 @@ def test_reduced_point_requires_zero_level():
             reduced_point(w)
 
 
-@pytest.mark.parametrize("sel", CASES)
+@pytest.mark.parametrize("sel", ALL_CASES)
 def test_cartan_split_and_projection(sel):
     case = parse_case(sel, 2)
     rng = make_rng("t-cartan", sel)
@@ -182,6 +205,18 @@ def test_cartan_split_and_projection(sel):
         assert point.model == case.model()
     # an element of k projects to zero
     assert cartan_project(j, case).is_zero()
+    # Fact 2: on g the split (X -+ X^H)/2 equals (X -+ J X J)/2, checked on
+    # random Lie elements and on momentum images mu_G(alpha)
+    for s in (1, 2, 3):
+        case = parse_case(sel, s)
+        xs = [random_lie_g(case, rng) for _ in range(3)]
+        xs += [mu_G(random_w_element(case, seed=derive_seed("t-cartan-mu", sel, s, t)))
+               for t in range(3)]
+        for x in xs:
+            jxj = linalg.mat_mul(j, linalg.mat_mul(x, j))
+            x_k, x_p = cartan_split(case, x)
+            assert linalg.mat_eq(x_k, linalg.mat_scale(linalg.mat_sub(x, jxj), HALF))
+            assert linalg.mat_eq(x_p, linalg.mat_scale(linalg.mat_add(x, jxj), HALF))
 
 
 def test_cartan_project_rejects_non_lie_input():
@@ -225,3 +260,48 @@ def test_w_element_structure_validation():
         WElement(sp_case, [[QI(0, 1)]] * 4)  # complex entries in the real case
     with pytest.raises(InputError):
         WElement(sp_case, [[QI(1)]] * 3)  # wrong shape
+
+
+def _cli_stdout(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    return buf.getvalue()
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the stdout of `scorza reduce --case C --s S --seed 11`; any change
+# to a draw order or to the arithmetic of the dual-pair layer moves these
+REDUCE_DIGESTS = {
+    ("sp:3", 1): "1057293d916e51dad815f94198b5ce4ea8a2bb7d0455cfe4cc9efc136f722955",
+    ("sp:3", 2): "c8e2b83b90acb010c2f5f7e235a9509097ae7e046fc503e3872afbdf490309ff",
+    ("sp:3", 3): "f7b9329d01b6f0351b89a0fa44dba318e21b9c6588f7b75750439b39deccc317",
+    ("sp:3", 4): "e5c835ffb837c0239b261bdee90e85202b57bbdd289d9d68dc1c89e36c9fbfe4",
+    ("u:3,3", 1): "1b83d12bedda3e7ff191a79b3e1ce4e33e8e0b94e8e270172235cb248833c81a",
+    ("u:3,3", 2): "22f11ea0a11ffb09b72fc55ea69de7121fc9a3edf9f5787ed1dccffb2a5eed3d",
+    ("u:3,3", 3): "2bcac255176e44dc4f331423832abc7e4143cab7ac617eaba1cfeed6ebdfb7eb",
+    ("u:3,3", 4): "939441b7b571933562fcbd03c8fb8fff1d9c360b0923ab196d230a2d82e0c018",
+    ("ostar:6", 1): "064f8553e8630b7ada6d8b2ffbf02c343298f18e6979dd2bdd48815c181b89d0",
+    ("ostar:6", 2): "4bab6cb667a3db4aa94e21323427045420d9016f111b751f9b7d8dc2756e94f0",
+    ("ostar:6", 3): "73612845c14b4b16ea004b920e7d5f5c495e540cbcb07a7c11b689351847e52a",
+    ("ostar:6", 4): "6372997f61e89a312a200f4c6cd4428c83c94c51bdea431493e7b629b057da07",
+}
+
+
+@pytest.mark.parametrize("sel,s", sorted(REDUCE_DIGESTS))
+def test_reduce_output_pinned(sel, s):
+    out = _cli_stdout(["reduce", "--case", sel, "--s", str(s), "--seed", "11"])
+    assert _sha256(out) == REDUCE_DIGESTS[sel, s]
+
+
+def test_verify_moment_report_pinned():
+    # the report with its one timing field removed, as sorted-key JSON
+    out = _cli_stdout(["verify", "--suite", "moment", "--trials", "2", "--seed", "8"])
+    report = json.loads(out)
+    del report["wall_time_s"]
+    assert _sha256(json.dumps(report, sort_keys=True)) == (
+        "87d9ed692f7342988a0cbce0a2190fe82749c11c25f42ee58dabc2ed864157b7"
+    )

@@ -1,17 +1,22 @@
-"""Property tests: JSON round trips of QI, CDElement and JordanElement.
+"""Property tests: JSON round trips of QI, CDElement, JordanElement and
+StratumPoint.
 
 from_json(to_json(x)) must give back a value equal to x, and equal values
 must hash equal (the integer planes of CDElement are canonical).
 """
 
+import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scorza import linalg
 from scorza.cayley_dickson import CDElement, cd_scalar
 from scorza.jordan import ALGEBRAS, JordanElement, from_upper
 from scorza.scalars import QI
+from scorza.strata import EXC27, StratumPoint, mat_model, rank_of, skew_model, sym_model
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -33,10 +38,10 @@ def cd_elements(draw, level=None, field=None):
 
 
 @st.composite
-def jordan_elements(draw):
-    algebra = draw(st.sampled_from(sorted(ALGEBRAS)))
+def jordan_elements(draw, algebra=None, n=None):
+    algebra = draw(st.sampled_from(sorted(ALGEBRAS))) if algebra is None else algebra
     level, field = ALGEBRAS[algebra]
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3)) if n is None else n
     upper = []
     for i in range(n):
         row = [cd_scalar(draw(qis(field == "Q")), level, field)]
@@ -68,3 +73,42 @@ def test_cd_element_json_round_trip(x):
 def test_jordan_element_json_round_trip(x):
     back = JordanElement.from_json(x.to_json())
     assert back == x and hash(back) == hash(x)
+
+
+@st.composite
+def stratum_points(draw, kind):
+    if kind == "exc27":
+        return StratumPoint(EXC27, draw(jordan_elements("O_C", 3)))
+    # zero entries half the time, so every rank up to the full one occurs
+    entry = st.just(QI(0)) | qis()
+    size = st.integers(1, 4)
+    if kind == "mat":
+        q, p = draw(size), draw(size)
+        coords = [[draw(entry) for _ in range(p)] for _ in range(q)]
+        return StratumPoint(mat_model(q, p), coords)
+    n = draw(st.integers(2 if kind == "skew" else 1, 4))
+    coords = linalg.zeros(n, n)
+    for i in range(n):
+        if kind == "sym":
+            coords[i][i] = draw(entry)
+        for j in range(i + 1, n):
+            x = draw(entry)
+            coords[i][j], coords[j][i] = x, x if kind == "sym" else -x
+    return StratumPoint(sym_model(n) if kind == "sym" else skew_model(n), coords)
+
+
+def _json_round_trip(point: StratumPoint) -> StratumPoint:
+    return StratumPoint.from_json(json.loads(json.dumps(point.to_json())))
+
+
+@pytest.mark.parametrize("kind", ["sym", "mat", "skew", "exc27"])
+@SETTINGS
+@given(data=st.data())
+def test_stratum_point_json_round_trip(kind, data):
+    x = data.draw(stratum_points(kind))
+    back = _json_round_trip(x)
+    assert back == x and back.model == x.model and back.cached_rank is None
+    rank = rank_of(x)  # caches the rank on x, so to_json now carries it
+    assert rank_of(back) == rank
+    again = _json_round_trip(x)
+    assert again == x and again.cached_rank == rank and rank_of(again) == rank
