@@ -10,24 +10,25 @@ The doubling convention is fixed once as
 and a basis product table per level is generated from it at import time;
 the recursion is kept as the reference path for cross-checking.
 
-An element is stored as an integer plane: one positive denominator and the
-interleaved integer real/imaginary parts of its 2^level coefficients, in
-lowest terms (the denominator shares no factor with every part), so equal
-values have equal planes. All arithmetic, comparison and hashing runs on
-plane integers. QI coefficients are built only at the boundary: the public
-constructor takes them, and the cached `coeffs` tuple (used by `to_json`,
-the exc27 coordinate vector and callers of the public API) is built from
-the plane on first use. `norm`, `trace` and `scalar_part` return QI.
+An element is stored as the integer plane of `scalars` of its 2^level
+coefficients: one positive denominator and the interleaved integer
+real/imaginary parts, in lowest terms, so equal values have equal planes.
+All arithmetic, comparison and hashing runs on plane integers, and so does
+the reference recursion, which splits a plane into its two halves. QI
+coefficients are built only at the boundary, through `scalars.from_plane`:
+the public constructor takes them, and the cached `coeffs` tuple (used by
+`to_json`, the exc27 coordinate vector and callers of the public API) is
+built from the plane on first use. `norm`, `trace` and `scalar_part` return
+QI.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from random import Random
 
 from .errors import InputError
-from .scalars import QI, QI_ONE, QI_ZERO
+from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, to_plane
 
 FIELD_Q = "Q"
 FIELD_QI = "Qi"
@@ -53,7 +54,10 @@ class CDElement:
             )
         if field == FIELD_Q and any(not c.is_real() for c in coeffs):
             raise InputError("field tag Q requires real rational coefficients")
-        self.__dict__.update(level=level, field=field, _intform=_plane(coeffs), _coeffs=coeffs)
+        den, flat = to_plane(coeffs)
+        self.__dict__.update(
+            level=level, field=field, _intform=(den, tuple(flat)), _coeffs=coeffs
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError(f"CDElement is immutable; cannot set {name!r}")
@@ -63,11 +67,7 @@ class CDElement:
         """The coefficients as QI values, built from the plane on first use."""
         cached = self.__dict__.get("_coeffs")
         if cached is None:
-            den, flat = self._intform
-            cached = tuple([
-                QI._mk(Fraction(flat[k], den), Fraction(flat[k + 1], den))
-                for k in range(0, len(flat), 2)
-            ])
+            cached = tuple(from_plane(*self._intform))
             self.__dict__["_coeffs"] = cached
         return cached
 
@@ -99,12 +99,12 @@ class CDElement:
 
     def __add__(self, other: "CDElement") -> "CDElement":
         self._require_match(other)
-        den, a, b = _aligned(self._intform, other._intform)
+        den, (a, b) = common_plane((self._intform, other._intform))
         return _element(self.level, self.field, den, [p + q for p, q in zip(a, b)])
 
     def __sub__(self, other: "CDElement") -> "CDElement":
         self._require_match(other)
-        den, a, b = _aligned(self._intform, other._intform)
+        den, (a, b) = common_plane((self._intform, other._intform))
         return _element(self.level, self.field, den, [p - q for p, q in zip(a, b)])
 
     def __neg__(self) -> "CDElement":
@@ -122,7 +122,7 @@ class CDElement:
         s = s if isinstance(s, QI) else QI(s)
         if self.field == FIELD_Q and not s.is_real():
             raise InputError("cannot scale a Q-tagged element by a complex scalar")
-        ds, (sr, si) = _plane((s,))
+        ds, (sr, si) = to_plane((s,))
         den, flat = self._intform
         out = []
         for k in range(0, len(flat), 2):
@@ -145,16 +145,15 @@ class CDElement:
             r, i = flat[k], flat[k + 1]
             re += r * r - i * i
             im += r * i
-        d2 = den * den
-        return QI._mk(Fraction(re, d2), Fraction(2 * im, d2))
+        return from_plane(den * den, (re, 2 * im))[0]
 
     def trace(self) -> QI:
         den, flat = self._intform
-        return QI._mk(Fraction(2 * flat[0], den), Fraction(2 * flat[1], den))
+        return from_plane(den, (2 * flat[0], 2 * flat[1]))[0]
 
     def scalar_part(self) -> QI:
         den, flat = self._intform
-        return QI._mk(Fraction(flat[0], den), Fraction(flat[1], den))
+        return from_plane(den, flat[:2])[0]
 
     def is_zero(self) -> bool:
         return not any(self._intform[1])
@@ -180,13 +179,6 @@ class CDElement:
         return CDElement(int(data["level"]), field, coeffs)
 
 
-def _plane(coeffs: tuple) -> tuple:
-    """(den, flat) of QI values: the lcm of their denominators and the
-    interleaved integer parts over it, which are then in lowest terms."""
-    den = lcm(*[f.denominator for c in coeffs for f in (c.re, c.im)])
-    return den, tuple([f.numerator * (den // f.denominator) for c in coeffs for f in (c.re, c.im)])
-
-
 def _element(level: int, field: str, den: int, flat) -> CDElement:
     """The element with plane flat/den, reduced to lowest terms.
 
@@ -204,17 +196,6 @@ def _element(level: int, field: str, den: int, flat) -> CDElement:
     x = object.__new__(CDElement)
     x.__dict__.update(level=level, field=field, _intform=(den, flat))
     return x
-
-
-def _aligned(pa: tuple, pb: tuple) -> tuple:
-    """(den, a, b): two planes rescaled to their common denominator."""
-    da, a = pa
-    db, b = pb
-    if da == db:
-        return da, a, b
-    den = lcm(da, db)
-    sa, sb = den // da, den // db
-    return den, [v * sa for v in a], [v * sb for v in b]
 
 
 # --- named operation aliases -------------------------------------------------
@@ -297,32 +278,27 @@ def _mul_int(table, a, b, out: list) -> list:
 
 
 # --- reference recursion and generated product tables -----------------------
-# The recursion runs on tuples of Gaussian-integer pairs (re, im), apart
-# from the table kernel it cross-checks.
+# The recursion runs on integer planes too: the first and second halves of
+# a plane are the two coordinates of the doubling, and it shares no code
+# with the table kernel it cross-checks.
 
-def _pairs_conj(t: tuple) -> tuple:
-    if len(t) == 1:
+def _doubling_conj(t: tuple) -> tuple:
+    if len(t) == 2:
         return t
     h = len(t) // 2
-    return _pairs_conj(t[:h]) + tuple([(-r, -i) for r, i in t[h:]])
+    return _doubling_conj(t[:h]) + tuple([-v for v in t[h:]])
 
 
-def _pairs_mul(x: tuple, y: tuple) -> tuple:
-    if len(x) == 1:
-        (ar, ai), (br, bi) = x[0], y[0]
-        return ((ar * br - ai * bi, ar * bi + ai * br),)
+def _doubling_mul(x: tuple, y: tuple) -> tuple:
+    if len(x) == 2:
+        (ar, ai), (br, bi) = x, y
+        return (ar * br - ai * bi, ar * bi + ai * br)
     h = len(x) // 2
     a, b = x[:h], x[h:]
     c, d = y[:h], y[h:]
-    left = tuple([
-        (p[0] - q[0], p[1] - q[1])
-        for p, q in zip(_pairs_mul(a, c), _pairs_mul(_pairs_conj(d), b))
-    ])
-    right = tuple([
-        (p[0] + q[0], p[1] + q[1])
-        for p, q in zip(_pairs_mul(d, a), _pairs_mul(b, _pairs_conj(c)))
-    ])
-    return left + right
+    left = [p - q for p, q in zip(_doubling_mul(a, c), _doubling_mul(_doubling_conj(d), b))]
+    right = [p + q for p, q in zip(_doubling_mul(d, a), _doubling_mul(b, _doubling_conj(c)))]
+    return tuple(left + right)
 
 
 def reference_multiply(x: CDElement, y: CDElement) -> CDElement:
@@ -330,26 +306,24 @@ def reference_multiply(x: CDElement, y: CDElement) -> CDElement:
     x._require_match(y)
     da, a = x._intform
     db, b = y._intform
-    x_pairs, y_pairs = (tuple([(f[k], f[k + 1]) for k in range(0, len(f), 2)]) for f in (a, b))
-    prod = _pairs_mul(x_pairs, y_pairs)
-    return _element(x.level, x.field, da * db, [v for pair in prod for v in pair])
+    return _element(x.level, x.field, da * db, _doubling_mul(a, b))
 
 
 def _build_tables():
     tables = []
     for level in range(MAX_LEVEL + 1):
         n = 1 << level
-        basis = [tuple((int(i == k), 0) for i in range(n)) for k in range(n)]
+        basis = [tuple(int(i == 2 * k) for i in range(2 * n)) for k in range(n)]
         table = []
         for i in range(n):
             row = []
             for j in range(n):
-                prod = _pairs_mul(basis[i], basis[j])
-                entries = [(k, c) for k, c in enumerate(prod) if c != (0, 0)]
-                if len(entries) != 1 or entries[0][1] not in ((1, 0), (-1, 0)):
+                prod = _doubling_mul(basis[i], basis[j])
+                entries = [(k, c) for k, c in enumerate(prod) if c]
+                if len(entries) != 1 or entries[0][0] % 2 or entries[0][1] not in (1, -1):
                     raise RuntimeError("basis product is not a signed basis element")
-                k, (c, _) = entries[0]
-                row.append((k, c))
+                k, c = entries[0]
+                row.append((k // 2, c))
             table.append(row)
         tables.append(table)
     return tables

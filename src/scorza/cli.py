@@ -14,6 +14,7 @@ import os
 import sys
 
 from . import dual_pairs as dp
+from . import linalg
 from . import strata as st
 from .catalog import (
     catalog_scorza,
@@ -286,12 +287,10 @@ def _cmd_invariant(args) -> int:
 def _cmd_reduce(args, seed: int) -> int:
     case = dp.parse_case(args.case, args.s)
     w = dp.sample_zero_level(case, seed, args.height)
-    mu_k = dp.mu_K(w)
+    mu_k = dp.mu_K(w)  # zero: sample_zero_level has checked it
     mu_g = dp.mu_G(w)
-    point = dp.reduced_point(w)
+    point = dp.cartan_project(mu_g, case)
     rank = st.rank_of(point)
-    from . import linalg
-
     obj = {
         "case": case.selector(),
         "s": case.s,

@@ -30,7 +30,9 @@ from random import Random
 
 from . import linalg
 from .errors import InputError, UnsupportedError
-from .sampling import make_rng, random_fraction, random_qi, random_qi_matrix
+from .sampling import (
+    make_rng, random_fraction, random_qi, random_qi_matrix, random_square,
+)
 from .scalars import HALF, QI, QI_I, QI_ONE, QI_ZERO
 from .strata import (
     PSpaceModel, StratumPoint, check_cells, mat_model, skew_model, sym_model,
@@ -422,33 +424,21 @@ def random_lie_g(case: DualPairCase, rng: Random, height: int = 5) -> list:
     if case.kind == "sp":
         ell = case.params[0]
         a = random_qi_matrix(rng, ell, ell, height, real=True)
-        b = _random_square(ell, qi, qi, lambda x: x)  # symmetric
-        c = _random_square(ell, qi, qi, lambda x: x)
+        b = random_square(ell, qi, qi, lambda x: x)  # symmetric
+        c = random_square(ell, qi, qi, lambda x: x)
         return _block(a, b, c, linalg.mat_neg(linalg.transpose(a)))
     if case.kind == "u":
         p, q = case.params
-        a = _random_square(p, lambda: QI(0, random_fraction(rng, height)), qi, anti)
-        d = _random_square(q, lambda: QI(0, random_fraction(rng, height)), qi, anti)
+        a = random_square(p, lambda: QI(0, random_fraction(rng, height)), qi, anti)
+        d = random_square(q, lambda: QI(0, random_fraction(rng, height)), qi, anti)
         b = random_qi_matrix(rng, p, q, height)
         return _block(a, b, linalg.conj_transpose(b), d)
     d = case.params[0]
-    a = _random_square(d, lambda: QI_ZERO, qi, lambda x: -x)  # complex skew
-    b = _random_square(d, lambda: QI(random_fraction(rng, height)), qi, QI.conjugate)
+    a = random_square(d, lambda: QI_ZERO, qi, lambda x: -x)  # complex skew
+    b = random_square(d, lambda: QI(random_fraction(rng, height)), qi, QI.conjugate)
     return _block(
         a, b, linalg.mat_neg(linalg.mat_conj(b)), linalg.mat_conj(a)
     )
-
-
-def _random_square(n: int, diag, off, mirror) -> list:
-    """An n x n matrix drawn row by row: m[i][i] = diag(), and for j > i
-    m[i][j] = off() and m[j][i] = mirror(m[i][j])."""
-    m = linalg.zeros(n, n)
-    for i in range(n):
-        m[i][i] = diag()
-        for j in range(i + 1, n):
-            m[i][j] = x = off()
-            m[j][i] = mirror(x)
-    return m
 
 
 # --- exact random group elements -------------------------------------------------
@@ -538,7 +528,7 @@ def _g_generator(case: DualPairCase, rng: Random) -> list:
             def small():
                 return QI(rng.randint(-2, 2))
 
-            b = _random_square(ell, small, small, lambda x: x)  # symmetric
+            b = random_square(ell, small, small, lambda x: x)  # symmetric
             z = linalg.zeros(ell, ell)
             ident = linalg.identity(ell)
             return _block(ident, b, z, ident) if pick == 0 else _block(ident, z, b, ident)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from random import Random
 
 from .cayley_dickson import (
@@ -34,7 +33,7 @@ from .cayley_dickson import (
     random_cd,
 )
 from .errors import InputError, UnsupportedError
-from .scalars import QI, QI_ZERO
+from .scalars import QI, QI_ZERO, common_plane
 from .sampling import random_qi
 
 # algebra tag -> (Cayley-Dickson level, scalar field tag)
@@ -244,19 +243,15 @@ def random_hermitian(rng: Random, algebra: str, n: int, height: int = 10) -> Jor
 def _int_form(x: JordanElement) -> tuple:
     """Cached (den, rows): every entry's integer plane over one common den.
 
-    Built from the entries' own planes (see `cayley_dickson`) by integer
-    rescaling to the lcm of their denominators; no QI is touched.
+    Built from the entries' own planes (see `cayley_dickson`) by
+    `scalars.common_plane`; no QI is touched.
     """
     cached = getattr(x, "_intform", None)
     if cached is not None:
         return cached
-    planes = [[e.int_form() for e in row] for row in x.entries]
-    den = lcm(*[d for line in planes for d, _ in line])
-    rows = [
-        [flat if d == den else [v * (den // d) for v in flat] for d, flat in line]
-        for line in planes
-    ]
-    value = (den, rows)
+    n = x.n
+    den, flats = common_plane([e.int_form() for row in x.entries for e in row])
+    value = (den, [flats[i * n:(i + 1) * n] for i in range(n)])
     object.__setattr__(x, "_intform", value)
     return value
 

@@ -1,21 +1,21 @@
 """Exact linear algebra over Gaussian rationals.
 
 Matrices are plain lists of lists of QI. Products, rank, det and inverse
-share one integer-plane helper, _cleared, which writes a row or column as
-one integer denominator and integer real and imaginary parts. Products sum
-each entry as plain ints. rank, det and inverse share one fraction-free
-Bareiss elimination over the Gaussian integers, _eliminate, which keeps
-entry growth polynomial and divisions exact.
+run on the integer plane of `scalars` (one denominator, interleaved integer
+real and imaginary parts): a product sums each entry of a row plane times
+the column planes as plain ints, and rank, det and inverse share one
+fraction-free Bareiss elimination over the Gaussian integers, _eliminate,
+which runs in place on interleaved row planes, keeps entry growth
+polynomial and divides exactly. Results return to QI through from_plane.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import mul
 
 from .errors import InputError
-from .scalars import QI, QI_ONE, QI_ZERO
+from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, to_plane
 
 Matrix = list  # list[list[QI]]
 
@@ -61,25 +61,19 @@ def mat_vec(a: Matrix, v: list) -> list:
     return [row[0] for row in _product(a, [v])]
 
 
-def _cleared(vec):
-    """One denominator d and integer lists re, im with vec[k] = (re[k] + i im[k]) / d."""
-    d = lcm(*[x.re.denominator for x in vec], *[x.im.denominator for x in vec])
-    re = [x.re.numerator * (d // x.re.denominator) for x in vec]
-    return d, re, [x.im.numerator * (d // x.im.denominator) for x in vec]
-
-
 def _product(a: Matrix, bt: list) -> Matrix:
     """Rows of a times the columns bt, accumulated on the integer plane."""
-    cols = [_cleared(col) for col in bt]
+    db, cols = common_plane(map(to_plane, bt))
+    cols = [(col[0::2], col[1::2]) for col in cols]
     out = []
     for row in a:
-        da, ar, ai = _cleared(row)
-        out_row = []
-        for db, br, bi in cols:
-            re = sum(map(mul, ar, br)) - sum(map(mul, ai, bi))
-            im = sum(map(mul, ar, bi)) + sum(map(mul, ai, br))
-            out_row.append(QI._mk(Fraction(re, da * db), Fraction(im, da * db)))
-        out.append(out_row)
+        da, flat = to_plane(row)
+        ar, ai = flat[0::2], flat[1::2]
+        acc = []
+        for br, bi in cols:
+            acc.append(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)))
+            acc.append(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)))
+        out.append(from_plane(da * db, acc))
     return out
 
 
@@ -112,19 +106,20 @@ def is_real_matrix(a: Matrix) -> bool:
 # --- elimination: rank, determinant, inverse ---------------------------------
 
 def _eliminate(work: list, ncols: int, full: bool) -> tuple:
-    """Fraction-free (Bareiss 1968) elimination in place on rows of Gaussian-
-    integer pairs, pivoting in the first ncols columns; returns (rank, swap
-    sign, last pivot). Each update (pivot * x - f * y) / previous pivot is
-    exact, since after step k every entry is a k x k minor, and on a full-rank
-    square block sign * last pivot is the determinant. full=True also clears
-    above each pivot (Gauss-Jordan), leaving pivot block = last pivot * I.
+    """Fraction-free (Bareiss 1968) elimination in place on interleaved
+    Gaussian-integer row planes, pivoting in the first ncols columns; returns
+    (rank, swap sign, last pivot as (re, im)). Each update
+    (pivot * x - f * y) / previous pivot is exact, since after step k every
+    entry is a k x k minor, and on a full-rank square block sign * last pivot
+    is the determinant. full=True also clears above each pivot (Gauss-Jordan),
+    leaving pivot block = last pivot * I.
     """
     rows, width = len(work), len(work[0]) if work else 0
-    prev, sign, r = (1, 0), 1, 0
-    for c in range(ncols):
+    qr, qi, sign, r = 1, 0, 1, 0
+    for c in range(0, 2 * ncols, 2):
         pivot_row = best = None
         for i in range(r, rows):
-            a, b = work[i][c]
+            a, b = work[i][c], work[i][c + 1]
             if a or b:
                 size = a * a + b * b
                 if best is None or size < best:
@@ -135,28 +130,32 @@ def _eliminate(work: list, ncols: int, full: bool) -> tuple:
             work[r], work[pivot_row] = work[pivot_row], work[r]
             sign = -sign
         rowr = work[r]
-        pv = rowr[c]
-        lo = 0 if full else c + 1  # rows above the pivot need rescaling left of c
+        pr, pi = rowr[c], rowr[c + 1]
+        norm = qr * qr + qi * qi
+        lo = 0 if full else c + 2  # rows above the pivot need rescaling left of c
         for rowi in work[:r] + work[r + 1:] if full else work[r + 1:]:
-            fi = rowi[c]
-            if fi == (0, 0):
-                for j in range(lo, width):
-                    rowi[j] = _zdiv(_zmul(pv, rowi[j]), prev)
-            else:
-                for j in range(lo, width):
-                    rowi[j] = _zdiv(
-                        _zsub(_zmul(pv, rowi[j]), _zmul(fi, rowr[j])), prev
-                    )
-            rowi[c] = (0, 0)
-        prev = pv
+            fr, fi = rowi[c], rowi[c + 1]
+            for j in range(lo, width, 2):
+                xr, xi, yr, yi = rowi[j], rowi[j + 1], rowr[j], rowr[j + 1]
+                if not (xr or xi or yr or yi):
+                    continue  # stays 0; chart Jacobians are mostly zeros
+                ur = pr * xr - pi * xi - fr * yr + fi * yi
+                ui = pr * xi + pi * xr - fr * yi - fi * yr
+                # exact division by the previous pivot q: u * conj(q) / |q|^2
+                rowi[j], r1 = divmod(ur * qr + ui * qi, norm)
+                rowi[j + 1], r2 = divmod(ui * qr - ur * qi, norm)
+                if r1 or r2:
+                    raise RuntimeError("inexact Gaussian-integer division in Bareiss step")
+            rowi[c] = rowi[c + 1] = 0
+        qr, qi = pr, pi
         r += 1
-    return r, sign, prev
+    return r, sign, (qr, qi)
 
 
 def _integer_rows(m: Matrix) -> tuple[list, list]:
-    """Row denominators d and Gaussian-integer rows z with m[i] = z[i] / d[i]."""
-    cleared = [_cleared(row) for row in m]
-    return [c[0] for c in cleared], [list(zip(re, im)) for _, re, im in cleared]
+    """Row denominators d and row planes z with m[i] = from_plane(d[i], z[i])."""
+    planes = [to_plane(row) for row in m]
+    return [d for d, _ in planes], [z for _, z in planes]
 
 
 def rank(m: Matrix) -> int:
@@ -173,8 +172,7 @@ def det(m: Matrix) -> QI:
     r, sign, (a, b) = _eliminate(work, n, False)
     if r < n:
         return QI_ZERO
-    den = prod(dens)
-    return QI._mk(Fraction(sign * a, den), Fraction(sign * b, den))
+    return from_plane(prod(dens), (sign * a, sign * b))[0]
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -184,36 +182,20 @@ def inverse(m: Matrix) -> Matrix:
     if n != c:
         raise InputError("inverse needs a square matrix")
     dens, work = _integer_rows(m)
-    work = [row + [(int(i == j), 0) for j in range(n)] for i, row in enumerate(work)]
+    for i, row in enumerate(work):
+        row += [0] * (2 * n)
+        row[2 * (n + i)] = 1
     r, _, (pa, pb) = _eliminate(work, n, True)
     if r < n:
         raise InputError("matrix is singular")
-    norm = pa * pa + pb * pb
-    return [[QI._mk(Fraction((a * pa + b * pb) * d, norm),
-                    Fraction((b * pa - a * pb) * d, norm))
-             for (a, b), d in zip(row[n:], dens)] for row in work]
-
-
-def _zmul(x, y):
-    a, b = x
-    c, d = y
-    return (a * c - b * d, a * d + b * c)
-
-
-def _zsub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _zdiv(x, y):
-    # exact division in Z[i]; Bareiss guarantees divisibility
-    a, b = x
-    c, d = y
-    n = c * c + d * d
-    re, r1 = divmod(a * c + b * d, n)
-    im, r2 = divmod(b * c - a * d, n)
-    if r1 or r2:
-        raise RuntimeError("inexact Gaussian-integer division in Bareiss step")
-    return (re, im)
+    # (a + ib) / (pa + i pb) * d = ((a pa + b pb) + i (b pa - a pb)) d / |p|^2
+    out = []
+    for row in work:
+        flat = []
+        for a, b, d in zip(row[2 * n::2], row[2 * n + 1::2], dens):
+            flat += ((a * pa + b * pb) * d, (b * pa - a * pb) * d)
+        out.append(from_plane(pa * pa + pb * pb, flat))
+    return out
 
 
 # --- Pfaffian ----------------------------------------------------------------

@@ -47,6 +47,18 @@ def random_qi_vector(
     return [random_qi(rng, height, real=real) for _ in range(n)]
 
 
+def random_square(n: int, diag, off, mirror) -> list:
+    """An n x n matrix drawn row by row: m[i][i] = diag(), and for j > i
+    m[i][j] = off() and m[j][i] = mirror(m[i][j])."""
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = diag()
+        for j in range(i + 1, n):
+            m[i][j] = x = off()
+            m[j][i] = mirror(x)
+    return m
+
+
 def random_qi_matrix(
     rng: random.Random, rows: int, cols: int, height: int = 10, real: bool = False
 ) -> list:

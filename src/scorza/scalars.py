@@ -3,11 +3,24 @@
 A QI value is a complex number with Fraction real and imaginary parts.
 Values with im == 0 double as plain rationals; consumers that insist on
 the rational field (tag "Q") check is_real() at their boundaries.
+
+The integer work of the package (matrix products and Bareiss elimination
+in `linalg`, the Cayley-Dickson product in `cayley_dickson`, the Jordan
+product in `jordan`) runs on one encoding of a sequence of QI values, the
+integer plane (den, flat): one positive integer denominator and the
+interleaved integer real and imaginary parts over it,
+
+    values[k] = (flat[2k] + i flat[2k+1]) / den.
+
+`to_plane` writes values in lowest terms (den shares no factor with every
+part), `from_plane` is the one place that builds QI from plane integers,
+and `common_plane` rescales several planes to one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError
 
@@ -164,6 +177,31 @@ QI_ZERO = QI(0)
 QI_ONE = QI(1)
 QI_I = QI(0, 1)
 HALF = Fraction(1, 2)
+
+
+def to_plane(values) -> tuple:
+    """(den, flat) of QI values: den is the lcm of their denominators and
+    flat the interleaved integer parts over it, which are then in lowest
+    terms."""
+    parts = [f for x in values for f in (x.re, x.im)]
+    den = lcm(*[f.denominator for f in parts])
+    if den == 1:
+        return den, [f.numerator for f in parts]
+    return den, [f.numerator * (den // f.denominator) for f in parts]
+
+
+def from_plane(den: int, flat) -> list:
+    """The QI values (flat[2k] + i flat[2k+1]) / den."""
+    parts = iter(flat)
+    return [QI._mk(Fraction(re, den), Fraction(im, den)) for re, im in zip(parts, parts)]
+
+
+def common_plane(planes) -> tuple:
+    """(den, flats): the planes (d, flat) rescaled to the lcm den of their
+    denominators; a flat already over den is passed through unchanged."""
+    planes = list(planes)
+    den = lcm(*[d for d, _ in planes])
+    return den, [flat if d == den else [v * (den // d) for v in flat] for d, flat in planes]
 
 
 def qi(re=0, im=0) -> QI:

@@ -26,7 +26,7 @@ from .jordan import (
     rank_one_from_vector,
     sharp,
 )
-from .sampling import derive_seed, make_rng, random_qi, random_qi_vector
+from .sampling import derive_seed, make_rng, random_qi, random_qi_vector, random_square
 from .scalars import QI, QI_ZERO
 
 KINDS = ("sym", "mat", "skew", "exc27")
@@ -339,9 +339,13 @@ def _rank_one_from_rng(model: PSpaceModel, rng: Random, height: int) -> StratumP
 
 
 def sample_secant(model: PSpaceModel, k: int, seed: int, height: int = 10) -> StratumPoint:
-    """Sum of k+1 independent rank-1 samples; Jordan rank <= min(k+1, max)."""
+    """Sum of k+1 independent rank-1 samples; Jordan rank <= min(k+1, max).
+    A sum of more than MAX_JACOBIAN_CELLS coordinates in all is rejected with
+    InputError before any sample is drawn."""
     if k < 0:
         raise InputError("secant index k must be >= 0")
+    check_cells(f"a sum of {k + 1} rank-1 samples of {model.selector()}",
+                (k + 1) * model.ambient_dim)
     total = None
     for i in range(k + 1):
         point = sample_rank_one(model, derive_seed(seed, "secant", i), height)
@@ -353,25 +357,17 @@ def sample_secant(model: PSpaceModel, k: int, seed: int, height: int = 10) -> St
 def random_point(model: PSpaceModel, seed: int, height: int = 10) -> StratumPoint:
     """A random point of the full model (no rank structure imposed)."""
     rng = make_rng(seed, "full", model.selector(), height)
+
+    def draw():
+        return random_qi(rng, height)
+
     if model.kind == "sym":
-        r = model.params[0]
-        m = linalg.zeros(r, r)
-        for i in range(r):
-            m[i][i] = random_qi(rng, height)
-            for j in range(i + 1, r):
-                m[i][j] = m[j][i] = random_qi(rng, height)
-        return StratumPoint(model, m)
+        return StratumPoint(model, random_square(model.params[0], draw, draw, lambda x: x))
     if model.kind == "mat":
         q, p = model.params
         return StratumPoint(model, [random_qi_vector(rng, p, height) for _ in range(q)])
     if model.kind == "skew":
-        n = model.params[0]
-        m = linalg.zeros(n, n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                x = random_qi(rng, height)
-                m[i][j] = x
-                m[j][i] = -x
+        m = random_square(model.params[0], lambda: QI_ZERO, draw, lambda x: -x)  # skew
         return StratumPoint(model, m)
     return StratumPoint(model, random_hermitian(rng, "O_C", 3, height))
 

@@ -218,6 +218,7 @@ MALFORMED = {
     "defects-over-cost-limit": (["defects", "--model", "skew:16"], None),
     "sample-sym-over-cost-limit": (["sample", "--model", "sym:100000"], None),
     "sample-skew-over-cost-limit": (["sample", "--model", "skew:3000"], None),
+    "sample-secant-over-cost-limit": (["sample", "--model", "exc27", "--secant", "100000"], None),
     "reduce-s-over-cost-limit": (["reduce", "--case", "ostar:6", "--s", "100000"], None),
     "reduce-case-over-cost-limit": (["reduce", "--case", "sp:100000", "--s", "1"], None),
 }

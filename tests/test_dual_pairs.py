@@ -291,6 +291,29 @@ REDUCE_DIGESTS = {
 }
 
 
+# sha256 of three `random_lie_g` matrices per case, drawn from one seeded rng
+# as JSON; verify's cartan_split check reports only pass/fail, so these pins
+# are what catches a changed draw order in `random_lie_g`
+LIE_G_DIGESTS = {
+    "sp:1": "ce16b99bca962be7d6b2e2aa34306976a90e9195dd71e244ff3d89dd44204518",
+    "sp:3": "389e58fa02364e88026ab9c8464564aa68e899ec5d1d0adbdecb6925da717597",
+    "u:2,1": "45e36234823cc29aad9d0ca18b022f325ccb94875678ea42d5292d0389ae6d59",
+    "u:3,3": "4d80f39f7c111cfd4f744e7ef24c7b7050001338453103b8798de86ea5783e58",
+    "u:4,2": "3d0f751fb0b857876c04866ccb21b1076ad9f6029c941291328c0cd8427e7ad8",
+    "ostar:2": "70dc203de6480c6a84afdb9d8e967df67299c017a2d2f70aa931721f047a3621",
+    "ostar:5": "d33073fa1ec5be2eaab6998bd8d2137322ac3514766034edcf6960d2da6df96e",
+    "ostar:6": "2ff3874e28c96a5703be81ede9fab29f55f8343d74be44139255f6b5a8cc4b30",
+}
+
+
+@pytest.mark.parametrize("sel", ALL_CASES)
+def test_random_lie_g_draws_pinned(sel):
+    rng = make_rng("t-lie-pin", sel)
+    case = parse_case(sel, 2)
+    mats = [linalg.matrix_to_json(random_lie_g(case, rng)) for _ in range(3)]
+    assert _sha256(json.dumps(mats)) == LIE_G_DIGESTS[sel]
+
+
 @pytest.mark.parametrize("sel,s", sorted(REDUCE_DIGESTS))
 def test_reduce_output_pinned(sel, s):
     out = _cli_stdout(["reduce", "--case", sel, "--s", str(s), "--seed", "11"])

@@ -1,9 +1,19 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorza.errors import InputError
-from scorza.scalars import QI, QI_I, QI_ONE, fraction_str, parse_fraction
+from scorza.scalars import (
+    QI, QI_I, QI_ONE, common_plane, fraction_str, from_plane, parse_fraction, to_plane,
+)
+
+fractions = st.builds(
+    Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**24)
+) | st.builds(Fraction, st.integers(-3, 3), st.integers(1, 12))
+qi_lists = st.lists(st.builds(QI, fractions, fractions), max_size=8)
 
 
 def test_basic_arithmetic():
@@ -62,3 +72,21 @@ def test_json_round_trip():
 def test_hash_consistency():
     assert hash(QI(1, 0)) == hash(QI(Fraction(2, 2), Fraction(0)))
     assert len({QI(1), QI(1, 0), QI(2)}) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(qi_lists)
+def test_plane_round_trip_in_lowest_terms(values):
+    den, flat = to_plane(values)
+    assert den > 0 and len(flat) == 2 * len(values)
+    assert from_plane(den, flat) == values
+    assert gcd(den, *flat) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(qi_lists, max_size=5))
+def test_common_plane_preserves_every_value(groups):
+    planes = [to_plane(values) for values in groups]
+    den, flats = common_plane(planes)
+    assert all(den % d == 0 for d, _ in planes)
+    assert [from_plane(den, flat) for flat in flats] == groups
