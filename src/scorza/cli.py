@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import dual_pairs as dp
 from . import linalg
@@ -74,6 +75,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@cache  # built on the first main call, then reused by every later call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scorza",

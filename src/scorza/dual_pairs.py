@@ -20,6 +20,11 @@ and the Cartan decomposition g = k + p:
   Fact 2. X in g means X^H G_V + G_V X = 0, that is X^H = G_V X G_V, so
           by Fact 1 J_V X J_V = X^H. The J_V-commuting part of X is
           therefore (X - X^H)/2 and the anticommuting part (X + X^H)/2.
+
+Every constant of a case (G_V, J_V, the structure maps, i I on K^s) is a
+SignedPerm: per row, a column and a unit i**k. Products with it are indexing
+that negates or swaps real and imaginary parts. The dense builders
+(form_v_matrix, j_v_matrix, structure_v, structure_s) are the tests' oracle.
 """
 
 from __future__ import annotations
@@ -117,28 +122,30 @@ class DualPairCase:
 
     # form on V (conjugate-linear in the first slot): B(u, v) = u^H G_V v;
     # G_V is Omega for sp, -Omega for ostar and i diag(I_P, -I_Q) for u
-    def form_v_matrix(self) -> list:
+    def form_v(self) -> "SignedPerm":
         if self.kind == "u":
-            p, n = self.params[0], self.v_size
-            return [[(QI_I if i < p else -QI_I) if i == j else QI_ZERO
-                     for j in range(n)] for i in range(n)]
+            p = self.params[0]
+            return SignedPerm(tuple((i, 1 if i < p else 3) for i in range(self.v_size)))
         return _omega(self.params[0], 1 if self.kind == "sp" else -1)
+
+    def form_v_matrix(self) -> list:
+        return self.form_v().dense()
 
     def j_v_matrix(self) -> list:
         """The complex structure J_V = -G_V (Fact 1)."""
-        return linalg.mat_neg(self.form_v_matrix())
+        return (-self.form_v()).dense()
 
-    # antilinear quaternionic structure X -> C conj(X) C^-1; matrices only
-    def structure_v(self) -> list:
-        return self._structure(self.params[0])
-
-    def structure_s(self) -> list:
-        return self._structure(self.s)
-
-    def _structure(self, n: int) -> list:
+    # antilinear quaternionic structure X -> C conj(X) C^-1, on V or on K^s
+    def structure(self, on_v: bool) -> "SignedPerm":
         if self.kind != "ostar":
             raise UnsupportedError("structure map exists in the quaternionic case only")
-        return _omega(n, -1)
+        return _omega(self.params[0] if on_v else self.s, -1)
+
+    def structure_v(self) -> list:
+        return self.structure(True).dense()
+
+    def structure_s(self) -> list:
+        return self.structure(False).dense()
 
     def w_complex_dim(self) -> int:
         """Complex dimension of W(s) under the complex structure J_V o (.)"""
@@ -168,18 +175,47 @@ def _block(a, b, c, d) -> list:
     return top + bot
 
 
-def _omega(n: int, sign: int) -> list:
+@dataclass(frozen=True)
+class SignedPerm:
+    """A monomial matrix with entries in {1, i, -1, -i}: row r holds i**k in
+    column c, for (c, k) = entries[r]."""
+
+    entries: tuple
+    UNITS = (QI_ONE, QI_I, -QI_ONE, -QI_I)  # i**k
+
+    def dense(self) -> list:
+        n = len(self.entries)
+        return [[self.UNITS[k] if j == c else QI_ZERO for j in range(n)]
+                for c, k in self.entries]
+
+    def left(self, x: list) -> list:
+        """self @ x: row r is i**k times row c of x."""
+        return [[v.times_unit(k) for v in x[c]] for c, k in self.entries]
+
+    def right(self, x: list) -> list:
+        """x @ self: column c is i**k times column r of x."""
+        order = sorted((c, r, k) for r, (c, k) in enumerate(self.entries))
+        return [[row[r].times_unit(k) for _, r, k in order] for row in x]
+
+    def __neg__(self) -> "SignedPerm":
+        return SignedPerm(tuple((c, k ^ 2) for c, k in self.entries))
+
+
+def _omega(n: int, sign: int) -> SignedPerm:
     """The 2n x 2n matrix [[0, sign I], [-sign I, 0]]."""
-    one = QI_ONE if sign > 0 else -QI_ONE
-    return [[one if j == i + n else -one if i == j + n else QI_ZERO
-             for j in range(2 * n)] for i in range(2 * n)]
+    k = 0 if sign > 0 else 2
+    return SignedPerm(tuple((n + i, k) for i in range(n)) + tuple((i, k ^ 2) for i in range(n)))
 
 
-def _is_h_linear(m: list, rows_struct: list, cols_struct: list) -> bool:
+def _is_h_linear(m: list, rows_struct: SignedPerm, cols_struct: SignedPerm) -> bool:
     # quaternion-linearity: m @ C_cols == C_rows @ conj(m)
-    lhs = linalg.mat_mul(m, cols_struct)
-    rhs = linalg.mat_mul(rows_struct, linalg.mat_conj(m))
-    return linalg.mat_eq(lhs, rhs)
+    return linalg.mat_eq(cols_struct.right(m), rows_struct.left(linalg.mat_conj(m)))
+
+
+def _with_structure(case: DualPairCase, v: list) -> list:
+    """The v_size x 2 matrix [v | C conj(v)] for the structure C on V."""
+    cv = case.structure(True).left([[x.conjugate()] for x in v])
+    return [[a, b] for a, (b,) in zip(v, cv)]
 
 
 @dataclass
@@ -196,7 +232,7 @@ class WElement:
         if self.case.real_entries and not linalg.is_real_matrix(self.alpha):
             raise InputError("case sp uses real matrices")
         if self.case.kind == "ostar" and not _is_h_linear(
-            self.alpha, self.case.structure_v(), self.case.structure_s()
+            self.alpha, self.case.structure(True), self.case.structure(False)
         ):
             raise InputError("alpha does not commute with the quaternionic structure")
 
@@ -211,9 +247,9 @@ class WElement:
 # --- momentum maps -------------------------------------------------------------
 
 def dagger(w: WElement) -> list:
-    """The adjoint map V -> K^s defined by (dagger(a) u, v) = B(u, a v)."""
-    gv = w.case.form_v_matrix()
-    return linalg.mat_mul(linalg.conj_transpose(w.alpha), linalg.conj_transpose(gv))
+    """The adjoint map V -> K^s defined by (dagger(a) u, v) = B(u, a v):
+    a^H G_V^H = a^H J_V, as G_V is skew-hermitian."""
+    return (-w.case.form_v()).right(linalg.conj_transpose(w.alpha))
 
 
 def mu_K(w: WElement) -> list:
@@ -245,23 +281,22 @@ def in_group_g(case: DualPairCase, y: list) -> bool:
 def _is_member(case: DualPairCase, x: list, on_v: bool, group: bool) -> bool:
     """Membership in G or H (group) or in its Lie algebra, acting on V or
     K^s. Checks the shape, then the form condition (X^H F X = F, or
-    X^H F + F X = 0, with F = G_V on V and F = I on K^s), then real entries
+    X^H F + F X = 0, with F = G_V on V and F = i I on K^s; both F are
+    skew-hermitian, so the second says F X is hermitian), then real entries
     (sp), then quaternion-linearity (ostar)."""
     n = case.v_size if on_v else case.s_size
     if linalg.shape(x) != (n, n):
         return False
-    xh = linalg.conj_transpose(x)
-    form = case.form_v_matrix() if on_v else linalg.identity(n)
-    fx = linalg.mat_mul(form, x) if on_v else x
+    form = case.form_v() if on_v else SignedPerm(tuple((i, 1) for i in range(n)))
+    fx = form.left(x)
     if group:
-        ok = linalg.mat_eq(linalg.mat_mul(xh, fx), form)
+        ok = linalg.mat_eq(linalg.mat_mul(linalg.conj_transpose(x), fx), form.dense())
     else:
-        xhf = linalg.mat_mul(xh, form) if on_v else xh
-        ok = linalg.is_zero_matrix(linalg.mat_add(xhf, fx))
+        ok = linalg.mat_eq(fx, linalg.conj_transpose(fx))
     if not ok or (case.real_entries and not linalg.is_real_matrix(x)):
         return False
     if case.kind == "ostar":
-        c = form if on_v else case.structure_s()  # on V the structure is G_V (Fact 1)
+        c = form if on_v else case.structure(False)  # on V the structure is G_V (Fact 1)
         return _is_h_linear(x, c, c)
     return True
 
@@ -308,8 +343,8 @@ def cartan_project(x: list, case: DualPairCase) -> StratumPoint:
     if case.kind == "u":
         m = [[x_p(i, j) for j in range(n)] for i in range(n, case.v_size)]
     else:
-        unit = QI_I if case.kind == "sp" else -QI_I
-        m = [[x_p(i, j) + unit * x_p(i, n + j) for j in range(n)] for i in range(n)]
+        k = 1 if case.kind == "sp" else 3  # the unit i or -i
+        m = [[x_p(i, j) + x_p(i, n + j).times_unit(k) for j in range(n)] for i in range(n)]
     return StratumPoint(case.model(), m)
 
 
@@ -330,11 +365,8 @@ def veronese_map(case: DualPairCase, v: list) -> StratumPoint:
         raise InputError("veronese_map needs a case with s = 1")
     if len(v) != case.v_size:
         raise InputError(f"vector must have {case.v_size} coordinates")
-    if case.kind == "ostar":
-        cv = case.structure_v()
-        # J_q(v) = C conj(v), the antilinear structure applied to v
-        jv = linalg.mat_vec(cv, [x.conjugate() for x in v])
-        alpha = [[a, b] for a, b in zip(v, jv)]
+    if case.kind == "ostar":  # J_q(v) = C conj(v) is the second column
+        alpha = _with_structure(case, v)
     else:
         alpha = [[x] for x in v]
     w = WElement(case, alpha)
@@ -404,9 +436,9 @@ def sample_zero_level(
         beta = random_qi_matrix(
             rng, len(basis), case.s_size, height, real=case.real_entries
         )
-    alpha = linalg.mat_mul(t_mat, beta)
-    for _ in range(mixes):
-        alpha = linalg.mat_mul(random_g_element(case, rng), alpha)
+    # mix m multiplies by g_m1 g_m2 g_m3; the last mix is leftmost
+    mix_gens = [[_g_generator(case, rng) for _ in range(3)] for _ in range(mixes)]
+    alpha = linalg.mat_chain(*[g for gens in reversed(mix_gens) for g in gens], t_mat, beta)
     w = WElement(case, alpha)
     if not linalg.is_zero_matrix(mu_K(w)):
         raise RuntimeError("zero-level construction failed; isotropy violated")
@@ -444,32 +476,21 @@ def random_lie_g(case: DualPairCase, rng: Random, height: int = 5) -> list:
 # --- exact random group elements -------------------------------------------------
 
 def random_h_element(case: DualPairCase, rng: Random, factors: int = 3) -> list:
-    out = linalg.identity(case.s_size)
-    for _ in range(factors):
-        out = linalg.mat_mul(out, _h_generator(case, rng))
-    return out
+    return linalg.mat_chain(*[_h_generator(case, rng) for _ in range(factors)])
 
 
 def random_g_element(case: DualPairCase, rng: Random, factors: int = 3) -> list:
-    out = linalg.identity(case.v_size)
-    for _ in range(factors):
-        out = linalg.mat_mul(out, _g_generator(case, rng))
-    return out
+    return linalg.mat_chain(*[_g_generator(case, rng) for _ in range(factors)])
 
 
 def _permutation(rng: Random, n: int, signs: bool = True, phases: bool = False) -> list:
+    """A random signed permutation matrix: column i has its unit in row
+    perm[i], drawn from 1, -1, i, -i (phases) or 1, -1 (signs), else 1."""
     perm = list(range(n))
     rng.shuffle(perm)
-    m = linalg.zeros(n, n)
-    for i, j in enumerate(perm):
-        if phases:
-            val = (QI_ONE, -QI_ONE, QI_I, -QI_I)[rng.randrange(4)]
-        elif signs:
-            val = QI_ONE if rng.random() < 0.5 else -QI_ONE
-        else:
-            val = QI_ONE
-        m[j][i] = val
-    return m
+    ks = [(0, 2, 1, 3)[rng.randrange(4)] if phases else 2 * (rng.random() >= 0.5) if signs
+          else 0 for _ in perm]
+    return SignedPerm(tuple((i, ks[i]) for i in sorted(range(n), key=perm.__getitem__))).dense()
 
 
 def _rotation(rng: Random, n: int) -> list:
@@ -575,9 +596,6 @@ def _g_generator(case: DualPairCase, rng: Random) -> list:
     # with v = B c for the isotropic basis B; K = G_V is also the structure (Fact 1)
     basis = isotropic_basis(case)
     coefs = [random_qi(rng, 3) for _ in basis]
-    v = linalg.mat_vec(linalg.transpose(basis), coefs)
-    gv = case.form_v_matrix()
-    w = linalg.mat_vec(gv, [x.conjugate() for x in v])
-    vw = [[a, b] for a, b in zip(v, w)]
-    vh_k = linalg.mat_mul(linalg.conj_transpose(vw), gv)
+    vw = _with_structure(case, linalg.mat_vec(linalg.transpose(basis), coefs))
+    vh_k = case.form_v().right(linalg.conj_transpose(vw))
     return linalg.mat_sub(linalg.identity(2 * d), linalg.mat_mul(vw, vh_k))

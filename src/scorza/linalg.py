@@ -2,11 +2,14 @@
 
 Matrices are plain lists of lists of QI. Products, rank, det and inverse
 run on the integer plane of `scalars` (one denominator, interleaved integer
-real and imaginary parts): a product sums each entry of a row plane times
-the column planes as plain ints, and rank, det and inverse share one
-fraction-free Bareiss elimination over the Gaussian integers, _eliminate,
-which runs in place on interleaved row planes, keeps entry growth
-polynomial and divides exactly. Results return to QI through from_plane.
+real and imaginary parts). Every product is a chain, mat_chain, formed
+right to left: each factor goes to the plane once, the running product
+stays column planes over one denominator summed as plain ints, and QI is
+built only for the result; mat_mul and mat_vec are its two-factor case.
+Rank, det and inverse share one fraction-free Bareiss elimination over the
+Gaussian integers, _eliminate, which runs in place on interleaved row
+planes, keeps entry growth polynomial and divides exactly. Results return
+to QI through from_plane.
 """
 
 from __future__ import annotations
@@ -51,30 +54,40 @@ def mat_scale(a: Matrix, s) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    (ra, ca), (rb, cb) = shape(a), shape(b)
-    if ca != rb:
-        raise InputError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    return _product(a, list(zip(*b)))
+    return mat_chain(a, b)
 
 
 def mat_vec(a: Matrix, v: list) -> list:
-    return [row[0] for row in _product(a, [v])]
+    return [row[0] for row in mat_chain(a, [[x] for x in v])]
 
 
-def _product(a: Matrix, bt: list) -> Matrix:
-    """Rows of a times the columns bt, accumulated on the integer plane."""
-    db, cols = common_plane(map(to_plane, bt))
-    cols = [(col[0::2], col[1::2]) for col in cols]
-    out = []
-    for row in a:
-        da, flat = to_plane(row)
-        ar, ai = flat[0::2], flat[1::2]
-        acc = []
-        for br, bi in cols:
-            acc.append(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)))
-            acc.append(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)))
-        out.append(from_plane(da * db, acc))
-    return out
+def mat_chain(*factors: Matrix) -> Matrix:
+    """The product factors[0] @ ... @ factors[-1], formed right to left on
+    the integer plane: each factor is cleared once, the running product stays
+    a list of (re, im) column planes over one denominator, and QI is built
+    only for the result, each of whose rows keeps its own denominator."""
+    for a, b in zip(factors, factors[1:]):
+        (ra, ca), (rb, cb) = shape(a), shape(b)
+        if ca != rb:
+            raise InputError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
+    *left, last = factors
+    den, flats = common_plane(map(to_plane, zip(*last)))
+    cols = [(flat[0::2], flat[1::2]) for flat in flats]
+    dens = [1] * len(last)
+    for n, a in enumerate(reversed(left), 1):
+        planes = [to_plane(row) for row in a]
+        if n < len(left):  # an inner factor: one denominator for all rows
+            da, flats = common_plane(planes)
+            den *= da
+        else:  # the first factor: each result row keeps its own denominator
+            dens, flats = [d for d, _ in planes], [flat for _, flat in planes]
+        rows = [(flat[0::2], flat[1::2]) for flat in flats]
+        cols = [([sum(map(mul, ar, br)) - sum(map(mul, ai, bi)) for ar, ai in rows],
+                 [sum(map(mul, ar, bi)) + sum(map(mul, ai, br)) for ar, ai in rows])
+                for br, bi in cols]
+    parts = [part for col in cols for part in col]
+    flats = zip(*parts) if parts else [()] * len(dens)
+    return [from_plane(d * den, flat) for d, flat in zip(dens, flats)]
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -132,6 +132,13 @@ class QI:
     def conjugate(self) -> "QI":
         return QI._mk(self.re, -self.im)
 
+    def times_unit(self, k: int) -> "QI":
+        """i**k * self for k in 0..3, by negating or swapping the parts."""
+        if k == 0:
+            return self
+        re, im = self.re, self.im
+        return QI._mk(-im, re) if k == 1 else QI._mk(-re, -im) if k == 2 else QI._mk(im, -re)
+
     def is_real(self) -> bool:
         return not self.im
 

@@ -340,12 +340,12 @@ def _rank_one_from_rng(model: PSpaceModel, rng: Random, height: int) -> StratumP
 
 def sample_secant(model: PSpaceModel, k: int, seed: int, height: int = 10) -> StratumPoint:
     """Sum of k+1 independent rank-1 samples; Jordan rank <= min(k+1, max).
-    A sum of more than MAX_JACOBIAN_CELLS coordinates in all is rejected with
-    InputError before any sample is drawn."""
+    A summand costs the cells of its coordinate matrix (r^2, q p, n^2 or 27);
+    over MAX_JACOBIAN_CELLS in all is rejected with InputError up front."""
     if k < 0:
         raise InputError("secant index k must be >= 0")
-    check_cells(f"a sum of {k + 1} rank-1 samples of {model.selector()}",
-                (k + 1) * model.ambient_dim)
+    cells = 27 if model.kind == "exc27" else model.params[0] * model.params[-1]
+    check_cells(f"a sum of {k + 1} rank-1 samples of {model.selector()}", (k + 1) * cells)
     total = None
     for i in range(k + 1):
         point = sample_rank_one(model, derive_seed(seed, "secant", i), height)

@@ -1,10 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from scorza import cayley_dickson, dual_pairs, linalg
+from scorza import cayley_dickson, cli, dual_pairs, linalg
 from scorza.sampling import make_rng
 from scorza.scalars import QI
 from scorza.verify import run_suite
@@ -132,6 +134,52 @@ def test_seed_env_variable():
     assert run_cli(["sample", "--model", "sym:3"], env=env_bad).returncode == 2
 
 
+def _main_in_process(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse errors and --help
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _without_wall_time(text: str) -> str:
+    if not text.startswith("{"):
+        return text
+    data = json.loads(text)
+    data.pop("wall_time_s", None)
+    return json.dumps(data)
+
+
+def test_main_calls_in_one_process_match_fresh_runs(monkeypatch):
+    # main builds its parser once and reuses it; a call sequence must still
+    # behave like separate processes, the malformed call first
+    monkeypatch.delenv("SCORZA_SEED", raising=False)
+    calls = [
+        ["sample", "--model", "sym:3", "--height", "0"],
+        ["sample", "--model", "mat:2,3", "--secant", "1", "--seed", "4"],
+        ["dim", "--model", "skew:5", "--stratum", "1", "--seed", "4"],
+        ["verify", "--suite", "composition", "--trials", "1", "--seed", "4"],
+    ]
+    codes = []
+    for argv in calls:
+        code, out = _main_in_process(argv)
+        fresh = run_cli(argv)
+        assert code == fresh.returncode
+        assert _without_wall_time(out) == _without_wall_time(fresh.stdout)
+        codes.append(code)
+    assert codes == [2, 0, 0, 0]
+    assert cli.build_parser() is cli.build_parser()
+    default_seed_call = ["sample", "--model", "sym:3"]
+    monkeypatch.setenv("SCORZA_SEED", "5")
+    _, out5 = _main_in_process(default_seed_call)
+    monkeypatch.setenv("SCORZA_SEED", "6")
+    _, out6 = _main_in_process(default_seed_call)
+    assert out5 != out6
+    assert out5 == run_cli(default_seed_call + ["--seed", "5"]).stdout
+
+
 def test_defects_json():
     result = run_cli(["defects", "--model", "mat:3,5"])
     data = json.loads(result.stdout)
@@ -219,6 +267,7 @@ MALFORMED = {
     "sample-sym-over-cost-limit": (["sample", "--model", "sym:100000"], None),
     "sample-skew-over-cost-limit": (["sample", "--model", "skew:3000"], None),
     "sample-secant-over-cost-limit": (["sample", "--model", "exc27", "--secant", "100000"], None),
+    "sample-skew-secant-over-cost-limit": (["sample", "--model", "skew:2", "--secant", "24999"], None),
     "reduce-s-over-cost-limit": (["reduce", "--case", "ostar:6", "--s", "100000"], None),
     "reduce-case-over-cost-limit": (["reduce", "--case", "sp:100000", "--s", "1"], None),
 }

@@ -7,6 +7,7 @@ import pytest
 
 from scorza import cli, linalg
 from scorza.dual_pairs import (
+    SignedPerm,
     WElement,
     cartan_project,
     cartan_split,
@@ -29,7 +30,9 @@ from scorza.dual_pairs import (
     veronese_map,
 )
 from scorza.errors import InputError, UnsupportedError
-from scorza.sampling import derive_seed, make_rng, random_fraction, random_qi_vector
+from scorza.sampling import (
+    derive_seed, make_rng, random_fraction, random_qi_matrix, random_qi_vector,
+)
 from scorza.scalars import HALF, QI
 from scorza.strata import rank_of
 
@@ -81,6 +84,35 @@ def test_case_structural_invariants(sel):
                 case.structure_v()
             with pytest.raises(UnsupportedError):
                 case.structure_s()
+
+
+@pytest.mark.parametrize("sel", ALL_CASES)
+def test_signed_permutations_match_dense_products(sel):
+    # every constant applied by indexing equals the product by its dense
+    # public matrix, from the left and from the right
+    rng = make_rng("t-signed-perm", sel)
+    for s in (1, 2, 3):
+        case = parse_case(sel, s)
+        consts = [(case.form_v(), case.form_v_matrix()), (-case.form_v(), case.j_v_matrix())]
+        if case.kind == "ostar":
+            consts += [(case.structure(True), case.structure_v()),
+                       (case.structure(False), case.structure_s())]
+        for perm, dense in consts:
+            n = len(dense)
+            for cols in (1, n, 3):
+                x = random_qi_matrix(rng, n, cols, 7)
+                assert perm.left(x) == linalg.mat_mul(dense, x)
+                assert perm.right(linalg.transpose(x)) == linalg.mat_mul(
+                    linalg.transpose(x), dense)
+    # and on signed permutations that are not involutions
+    for n in (1, 3, 5):
+        cols = list(range(n))
+        rng.shuffle(cols)
+        perm = SignedPerm(tuple((c, rng.randrange(4)) for c in cols))
+        x = random_qi_matrix(rng, n, n, 7)
+        assert perm.left(x) == linalg.mat_mul(perm.dense(), x)
+        assert perm.right(x) == linalg.mat_mul(x, perm.dense())
+        assert (-perm).dense() == linalg.mat_neg(perm.dense())
 
 
 def test_dagger_hand_example_sp1():
@@ -304,6 +336,30 @@ LIE_G_DIGESTS = {
     "ostar:5": "d33073fa1ec5be2eaab6998bd8d2137322ac3514766034edcf6960d2da6df96e",
     "ostar:6": "2ff3874e28c96a5703be81ede9fab29f55f8343d74be44139255f6b5a8cc4b30",
 }
+
+
+# sha256 of random_h_element, random_g_element, random_h_element,
+# random_g_element drawn from one seeded rng, as JSON; verify's equivariance
+# check reports only pass/fail, so these pins catch a changed draw order
+GROUP_DIGESTS = {
+    "sp:1": "df1d35a13af64d01dbf31e960c1791a1ddaed44fbeb7410c166e292f267d88b7",
+    "sp:3": "c06208cfc699356bf84bde5a55fb2c8aaa11fedf8a7a1c79a47bc075585b1a08",
+    "u:2,1": "983a84341e2a287b00668355d2b87b4cc2e242a2136ae37927354c7c1c14f8e5",
+    "u:3,3": "f879e7f9630d0884e8e77ed517b608f42e7571d552db9a1f69a2443645a6b605",
+    "u:4,2": "5234e067bd9a79a8ea38a76d6689dc8d08cd39470c4be334ec733ddaec9b52b2",
+    "ostar:2": "885f1e03a28ae1301ea63d10e79ddd33360370378f3b487ff462d39749bef3e2",
+    "ostar:5": "7b81dee94d849f9701adec4cf8ad68f2cf6952b3d7e366480e8bea2705e2ea40",
+    "ostar:6": "31863579b34dfe2ef1dbebaab7f50c533621672d1e8640ea6443115bb1011946",
+}
+
+
+@pytest.mark.parametrize("sel", ALL_CASES)
+def test_random_group_draws_pinned(sel):
+    rng = make_rng("t-group-pin", sel)
+    case = parse_case(sel, 2)
+    mats = [linalg.matrix_to_json(draw(case, rng))
+            for _ in range(2) for draw in (random_h_element, random_g_element)]
+    assert _sha256(json.dumps(mats)) == GROUP_DIGESTS[sel]
 
 
 @pytest.mark.parametrize("sel", ALL_CASES)

@@ -197,6 +197,39 @@ def test_mat_mul_and_mat_vec_match_sympy(kind):
             assert linalg.mat_vec(a, v) == [_from_sympy(e) for e in expected_v]
 
 
+# chains as (dims): factor t is dims[t] x dims[t+1]; 1 x n and n x 1 ends,
+# inner dimension 1, a single factor and a long chain like sample_zero_level's
+CHAIN_DIMS = ((1, 4, 1), (4, 1, 3), (1, 5, 5, 1), (3, 1, 4, 1), (4, 3),
+              (2, 3, 3, 3, 3, 3, 3, 2, 2), (5, 5, 5, 2))
+
+
+@pytest.mark.parametrize("kind", KINDS + ("per-factor",))
+def test_mat_chain_matches_nested_mat_mul_and_sympy(kind):
+    # "per-factor" draws each factor's kind, so one chain mixes zero,
+    # real-only, imaginary and big-denominator factors
+    rng = make_rng("linalg", "chain-oracle", kind)
+    for dims in CHAIN_DIMS:
+        for _ in range(2):
+            factors = [_oracle_matrix(rng, r, c, rng.choice(KINDS) if kind == "per-factor"
+                                      else kind) for r, c in zip(dims, dims[1:])]
+            got = linalg.mat_chain(*factors)
+            nested = factors[0]
+            for f in factors[1:]:
+                nested = linalg.mat_mul(nested, f)
+            assert got == nested
+            expected = _sympy_dm(factors[0])
+            for f in factors[1:]:
+                expected = expected * _sympy_dm(f)
+            assert got == [[_from_sympy(expected.domain.to_sympy(x)) for x in row]
+                           for row in expected.to_list()]
+    zero = linalg.zeros(3, 3)
+    a = _oracle_matrix(rng, 2, 3, "bigden")
+    assert linalg.mat_chain(a, zero, zero) == linalg.zeros(2, 3)
+    assert linalg.mat_chain(a, zero, [[]] * 3) == [[], []]  # 2 x 0
+    with pytest.raises(InputError):
+        linalg.mat_chain(a, zero, a)
+
+
 def _sympy_dm(m):
     # the exact matrix over sympy's Gaussian-rational domain QQ_I
     return _to_sympy(m).to_DM(domain=sympy.QQ_I)
