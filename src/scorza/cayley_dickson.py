@@ -7,8 +7,10 @@ The doubling convention is fixed once as
 
     (a, b) * (c, d) = (a*c - conj(d)*b,  d*a + b*conj(c))
 
-and a basis product table per level is generated from it at import time;
-the recursion is kept as the reference path for cross-checking.
+and a basis product table per level is generated from it at import time.
+Every product runs through one kernel per level, compiled at import from
+that table into straight-line code on integer planes; the recursion is
+kept as the reference path the tests cross-check it against.
 
 An element is stored as the integer plane of `scalars` of its 2^level
 coefficients: one positive denominator and the interleaved integer
@@ -28,6 +30,7 @@ from math import gcd, lcm
 from random import Random
 
 from .errors import InputError
+from .sampling import random_ratio
 from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, to_plane
 
 FIELD_Q = "Q"
@@ -115,7 +118,7 @@ class CDElement:
         self._require_match(other)
         da, a = self.int_form()
         db, b = other.int_form()
-        out = _mul_int(_TABLES[self.level], a, b, [0] * (2 << self.level))
+        out = _KERNELS[self.level](a, b, [0] * (2 << self.level))
         return _element(self.level, self.field, da * db, out)
 
     def scale(self, s) -> "CDElement":
@@ -250,37 +253,16 @@ def random_cd(rng: Random, level: int, field: str = FIELD_Q, height: int = 10) -
     real = field == FIELD_Q
     parts = []  # (numerator, denominator) in plane order
     for _ in range(1 << level):
-        parts.append((rng.randint(-height, height), rng.randint(1, height)))
-        parts.append((0, 1) if real else (rng.randint(-height, height), rng.randint(1, height)))
+        parts.append(random_ratio(rng, height))
+        parts.append((0, 1) if real else random_ratio(rng, height))
     den = lcm(*[q for _, q in parts])
     return _element(level, field, den, [p * (den // q) for p, q in parts])
-
-
-# --- integer product kernel --------------------------------------------------
-
-def _mul_int(table, a, b, out: list) -> list:
-    """Table-driven product of interleaved integer planes, added into out."""
-    b_re, b_im = b[0::2], b[1::2]
-    for row, ar, ai in zip(table, a[0::2], a[1::2]):
-        if not ar and not ai:
-            continue
-        for (k, sign), br, bi in zip(row, b_re, b_im):
-            pr = ar * br - ai * bi
-            pi = ar * bi + ai * br
-            k *= 2
-            if sign > 0:
-                out[k] += pr
-                out[k + 1] += pi
-            else:
-                out[k] -= pr
-                out[k + 1] -= pi
-    return out
 
 
 # --- reference recursion and generated product tables -----------------------
 # The recursion runs on integer planes too: the first and second halves of
 # a plane are the two coordinates of the doubling, and it shares no code
-# with the table kernel it cross-checks.
+# with the compiled kernels it cross-checks.
 
 def _doubling_conj(t: tuple) -> tuple:
     if len(t) == 2:
@@ -330,6 +312,30 @@ def _build_tables():
 
 
 _TABLES = _build_tables()
+
+
+def _compile_kernel(level: int):
+    """The level's product of interleaved integer planes, added into out:
+    straight-line code, built from the table's integers only, in which
+    e_i e_j = sign e_k adds sign (a_i b_j), parts multiplied out, to out k."""
+    n = 1 << level
+    terms = [[] for _ in range(2 * n)]  # signed products summed into out[t]
+    for i, row in enumerate(_TABLES[level]):
+        for j, (k, sign) in enumerate(row):
+            p, m = ("+", "-") if sign > 0 else ("-", "+")
+            ar, ai, br, bi = f"a{2 * i}", f"a{2 * i + 1}", f"b{2 * j}", f"b{2 * j + 1}"
+            terms[2 * k] += [f"{p} {ar}*{br}", f"{m} {ai}*{bi}"]
+            terms[2 * k + 1] += [f"{p} {ar}*{bi}", f"{p} {ai}*{br}"]
+    a = ", ".join(f"a{t}" for t in range(2 * n))
+    lines = ["def kernel(a, b, out):", f"    {a}, = a", f"    {a.replace('a', 'b')}, = b"]
+    lines += [f"    out[{t}] += {' '.join(ts).lstrip('+ ')}" for t, ts in enumerate(terms)]
+    lines.append("    return out")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<cayley_dickson level {level}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+_KERNELS = [_compile_kernel(level) for level in range(MAX_LEVEL + 1)]
 
 
 def associativity_counterexample(field: str = FIELD_Q):

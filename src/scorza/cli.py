@@ -291,7 +291,7 @@ def _cmd_reduce(args, seed: int) -> int:
     w = dp.sample_zero_level(case, seed, args.height)
     mu_k = dp.mu_K(w)  # zero: sample_zero_level has checked it
     mu_g = dp.mu_G(w)
-    point = dp.cartan_project(mu_g, case)
+    point = dp._project_p(mu_g, case)  # mu_G(w) lies in g
     rank = st.rank_of(point)
     obj = {
         "case": case.selector(),

@@ -335,6 +335,11 @@ def cartan_project(x: list, case: DualPairCase) -> StratumPoint:
     where [A | B] are the first rows of X_p."""
     if not in_lie_g(case, x):
         raise InputError("X does not lie in the Lie algebra of G")
+    return _project_p(x, case)
+
+
+def _project_p(x: list, case: DualPairCase) -> StratumPoint:
+    """`cartan_project` for X known to lie in g, such as mu_G(w)."""
 
     def x_p(i, j):  # entry (i, j) of the p part from cartan_split
         return (x[i][j] + x[j][i].conjugate()) * HALF
@@ -352,7 +357,7 @@ def reduced_point(w: WElement) -> StratumPoint:
     """Image of a zero-level element in the matrix model; rank <= min(s, r)."""
     if not linalg.is_zero_matrix(mu_K(w)):
         raise InputError("reduced_point needs mu_K(alpha) = 0")
-    return cartan_project(mu_G(w), w.case)
+    return _project_p(mu_G(w), w.case)
 
 
 def veronese_map(case: DualPairCase, v: list) -> StratumPoint:
@@ -370,7 +375,7 @@ def veronese_map(case: DualPairCase, v: list) -> StratumPoint:
     else:
         alpha = [[x] for x in v]
     w = WElement(case, alpha)
-    return cartan_project(mu_G(w), case)
+    return _project_p(mu_G(w), case)
 
 
 # --- sampling -------------------------------------------------------------------

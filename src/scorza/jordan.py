@@ -22,9 +22,8 @@ from fractions import Fraction
 from random import Random
 
 from .cayley_dickson import (
-    _TABLES,
+    _KERNELS,
     _element,
-    _mul_int,
     CDElement,
     FIELD_Q,
     FIELD_QI,
@@ -266,24 +265,30 @@ def _from_int_form(algebra: str, den: int, rows: list) -> JordanElement:
 
 
 def jordan_product(x: JordanElement, y: JordanElement) -> JordanElement:
+    """x o y = (xy + yx)/2, computed on and above the diagonal.
+
+    Both factors are hermitian and conjugation reverses products, so
+    (x o y)^H = x o y: entry (j, i) is the conjugate of entry (i, j), its
+    scalar pair kept and the rest negated, as in `CDElement.conjugate`.
+    """
     x._require_match(y)
     level = algebra_level(x.algebra)
-    table = _TABLES[level]
+    mul = _KERNELS[level]
     width = 2 << level
     n = x.n
     dx, X = _int_form(x)
     dy, Y = _int_form(y)
-    rows = []
+    rows = [[None] * n for _ in range(n)]
     for i in range(n):
-        line = []
-        for j in range(n):
+        for j in range(i, n):
             acc = [0] * width
             for k in range(n):
                 # x_ik y_kj + y_ik x_kj, the symmetrized matrix product
-                _mul_int(table, X[i][k], Y[k][j], acc)
-                _mul_int(table, Y[i][k], X[k][j], acc)
-            line.append(acc)
-        rows.append(line)
+                mul(X[i][k], Y[k][j], acc)
+                mul(Y[i][k], X[k][j], acc)
+            rows[i][j] = acc
+            if j > i:
+                rows[j][i] = acc[:2] + [-v for v in acc[2:]]
     return _from_int_form(x.algebra, 2 * dx * dy, rows)
 
 

@@ -23,9 +23,28 @@ def make_rng(*parts) -> random.Random:
     return random.Random(derive_seed(*parts))
 
 
+def random_ratio(rng: random.Random, height: int) -> tuple[int, int]:
+    """(rng.randint(-height, height), rng.randint(1, height)) with randint's
+    exact draws and end state, as `Random._randbelow_with_getrandbits` makes
+    them: getrandbits(width.bit_length()), redrawn while not below width."""
+    if height < 1:
+        raise ValueError(f"height must be at least 1, got {height}")
+    getrandbits = rng.getrandbits
+    width = 2 * height + 1
+    k = width.bit_length()
+    p = getrandbits(k)
+    while p >= width:
+        p = getrandbits(k)
+    k = height.bit_length()
+    q = getrandbits(k)
+    while q >= height:
+        q = getrandbits(k)
+    return p - height, q + 1
+
+
 def random_fraction(rng: random.Random, height: int = 10, nonzero: bool = False) -> Fraction:
     while True:
-        f = Fraction(rng.randint(-height, height), rng.randint(1, height))
+        f = Fraction(*random_ratio(rng, height))
         if f or not nonzero:
             return f
 

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from scorza.cayley_dickson import (
+    _KERNELS,
     CDElement,
     associativity_counterexample,
     cd_basis,
@@ -17,8 +19,8 @@ from scorza.cayley_dickson import (
     reference_multiply,
 )
 from scorza.errors import InputError
-from scorza.sampling import make_rng, random_qi
-from scorza.scalars import QI
+from scorza.sampling import make_rng, random_qi, random_ratio
+from scorza.scalars import QI, from_plane
 
 
 def test_unit_is_identity():
@@ -221,6 +223,7 @@ def test_integer_plane_kernels_match_qi_oracle(level, field):
     scalars = [QI(0), QI(1), QI(Fraction(-3, 7)), QI(Fraction(2**70, 3**30))]
     if field == "Qi":
         scalars += [QI(0, Fraction(5, 6)), QI(Fraction(1, 2**40), Fraction(-9, 10**15))]
+    pre = [(-1) ** t * (t + 3) * 10 ** (t % 5) for t in range(2 << level)]
     for x in samples:
         cx = x.coeffs
         assert x.is_zero() == all(not c for c in cx)
@@ -243,6 +246,12 @@ def test_integer_plane_kernels_match_qi_oracle(level, field):
             _same(x - y, tuple(a - b for a, b in zip(cx, cy)))
             _same(x * y, _qi_mul(cx, cy))
             _same(reference_multiply(x, y), _qi_mul(cx, cy))
+            # the kernel adds into out, as jordan_product's accumulator needs
+            (da, a), (db, b) = x.int_form(), y.int_form()
+            out = _KERNELS[level](a, b, list(pre))
+            expected = [QI(Fraction(pre[2 * k], da * db), Fraction(pre[2 * k + 1], da * db)) + c
+                        for k, c in enumerate(_qi_mul(cx, cy))]
+            assert from_plane(da * db, out) == expected
 
 
 def test_planes_are_canonical():
@@ -273,3 +282,16 @@ def test_random_cd_draws_like_random_qi(field):
         coeffs = [random_qi(rng, 7, real=field == "Q") for _ in range(1 << level)]
         assert a == CDElement(level, field, coeffs)
         assert a.coeffs == tuple(coeffs)
+
+
+@pytest.mark.parametrize("height", [1, 2, 7, 10, 16, 1000])
+def test_random_ratio_matches_randint(height):
+    for seed in range(200):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert random_ratio(ours, height) == (
+                stdlib.randint(-height, height), stdlib.randint(1, height)
+            )
+        assert ours.getstate() == stdlib.getstate()
+    with pytest.raises(ValueError):
+        random_ratio(random.Random(0), 0)

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from scorza import linalg
-from scorza.cayley_dickson import cd_basis, cd_scalar, random_cd
+from scorza.cayley_dickson import cd_basis, cd_scalar, cd_zero, random_cd, reference_multiply
 from scorza.errors import InputError, UnsupportedError
 from scorza.jordan import (
+    ALGEBRAS,
     JordanElement,
     freudenthal_det3,
     from_upper,
@@ -45,6 +46,25 @@ def test_product_commutative_and_bilinear():
         lam = QI(random_fraction(rng, 5))
         lhs = jordan_product(x.scale(lam), y)
         assert lhs == jordan_product(x, y).scale(lam)
+
+
+@pytest.mark.parametrize("algebra", list(ALGEBRAS))
+def test_product_entries_match_cd_oracle(algebra):
+    # every entry, lower triangle included, against (x_ik y_kj + y_ik x_kj)/2
+    rng = make_rng("jd", "entries", algebra)
+    level, field = ALGEBRAS[algebra]
+    for n in range(1, 4 if level == 3 else 5):
+        for _ in range(3):
+            x = random_hermitian(rng, algebra, n, 6)
+            y = random_hermitian(rng, algebra, n, 6)
+            p = jordan_product(x, y)
+            for i in range(n):
+                for j in range(n):
+                    acc = cd_zero(level, field)
+                    for k in range(n):
+                        acc = acc + reference_multiply(x.entry(i, k), y.entry(k, j))
+                        acc = acc + reference_multiply(y.entry(i, k), x.entry(k, j))
+                    assert p.entry(i, j) == acc.scale(QI(Fraction(1, 2)))
 
 
 def test_jordan_identity_octonionic():
