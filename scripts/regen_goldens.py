@@ -7,7 +7,7 @@ review the diff; tests compare CLI output byte-for-byte against these.
 
 from pathlib import Path
 
-from scorza.catalog import hermitian_json_obj, scorza_json_obj
+from scorza.catalog import golden_objects
 from scorza.cli import render_json
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "scorza" / "data" / "catalog"
@@ -15,13 +15,9 @@ OUT = Path(__file__).resolve().parent.parent / "src" / "scorza" / "data" / "cata
 
 def main():
     OUT.mkdir(parents=True, exist_ok=True)
-    for k in range(2, 7):
-        path = OUT / f"scorza_k{k}.json"
-        path.write_text(render_json(scorza_json_obj(k)), encoding="utf-8")
-        print("wrote", path)
-    for r in range(1, 7):
-        path = OUT / f"hermitian_r{r}.json"
-        path.write_text(render_json(hermitian_json_obj(r)), encoding="utf-8")
+    for name, obj in golden_objects().items():
+        path = OUT / name
+        path.write_text(render_json(obj), encoding="utf-8")
         print("wrote", path)
 
 

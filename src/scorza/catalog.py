@@ -209,7 +209,11 @@ def golden_text(name: str) -> str:
     )
 
 
+def golden_objects() -> dict:
+    """Each golden file name -> the JSON object frozen in it."""
+    scorza = {f"scorza_k{k}.json": scorza_json_obj(k) for k in range(2, 7)}
+    return scorza | {f"hermitian_r{r}.json": hermitian_json_obj(r) for r in range(1, 7)}
+
+
 def golden_names() -> list[str]:
-    scorza = [f"scorza_k{k}.json" for k in range(2, 7)]
-    herm = [f"hermitian_r{r}.json" for r in range(1, 7)]
-    return scorza + herm
+    return list(golden_objects())

@@ -26,8 +26,6 @@ from .catalog import (
 from .errors import InputError
 from .verify import SUITES, run_suite
 
-SELECTOR_GRAMMAR = "sym:R | mat:Q,P | skew:N | exc27 | sp:L | u:P,Q | ostar:D"
-
 
 def render_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
@@ -106,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, height=False)
 
     p = sub.add_parser("sample", help="sample a secant point of a model")
-    p.add_argument("--model", required=True, help=SELECTOR_GRAMMAR)
+    p.add_argument("--model", required=True, help=st.MODEL_GRAMMAR)
     p.add_argument(
         "--secant", type=int, default=0,
         help="secant index k: the point is a sum of k+1 rank-1 samples",
@@ -114,20 +112,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("dim", help="exact dimension of a stratum closure")
-    p.add_argument("--model", required=True, help=SELECTOR_GRAMMAR)
+    p.add_argument("--model", required=True, help=st.MODEL_GRAMMAR)
     p.add_argument("--stratum", type=int, required=True)
     common(p)
 
     p = sub.add_parser("defects", help="secant defects and Scorza conditions")
-    p.add_argument("--model", required=True, help=SELECTOR_GRAMMAR)
-    common(p)
+    p.add_argument("--model", required=True, help=st.MODEL_GRAMMAR)
+    common(p, height=False)
 
     p = sub.add_parser("invariant", help="evaluate the relative invariant")
     p.add_argument("--point", help="StratumPoint JSON file (default: stdin)")
     common(p, height=False)
 
     p = sub.add_parser("reduce", help="momentum maps and reduced point")
-    p.add_argument("--case", required=True, help="sp:L | u:P,Q | ostar:D")
+    p.add_argument("--case", required=True, help=dp.CASE_GRAMMAR)
     p.add_argument("--s", type=int, required=True, help="number of K^s columns")
     common(p)
     return parser

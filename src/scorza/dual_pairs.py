@@ -40,7 +40,7 @@ from .sampling import (
 )
 from .scalars import HALF, QI, QI_I, QI_ONE, QI_ZERO
 from .strata import (
-    PSpaceModel, StratumPoint, check_cells, mat_model, skew_model, sym_model,
+    PSpaceModel, StratumPoint, check_cells, mat_model, skew_model, split_selector, sym_model,
 )
 
 KINDS = ("sp", "u", "ostar")
@@ -53,7 +53,7 @@ _HYP = ((Fraction(5, 4), Fraction(3, 4)), (Fraction(13, 12), Fraction(5, 12)),
         (Fraction(17, 15), Fraction(8, 15)))
 
 
-_CASE_GRAMMAR = "sp:L | u:P,Q | ostar:D"
+CASE_GRAMMAR = "sp:L | u:P,Q | ostar:D"
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class DualPairCase:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(
-                f"unknown dual-pair case {self.kind!r}; expected {_CASE_GRAMMAR}"
+                f"unknown dual-pair case {self.kind!r}; expected {CASE_GRAMMAR}"
             )
         expected = {"sp": 1, "u": 2, "ostar": 1}[self.kind]
         if len(self.params) != expected:
@@ -158,15 +158,7 @@ class DualPairCase:
 
 def parse_case(selector: str, s: int) -> DualPairCase:
     """Parse sp:L | u:P,Q | ostar:D into a case with s columns."""
-    text = selector.strip().lower()
-    kind, _, args = text.partition(":")
-    try:
-        nums = tuple(int(a) for a in args.split(",")) if args else ()
-    except ValueError as exc:
-        raise InputError(
-            f"bad case selector {selector!r}; expected {_CASE_GRAMMAR}"
-        ) from exc
-    return DualPairCase(kind, nums, s)
+    return DualPairCase(*split_selector(selector, "case", CASE_GRAMMAR), s)
 
 
 def _block(a, b, c, d) -> list:
@@ -380,12 +372,10 @@ def veronese_map(case: DualPairCase, v: list) -> StratumPoint:
 
 # --- sampling -------------------------------------------------------------------
 
-def random_w_element(case: DualPairCase, seed: int, height: int = 10) -> WElement:
+def random_w_element(case: DualPairCase, seed: int) -> WElement:
+    """A random element of W, its rationals of height at most 10."""
+    height = 10
     rng = make_rng(seed, "w-element", case.selector(), case.s, height)
-    return _random_w(case, rng, height)
-
-
-def _random_w(case: DualPairCase, rng: Random, height: int) -> WElement:
     if case.kind == "ostar":
         d, s = case.params[0], case.s
         x = random_qi_matrix(rng, d, s, height)
@@ -419,14 +409,12 @@ def isotropic_basis(case: DualPairCase) -> list:
     return [[col.get(k, QI_ZERO) for k in range(case.v_size)] for col in cols]
 
 
-def sample_zero_level(
-    case: DualPairCase, seed: int, height: int = 10, mixes: int = 2
-) -> WElement:
+def sample_zero_level(case: DualPairCase, seed: int, height: int = 10) -> WElement:
     """An exact point of the zero level of mu_K.
 
     Columns are drawn inside a fixed maximal isotropic subspace (so the
-    image is B-isotropic, which is exactly mu_K = 0) and then moved by a
-    few random exact G elements. Any s >= 1 is allowed; for s above the
+    image is B-isotropic, which is exactly mu_K = 0) and then moved by two
+    random exact G elements. Any s >= 1 is allowed; for s above the
     isotropic dimension the columns are simply dependent.
     """
     rng = make_rng(seed, "zero-level", case.selector(), case.s, height)
@@ -442,7 +430,7 @@ def sample_zero_level(
             rng, len(basis), case.s_size, height, real=case.real_entries
         )
     # mix m multiplies by g_m1 g_m2 g_m3; the last mix is leftmost
-    mix_gens = [[_g_generator(case, rng) for _ in range(3)] for _ in range(mixes)]
+    mix_gens = [[_g_generator(case, rng) for _ in range(3)] for _ in range(2)]
     alpha = linalg.mat_chain(*[g for gens in reversed(mix_gens) for g in gens], t_mat, beta)
     w = WElement(case, alpha)
     if not linalg.is_zero_matrix(mu_K(w)):
@@ -450,8 +438,10 @@ def sample_zero_level(
     return w
 
 
-def random_lie_g(case: DualPairCase, rng: Random, height: int = 5) -> list:
+def random_lie_g(case: DualPairCase, rng: Random) -> list:
     """A random element of Lie(G), built directly from the block structure."""
+    height = 5
+
     def qi():  # real in the sp case
         return random_qi(rng, height, real=case.real_entries)
 
@@ -480,12 +470,14 @@ def random_lie_g(case: DualPairCase, rng: Random, height: int = 5) -> list:
 
 # --- exact random group elements -------------------------------------------------
 
-def random_h_element(case: DualPairCase, rng: Random, factors: int = 3) -> list:
-    return linalg.mat_chain(*[_h_generator(case, rng) for _ in range(factors)])
+def random_h_element(case: DualPairCase, rng: Random) -> list:
+    """A product of three random generators of H."""
+    return linalg.mat_chain(*[_h_generator(case, rng) for _ in range(3)])
 
 
-def random_g_element(case: DualPairCase, rng: Random, factors: int = 3) -> list:
-    return linalg.mat_chain(*[_g_generator(case, rng) for _ in range(factors)])
+def random_g_element(case: DualPairCase, rng: Random) -> list:
+    """A product of three random generators of G."""
+    return linalg.mat_chain(*[_g_generator(case, rng) for _ in range(3)])
 
 
 def _permutation(rng: Random, n: int, signs: bool = True, phases: bool = False) -> list:

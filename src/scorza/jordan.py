@@ -28,12 +28,11 @@ from .cayley_dickson import (
     FIELD_Q,
     FIELD_QI,
     cd_scalar,
-    cd_zero,
     random_cd,
 )
 from .errors import InputError, UnsupportedError
-from .scalars import QI, QI_ZERO, common_plane
-from .sampling import random_qi
+from .scalars import QI, QI_ONE, QI_ZERO, common_plane
+from .sampling import random_qi, random_square
 
 # algebra tag -> (Cayley-Dickson level, scalar field tag)
 ALGEBRAS = {
@@ -148,45 +147,30 @@ class JordanElement:
         upper = data["entries"]
         if not isinstance(upper, list) or len(upper) != n:
             raise InputError(f"expected {n} rows of upper-triangle entries")
-        rows = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                e = CDElement.from_json(upper[i][j - i], field=field)
-                rows[i][j] = e
-                if j > i:
-                    rows[j][i] = e.conjugate()
-        return JordanElement(algebra, tuple(tuple(r) for r in rows))
+        return from_upper(
+            algebra, [[CDElement.from_json(e, field=field) for e in row] for row in upper]
+        )
 
 
 # --- constructors -----------------------------------------------------------
 
 def jordan_zero(algebra: str, n: int) -> JordanElement:
-    level, field = ALGEBRAS[algebra]
-    z = cd_zero(level, field)
-    return JordanElement(algebra, tuple(tuple(z for _ in range(n)) for _ in range(n)))
+    return jordan_diag(algebra, [QI_ZERO] * n)
 
 
 def jordan_identity(algebra: str, n: int) -> JordanElement:
-    level, field = ALGEBRAS[algebra]
-    one = cd_scalar(1, level, field)
-    z = cd_zero(level, field)
-    return JordanElement(
-        algebra,
-        tuple(tuple(one if i == j else z for j in range(n)) for i in range(n)),
-    )
+    return jordan_diag(algebra, [QI_ONE] * n)
 
 
 def jordan_diag(algebra: str, scalars) -> JordanElement:
+    """The diagonal element with these scalars. Each scalar object, and the
+    zero off the diagonal, is built into one entry: the identity builds two."""
     level, field = ALGEBRAS[algebra]
-    z = cd_zero(level, field)
+    entry = {id(s): s for s in (QI_ZERO, *scalars)}
+    entry = {key: cd_scalar(s, level, field) for key, s in entry.items()}
     n = len(scalars)
-    return JordanElement(
-        algebra,
-        tuple(
-            tuple(cd_scalar(scalars[i], level, field) if i == j else z for j in range(n))
-            for i in range(n)
-        ),
-    )
+    rows = [[entry[id(scalars[i] if i == j else QI_ZERO)] for j in range(n)] for i in range(n)]
+    return JordanElement(algebra, tuple(map(tuple, rows)))
 
 
 def from_upper(algebra: str, upper) -> JordanElement:
@@ -226,14 +210,12 @@ def rank_one_from_vector(algebra: str, v) -> JordanElement:
 
 def random_hermitian(rng: Random, algebra: str, n: int, height: int = 10) -> JordanElement:
     level, field = ALGEBRAS[algebra]
-    real = field == FIELD_Q
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = cd_scalar(random_qi(rng, height, real=real), level, field)
-        for j in range(i + 1, n):
-            e = random_cd(rng, level, field, height)
-            rows[i][j] = e
-            rows[j][i] = e.conjugate()
+    rows = random_square(
+        n,
+        lambda: cd_scalar(random_qi(rng, height, real=field == FIELD_Q), level, field),
+        lambda: random_cd(rng, level, field, height),
+        CDElement.conjugate,
+    )
     return JordanElement(algebra, tuple(tuple(r) for r in rows))
 
 

@@ -211,10 +211,6 @@ def common_plane(planes) -> tuple:
     return den, [flat if d == den else [v * (den // d) for v in flat] for d, flat in planes]
 
 
-def qi(re=0, im=0) -> QI:
-    return QI(re, im)
-
-
 def fraction_str(f: Fraction) -> str:
     """Canonical "p/q" form with an explicit positive denominator."""
     return f"{f.numerator}/{f.denominator}"

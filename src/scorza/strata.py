@@ -12,6 +12,7 @@ without evaluating the chart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from random import Random
 
@@ -22,6 +23,7 @@ from .jordan import (
     JordanElement,
     generic_det,
     jordan_rank3,
+    jordan_zero,
     random_hermitian,
     rank_one_from_vector,
     sharp,
@@ -29,10 +31,13 @@ from .jordan import (
 from .sampling import derive_seed, make_rng, random_qi, random_qi_vector, random_square
 from .scalars import QI, QI_ZERO
 
-KINDS = ("sym", "mat", "skew", "exc27")
-_MODEL_GRAMMAR = "sym:R | mat:Q,P | skew:N | exc27"
+# model kind -> the names of its parameters, in selector and JSON order
+_PARAMS = {"sym": ("r",), "mat": ("q", "p"), "skew": ("n",), "exc27": ()}
+MODEL_GRAMMAR = "sym:R | mat:Q,P | skew:N | exc27"
 
 _RANK1_RETRIES = 32
+# random points at which stratum_dimension ranks its Jacobian, at most
+_DIM_ATTEMPTS = 3
 
 # Largest Jacobian the dimension oracle will rank, in cells: s chart
 # blocks of chart_param_count rows by ambient_dim columns. It admits every
@@ -56,11 +61,9 @@ class PSpaceModel:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InputError(
-                f"unknown model kind {self.kind!r}; expected {_MODEL_GRAMMAR}"
-            )
-        expected = {"sym": 1, "mat": 2, "skew": 1, "exc27": 0}[self.kind]
+        if self.kind not in _PARAMS:
+            raise InputError(f"unknown model kind {self.kind!r}; expected {MODEL_GRAMMAR}")
+        expected = len(_PARAMS[self.kind])
         if len(self.params) != expected:
             raise InputError(f"model {self.kind} takes {expected} parameter(s)")
         if any(p < 1 for p in self.params):
@@ -130,19 +133,19 @@ def skew_model(n: int) -> PSpaceModel:
 EXC27 = PSpaceModel("exc27", ())
 
 
+def split_selector(selector: str, what: str, grammar: str) -> tuple[str, tuple]:
+    """"kind:a,b" -> ("kind", (a, b)); a parameter that is not an integer
+    raises InputError("bad <what> selector ...; expected <grammar>")."""
+    kind, _, args = selector.strip().lower().partition(":")
+    try:
+        return kind, tuple(int(a) for a in args.split(",")) if args else ()
+    except ValueError as exc:
+        raise InputError(f"bad {what} selector {selector!r}; expected {grammar}") from exc
+
+
 def parse_model(selector: str) -> PSpaceModel:
     """Parse sym:R | mat:Q,P | skew:N | exc27."""
-    text = selector.strip().lower()
-    if text == "exc27":
-        return EXC27
-    kind, _, args = text.partition(":")
-    try:
-        nums = tuple(int(a) for a in args.split(",")) if args else ()
-    except ValueError as exc:
-        raise InputError(
-            f"bad model selector {selector!r}; expected {_MODEL_GRAMMAR}"
-        ) from exc
-    return PSpaceModel(kind, nums)
+    return PSpaceModel(*split_selector(selector, "model", MODEL_GRAMMAR))
 
 
 @dataclass
@@ -174,14 +177,9 @@ class StratumPoint:
         return linalg.mat_eq(self.coords, other.coords)
 
     def to_json(self) -> dict:
-        model_obj: dict = {"kind": self.model.kind}
-        if self.model.kind == "sym":
-            model_obj["r"] = self.model.params[0]
-        elif self.model.kind == "mat":
-            model_obj["q"], model_obj["p"] = self.model.params
-        elif self.model.kind == "skew":
-            model_obj["n"] = self.model.params[0]
-        if self.model.kind == "exc27":
+        kind = self.model.kind
+        model_obj = {"kind": kind, **dict(zip(_PARAMS[kind], self.model.params))}
+        if kind == "exc27":
             coords = self.coords.to_json()
         else:
             coords = linalg.matrix_to_json(self.coords)
@@ -196,16 +194,7 @@ class StratumPoint:
         try:
             mobj = data["model"]
             kind = mobj["kind"]
-            if kind == "sym":
-                model = sym_model(int(mobj["r"]))
-            elif kind == "mat":
-                model = mat_model(int(mobj["q"]), int(mobj["p"]))
-            elif kind == "skew":
-                model = skew_model(int(mobj["n"]))
-            elif kind == "exc27":
-                model = EXC27
-            else:
-                raise InputError(f"unknown model kind {kind!r}")
+            model = PSpaceModel(kind, tuple(int(mobj[name]) for name in _PARAMS.get(kind, ())))
             if kind == "exc27":
                 coords = JordanElement.from_json(data["coords"])
             else:
@@ -225,38 +214,29 @@ def _validate_coords(model: PSpaceModel, coords):
         if not isinstance(coords, JordanElement) or coords.algebra != "O_C" or coords.n != 3:
             raise InputError("exc27 coordinates must be a 3x3 hermitian O_C element")
         return
-    rows, cols = linalg.shape(coords)
-    if any(len(row) != cols for row in coords):
+    shape = linalg.shape(coords)
+    if any(len(row) != shape[1] for row in coords):
         raise InputError("coordinate rows have different lengths")
-    if model.kind == "sym":
-        r = model.params[0]
-        if (rows, cols) != (r, r):
-            raise InputError(f"expected {r}x{r} coordinates")
-        for i in range(rows):
-            for j in range(i + 1, cols):
-                if coords[i][j] != coords[j][i]:
-                    raise InputError("coordinates are not symmetric")
-    elif model.kind == "mat":
-        if (rows, cols) != model.params:
-            raise InputError(f"expected {model.params[0]}x{model.params[1]} coordinates")
-    elif model.kind == "skew":
-        n = model.params[0]
-        if (rows, cols) != (n, n):
-            raise InputError(f"expected {n}x{n} coordinates")
-        if not linalg.is_skew(coords):
-            raise InputError("coordinates are not skew-symmetric")
+    rows, cols = _coords_shape(model)
+    if shape != (rows, cols):
+        raise InputError(f"expected {rows}x{cols} coordinates")
+    if model.kind == "sym" and any(
+        coords[i][j] != coords[j][i] for i in range(rows) for j in range(i + 1, cols)
+    ):
+        raise InputError("coordinates are not symmetric")
+    if model.kind == "skew" and not linalg.is_skew(coords):
+        raise InputError("coordinates are not skew-symmetric")
+
+
+def _coords_shape(model: PSpaceModel) -> tuple[int, int]:
+    """(rows, cols) of a matrix model's coordinates: r x r, q x p or n x n."""
+    return model.params[0], model.params[-1]
 
 
 def zero_point(model: PSpaceModel) -> StratumPoint:
     if model.kind == "exc27":
-        from .jordan import jordan_zero
-
         return StratumPoint(model, jordan_zero("O_C", 3))
-    rows = {"sym": model.params[0], "mat": model.params[0], "skew": model.params[0]}[
-        model.kind
-    ]
-    cols = model.params[1] if model.kind == "mat" else rows
-    return StratumPoint(model, linalg.zeros(rows, cols))
+    return StratumPoint(model, linalg.zeros(*_coords_shape(model)))
 
 
 # --- rank and membership ------------------------------------------------------
@@ -287,16 +267,11 @@ def closure_membership(point: StratumPoint, s: int) -> bool:
 
 # --- sampling -------------------------------------------------------------------
 
-def _outer(u: list, v: list) -> list:
-    return [[x * y for y in v] for x in u]
-
-
 def sample_rank_one(model: PSpaceModel, seed: int, height: int = 10) -> StratumPoint:
-    """A random rank-1 point of the model.
-
-    For exc27 the vector has complexified-quaternion entries, which makes
-    v v* genuinely rank 1; sharp = 0 is verified, with bounded resampling
-    against the measure-zero degenerate draws.
+    """A random rank-1 point of the model: chart_point at a random vector
+    for the matrix models. For exc27 the vector v has complexified-quaternion
+    entries, which makes v v* genuinely rank 1; sharp = 0 is verified, with
+    bounded resampling against the measure-zero degenerate draws.
     """
     rng = make_rng(seed, "rank1", model.selector(), height)
     for _ in range(_RANK1_RETRIES):
@@ -307,35 +282,18 @@ def sample_rank_one(model: PSpaceModel, seed: int, height: int = 10) -> StratumP
 
 
 def _rank_one_from_rng(model: PSpaceModel, rng: Random, height: int) -> StratumPoint | None:
-    if model.kind == "sym":
-        r = model.params[0]
-        v = random_qi_vector(rng, r, height)
-        m = _outer(v, v)
-        if linalg.is_zero_matrix(m):
+    if model.kind == "exc27":
+        # quaternionic entries embedded in the complexified octonions
+        v = [random_cd(rng, 2, "Qi", height) for _ in range(3)]
+        a = rank_one_from_vector("O_C", v)
+        if a.is_zero() or not sharp(a).is_zero():
             return None
-        return StratumPoint(model, m, cached_rank=1)
-    if model.kind == "mat":
-        q, p = model.params
-        v = random_qi_vector(rng, q, height)
-        w = random_qi_vector(rng, p, height)
-        m = _outer(v, w)
-        if linalg.is_zero_matrix(m):
-            return None
-        return StratumPoint(model, m, cached_rank=1)
-    if model.kind == "skew":
-        n = model.params[0]
-        v = random_qi_vector(rng, n, height)
-        w = random_qi_vector(rng, n, height)
-        m = linalg.mat_sub(_outer(v, w), _outer(w, v))
-        if linalg.is_zero_matrix(m):
-            return None
-        return StratumPoint(model, m, cached_rank=1)
-    # exc27: quaternionic entries embedded in the complexified octonions
-    v = [random_cd(rng, 2, "Qi", height) for _ in range(3)]
-    a = rank_one_from_vector("O_C", v)
-    if a.is_zero() or not sharp(a).is_zero():
+        return StratumPoint(model, a, cached_rank=1)
+    point = chart_point(model, random_qi_vector(rng, chart_param_count(model), height))
+    if point.is_zero():
         return None
-    return StratumPoint(model, a, cached_rank=1)
+    point.cached_rank = 1
+    return point
 
 
 def sample_secant(model: PSpaceModel, k: int, seed: int, height: int = 10) -> StratumPoint:
@@ -344,7 +302,7 @@ def sample_secant(model: PSpaceModel, k: int, seed: int, height: int = 10) -> St
     over MAX_JACOBIAN_CELLS in all is rejected with InputError up front."""
     if k < 0:
         raise InputError("secant index k must be >= 0")
-    cells = 27 if model.kind == "exc27" else model.params[0] * model.params[-1]
+    cells = 27 if model.kind == "exc27" else math.prod(_coords_shape(model))
     check_cells(f"a sum of {k + 1} rank-1 samples of {model.selector()}", (k + 1) * cells)
     total = None
     for i in range(k + 1):
@@ -401,8 +359,14 @@ def chart_param_count(model: PSpaceModel) -> int:
     return 17
 
 
+def _outer(u: list, v: list) -> list:
+    return [[x * y for y in v] for x in u]
+
+
 def chart_point(model: PSpaceModel, params: list) -> StratumPoint:
-    """Quadratic rank-one chart used by the dimension oracle.
+    """The quadratic rank-one chart: the one definition of a model's rank-one
+    point. The dimension oracle differentiates it, the sampler evaluates it
+    at a random vector (exc27 excepted), and peeling evaluates it at a pivot.
 
     sym: v -> v v^t; mat: (v, w) -> v w^t; skew: (v, w) -> v w^t - w v^t.
     exc27: (x, y, w) -> v v* with v = (x, y, w 1), x and y full octonion
@@ -413,8 +377,7 @@ def chart_point(model: PSpaceModel, params: list) -> StratumPoint:
     if len(params) != chart_param_count(model):
         raise InputError("wrong chart parameter count")
     if model.kind == "sym":
-        v = params
-        return StratumPoint(model, _outer(v, v))
+        return StratumPoint(model, _outer(params, params))
     if model.kind == "mat":
         q = model.params[0]
         return StratumPoint(model, _outer(params[:q], params[q:]))
@@ -532,20 +495,16 @@ def _check_jacobian_cells(model: PSpaceModel, s: int):
 
 
 def stratum_dimension(
-    model: PSpaceModel,
-    s: int,
-    seed: int = 0,
-    height: int = 5,
-    attempts: int = 3,
+    model: PSpaceModel, s: int, seed: int = 0, height: int = 5
 ) -> tuple[int, int]:
     """(cone_dim, proj_dim) of the rank-s stratum closure.
 
     Parameterizes the cone by s-fold sums of rank-one charts and takes the
-    exact Jacobian rank at random rational points, maximized over several
-    points; a degenerate draw can only underestimate, never overestimate.
-    Each chart block contributes its closed-form columns B(e_t, p) +
-    B(p, e_t). A Jacobian of more than MAX_JACOBIAN_CELLS cells is rejected
-    with InputError before any point is drawn.
+    exact Jacobian rank at random rational points, maximized over up to
+    _DIM_ATTEMPTS points; a degenerate draw can only underestimate, never
+    overestimate. Each chart block contributes its closed-form columns
+    B(e_t, p) + B(p, e_t). A Jacobian of more than MAX_JACOBIAN_CELLS cells
+    is rejected with InputError before any point is drawn.
     """
     if not 1 <= s <= model.max_rank:
         raise InputError(f"stratum index {s} outside 1..{model.max_rank}")
@@ -553,7 +512,7 @@ def stratum_dimension(
     ppc = chart_param_count(model)
     cap = min(model.ambient_dim, s * ppc)
     best = 0
-    for attempt in range(attempts):
+    for attempt in range(_DIM_ATTEMPTS):
         rng = make_rng(seed, "stratum-dim", model.selector(), s, attempt, height)
         cols = []
         for _ in range(s):
@@ -576,14 +535,13 @@ class DefectData:
     scorza_ok: bool
 
 
-def defects(model: PSpaceModel, seed: int = 0, height: int = 5) -> DefectData:
+def defects(model: PSpaceModel, seed: int = 0) -> DefectData:
     """Secant defects, k0, and the two Scorza conditions, all from computed
-    stratum dimensions."""
+    stratum dimensions at stratum_dimension's default height."""
     if model.max_rank < 2:
         raise InputError("defect analysis needs max rank >= 2")
     _check_jacobian_cells(model, model.max_rank)  # the largest of the strata
-    dims = [stratum_dimension(model, s, seed=seed, height=height)[1]
-            for s in range(1, model.max_rank + 1)]
+    dims = [stratum_dimension(model, s, seed=seed)[1] for s in range(1, model.max_rank + 1)]
     ambient = model.ambient_proj_dim
     dim_x = dims[0]
     k0 = next(i for i in range(1, model.max_rank) if dims[i] == ambient)
@@ -608,49 +566,41 @@ def defects(model: PSpaceModel, seed: int = 0, height: int = 5) -> DefectData:
 
 def peel_rank_one(point: StratumPoint) -> list:
     """Decompose an exact sym/mat/skew point into rank_of-many rank-1
-    summands that re-sum to it exactly (Wedderburn elimination)."""
+    summands that re-sum to it exactly (Wedderburn elimination).
+
+    Each summand is chart_point at a pivot of the remainder A, scaled by
+    1/pivot. With (i, j) the first nonzero entry of A: mat takes (column j,
+    row i) and skew (column i, column j), both with pivot a_ij; sym takes
+    column i with pivot a_ii at its first nonzero diagonal entry, or, when
+    the diagonal is zero, column i + column j with pivot 2 a_ij = v^t A v.
+    """
     model = point.model
     if model.kind == "exc27":
         raise UnsupportedError("peeling is implemented for the matrix models only")
-    a = [row[:] for row in point.coords]
-    out = []
-    guard = 0
+    a, out = point.coords, []
     while not linalg.is_zero_matrix(a):
-        guard += 1
-        if guard > model.ambient_dim + 2:
+        if len(out) > model.ambient_dim + 1:
             raise RuntimeError("peeling failed to terminate")
-        if model.kind == "mat":
-            i, j = _first_nonzero(a)
-            col = [row[j] for row in a]
-            piece = linalg.mat_scale(_outer(col, a[i]), 1 / a[i][j])
-        elif model.kind == "sym":
-            n = len(a)
-            i = next((t for t in range(n) if a[t][t]), None)
-            if i is not None:
-                col = [row[i] for row in a]
-                piece = linalg.mat_scale(_outer(col, col), 1 / a[i][i])
-            else:
-                # zero diagonal: use v = e_i + e_j with a_ij != 0, so that
-                # v^t A v = 2 a_ij is a usable pivot
-                i, j = _first_nonzero(a)
-                u = [row[i] + row[j] for row in a]
-                pivot = u[i] + u[j]
-                piece = linalg.mat_scale(_outer(u, u), 1 / pivot)
+        i = next((t for t in range(len(a)) if a[t][t]), None) if model.kind == "sym" else None
+        if i is not None:
+            params, pivot = [row[i] for row in a], a[i][i]
         else:
             i, j = _first_nonzero(a)
-            ci = [row[i] for row in a]
-            cj = [row[j] for row in a]
-            piece = linalg.mat_scale(
-                linalg.mat_sub(_outer(ci, cj), _outer(cj, ci)), 1 / a[i][j]
-            )
-        out.append(StratumPoint(model, piece))
-        a = linalg.mat_sub(a, piece)
+            col_j = [row[j] for row in a]
+            if model.kind == "mat":
+                params, pivot = col_j + a[i], a[i][j]
+            elif model.kind == "skew":
+                params, pivot = [row[i] for row in a] + col_j, a[i][j]
+            else:  # sym with a zero diagonal
+                params = [row[i] + x for row, x in zip(a, col_j)]
+                pivot = params[i] + params[j]
+        piece = chart_point(model, params)
+        piece.coords = linalg.mat_scale(piece.coords, 1 / pivot)  # still sym/skew
+        out.append(piece)
+        a = linalg.mat_sub(a, piece.coords)
     return out
 
 
 def _first_nonzero(a: list) -> tuple[int, int]:
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if x:
-                return i, j
-    raise RuntimeError("no nonzero entry")
+    """(i, j) of the first nonzero entry of a nonzero matrix, in row order."""
+    return next((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)

@@ -21,11 +21,9 @@ from . import linalg
 from . import strata as st
 from .catalog import (
     catalog_scorza,
-    golden_names,
+    golden_objects,
     golden_text,
-    hermitian_json_obj,
     list_hermitian,
-    scorza_json_obj,
     severi_check,
     ScorzaEntry,
 )
@@ -57,6 +55,9 @@ OPS = {
 }
 
 ALL_OPS = frozenset(op for ops in OPS.values() for op in ops)
+
+# share of a probabilistic check's trials that must hit the generic case
+GENERIC_SHARE = 0.95
 
 
 @dataclass
@@ -105,7 +106,8 @@ class VerificationReport:
         }
 
 
-def _check(name, ops, trials, fn, threshold=1.0, info=None) -> CheckResult:
+def _check(name, ops, trials, fn, info=None) -> CheckResult:
+    """fn(t) -> (ok, witness); the check passes when every trial does."""
     passes = 0
     witness = None
     for t in range(trials):
@@ -114,16 +116,15 @@ def _check(name, ops, trials, fn, threshold=1.0, info=None) -> CheckResult:
             passes += 1
         elif witness is None:
             witness = _built(wit)
-    required = trials if threshold >= 1 else math.ceil(threshold * trials)
     return CheckResult(
-        name=name, trials=trials, passes=passes, required=required,
-        ok=passes >= required, ops=tuple(ops), witness=witness, info=info,
+        name=name, trials=trials, passes=passes, required=trials,
+        ok=passes == trials, ops=tuple(ops), witness=witness, info=info,
     )
 
 
-def _bound_and_generic(name, ops, trials, fn, threshold=0.95) -> CheckResult:
+def _bound_and_generic(name, ops, trials, fn) -> CheckResult:
     """fn(t) -> (bound_ok, generic_hit, witness); the hard bound must hold in
-    every trial, genericity in at least the threshold fraction."""
+    every trial, genericity in at least GENERIC_SHARE of them."""
     passes = 0
     generic = 0
     witness = None
@@ -135,7 +136,7 @@ def _bound_and_generic(name, ops, trials, fn, threshold=0.95) -> CheckResult:
             witness = _built(wit)
         if generic_hit:
             generic += 1
-    generic_required = math.ceil(threshold * trials)
+    generic_required = math.ceil(GENERIC_SHARE * trials)
     ok = passes == trials and generic >= generic_required
     return CheckResult(
         name=name, trials=trials, passes=passes, required=trials, ok=ok,
@@ -791,14 +792,8 @@ def suite_catalog(trials: int, seed: int) -> list:
     def goldens(t):
         from .cli import render_json
 
-        for name in golden_names():
-            if name.startswith("scorza"):
-                k = int(name.removeprefix("scorza_k").removesuffix(".json"))
-                rendered = render_json(scorza_json_obj(k))
-            else:
-                r = int(name.removeprefix("hermitian_r").removesuffix(".json"))
-                rendered = render_json(hermitian_json_obj(r))
-            if rendered != golden_text(name):
+        for name, obj in golden_objects().items():
+            if render_json(obj) != golden_text(name):
                 return False, {"file": name}
         return True, None
 

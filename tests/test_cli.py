@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -180,6 +181,41 @@ def test_main_calls_in_one_process_match_fresh_runs(monkeypatch):
     assert out5 == run_cli(default_seed_call + ["--seed", "5"]).stdout
 
 
+# sha256 of the stdout of `scorza sample --model M --secant K --seed 11`; any
+# change to a rank-one draw or to the arithmetic of a summand moves these
+SAMPLE_DIGESTS = {
+    ("sym:1", 0): "b5645e1a409446b905db24fac59d0413fd3b67510cc33967fdbc2146e5ea3574",
+    ("sym:1", 1): "99f614db401178cf39f4bebe1b5f80d7b5c8e0126f5bbb4c006314d02333c169",
+    ("sym:1", 2): "a8ef411bb628e7ab76eb45243c81f43c9a27e5ae8f557f5e1fda0909e2efa66b",
+    ("sym:3", 0): "4b70d40b5e1d30e7f8f08beed2f92d3792d628bcd3abf44af48baf9c7aa8bd3e",
+    ("sym:3", 1): "0cd6be5e973f21b8da7c4f6ab85d3736a5e85c94b875e10d719eede10e59e2d0",
+    ("sym:3", 2): "71160e14b1565a91a6647b70a6b4339ef90e06474dcda1ac3e7ae9b8fe2d3e5b",
+    ("mat:3,5", 0): "e45e2d9906728ebd9b31cd94cbbda8d405175919e9eb36518a7e9cdb290e4dbf",
+    ("mat:3,5", 1): "8379ed91324c7f48a3fc81599a2d04cc813e82c05a6fa82f45ca21c2085d2810",
+    ("mat:3,5", 2): "5e58abb0d5605748a4f4b04e9372d29eee42d64970e289d2b828d2c5f82a7ec3",
+    ("mat:4,1", 0): "30e1e25f66d1f8c60b44904d60069e08e136f3c3d8df46a8d50f44757facce47",
+    ("mat:4,1", 1): "a00117f90e69bcc83e92d05aa66652871d5db652aad690bead96552e6cee532d",
+    ("mat:4,1", 2): "bb836a816600f5fd7430fd37b75522dad85e4aaca76696e6279e2fc513d8a25e",
+    ("skew:2", 0): "d0788e3d6aab8a56c9d8464d82ac6912e766ba3ee14a5379823927c21090668b",
+    ("skew:2", 1): "5bc350c1dc9a1409cdc0b52ad694423200d36936a0ee0b7a56a69901a13666c6",
+    ("skew:2", 2): "522126f5ebbadd3b5f0967d782974971f84717c9347621c636f01f9366120745",
+    ("skew:7", 0): "290bde09113f7c0dc885bdbd4ada41e19136418112a3d269bb3519d8f66d351c",
+    ("skew:7", 1): "c34ac7500104fe9932072a87f904703c4bdbf9cbf46b81047b8e0b865b140c15",
+    ("skew:7", 2): "1ed8f2522106fd2135a79b3b2e72eb2cb321eb076165edb5661514943f58ae7d",
+    ("exc27", 0): "65913b5934b75287a0a91664b42923ab2f32a29bfe8d9f273f8ca138bfaa00ac",
+    ("exc27", 1): "152e7a2119e3efacf757661190859a4a423d648763dad9fd51f364d8cb8040bb",
+    ("exc27", 2): "bd60f1678db2191c3e6b0de129b2ee77475e63b2dbf8e0fbcec765d19f85b913",
+}
+
+
+@pytest.mark.parametrize("model,k", sorted(SAMPLE_DIGESTS))
+def test_sample_output_pinned(model, k):
+    code, out = _main_in_process(["sample", "--model", model, "--secant", str(k),
+                                  "--seed", "11"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_DIGESTS[model, k]
+
+
 def test_defects_json():
     result = run_cli(["defects", "--model", "mat:3,5"])
     data = json.loads(result.stdout)
@@ -233,11 +269,21 @@ def test_console_script_help():
     for sub in ("catalog", "verify", "sample", "dim", "defects", "invariant",
                 "reduce"):
         assert sub in result.stdout
+    # --model names the model grammar only, not the dual-pair cases
+    result = run_cli(["sample", "--help"])
+    assert result.returncode == 0
+    assert "exc27" in result.stdout
+    assert "sp:L" not in result.stdout
 
 
 SYM1_POINT = json.dumps({"model": {"kind": "sym", "r": 1},
                          "coords": [[{"re": "1/1", "im": "0/1"}]]})
 UNWRITABLE = "{tmp}/missing-dir/out.json"
+_OCT_ZERO = {"level": 3, "coeffs": [{"re": "0", "im": "0"}] * 8}
+# an exc27 point whose second upper-triangle row has one entry, not two
+EXC27_SHORT_ROW = json.dumps({"model": {"kind": "exc27"}, "coords": {
+    "n": 3, "algebra": "O_C",
+    "entries": [[_OCT_ZERO] * 3, [_OCT_ZERO], [_OCT_ZERO]]}})
 
 MALFORMED = {
     "invariant-bad-json-stdin": (["invariant"], "{not json"),
@@ -249,9 +295,15 @@ MALFORMED = {
     "invariant-ragged-coords": (
         ["invariant"], '{"model": {"kind": "sym", "r": 2}, "coords": '
         '[[{"re": "1", "im": "0"}, {"re": "1", "im": "0"}], [{"re": "1", "im": "0"}]]}'),
+    "invariant-unknown-model-kind": (
+        ["invariant"], '{"model": {"kind": "frob"}, "coords": [[{"re": "1", "im": "0"}]]}'),
+    "invariant-missing-model-param": (
+        ["invariant"], '{"model": {"kind": "mat", "q": 2}, "coords": []}'),
+    "invariant-exc27-short-row": (["invariant"], EXC27_SHORT_ROW),
     "sample-height-0": (["sample", "--model", "sym:3", "--height", "0"], None),
     "dim-height-0": (["dim", "--model", "sym:3", "--stratum", "1", "--height", "0"], None),
     "defects-height-0": (["defects", "--model", "sym:3", "--height", "0"], None),
+    "defects-height": (["defects", "--model", "sym:3", "--height", "3"], None),
     "reduce-height-0": (["reduce", "--case", "sp:2", "--s", "1", "--height", "0"], None),
     "reduce-height-negative": (["reduce", "--case", "sp:2", "--s", "1", "--height", "-4"], None),
     "catalog-out": (["catalog", "--k", "2", "--out", UNWRITABLE], None),

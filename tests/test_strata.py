@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 
 import pytest
@@ -244,19 +246,43 @@ def test_defects_scorza_conditions():
         defects(sym_model(1))
 
 
-@pytest.mark.parametrize("sel", ["sym:4", "mat:3,5", "skew:6"])
+# points that random draws do not reach, each with the sha256 of its pieces'
+# JSON, ranks included: a zero diagonal (the e_i + e_j pivot), a first
+# nonzero entry below row 0, a single row, and the smallest skew model
+PEEL_POINTS = {
+    "sym:3": ([[0, 1, 2], [1, 0, 3], [2, 3, 0]],
+              "0db7fcb79c3628166a8cabce01e5f0dc3dde568f00d3b4f392cb44b1962c011e"),
+    "mat:4,1": ([[0], [0], [2], [5]],
+                "d5b77bcf1c6a3fa0ede4bdbec7a92bcbd2943c53750ed087fd1d77852c3badf7"),
+    "mat:1,4": ([[0, 3, 0, -1]],
+                "58ad8510a58f775233398519edd1bae5e5598cfcee4fb031a924b8349f4af3c0"),
+    "skew:2": ([[0, 4], [-4, 0]],
+               "05324b27ef9e71c55f78f27e2671035c554dcc86c15efc24b93d3c263ac9d1e4"),
+}
+
+
+def _peel_exactly(p: StratumPoint) -> list:
+    pieces = peel_rank_one(p)
+    assert len(pieces) == rank_of(p)
+    total = zero_point(p.model)
+    for piece in pieces:
+        assert rank_of(piece) == 1
+        total = total + piece
+    assert total == p
+    return pieces
+
+
+@pytest.mark.parametrize("sel", ["sym:4", "mat:3,5", "skew:6", *PEEL_POINTS])
 def test_peeling_reconstructs_exactly(sel):
     model = parse_model(sel)
     for k in range(model.max_rank):
         for t in range(8):
-            p = sample_secant(model, k, seed=derive_seed("t-peel", sel, k, t))
-            pieces = peel_rank_one(p)
-            assert len(pieces) == rank_of(p)
-            total = zero_point(model)
-            for piece in pieces:
-                assert rank_of(piece) == 1
-                total = total + piece
-            assert total == p
+            _peel_exactly(sample_secant(model, k, seed=derive_seed("t-peel", sel, k, t)))
+    if sel in PEEL_POINTS:
+        rows, digest = PEEL_POINTS[sel]
+        pieces = _peel_exactly(StratumPoint(model, [[QI(x) for x in row] for row in rows]))
+        pieces_json = json.dumps([piece.to_json() for piece in pieces])
+        assert hashlib.sha256(pieces_json.encode()).hexdigest() == digest
 
 
 def test_peeling_unsupported_for_exc27():
