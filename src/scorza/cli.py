@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dim", help="exact dimension of a stratum closure")
     p.add_argument("--model", required=True, help=st.MODEL_GRAMMAR)
     p.add_argument("--stratum", type=int, required=True)
-    common(p)
+    common(p, height=False)
 
     p = sub.add_parser("defects", help="secant defects and Scorza conditions")
     p.add_argument("--model", required=True, help=st.MODEL_GRAMMAR)
@@ -155,15 +155,12 @@ def _dispatch(args) -> int:
         _emit_result(args, point.to_json(), _point_rows(point))
         return 0
     if args.command == "dim":
-        cone, proj = st.stratum_dimension(
-            st.parse_model(args.model), args.stratum, seed=seed,
-            height=args.height,
-        )
+        cone, proj = st.stratum_dimension(st.parse_model(args.model), args.stratum)
         obj = {"cone_dim": cone, "proj_dim": proj}
         _emit_result(args, obj, [["cone_dim", cone], ["proj_dim", proj]])
         return 0
     if args.command == "defects":
-        d = st.defects(st.parse_model(args.model), seed=seed)
+        d = st.defects(st.parse_model(args.model))
         obj = {
             "model": d.model.selector(),
             "dim_x": d.dim_x,

@@ -199,13 +199,9 @@ def rank_one_from_vector(algebra: str, v) -> JordanElement:
     vv = [x if x.level == level else x.embed(level) for x in v]
     if any(x.field != field for x in vv):
         raise InputError("vector entries must match the algebra's field tag")
-    rows = []
-    for i in range(len(vv)):
-        row = []
-        for j in range(len(vv)):
-            row.append(vv[i] * vv[j].conjugate())
-        rows.append(tuple(row))
-    return JordanElement(algebra, tuple(rows))
+    n = len(vv)
+    upper = [[vv[i] * vv[j].conjugate() for j in range(i, n)] for i in range(n)]
+    return from_upper(algebra, upper)
 
 
 def random_hermitian(rng: Random, algebra: str, n: int, height: int = 10) -> JordanElement:

@@ -3,9 +3,10 @@
 Models: complex symmetric r x r matrices, rectangular q x p matrices,
 skew n x n matrices, and the 27-dimensional hermitian 3 x 3 model over the
 complexified octonions. Rank is exact matrix rank (halved for skew), the
-relative invariant is the determinant / Pfaffian / cubic norm, and stratum
-dimensions are exact Jacobian ranks of rank-one-sum parameterizations at
-random rational points. Every rank-one chart is quadratic, F(p) = B(p, p),
+relative invariant is the determinant / Pfaffian / cubic norm, and a
+stratum's dimension is the exact Jacobian rank of the s-fold rank-one chart
+sum at parameters summing to the frame point, where it equals the rank-s
+orbit's tangent space. Every rank-one chart is quadratic, F(p) = B(p, p),
 so its Jacobian is written in closed form, DF(p)e = B(e, p) + B(p, e),
 without evaluating the chart.
 """
@@ -29,23 +30,21 @@ from .jordan import (
     sharp,
 )
 from .sampling import derive_seed, make_rng, random_qi, random_qi_vector, random_square
-from .scalars import QI, QI_ZERO
+from .scalars import QI, QI_ONE, QI_ZERO
 
 # model kind -> the names of its parameters, in selector and JSON order
 _PARAMS = {"sym": ("r",), "mat": ("q", "p"), "skew": ("n",), "exc27": ()}
 MODEL_GRAMMAR = "sym:R | mat:Q,P | skew:N | exc27"
 
 _RANK1_RETRIES = 32
-# random points at which stratum_dimension ranks its Jacobian, at most
-_DIM_ATTEMPTS = 3
 
 # Largest Jacobian the dimension oracle will rank, in cells: s chart
 # blocks of chart_param_count rows by ambient_dim columns. It admits every
 # Scorza family of catalog_scorza(k) for k <= 6 (the largest is skew:15 at
-# s = 7, 210 x 105 = 22,050 cells, ranked in about 3.5 s on one Xeon vCPU
-# under Python 3.11); skew:16 at s = 8 (k = 7) already needs 30,720. The
-# same budget bounds a model's ambient_dim and a dual-pair case's matrix
-# size, so that no command starts work whose cost has no bound.
+# s = 7, 210 x 105 = 22,050 cells, ranked at the frame point in about 0.3 s
+# on one Xeon vCPU under Python 3.11); skew:16 at s = 8 (k = 7) already
+# needs 30,720. The same budget bounds a model's ambient_dim and a dual-pair
+# case's matrix size, so that no command starts work whose cost has no bound.
 MAX_JACOBIAN_CELLS = 25_000
 
 
@@ -365,8 +364,9 @@ def _outer(u: list, v: list) -> list:
 
 def chart_point(model: PSpaceModel, params: list) -> StratumPoint:
     """The quadratic rank-one chart: the one definition of a model's rank-one
-    point. The dimension oracle differentiates it, the sampler evaluates it
-    at a random vector (exc27 excepted), and peeling evaluates it at a pivot.
+    point. The dimension oracle differentiates it at the frame point, the
+    sampler evaluates it at a random vector (exc27 excepted), and peeling
+    evaluates it at a pivot.
 
     sym: v -> v v^t; mat: (v, w) -> v w^t; skew: (v, w) -> v w^t - w v^t.
     exc27: (x, y, w) -> v v* with v = (x, y, w 1), x and y full octonion
@@ -494,34 +494,39 @@ def _check_jacobian_cells(model: PSpaceModel, s: int):
     check_cells(f"the {rows} x {cols} Jacobian of stratum {s} of {model}", rows * cols)
 
 
-def stratum_dimension(
-    model: PSpaceModel, s: int, seed: int = 0, height: int = 5
-) -> tuple[int, int]:
-    """(cone_dim, proj_dim) of the rank-s stratum closure.
+def _frame_blocks(model: PSpaceModel, s: int) -> list:
+    """s chart parameter blocks whose charts sum to the frame point c_s: sym
+    e_k; mat (e_k, e_k); skew (e_2k, e_2k+1); exc27 the unit w, then y_0,
+    then x_0 (parameters 16, 8, 0), whose charts are E_33, E_22 and E_11.
+    Not x_0 first: the exc27 chart at x = 1 has rank 10, not 17."""
+    n = model.params[0] if model.params else 0
+    ones = {"sym": [(k,) for k in range(s)], "mat": [(k, n + k) for k in range(s)],
+            "skew": [(2 * k, n + 2 * k + 1) for k in range(s)],
+            "exc27": [(16,), (8,), (0,)][:s]}[model.kind]
+    ppc = chart_param_count(model)
+    return [[QI_ONE if t in unit else QI_ZERO for t in range(ppc)] for unit in ones]
 
-    Parameterizes the cone by s-fold sums of rank-one charts and takes the
-    exact Jacobian rank at random rational points, maximized over up to
-    _DIM_ATTEMPTS points; a degenerate draw can only underestimate, never
-    overestimate. Each chart block contributes its closed-form columns
+
+def stratum_dimension(model: PSpaceModel, s: int) -> tuple[int, int]:
+    """(cone_dim, proj_dim) of the rank-s stratum closure, exactly.
+
+    The cone is the image of the s-fold sum of rank-one charts. All rank-s
+    points form one orbit of the structure group, and the chart sum is
+    equivariant under it, so at parameters summing to the frame point c_s
+    the Jacobian's column space is the orbit's tangent space there (for sym,
+    sum_k w_k e_k^t + e_k w_k^t = {X c + c X^t}; mat and skew alike). Its rank
+    is the stratum dimension, with no random draw. For exc27 a rank at any
+    point is at most the generic rank, so the tests that pin 17, 26 and 27
+    show the frame exact there too. Each block contributes its closed-form columns
     B(e_t, p) + B(p, e_t). A Jacobian of more than MAX_JACOBIAN_CELLS cells
-    is rejected with InputError before any point is drawn.
+    is rejected with InputError before any column is built.
     """
     if not 1 <= s <= model.max_rank:
         raise InputError(f"stratum index {s} outside 1..{model.max_rank}")
     _check_jacobian_cells(model, s)
-    ppc = chart_param_count(model)
-    cap = min(model.ambient_dim, s * ppc)
-    best = 0
-    for attempt in range(_DIM_ATTEMPTS):
-        rng = make_rng(seed, "stratum-dim", model.selector(), s, attempt, height)
-        cols = []
-        for _ in range(s):
-            block = random_qi_vector(rng, ppc, height)
-            cols.extend(_chart_jacobian_columns(model, block))
-        best = max(best, linalg.rank(cols))
-        if best == cap:
-            break
-    return best, best - 1
+    blocks = _frame_blocks(model, s)
+    dim = linalg.rank([c for block in blocks for c in _chart_jacobian_columns(model, block)])
+    return dim, dim - 1
 
 
 @dataclass(frozen=True)
@@ -535,13 +540,13 @@ class DefectData:
     scorza_ok: bool
 
 
-def defects(model: PSpaceModel, seed: int = 0) -> DefectData:
-    """Secant defects, k0, and the two Scorza conditions, all from computed
-    stratum dimensions at stratum_dimension's default height."""
+def defects(model: PSpaceModel) -> DefectData:
+    """Secant defects, k0, and the two Scorza conditions, all from the exact
+    stratum dimensions of stratum_dimension."""
     if model.max_rank < 2:
         raise InputError("defect analysis needs max rank >= 2")
     _check_jacobian_cells(model, model.max_rank)  # the largest of the strata
-    dims = [stratum_dimension(model, s, seed=seed)[1] for s in range(1, model.max_rank + 1)]
+    dims = [stratum_dimension(model, s)[1] for s in range(1, model.max_rank + 1)]
     ambient = model.ambient_proj_dim
     dim_x = dims[0]
     k0 = next(i for i in range(1, model.max_rank) if dims[i] == ambient)

@@ -488,11 +488,11 @@ def suite_strata(trials: int, seed: int) -> list:
     def dims_table(t):
         for sel, (dim_x, m, chordal_dim) in severi.items():
             model = st.parse_model(sel)
-            if st.stratum_dimension(model, 1, seed=seed)[1] != dim_x:
+            if st.stratum_dimension(model, 1)[1] != dim_x:
                 return False, {"model": sel, "stratum": 1}
-            if st.stratum_dimension(model, 2, seed=seed)[1] != chordal_dim:
+            if st.stratum_dimension(model, 2)[1] != chordal_dim:
                 return False, {"model": sel, "stratum": 2}
-            top = st.stratum_dimension(model, model.max_rank, seed=seed)[1]
+            top = st.stratum_dimension(model, model.max_rank)[1]
             if top != m:
                 return False, {"model": sel, "stratum": model.max_rank}
             if Fraction(3, 2) * dim_x + 2 != m:
@@ -500,9 +500,9 @@ def suite_strata(trials: int, seed: int) -> list:
         # the non-regular k = 2 rows exist but fail the critical relation
         for sel, (dim_x, m) in {"mat:3,4": (5, 11), "skew:7": (10, 20)}.items():
             model = st.parse_model(sel)
-            if st.stratum_dimension(model, 1, seed=seed)[1] != dim_x:
+            if st.stratum_dimension(model, 1)[1] != dim_x:
                 return False, {"model": sel, "stratum": 1}
-            if st.stratum_dimension(model, model.max_rank, seed=seed)[1] != m:
+            if st.stratum_dimension(model, model.max_rank)[1] != m:
                 return False, {"model": sel, "stratum": model.max_rank}
             if Fraction(3, 2) * dim_x + 2 == m:
                 return False, {"model": sel, "relation": "severi-should-fail"}
@@ -515,7 +515,7 @@ def suite_strata(trials: int, seed: int) -> list:
     def quadric(t):
         model = st.skew_model(5)
         ok = (
-            st.stratum_dimension(model, 1, seed=seed)[1] == 6
+            st.stratum_dimension(model, 1)[1] == 6
             and model.ambient_proj_dim == 9
         )
         return ok, None
@@ -532,10 +532,10 @@ def suite_strata(trials: int, seed: int) -> list:
             ("exc27", (8, 16), 2, True),
         ]
         for sel, deltas, k0, ok_flag in expected:
-            d = st.defects(st.parse_model(sel), seed=seed)
+            d = st.defects(st.parse_model(sel))
             if (d.deltas, d.k0, d.scorza_ok) != (deltas, k0, ok_flag):
                 return False, {"model": sel, "got": [list(d.deltas), d.k0, d.scorza_ok]}
-        d = st.defects(st.mat_model(3, 5), seed=seed)
+        d = st.defects(st.mat_model(3, 5))
         if d.k0 + (5 - 3) // 2 != d.dim_x // d.deltas[0]:
             return False, {"model": "mat:3,5", "relation": "k0-shift"}
         return True, None
@@ -808,7 +808,7 @@ def suite_catalog(trials: int, seed: int) -> list:
                 if not e.regular:
                     continue
                 model = st.parse_model(e.p_model)
-                got = st.stratum_dimension(model, model.max_rank, seed=seed)[1]
+                got = st.stratum_dimension(model, model.max_rank)[1]
                 if got != e.ambient_m:
                     return False, {"k": k, "label": e.label, "got": got}
         return True, None

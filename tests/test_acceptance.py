@@ -11,7 +11,7 @@ import sys
 import time
 from fractions import Fraction
 
-from scorza.catalog import golden_names, golden_text
+from scorza.catalog import catalog_scorza, golden_names, golden_text
 from scorza.jordan import generic_det, sharp
 from scorza.sampling import derive_seed
 from scorza.strata import (
@@ -80,19 +80,25 @@ def test_criterion_3_dimension_tables():
     for k, table in DIMENSION_TABLE.items():
         for sel, (dim_x, m) in table.items():
             model = parse_model(sel)
-            got_x = stratum_dimension(model, 1, seed=SEED)[1]
-            got_m = stratum_dimension(model, model.max_rank, seed=SEED)[1]
+            got_x = stratum_dimension(model, 1)[1]
+            got_m = stratum_dimension(model, model.max_rank)[1]
             if (got_x, got_m) != (dim_x, m):
                 failures.append((k, sel, got_x, got_m))
+    for k in range(2, 7):
+        for e in catalog_scorza(k):
+            model = parse_model(e.p_model)
+            got = (stratum_dimension(model, 1)[1], stratum_dimension(model, model.max_rank)[1])
+            if got != (e.dim_x, e.ambient_m):
+                failures.append(("catalog", k, e.p_model, got))
     for sel, expected in CHORDAL_DIMS.items():
-        got = stratum_dimension(parse_model(sel), 2, seed=SEED)[1]
+        got = stratum_dimension(parse_model(sel), 2)[1]
         if got != expected:
             failures.append(("chordal", sel, got))
     elapsed = time.perf_counter() - start
     _report(
         3,
-        f"dimension tables k=2,3,4 plus chordal rows, exact integers, "
-        f"{elapsed:.1f}s (failures: {failures})",
+        f"dimension tables k=2,3,4, every catalog family k=2..6, chordal rows, "
+        f"exact integers, {elapsed:.1f}s (failures: {failures})",
         not failures,
     )
 
@@ -101,8 +107,8 @@ def test_criterion_4_severi_relation():
     computed = {}
     for sel in ("sym:3", "mat:3,3", "mat:3,4", "skew:6", "skew:7", "exc27"):
         model = parse_model(sel)
-        n = stratum_dimension(model, 1, seed=SEED)[1]
-        m = stratum_dimension(model, model.max_rank, seed=SEED)[1]
+        n = stratum_dimension(model, 1)[1]
+        m = stratum_dimension(model, model.max_rank)[1]
         computed[sel] = Fraction(3, 2) * n + 2 == m
     expected = {"sym:3": True, "mat:3,3": True, "mat:3,4": False,
                 "skew:6": True, "skew:7": False, "exc27": True}
@@ -120,17 +126,23 @@ def test_criterion_5_scorza_conditions():
                         f"skew:{2 * k + 3}"]
     scorza_true.append("exc27")
     for sel in scorza_true:
-        d = defects(parse_model(sel), seed=SEED)
+        d = defects(parse_model(sel))
         if not d.scorza_ok:
             failures.append((sel, "expected scorza_ok"))
     for sel, p, q in (("mat:3,5", 5, 3), ("mat:3,6", 6, 3)):
-        d = defects(parse_model(sel), seed=SEED)
+        d = defects(parse_model(sel))
         if d.scorza_ok:
             failures.append((sel, "expected not scorza_ok"))
         if d.k0 + (p - q) // 2 != d.dim_x // d.deltas[0]:
             failures.append((sel, "rank-shift identity"))
-    _report(5, f"defect conditions at k=2,3 and the two rectangular "
-               f"counterexamples (failures: {failures})", not failures)
+    for k in range(2, 7):
+        for e in catalog_scorza(k):
+            d = defects(parse_model(e.p_model))
+            got = (d.dim_x, d.ambient_proj_dim, d.deltas[0], d.k0, d.scorza_ok)
+            if got != (e.dim_x, e.ambient_m, e.delta, e.k0, True):
+                failures.append((e.p_model, "catalog row", got))
+    _report(5, f"defect conditions at k=2,3, every catalog family k=2..6 and "
+               f"the two rectangular counterexamples (failures: {failures})", not failures)
 
 
 SECANT_MODELS = ("sym:3", "mat:3,3", "mat:3,5", "skew:6", "skew:7", "exc27")

@@ -47,6 +47,13 @@ def test_dim_exc27_stratum_one():
     assert json.loads(result.stdout) == {"cone_dim": 17, "proj_dim": 16}
 
 
+def test_dim_ignores_the_seed():
+    one, two = (run_cli(["dim", "--model", "skew:7", "--stratum", "2", "--seed", seed])
+                for seed in ("1", "2"))
+    assert one.returncode == two.returncode == 0
+    assert one.stdout == two.stdout
+
+
 def test_bad_selector_exits_2_with_grammar():
     result = run_cli(["dim", "--model", "frobenius:9", "--stratum", "1"])
     assert result.returncode == 2
@@ -302,6 +309,7 @@ MALFORMED = {
     "invariant-exc27-short-row": (["invariant"], EXC27_SHORT_ROW),
     "sample-height-0": (["sample", "--model", "sym:3", "--height", "0"], None),
     "dim-height-0": (["dim", "--model", "sym:3", "--stratum", "1", "--height", "0"], None),
+    "dim-height": (["dim", "--model", "sym:3", "--stratum", "1", "--height", "3"], None),
     "defects-height-0": (["defects", "--model", "sym:3", "--height", "0"], None),
     "defects-height": (["defects", "--model", "sym:3", "--height", "3"], None),
     "reduce-height-0": (["reduce", "--case", "sp:2", "--s", "1", "--height", "0"], None),

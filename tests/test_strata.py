@@ -173,6 +173,39 @@ def test_stratum_dimension_nonregular_and_quadric():
         stratum_dimension(sym_model(3), 4)
 
 
+# every stratum of sym:1..8, mat:q,p (q <= 6, p <= 7), skew:2..11 and exc27
+CLOSED_FORM_GRID = (
+    [sym_model(r) for r in range(1, 9)]
+    + [mat_model(q, p) for q in range(1, 7) for p in range(1, 8)]
+    + [skew_model(n) for n in range(2, 12)]
+    + [EXC27]
+)
+
+
+def _closed_form_cone_dim(model, s):
+    if model.kind == "sym":
+        r = model.params[0]
+        return s * r - s * (s - 1) // 2
+    if model.kind == "mat":
+        q, p = model.params
+        return s * (q + p - s)
+    if model.kind == "skew":
+        n = model.params[0]
+        return s * (2 * n - 2 * s - 1)
+    return (17, 26, 27)[s - 1]
+
+
+def test_stratum_dimension_matches_closed_forms():
+    assert len(CLOSED_FORM_GRID) == 61
+    got, want = {}, {}
+    for model in CLOSED_FORM_GRID:
+        for s in range(1, model.max_rank + 1):
+            got[model.selector(), s] = stratum_dimension(model, s)
+            cone = _closed_form_cone_dim(model, s)
+            want[model.selector(), s] = (cone, cone - 1)
+    assert got == want
+
+
 def _symmetric_difference_columns(model, block):
     # (F(p + e_t) - F(p - e_t)) / 2 is exactly DF(p)e_t for a quadratic chart
     cols = []
@@ -206,7 +239,7 @@ def test_stratum_dimension_cost_limit():
             cells[e.p_model] = (model.max_rank * chart_param_count(model)
                                 * model.ambient_dim)
     assert max(cells.values()) == cells["skew:15"] == 210 * 105 <= MAX_JACOBIAN_CELLS
-    # rejected before any point is drawn, so at once
+    # rejected before any column is built, so at once
     start = time.perf_counter()
     for model, s in ((mat_model(40, 40), 40), (mat_model(40, 40), 1), (skew_model(16), 8)):
         with pytest.raises(InputError, match="Jacobian"):
