@@ -8,9 +8,10 @@ The doubling convention is fixed once as
     (a, b) * (c, d) = (a*c - conj(d)*b,  d*a + b*conj(c))
 
 and a basis product table per level is generated from it at import time.
-Every product runs through one kernel per level, compiled at import from
-that table into straight-line code on integer planes; the recursion is
-kept as the reference path the tests cross-check it against.
+Every product runs through one kernel per level and field tag, compiled
+at import from that table into straight-line code on integer planes (the
+tag-Q kernel multiplies real parts only); the recursion is kept as the
+reference path the tests cross-check both against.
 
 An element is stored as the integer plane of `scalars` of its 2^level
 coefficients: one positive denominator and the interleaved integer
@@ -118,7 +119,7 @@ class CDElement:
         self._require_match(other)
         da, a = self.int_form()
         db, b = other.int_form()
-        out = _KERNELS[self.level](a, b, [0] * (2 << self.level))
+        out = _kernel(self.level, self.field)(a, b, [0] * (2 << self.level))
         return _element(self.level, self.field, da * db, out)
 
     def scale(self, s) -> "CDElement":
@@ -314,28 +315,39 @@ def _build_tables():
 _TABLES = _build_tables()
 
 
-def _compile_kernel(level: int):
+def _compile_kernel(level: int, real: bool):
     """The level's product of interleaved integer planes, added into out:
     straight-line code, built from the table's integers only, in which
-    e_i e_j = sign e_k adds sign (a_i b_j), parts multiplied out, to out k."""
+    e_i e_j = sign e_k adds sign (a_i b_j), parts multiplied out, to out k.
+    The real kernel serves tag Q, whose imaginary parts are all 0: it forms
+    the products of real parts only and leaves out's imaginary slots alone."""
     n = 1 << level
     terms = [[] for _ in range(2 * n)]  # signed products summed into out[t]
     for i, row in enumerate(_TABLES[level]):
         for j, (k, sign) in enumerate(row):
             p, m = ("+", "-") if sign > 0 else ("-", "+")
             ar, ai, br, bi = f"a{2 * i}", f"a{2 * i + 1}", f"b{2 * j}", f"b{2 * j + 1}"
-            terms[2 * k] += [f"{p} {ar}*{br}", f"{m} {ai}*{bi}"]
-            terms[2 * k + 1] += [f"{p} {ar}*{bi}", f"{p} {ai}*{br}"]
+            terms[2 * k].append(f"{p} {ar}*{br}")
+            if not real:
+                terms[2 * k].append(f"{m} {ai}*{bi}")
+                terms[2 * k + 1] += [f"{p} {ar}*{bi}", f"{p} {ai}*{br}"]
     a = ", ".join(f"a{t}" for t in range(2 * n))
     lines = ["def kernel(a, b, out):", f"    {a}, = a", f"    {a.replace('a', 'b')}, = b"]
-    lines += [f"    out[{t}] += {' '.join(ts).lstrip('+ ')}" for t, ts in enumerate(terms)]
+    lines += [f"    out[{t}] += {' '.join(ts).lstrip('+ ')}" for t, ts in enumerate(terms) if ts]
     lines.append("    return out")
     namespace = {}
-    exec(compile("\n".join(lines), f"<cayley_dickson level {level}>", "exec"), namespace)
+    name = f"<cayley_dickson level {level}{' real' if real else ''}>"
+    exec(compile("\n".join(lines), name, "exec"), namespace)
     return namespace["kernel"]
 
 
-_KERNELS = [_compile_kernel(level) for level in range(MAX_LEVEL + 1)]
+_KERNELS = [_compile_kernel(level, False) for level in range(MAX_LEVEL + 1)]
+_REAL_KERNELS = [_compile_kernel(level, True) for level in range(MAX_LEVEL + 1)]
+
+
+def _kernel(level: int, field: str):
+    """The compiled product for planes of this level and field tag."""
+    return (_REAL_KERNELS if field == FIELD_Q else _KERNELS)[level]
 
 
 def associativity_counterexample(field: str = FIELD_Q):

@@ -30,7 +30,6 @@ that negates or swaps real and imaginary parts. The dense builders
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 
 from . import linalg
@@ -45,12 +44,12 @@ from .strata import (
 
 KINDS = ("sp", "u", "ostar")
 
-# exact Pythagorean pairs for rational rotations
-_PYTH = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
-         (Fraction(8, 17), Fraction(15, 17)))
-# exact hyperbolic pairs with c^2 - s^2 = 1
-_HYP = ((Fraction(5, 4), Fraction(3, 4)), (Fraction(13, 12), Fraction(5, 12)),
-        (Fraction(17, 15), Fraction(8, 15)))
+# exact Pythagorean pairs (a/c, b/c), a^2 + b^2 = c^2, for rational rotations
+_PYTH = tuple((QI.from_ints(a, 0, c), QI.from_ints(b, 0, c))
+              for a, b, c in ((3, 4, 5), (5, 12, 13), (8, 15, 17)))
+# exact hyperbolic pairs (a/c, b/c) with a^2 - b^2 = c^2
+_HYP = tuple((QI.from_ints(a, 0, c), QI.from_ints(b, 0, c))
+             for a, b, c in ((5, 3, 4), (13, 5, 12), (17, 8, 15)))
 
 
 CASE_GRAMMAR = "sp:L | u:P,Q | ostar:D"
@@ -456,13 +455,13 @@ def random_lie_g(case: DualPairCase, rng: Random) -> list:
         return _block(a, b, c, linalg.mat_neg(linalg.transpose(a)))
     if case.kind == "u":
         p, q = case.params
-        a = random_square(p, lambda: QI(0, random_fraction(rng, height)), qi, anti)
-        d = random_square(q, lambda: QI(0, random_fraction(rng, height)), qi, anti)
+        a = random_square(p, lambda: random_fraction(rng, height).times_unit(1), qi, anti)
+        d = random_square(q, lambda: random_fraction(rng, height).times_unit(1), qi, anti)
         b = random_qi_matrix(rng, p, q, height)
         return _block(a, b, linalg.conj_transpose(b), d)
     d = case.params[0]
     a = random_square(d, lambda: QI_ZERO, qi, lambda x: -x)  # complex skew
-    b = random_square(d, lambda: QI(random_fraction(rng, height)), qi, QI.conjugate)
+    b = random_square(d, lambda: random_fraction(rng, height), qi, QI.conjugate)
     return _block(
         a, b, linalg.mat_neg(linalg.mat_conj(b)), linalg.mat_conj(a)
     )
@@ -502,8 +501,8 @@ def _plane_rotations(n: int, planes, c, s, t) -> list:
     for each plane (i, j)."""
     m = linalg.identity(n)
     for i, j in planes:
-        m[i][i] = m[j][j] = QI(c)
-        m[i][j], m[j][i] = QI(s), QI(t)
+        m[i][i] = m[j][j] = c
+        m[i][j], m[j][i] = s, t
     return m
 
 
@@ -526,8 +525,7 @@ def _h_generator(case: DualPairCase, rng: Random) -> list:
     units = [
         (QI_ONE, QI_ZERO), (-QI_ONE, QI_ZERO), (QI_I, QI_ZERO), (-QI_I, QI_ZERO),
         (QI_ZERO, QI_ONE), (QI_ZERO, -QI_ONE), (QI_ZERO, QI_I), (QI_ZERO, -QI_I),
-        (QI(Fraction(3, 5)), QI(Fraction(4, 5))),
-        (QI(Fraction(3, 5)), QI(0, Fraction(4, 5))),
+        _PYTH[0], (_PYTH[0][0], _PYTH[0][1].times_unit(1)),  # 3/5 + 4/5 j, 3/5 + 4/5 ij
     ]
     a = linalg.zeros(s, s)
     b = linalg.zeros(s, s)
@@ -573,8 +571,7 @@ def _g_generator(case: DualPairCase, rng: Random) -> list:
         units = [
             (QI_ONE, QI_ZERO), (-QI_ONE, QI_ZERO),
             (QI_ZERO, QI_ONE), (QI_ZERO, -QI_ONE),
-            (QI(Fraction(3, 5)), QI(Fraction(4, 5))),
-            (QI(Fraction(5, 13)), QI(Fraction(12, 13))),
+            _PYTH[0], _PYTH[1],  # 3/5 + 4/5 j, 5/13 + 12/13 j
         ]
         p = _permutation(rng, d, signs=False)
         a = linalg.zeros(d, d)

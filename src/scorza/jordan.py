@@ -18,12 +18,11 @@ out of scope here, so sharp, determinant, and rank stay degree-3 only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 
 from .cayley_dickson import (
-    _KERNELS,
     _element,
+    _kernel,
     CDElement,
     FIELD_Q,
     FIELD_QI,
@@ -31,7 +30,7 @@ from .cayley_dickson import (
     random_cd,
 )
 from .errors import InputError, UnsupportedError
-from .scalars import QI, QI_ONE, QI_ZERO, common_plane
+from .scalars import HALF, QI, QI_ONE, QI_ZERO, common_plane, from_plane
 from .sampling import random_qi, random_square
 
 # algebra tag -> (Cayley-Dickson level, scalar field tag)
@@ -84,6 +83,15 @@ class JordanElement:
                 if self.entries[j][i] != self.entries[i][j].conjugate():
                     raise InputError("matrix is not hermitian")
 
+    @staticmethod
+    def _trusted(algebra: str, entries: tuple) -> "JordanElement":
+        """The element with these entries, built without `__post_init__`'s
+        checks: for results hermitian by construction, whose entries already
+        lie in the algebra, such as sums, scalings and Jordan products."""
+        x = object.__new__(JordanElement)
+        x.__dict__.update(algebra=algebra, entries=entries)
+        return x
+
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -97,7 +105,7 @@ class JordanElement:
 
     def __add__(self, other: "JordanElement") -> "JordanElement":
         self._require_match(other)
-        return JordanElement(
+        return JordanElement._trusted(
             self.algebra,
             tuple(
                 tuple(a + b for a, b in zip(ra, rb))
@@ -107,7 +115,7 @@ class JordanElement:
 
     def __sub__(self, other: "JordanElement") -> "JordanElement":
         self._require_match(other)
-        return JordanElement(
+        return JordanElement._trusted(
             self.algebra,
             tuple(
                 tuple(a - b for a, b in zip(ra, rb))
@@ -116,13 +124,13 @@ class JordanElement:
         )
 
     def __neg__(self) -> "JordanElement":
-        return JordanElement(
+        return JordanElement._trusted(
             self.algebra, tuple(tuple(-a for a in row) for row in self.entries)
         )
 
     def scale(self, s) -> "JordanElement":
         s = s if isinstance(s, QI) else QI(s)
-        return JordanElement(
+        return JordanElement._trusted(
             self.algebra, tuple(tuple(a.scale(s) for a in row) for row in self.entries)
         )
 
@@ -236,7 +244,7 @@ def _int_form(x: JordanElement) -> tuple:
 def _from_int_form(algebra: str, den: int, rows: list) -> JordanElement:
     """The element whose entries are the planes rows[i][j] over den."""
     level, field = ALGEBRAS[algebra]
-    return JordanElement(
+    return JordanElement._trusted(
         algebra,
         tuple([tuple([_element(level, field, den, flat) for flat in line]) for line in rows]),
     )
@@ -250,8 +258,8 @@ def jordan_product(x: JordanElement, y: JordanElement) -> JordanElement:
     scalar pair kept and the rest negated, as in `CDElement.conjugate`.
     """
     x._require_match(y)
-    level = algebra_level(x.algebra)
-    mul = _KERNELS[level]
+    level, field = ALGEBRAS[x.algebra]
+    mul = _kernel(level, field)
     width = 2 << level
     n = x.n
     dx, X = _int_form(x)
@@ -294,7 +302,7 @@ def sharp(x: JordanElement) -> JordanElement:
         raise UnsupportedError("sharp is defined for 3x3 elements only")
     x2 = jordan_product(x, x)
     t = jtrace(x)
-    s = (t * t - jtrace(x2)) * QI(Fraction(1, 2))
+    s = (t * t - jtrace(x2)) * HALF
     ident = jordan_identity(x.algebra, 3)
     return x2 - x.scale(t) + ident.scale(s)
 
@@ -315,7 +323,7 @@ def generic_det(x: JordanElement) -> QI:
         power_sums.append(jtrace(xk))
         if k < n:
             xk = jordan_product(xk, x)
-    elem = [QI(1)]
+    elem = [QI_ONE]
     for k in range(1, n + 1):
         acc = QI_ZERO
         sign = 1
@@ -323,7 +331,7 @@ def generic_det(x: JordanElement) -> QI:
             term = elem[k - i] * power_sums[i - 1]
             acc = acc + term if sign > 0 else acc - term
             sign = -sign
-        elem.append(acc * QI(Fraction(1, k)))
+        elem.append(acc * QI.from_ints(1, 0, k))
     return elem[n]
 
 
@@ -372,8 +380,9 @@ def to_complex_matrix(x: JordanElement):
         for e in row:
             if level == 0 or e.is_scalar():
                 line.append(e.scalar_part())
-            elif level == 1 and field == FIELD_Q:
-                line.append(QI(e.coeffs[0].re, e.coeffs[1].re))
+            elif level == 1 and field == FIELD_Q:  # plane (a, 0, b, 0) over den
+                den, (a, _, b, _) = e.int_form()
+                line.extend(from_plane(den, (a, b)))
             else:
                 raise UnsupportedError(
                     "entries do not lie in a commutative subfield"

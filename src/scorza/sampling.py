@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from fractions import Fraction
 
 from .scalars import QI
 
@@ -42,22 +41,24 @@ def random_ratio(rng: random.Random, height: int) -> tuple[int, int]:
     return p - height, q + 1
 
 
-def random_fraction(rng: random.Random, height: int = 10, nonzero: bool = False) -> Fraction:
+def random_fraction(rng: random.Random, height: int = 10, nonzero: bool = False) -> QI:
+    """A random rational p/q from one `random_ratio` draw, as a real QI."""
     while True:
-        f = Fraction(*random_ratio(rng, height))
-        if f or not nonzero:
-            return f
+        p, q = random_ratio(rng, height)
+        if p or not nonzero:
+            return QI.from_ints(p, 0, q)
 
 
 def random_qi(
     rng: random.Random, height: int = 10, real: bool = False, nonzero: bool = False
 ) -> QI:
+    """(p/q) + (r/s) i from two `random_ratio` draws, the real part first;
+    a real value makes no second draw."""
     while True:
-        re = random_fraction(rng, height)
-        im = Fraction(0) if real else random_fraction(rng, height)
-        q = QI(re, im)
-        if q or not nonzero:
-            return q
+        p, q = random_ratio(rng, height)
+        r, s = (0, 1) if real else random_ratio(rng, height)
+        if p or r or not nonzero:
+            return QI.from_ints(p * s, r * q, q * s)
 
 
 def random_qi_vector(

@@ -1,8 +1,13 @@
 """Exact base scalars: Gaussian rationals with zero rounding anywhere.
 
-A QI value is a complex number with Fraction real and imaginary parts.
-Values with im == 0 double as plain rationals; consumers that insist on
-the rational field (tag "Q") check is_real() at their boundaries.
+A QI value is stored as three ints (a, b, d), meaning (a + b i) / d, with
+d > 0 and gcd(a, b, d) = 1, so every value has exactly one representation:
+a plane of length one. Arithmetic runs on the ints and reduces once with
+one three-argument gcd; negation, conjugation and multiplication by a unit
+only copy or negate ints. The real and imaginary parts are `Fraction`
+properties (`re`, `im`) for the string and JSON boundary. Values with
+b == 0 double as plain rationals; consumers that insist on the rational
+field (tag "Q") check is_real() at their boundaries.
 
 The integer work of the package (matrix products and Bareiss elimination
 in `linalg`, the Cayley-Dickson product in `cayley_dickson`, the Jordan
@@ -12,92 +17,112 @@ interleaved integer real and imaginary parts over it,
 
     values[k] = (flat[2k] + i flat[2k+1]) / den.
 
-`to_plane` writes values in lowest terms (den shares no factor with every
-part), `from_plane` is the one place that builds QI from plane integers,
-and `common_plane` rescales several planes to one denominator.
+`to_plane` writes values in lowest terms over the lcm of their d (den
+shares no factor with every part), `from_plane` builds QI from plane
+integers with one gcd per value, and `common_plane` rescales several
+planes to one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InputError
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _ratio(x) -> tuple:
+    """(numerator, denominator) of an int, Fraction or "p/q" string."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
     if isinstance(x, str):
-        return parse_fraction(x)
+        x = parse_fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise InputError(f"cannot interpret {x!r} as an exact rational")
 
 
 class QI:
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        if q == s:
+            self.a, self.b, self.d = p, r, q
+        else:  # parts in lowest terms over their lcm: gcd(a, b, d) = 1
+            d = lcm(q, s)
+            self.a, self.b, self.d = p * (d // q), r * (d // s), d
 
-    # fast construction path for internal arithmetic (skips coercion)
     @staticmethod
-    def _mk(re: Fraction, im: Fraction) -> "QI":
-        q = QI.__new__(QI)
-        q.re = re
-        q.im = im
-        return q
+    def from_ints(a: int, b: int, d: int) -> "QI":
+        """(a + b i) / d for ints with d > 0, reduced to lowest terms."""
+        if d <= 0:
+            raise ValueError(f"denominator must be positive, got {d}")
+        return _reduced(a, b, d)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QI._mk(self.re + other.re, self.im + other.im)
+        if other.__class__ is not QI:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QI._mk(self.re - other.re, self.im - other.im)
+        if other.__class__ is not QI:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QI._mk(other.re - self.re, other.im - self.im)
+        return other - self
 
     def __neg__(self):
-        return QI._mk(-self.re, -self.im)
+        return _mk(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:
-            return QI._mk(a * c, _ZERO)
-        return QI._mk(a * c - b * d, a * d + b * c)
+        if other.__class__ is not QI:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if not b and not e:
+            return _reduced(a * c, 0, self.d * other.d)
+        return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not d:
-            if not c:
-                raise ZeroDivisionError("division by zero QI")
-            return QI._mk(a / c, b / c)
-        n = c * c + d * d
-        return QI._mk((a * c + b * d) / n, (b * c - a * d) / n)
+        # x / y = x conj(y) e / |e y|^2 for y = (c + e i) / f: one reduction
+        if other.__class__ is not QI:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if not c and not e:
+            raise ZeroDivisionError("division by zero QI")
+        f = other.d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self.d * (c * c + e * e))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -118,36 +143,41 @@ class QI:
         return out
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        # one representation per value, so equal values have equal ints
+        if other.__class__ is not QI:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the int or Fraction it equals
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        return hash(self.a) if self.d == 1 else hash(self.re)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def conjugate(self) -> "QI":
-        return QI._mk(self.re, -self.im)
+        return _mk(self.a, -self.b, self.d)
 
     def times_unit(self, k: int) -> "QI":
         """i**k * self for k in 0..3, by negating or swapping the parts."""
         if k == 0:
             return self
-        re, im = self.re, self.im
-        return QI._mk(-im, re) if k == 1 else QI._mk(-re, -im) if k == 2 else QI._mk(im, -re)
+        a, b, d = self.a, self.b, self.d
+        return _mk(-b, a, d) if k == 1 else _mk(-a, -b, d) if k == 2 else _mk(b, -a, d)
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self.b
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def as_fraction(self) -> Fraction:
         """The value as a plain rational; raises if the imaginary part is nonzero."""
-        if self.im:
+        if self.b:
             raise InputError(f"{self} is not a real rational")
         return self.re
 
@@ -155,15 +185,19 @@ class QI:
         return f"QI({self.re}, {self.im})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
 
     def to_json(self) -> dict:
-        return {"re": fraction_str(self.re), "im": fraction_str(self.im)}
+        """Each part in lowest terms on its own, as "p/q"."""
+        a, b, d = self.a, self.b, self.d
+        g, h = gcd(a, d), gcd(b, d)
+        return {"re": f"{a // g}/{d // g}", "im": f"{b // h}/{d // h}"}
 
     @staticmethod
     def from_json(data: dict) -> "QI":
@@ -172,35 +206,74 @@ class QI:
         return QI(parse_fraction(data["re"]), parse_fraction(data["im"]))
 
 
+_new = object.__new__
+
+
+def _mk(a: int, b: int, d: int) -> QI:
+    """The QI with these ints, which must already be in canonical form."""
+    q = _new(QI)
+    q.a = a
+    q.b = b
+    q.d = d
+    return q
+
+
+def _reduced(a: int, b: int, d: int) -> QI:
+    """(a + b i) / d for d > 0, divided through by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    q = _new(QI)
+    q.a = a
+    q.b = b
+    q.d = d
+    return q
+
+
 def _coerce(x):
     if isinstance(x, QI):
         return x
-    if isinstance(x, (int, Fraction)):
-        return QI._mk(Fraction(x), _ZERO)
+    if isinstance(x, int):
+        return _mk(x, 0, 1)
+    if isinstance(x, Fraction):
+        return _mk(x.numerator, 0, x.denominator)
     return NotImplemented
 
 
 QI_ZERO = QI(0)
 QI_ONE = QI(1)
 QI_I = QI(0, 1)
-HALF = Fraction(1, 2)
+HALF = _mk(1, 0, 2)
 
 
 def to_plane(values) -> tuple:
-    """(den, flat) of QI values: den is the lcm of their denominators and
-    flat the interleaved integer parts over it, which are then in lowest
-    terms."""
-    parts = [f for x in values for f in (x.re, x.im)]
-    den = lcm(*[f.denominator for f in parts])
+    """(den, flat) of QI values: den is the lcm of their d and flat the
+    interleaved integer parts over it, which are then in lowest terms."""
+    den = lcm(*[x.d for x in values])
     if den == 1:
-        return den, [f.numerator for f in parts]
-    return den, [f.numerator * (den // f.denominator) for f in parts]
+        return den, [p for x in values for p in (x.a, x.b)]
+    flat = []
+    for x in values:
+        m = den // x.d
+        flat += (x.a * m, x.b * m)
+    return den, flat
 
 
 def from_plane(den: int, flat) -> list:
-    """The QI values (flat[2k] + i flat[2k+1]) / den."""
+    """The QI values (flat[2k] + i flat[2k+1]) / den, for den > 0."""
     parts = iter(flat)
-    return [QI._mk(Fraction(re, den), Fraction(im, den)) for re, im in zip(parts, parts)]
+    out = []
+    for a, b in zip(parts, parts):
+        g = gcd(a, b, den)
+        q = _new(QI)
+        if g == 1:
+            q.a, q.b, q.d = a, b, den
+        else:
+            q.a, q.b, q.d = a // g, b // g, den // g
+        out.append(q)
+    return out
 
 
 def common_plane(planes) -> tuple:

@@ -29,7 +29,6 @@ from .catalog import (
 )
 from .errors import InputError
 from .sampling import derive_seed, make_rng, random_fraction, random_qi_vector
-from .scalars import QI
 
 SUITES = ("composition", "jordan", "strata", "moment", "catalog", "all")
 
@@ -124,10 +123,12 @@ def _check(name, ops, trials, fn, info=None) -> CheckResult:
 
 def _bound_and_generic(name, ops, trials, fn) -> CheckResult:
     """fn(t) -> (bound_ok, generic_hit, witness); the hard bound must hold in
-    every trial, genericity in at least GENERIC_SHARE of them."""
+    every trial, genericity in at least GENERIC_SHARE of them. The witness
+    is the first trial that breaks the bound or, if every trial meets it
+    but too few are generic, the first non-generic trial."""
     passes = 0
     generic = 0
-    witness = None
+    witness = non_generic = None
     for t in range(trials):
         bound_ok, generic_hit, wit = fn(t)
         if bound_ok:
@@ -136,8 +137,12 @@ def _bound_and_generic(name, ops, trials, fn) -> CheckResult:
             witness = _built(wit)
         if generic_hit:
             generic += 1
+        elif non_generic is None:
+            non_generic = wit
     generic_required = math.ceil(GENERIC_SHARE * trials)
     ok = passes == trials and generic >= generic_required
+    if not ok and witness is None:
+        witness = _built(non_generic)
     return CheckResult(
         name=name, trials=trials, passes=passes, required=trials, ok=ok,
         ops=tuple(ops), witness=witness,
@@ -339,7 +344,7 @@ def suite_jordan(trials: int, seed: int) -> list:
     def det_homog(t):
         rng = make_rng(seed, "dethom", t)
         x = jd.random_hermitian(rng, "O_C", 3, 5)
-        lam = QI(random_fraction(rng, 7, nonzero=True))
+        lam = random_fraction(rng, 7, nonzero=True)
         ok = jd.generic_det(x.scale(lam)) == lam ** 3 * jd.generic_det(x)
         return ok, _elements_witness(seed, t, x)
 
@@ -675,7 +680,7 @@ def _moment_case_checks(sel: str, trials: int, seed: int) -> list:
         v = random_qi_vector(rng, case.v_size, 5, real=case.real_entries)
         pt = dp.veronese_map(case, v)
         rk = st.rank_of(pt)
-        lam = QI(random_fraction(rng, 5, nonzero=True))
+        lam = random_fraction(rng, 5, nonzero=True)
         pt2 = dp.veronese_map(case, [x * lam for x in v])
         homog = linalg.mat_eq(pt2.coords, linalg.mat_scale(pt.coords, lam * lam))
         return rk <= 1 and homog, rk == 1, {"seed": seed, "trial": t, "case": sel}

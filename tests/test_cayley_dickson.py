@@ -5,7 +5,9 @@ import pytest
 
 from scorza.cayley_dickson import (
     _KERNELS,
+    _REAL_KERNELS,
     CDElement,
+    _doubling_mul,
     associativity_counterexample,
     cd_basis,
     cd_multiply,
@@ -252,6 +254,19 @@ def test_integer_plane_kernels_match_qi_oracle(level, field):
             expected = [QI(Fraction(pre[2 * k], da * db), Fraction(pre[2 * k + 1], da * db)) + c
                         for k, c in enumerate(_qi_mul(cx, cy))]
             assert from_plane(da * db, out) == expected
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_real_kernels_match_the_recursion(level):
+    # tag Q planes have every imaginary part 0: the real kernel adds the
+    # recursion's real parts into out and leaves its imaginary slots alone
+    samples = [x.int_form()[1] for x in _oracle_samples(level, "Q")]
+    pre = [(-1) ** t * (t + 3) * 10 ** (t % 5) for t in range(2 << level)]
+    for a in samples:
+        for b in samples:
+            expected = [p + v for p, v in zip(pre, _doubling_mul(a, b))]
+            assert _REAL_KERNELS[level](a, b, list(pre)) == expected
+            assert _KERNELS[level](a, b, list(pre)) == expected
 
 
 def test_planes_are_canonical():

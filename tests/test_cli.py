@@ -264,6 +264,21 @@ def test_verify_witness_is_the_first_failing_trial(monkeypatch):
     assert check.witness == {"seed": 11, "trial": 0, "elements": [x.to_json(), y.to_json()]}
 
 
+def test_genericity_shortfall_carries_a_witness():
+    # every trial meets the rank bound but the one draw is not generic: the
+    # report still fails (exit 1) and names that trial and its input
+    result = run_cli(["verify", "--suite", "moment", "--trials", "1", "--seed", "336516587"])
+    assert result.returncode == 1
+    checks = {c["name"]: c for c in json.loads(result.stdout)["checks"]}
+    check = checks["reduced_rank_bound_sp:3_s2"]
+    assert not check["ok"] and check["passes"] == check["trials"] == 1
+    assert check["info"] == {"generic": 0, "generic_required": 1}
+    witness = check["witness"]
+    assert witness["seed"] == 336516587 and witness["trial"] == 0
+    assert witness["element"]["case"] == "sp:3" and witness["element"]["s"] == 2
+    assert [c for c in checks.values() if not c["ok"]] == [check]
+
+
 def test_verify_all_exercises_every_operation():
     report = run_suite("all", trials=1, seed=0)
     assert report.coverage_ok is True

@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -267,7 +269,7 @@ def test_veronese_map(sel):
         p = veronese_map(case, v)
         assert rank_of(p) <= 1
         hits += rank_of(p) == 1
-        lam = QI(random_fraction(rng, 5, nonzero=True))
+        lam = random_fraction(rng, 5, nonzero=True)
         p2 = veronese_map(case, [x * lam for x in v])
         assert linalg.mat_eq(p2.coords, linalg.mat_scale(p.coords, lam * lam))
     assert hits >= 11
@@ -384,3 +386,31 @@ def test_verify_moment_report_pinned():
     assert _sha256(json.dumps(report, sort_keys=True)) == (
         "87d9ed692f7342988a0cbce0a2190fe82749c11c25f42ee58dabc2ed864157b7"
     )
+
+
+def _fractions_built(fn) -> int:
+    """The number of Fraction.__new__ calls made while fn() runs."""
+    code, count = Fraction.__new__.__code__, 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is code:
+            count += 1
+
+    old = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(old)
+    return count
+
+
+def test_momentum_maps_build_no_fraction_per_entry():
+    case = parse_case("ostar:6", 3)
+    w = sample_zero_level(case, 5)
+    assert _fractions_built(lambda: Fraction(1, 2)) == 1  # the counter sees a build
+    built = _fractions_built(lambda: (
+        mu_K(w), mu_G(w), linalg.mat_chain(w.alpha, dagger(w), w.alpha, dagger(w)),
+    ))
+    assert built == 0

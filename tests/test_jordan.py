@@ -43,7 +43,7 @@ def test_product_commutative_and_bilinear():
         x = random_hermitian(rng, "O_C", 3, 5)
         y = random_hermitian(rng, "O_C", 3, 5)
         assert jordan_product(x, y) == jordan_product(y, x)
-        lam = QI(random_fraction(rng, 5))
+        lam = random_fraction(rng, 5)
         lhs = jordan_product(x.scale(lam), y)
         assert lhs == jordan_product(x, y).scale(lam)
 
@@ -131,7 +131,7 @@ def test_generic_det_values_and_oracles():
     # cubic homogeneity
     for _ in range(20):
         x = random_hermitian(rng, "O_C", 3, 5)
-        lam = QI(random_fraction(rng, 7, nonzero=True))
+        lam = random_fraction(rng, 7, nonzero=True)
         assert generic_det(x.scale(lam)) == lam ** 3 * generic_det(x)
 
 
@@ -210,6 +210,23 @@ def test_shape_and_algebra_errors():
         # non-hermitian entries
         e = cd_basis(3, 1, "Qi")
         JordanElement("O_C", ((e, e), (e, e)))
+
+
+@pytest.mark.parametrize("algebra", list(ALGEBRAS))
+def test_trusted_results_pass_the_public_checks(algebra):
+    # products, sums, negations and scalings skip the constructor's checks,
+    # which each result must still pass
+    rng = make_rng("jd", "trusted", algebra)
+    level, field = ALGEBRAS[algebra]
+    lam = QI(Fraction(-2, 3), 0 if field == "Q" else Fraction(5, 7))
+    for n in range(1, 4):
+        x = random_hermitian(rng, algebra, n, 6)
+        y = random_hermitian(rng, algebra, n, 6)
+        results = [jordan_product(x, y), x + y, x - y, -x, x.scale(lam)]
+        if n == 3:
+            results.append(sharp(x))
+        for r in results:
+            assert JordanElement(r.algebra, r.entries) == r
 
 
 def test_hermitian_validation_and_upper_triangle():

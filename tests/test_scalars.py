@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scorza.errors import InputError
+from scorza.sampling import make_rng, random_fraction, random_qi, random_ratio
 from scorza.scalars import (
     QI, QI_I, QI_ONE, common_plane, fraction_str, from_plane, parse_fraction, to_plane,
 )
@@ -90,3 +91,95 @@ def test_common_plane_preserves_every_value(groups):
     den, flats = common_plane(planes)
     assert all(den % d == 0 for d, _ in planes)
     assert [from_plane(den, flat) for flat in flats] == groups
+
+
+# --- the int triple against pairs of Fractions ----------------------------------
+
+pairs = st.tuples(fractions, fractions)
+
+
+def _agrees(x: QI, ref: tuple):
+    """x is in canonical form and equals the Fraction pair ref, down to its JSON."""
+    assert x.d > 0 and gcd(x.a, x.b, x.d) == 1
+    assert (x.re, x.im) == ref
+    assert x.to_json() == {"re": fraction_str(ref[0]), "im": fraction_str(ref[1])}
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs, pairs)
+def test_triple_arithmetic_matches_fraction_pairs(p, q):
+    (a, b), (c, d) = p, q
+    x, y = QI(a, b), QI(c, d)
+    _agrees(x, p)
+    _agrees(x + y, (a + c, b + d))
+    _agrees(x - y, (a - c, b - d))
+    _agrees(x * y, (a * c - b * d, a * d + b * c))
+    _agrees(-x, (-a, -b))
+    _agrees(x.conjugate(), (a, -b))
+    for k, ref in enumerate([(a, b), (-b, a), (-a, -b), (b, -a)]):
+        _agrees(x.times_unit(k), ref)
+    if c or d:
+        n = c * c + d * d
+        _agrees(x / y, ((a * c + b * d) / n, (b * c - a * d) / n))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    # mixed operands: an int or a Fraction on either side
+    _agrees(x + c, (a + c, b))
+    _agrees(c - x, (c - a, -b))
+    _agrees(x * c, (a * c, b * c))
+    _agrees(3 * x, (3 * a, 3 * b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs, pairs)
+def test_equality_and_hash_across_int_fraction_and_qi(p, q):
+    x, y = QI(*p), QI(*q)
+    assert (x == y) == (p == q)
+    # the same value reached by arithmetic: equal ints, equal hash
+    z = ((x * 7 + y) - y) / 7
+    assert z == x and hash(z) == hash(x)
+    a, b = p
+    if b:
+        assert x != a and a != x
+    else:
+        assert x == a and a == x and hash(x) == hash(a)
+        if a.denominator == 1:
+            n = a.numerator
+            assert x == n and n == x and hash(x) == hash(n)
+    assert QI(a) == a and hash(QI(a)) == hash(a)
+
+
+def _fraction_draw(rng, height, real, nonzero):
+    """random_qi as it drew its parts as Fractions: real numerator and
+    denominator, then (unless real) imaginary numerator and denominator."""
+    while True:
+        re = Fraction(*random_ratio(rng, height))
+        im = Fraction(0) if real else Fraction(*random_ratio(rng, height))
+        if re or im or not nonzero:
+            return re, im
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_random_qi_draws_as_fraction_pairs(seed):
+    for height in (1, 3, 10):
+        for real in (False, True):
+            for nonzero in (False, True):
+                ours, ref = (make_rng("qi-draw", seed, height) for _ in range(2))
+                for _ in range(40):
+                    x = random_qi(ours, height, real=real, nonzero=nonzero)
+                    _agrees(x, _fraction_draw(ref, height, real, nonzero))
+                    f = random_fraction(ours, height, nonzero=nonzero)
+                    _agrees(f, _fraction_draw(ref, height, True, nonzero))
+                assert ours.getstate() == ref.getstate()
+
+
+def test_from_ints_reduces_and_rejects_bad_denominators():
+    assert QI.from_ints(6, -4, 10) == QI(Fraction(3, 5), Fraction(-2, 5))
+    assert (QI.from_ints(0, 0, 9).a, QI.from_ints(0, 0, 9).d) == (0, 1)
+    for d in (0, -3):
+        with pytest.raises(ValueError):
+            QI.from_ints(1, 0, d)
+    assert QI("-6/4", 2) == QI.from_ints(-3, 4, 2)
+    with pytest.raises(InputError):
+        QI(0.5)
