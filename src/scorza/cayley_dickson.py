@@ -11,7 +11,9 @@ and a basis product table per level is generated from it at import time.
 Every product runs through one kernel per level and field tag, compiled
 at import from that table into straight-line code on integer planes (the
 tag-Q kernel multiplies real parts only); the recursion is kept as the
-reference path the tests cross-check both against.
+reference path the tests cross-check both against. The same compiler
+builds a second kernel per level and tag that adds only the scalar part
+of a product, for the Jordan diagonals and trace form of `jordan`.
 
 An element is stored as the integer plane of `scalars` of its 2^level
 coefficients: one positive denominator and the interleaved integer
@@ -315,12 +317,14 @@ def _build_tables():
 _TABLES = _build_tables()
 
 
-def _compile_kernel(level: int, real: bool):
+def _compile_kernel(level: int, real: bool, scalar_part: bool = False):
     """The level's product of interleaved integer planes, added into out:
     straight-line code, built from the table's integers only, in which
     e_i e_j = sign e_k adds sign (a_i b_j), parts multiplied out, to out k.
     The real kernel serves tag Q, whose imaginary parts are all 0: it forms
-    the products of real parts only and leaves out's imaginary slots alone."""
+    the products of real parts only and leaves out's imaginary slots alone.
+    A scalar-part kernel adds only out[0] and out[1], the e_0 coefficient
+    of the product, from the terms e_i e_i = sign e_0."""
     n = 1 << level
     terms = [[] for _ in range(2 * n)]  # signed products summed into out[t]
     for i, row in enumerate(_TABLES[level]):
@@ -331,23 +335,32 @@ def _compile_kernel(level: int, real: bool):
             if not real:
                 terms[2 * k].append(f"{m} {ai}*{bi}")
                 terms[2 * k + 1] += [f"{p} {ar}*{bi}", f"{p} {ai}*{br}"]
+    if scalar_part:
+        terms = terms[:2]
     a = ", ".join(f"a{t}" for t in range(2 * n))
     lines = ["def kernel(a, b, out):", f"    {a}, = a", f"    {a.replace('a', 'b')}, = b"]
     lines += [f"    out[{t}] += {' '.join(ts).lstrip('+ ')}" for t, ts in enumerate(terms) if ts]
     lines.append("    return out")
     namespace = {}
-    name = f"<cayley_dickson level {level}{' real' if real else ''}>"
+    name = f"<cayley_dickson level {level}{' real' if real else ''}{' scalar' if scalar_part else ''}>"
     exec(compile("\n".join(lines), name, "exec"), namespace)
     return namespace["kernel"]
 
 
 _KERNELS = [_compile_kernel(level, False) for level in range(MAX_LEVEL + 1)]
 _REAL_KERNELS = [_compile_kernel(level, True) for level in range(MAX_LEVEL + 1)]
+_SCALAR_KERNELS = [_compile_kernel(level, False, True) for level in range(MAX_LEVEL + 1)]
+_REAL_SCALAR_KERNELS = [_compile_kernel(level, True, True) for level in range(MAX_LEVEL + 1)]
 
 
 def _kernel(level: int, field: str):
     """The compiled product for planes of this level and field tag."""
     return (_REAL_KERNELS if field == FIELD_Q else _KERNELS)[level]
+
+
+def _scalar_kernel(level: int, field: str):
+    """The compiled scalar part of the product, for this level and field tag."""
+    return (_REAL_SCALAR_KERNELS if field == FIELD_Q else _SCALAR_KERNELS)[level]
 
 
 def associativity_counterexample(field: str = FIELD_Q):

@@ -3,16 +3,20 @@
 H_n(K) carries the product x o y = (xy + yx)/2. The degree-3 adjoint
 (sharp), generic determinant, and Jordan rank are defined purely from the
 product and trace, which sidesteps any sign convention in closed octonion
-formulas; the classical cubic expansion is kept as a cross-check. For
-associative entry algebras the generic determinant extends to any n via
-Newton's identities on Jordan power traces.
+formulas; the classical cubic expansion is kept as a cross-check. The
+generic determinant comes from Newton's identities on Jordan power traces,
+for any n over associative entry algebras and for n <= 3 over octonions.
+
+The product, the trace form and so the rest run on the Peirce structure
+of H_n(K) under the diagonal idempotents E_ii: diagonal entries are central
+scalars, so they scale, and a diagonal entry of a product or a trace needs
+only scalar parts of entry products (the scalar-part kernels of
+`cayley_dickson`). Full octonion products remain only for the terms
+x_ik y_kj with k != i, j.
 
 The rank characterization (x# = 0 iff rank <= 1, det = 0 iff rank <= 2) is
 field-agnostic and is used unchanged over the complexified algebras.
-
-The 2x2 octonionic algebra is isomorphic to the spin factor of a rank-2
-Lorentz form; that realization (and Peirce decompositions generally) is
-out of scope here, so sharp, determinant, and rank stay degree-3 only.
+Sharp and rank are degree-3 only.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from random import Random
 from .cayley_dickson import (
     _element,
     _kernel,
+    _scalar_kernel,
     CDElement,
     FIELD_Q,
     FIELD_QI,
@@ -30,7 +35,7 @@ from .cayley_dickson import (
     random_cd,
 )
 from .errors import InputError, UnsupportedError
-from .scalars import HALF, QI, QI_ONE, QI_ZERO, common_plane, from_plane
+from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane
 from .sampling import random_qi, random_square
 
 # algebra tag -> (Cayley-Dickson level, scalar field tag)
@@ -44,13 +49,6 @@ ALGEBRAS = {
     "H_C": (2, FIELD_QI),
     "O_C": (3, FIELD_QI),
 }
-
-
-def algebra_level(algebra: str) -> int:
-    try:
-        return ALGEBRAS[algebra][0]
-    except KeyError:
-        raise InputError(f"unknown entry algebra {algebra!r}") from None
 
 
 def algebra_field(algebra: str) -> str:
@@ -250,32 +248,69 @@ def _from_int_form(algebra: str, den: int, rows: list) -> JordanElement:
     )
 
 
-def jordan_product(x: JordanElement, y: JordanElement) -> JordanElement:
-    """x o y = (xy + yx)/2, computed on and above the diagonal.
+def _scale_add(s: tuple, a, t: tuple, b) -> list:
+    """s a + t b on interleaved planes, for Gaussian-integer pairs s and t."""
+    sr, si = s
+    tr, ti = t
+    out = []
+    for k in range(0, len(a), 2):
+        ar, ai, br, bi = a[k], a[k + 1], b[k], b[k + 1]
+        out += (sr * ar - si * ai + tr * br - ti * bi, sr * ai + si * ar + tr * bi + ti * br)
+    return out
 
-    Both factors are hermitian and conjugation reverses products, so
-    (x o y)^H = x o y: entry (j, i) is the conjugate of entry (i, j), its
-    scalar pair kept and the rest negated, as in `CDElement.conjugate`.
-    """
+
+def _product_planes(x: JordanElement, y: JordanElement) -> tuple:
+    """(den, rows): the planes of x o y over one den, as `jordan_product` says."""
     x._require_match(y)
     level, field = ALGEBRAS[x.algebra]
     mul = _kernel(level, field)
+    sp = _scalar_kernel(level, field)
     width = 2 << level
     n = x.n
     dx, X = _int_form(x)
     dy, Y = _int_form(y)
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i, n):
-            acc = [0] * width
+        acc = [0] * width
+        for k in range(n):
+            sp(X[i][k], Y[k][i], acc)
+        acc[0] *= 2
+        acc[1] *= 2
+        rows[i][i] = acc
+    for i in range(n):
+        for j in range(i + 1, n):
+            Xi, Yi, Xj, Yj = X[i], Y[i], X[j], Y[j]
+            acc = _scale_add(
+                (Xi[i][0] + Xj[j][0], Xi[i][1] + Xj[j][1]), Yi[j],
+                (Yi[i][0] + Yj[j][0], Yi[i][1] + Yj[j][1]), Xi[j],
+            )
             for k in range(n):
-                # x_ik y_kj + y_ik x_kj, the symmetrized matrix product
-                mul(X[i][k], Y[k][j], acc)
-                mul(Y[i][k], X[k][j], acc)
+                if k != i and k != j:
+                    mul(Xi[k], Y[k][j], acc)
+                    mul(Yi[k], X[k][j], acc)
             rows[i][j] = acc
-            if j > i:
-                rows[j][i] = acc[:2] + [-v for v in acc[2:]]
-    return _from_int_form(x.algebra, 2 * dx * dy, rows)
+            rows[j][i] = acc[:2] + [-v for v in acc[2:]]
+    return 2 * dx * dy, rows
+
+
+def jordan_product(x: JordanElement, y: JordanElement) -> JordanElement:
+    """x o y = (xy + yx)/2, computed on and above the diagonal by the Peirce
+    structure of hermitian matrices under the idempotents E_ii.
+
+    Both factors are hermitian and conjugation is C-linear and reverses
+    products, so y_ik x_ki = conj(x_ik y_ki): diagonal entry i is
+    sum_k sp(x_ik y_ki), n runs of the scalar-part kernel, doubled over
+    the den 2 dx dy of the other entries. Every diagonal entry is a
+    central scalar, so for i < j
+
+        2 (x o y)_ij = (x_ii + x_jj) y_ij + (y_ii + y_jj) x_ij
+                       + sum over k != i, j of (x_ik y_kj + y_ik x_kj),
+
+    two Gaussian scale-adds and full kernels only for k != i, j. Entry
+    (j, i) is the conjugate of entry (i, j), its scalar pair kept and the
+    rest negated, as in `CDElement.conjugate`.
+    """
+    return _from_int_form(x.algebra, *_product_planes(x, y))
 
 
 def jtrace(x: JordanElement) -> QI:
@@ -285,44 +320,68 @@ def jtrace(x: JordanElement) -> QI:
     return acc
 
 
-def trace_form(x: JordanElement, y: JordanElement) -> QI:
-    x._require_match(y)
-    # trace of x o y, computed without forming the full product
-    acc = QI_ZERO
-    for i in range(x.n):
-        for k in range(x.n):
-            p = x.entries[i][k] * y.entries[k][i]
-            acc = acc + p.scalar_part()
+def _trace_pair(algebra: str, A: list, B: list) -> list:
+    """sum_ik sp(A_ik B_ki) of two plane matrices, by the scalar-part kernel."""
+    sp = _scalar_kernel(*ALGEBRAS[algebra])
+    acc = [0, 0]
+    for i, row in enumerate(A):
+        for k, a in enumerate(row):
+            sp(a, B[k][i], acc)
     return acc
 
 
+def trace_form(x: JordanElement, y: JordanElement) -> QI:
+    """T(x, y) = tr(x o y) = sum_ik sp(x_ik y_ki), without forming x o y:
+    the scalar-part kernel summed on the cached integer planes."""
+    x._require_match(y)
+    dx, X = _int_form(x)
+    dy, Y = _int_form(y)
+    return from_plane(dx * dy, _trace_pair(x.algebra, X, Y))[0]
+
+
+def _sharp_planes(x: JordanElement) -> tuple:
+    """(den, rows): the planes of x# = x^2 - t x + s I, t = tr(x) and
+    s = (t^2 - tr(x^2))/2, from the one square x o x = S / 2d^2. With
+    tr(x) = t/d and tr(x^2) = p/2d^2, x# = (2S - 4t X + (2t^2 - p) I) / 4d^2."""
+    d2, S = _product_planes(x, x)
+    d, X = _int_form(x)
+    tr = sum(X[i][i][0] for i in range(3))
+    ti = sum(X[i][i][1] for i in range(3))
+    pr = sum(S[i][i][0] for i in range(3))
+    pi = sum(S[i][i][1] for i in range(3))
+    rows = [[_scale_add((2, 0), S[i][j], (-4 * tr, -4 * ti), X[i][j]) for j in range(3)]
+            for i in range(3)]
+    for i in range(3):
+        rows[i][i][0] += 2 * (tr * tr - ti * ti) - pr
+        rows[i][i][1] += 4 * tr * ti - pi
+    return 2 * d2, rows
+
+
 def sharp(x: JordanElement) -> JordanElement:
-    """Degree-3 adjoint: x# = x^2 - tr(x) x + s(x) I with x# o x = det(x) I."""
+    """Degree-3 adjoint: x# = x^2 - tr(x) x + s(x) I with x# o x = det(x) I,
+    formed on the integer planes from one square x o x."""
     if x.n != 3:
         raise UnsupportedError("sharp is defined for 3x3 elements only")
-    x2 = jordan_product(x, x)
-    t = jtrace(x)
-    s = (t * t - jtrace(x2)) * HALF
-    ident = jordan_identity(x.algebra, 3)
-    return x2 - x.scale(t) + ident.scale(s)
+    return _from_int_form(x.algebra, *_sharp_planes(x))
 
 
 def generic_det(x: JordanElement) -> QI:
     """Generic determinant via Newton's identities on Jordan power traces.
 
-    Valid for any n over associative entries and for n <= 3 over the
-    octonionic algebras; restricts to the ordinary matrix determinant on
-    commutative entries and is homogeneous of degree n.
+    Valid for any n over associative entries and for n <= 3 (all the
+    constructor admits) over the octonionic algebras; restricts to the
+    ordinary matrix determinant on commutative entries and is homogeneous
+    of degree n. The power sums are p_k = tr(x^k) with p_1 = tr(x); the
+    last one is `trace_form`(x^(n-1), x), so x^n is never formed.
     """
     n = x.n
-    if algebra_level(x.algebra) == 3 and n != 3:
-        raise UnsupportedError("octonionic generic_det needs n = 3")
-    power_sums = []
+    power_sums = [jtrace(x)]
     xk = x
-    for k in range(1, n + 1):
+    for _ in range(2, n):
+        xk = jordan_product(xk, x)
         power_sums.append(jtrace(xk))
-        if k < n:
-            xk = jordan_product(xk, x)
+    if n > 1:
+        power_sums.append(trace_form(xk, x))
     elem = [QI_ONE]
     for k in range(1, n + 1):
         acc = QI_ZERO
@@ -336,14 +395,19 @@ def generic_det(x: JordanElement) -> QI:
 
 
 def jordan_rank3(x: JordanElement) -> int:
-    """Jordan rank of a 3x3 element: 0, 1, 2, or 3."""
+    """Jordan rank of a 3x3 element: 0, 1, 2, or 3.
+
+    x o x is formed once, for the planes of x#; then x# o x = N(x) I gives
+    T(x#, x) = 3 N(x), so det = 0 is decided by the trace form alone.
+    """
     if x.n != 3:
         raise UnsupportedError("jordan_rank3 needs a 3x3 element")
     if x.is_zero():
         return 0
-    if sharp(x).is_zero():
+    _, adj = _sharp_planes(x)
+    if not any(v for row in adj for e in row for v in e):
         return 1
-    if not generic_det(x):
+    if not any(_trace_pair(x.algebra, adj, _int_form(x)[1])):
         return 2
     return 3
 

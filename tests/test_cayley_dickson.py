@@ -8,6 +8,8 @@ from scorza.cayley_dickson import (
     _REAL_KERNELS,
     CDElement,
     _doubling_mul,
+    _kernel,
+    _scalar_kernel,
     associativity_counterexample,
     cd_basis,
     cd_multiply,
@@ -267,6 +269,23 @@ def test_real_kernels_match_the_recursion(level):
             expected = [p + v for p, v in zip(pre, _doubling_mul(a, b))]
             assert _REAL_KERNELS[level](a, b, list(pre)) == expected
             assert _KERNELS[level](a, b, list(pre)) == expected
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_scalar_part_kernels_add_only_the_first_two_slots(level, field):
+    # out[0:2] gains exactly what the full kernel adds there, and the
+    # recursion's scalar part; every other slot keeps its pre-filled value
+    samples = [x.int_form()[1] for x in _oracle_samples(level, field)]
+    pre = [(-1) ** t * (t + 3) * 10 ** (t % 5) for t in range(2 << level)]
+    full, scalar = _kernel(level, field), _scalar_kernel(level, field)
+    assert scalar is not full
+    for a in samples:
+        for b in samples:
+            got = scalar(a, b, list(pre))
+            assert got == full(a, b, list(pre))[:2] + pre[2:]
+            r0, r1 = _doubling_mul(a, b)[:2]
+            assert got[:2] == [pre[0] + r0, pre[1] + r1]
 
 
 def test_planes_are_canonical():

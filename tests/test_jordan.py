@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,22 @@ def test_trace_and_trace_form():
         assert val.is_real() and val.as_fraction() > 0
 
 
+@pytest.mark.parametrize("algebra", list(ALGEBRAS))
+def test_trace_form_matches_entry_oracle(algebra):
+    # T(x, y) = sum_ik sp(x_ik y_ki) by the recursion, and tr(x o y)
+    rng = make_rng("jd", "traceform", algebra)
+    level, _ = ALGEBRAS[algebra]
+    for n in range(1, 4 if level == 3 else 5):
+        for _ in range(3):
+            x = random_hermitian(rng, algebra, n, 6)
+            y = random_hermitian(rng, algebra, n, 6)
+            acc = QI(0)
+            for i in range(n):
+                for k in range(n):
+                    acc = acc + reference_multiply(x.entry(i, k), y.entry(k, i)).scalar_part()
+            assert trace_form(x, y) == acc == jtrace(jordan_product(x, y))
+
+
 def test_sharp_on_diagonals_and_identity():
     a, b, c = QI(2), QI(-3), QI(Fraction(5, 7))
     d = jordan_diag("O_C", [a, b, c])
@@ -151,10 +168,64 @@ def test_generic_det_higher_rank_associative():
         q = x.entry(1, 1).scalar_part()
         a = x.entry(0, 1)
         assert generic_det(x) == p * q - a.norm()
-    # 4x4 complex hermitian agrees with the ordinary determinant
+    # 4x4 and 5x5 elements with commutative entries agree with the
+    # ordinary determinant
     for _ in range(10):
         x = random_hermitian(rng, "C", 4, 5)
         assert generic_det(x) == linalg.det(to_complex_matrix(x))
+    for algebra in ("C", "R_C"):
+        for _ in range(4):
+            x = random_hermitian(rng, algebra, 5, 5)
+            assert generic_det(x) == linalg.det(to_complex_matrix(x))
+
+
+@pytest.mark.parametrize("algebra", list(ALGEBRAS))
+def test_generic_det_at_n_1_and_2(algebra):
+    # n = 1 has the single power sum p_1 = tr(x); n = 2 has no product at
+    # all, only p_2 = T(x, x), and the 2x2 determinant is pq - N(a)
+    rng = make_rng("jd", "detsmall", algebra)
+    for _ in range(10):
+        x = random_hermitian(rng, algebra, 1, 6)
+        assert generic_det(x) == x.entry(0, 0).scalar_part()
+        x = random_hermitian(rng, algebra, 2, 6)
+        p = x.entry(0, 0).scalar_part()
+        q = x.entry(1, 1).scalar_part()
+        assert generic_det(x) == p * q - x.entry(0, 1).norm()
+
+
+def _calls(fn, code_name: str) -> int:
+    """The number of calls into code compiled under code_name while fn() runs."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename == code_name:
+            count += 1
+
+    old = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(old)
+    return count
+
+
+def test_full_octonion_kernel_calls_pinned():
+    # full level-3 products on one 3x3 O_C input: only the terms x_ik y_kj
+    # with k != i, j need one; diagonals scale and traces take scalar parts
+    full, scalar = "<cayley_dickson level 3>", "<cayley_dickson level 3 scalar>"
+    rng = make_rng("jd", "kernelcalls")
+    x = random_hermitian(rng, "O_C", 3, 6)
+    y = random_hermitian(rng, "O_C", 3, 6)
+    assert _calls(lambda: x.entry(0, 1) * y.entry(1, 2), full) == 1  # the counter sees a product
+    assert jordan_rank3(x) == 3
+    assert _calls(lambda: jordan_product(x, y), full) == 6
+    assert _calls(lambda: trace_form(x, y), full) == 0
+    assert _calls(lambda: trace_form(x, y), scalar) == 9
+    assert _calls(lambda: generic_det(x), full) == 6
+    assert _calls(lambda: jordan_rank3(x), full) == 6
+    assert _calls(lambda: sharp(x), full) == 6
 
 
 def test_rank_characterization():
