@@ -28,7 +28,45 @@ from .verify import SUITES, run_suite
 
 
 def render_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """json.dumps(obj, indent=2) and a newline, byte for byte, for trees of
+    str-keyed dicts and lists (or tuples) with str, int, bool, None and
+    float leaves; built by joining strings instead of by json's pure-Python
+    indenting encoder. Any other key or value type raises TypeError."""
+    return _render(obj, "\n") + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _render(obj, nl: str) -> str:
+    """obj as indented JSON; nl is the newline and indent of its own line."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return json.dumps(obj)
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{_encode_str(key)}: {_render(value, inner)}")
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, (list, tuple)):  # json writes a tuple as a list too
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_render(v, inner) for v in obj]) + nl + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(text: str, out: str | None):
@@ -284,7 +322,7 @@ def _cmd_invariant(args) -> int:
 def _cmd_reduce(args, seed: int) -> int:
     case = dp.parse_case(args.case, args.s)
     w = dp.sample_zero_level(case, seed, args.height)
-    mu_k = dp.mu_K(w)  # zero: sample_zero_level has checked it
+    mu_k = linalg.zeros(case.s_size, case.s_size)  # mu_K(w): sample_zero_level checked it is 0
     mu_g = dp.mu_G(w)
     point = dp._project_p(mu_g, case)  # mu_G(w) lies in g
     rank = st.rank_of(point)

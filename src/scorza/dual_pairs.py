@@ -21,6 +21,17 @@ and the Cartan decomposition g = k + p:
           by Fact 1 J_V X J_V = X^H. The J_V-commuting part of X is
           therefore (X - X^H)/2 and the anticommuting part (X + X^H)/2.
 
+A third fact halves the quaternionic products:
+
+  Fact 3. A quaternion-linear 2m x 2n matrix M, in its complex 2x2-block
+          form [[X, -conj(Y)], [Y, conj(X)]], satisfies M C_n = C_m conj(M)
+          for the structure C_k = [[0, -I_k], [I_k, 0]], so its right block
+          column is C_m conj(L) for its left block column L. `_chain` forms
+          only L of an ostar product. This holds only for products that are
+          quaternion-linear: every factor passed to it is validated
+          (WElement, in_group_h, in_group_g) or built quaternion-linear
+          (the generators, the isotropic basis, _quaternion_blocks).
+
 Every constant of a case (G_V, J_V, the structure maps, i I on K^s) is a
 SignedPerm: per row, a column and a unit i**k. Products with it are indexing
 that negates or swaps real and imaginary parts. The dense builders
@@ -198,6 +209,20 @@ def _omega(n: int, sign: int) -> SignedPerm:
     return SignedPerm(tuple((n + i, k) for i in range(n)) + tuple((i, k ^ 2) for i in range(n)))
 
 
+def _chain(case: DualPairCase, *factors: list) -> list:
+    """The product of the factors, as `linalg.mat_chain`. For ostar the
+    product must be quaternion-linear: only the left half of the last
+    factor's columns is multiplied, and the right half is C conj of the
+    result, C = _omega(rows // 2, -1) (Fact 3)."""
+    if case.kind != "ostar":
+        return linalg.mat_chain(*factors)
+    *left, last = factors
+    half = len(last[0]) // 2
+    lhalf = linalg.mat_chain(*left, [row[:half] for row in last])
+    rhalf = _omega(len(lhalf) // 2, -1).left(linalg.mat_conj(lhalf))
+    return [a + b for a, b in zip(lhalf, rhalf)]
+
+
 def _is_h_linear(m: list, rows_struct: SignedPerm, cols_struct: SignedPerm) -> bool:
     # quaternion-linearity: m @ C_cols == C_rows @ conj(m)
     return linalg.mat_eq(cols_struct.right(m), rows_struct.left(linalg.mat_conj(m)))
@@ -244,13 +269,15 @@ def dagger(w: WElement) -> list:
 
 
 def mu_K(w: WElement) -> list:
-    """Momentum map for the compact group H: -dagger(a) a, valued in Lie(H)."""
-    return linalg.mat_neg(linalg.mat_mul(dagger(w), w.alpha))
+    """Momentum map for the compact group H: -dagger(a) a, valued in Lie(H).
+    For ostar only its left block column is multiplied (Fact 3)."""
+    return linalg.mat_neg(_chain(w.case, dagger(w), w.alpha))
 
 
 def mu_G(w: WElement) -> list:
-    """Momentum map for G: a dagger(a), valued in Lie(G)."""
-    return linalg.mat_mul(w.alpha, dagger(w))
+    """Momentum map for G: a dagger(a), valued in Lie(G). For ostar only its
+    left block column is multiplied (Fact 3)."""
+    return _chain(w.case, w.alpha, dagger(w))
 
 
 def in_lie_h(case: DualPairCase, x: list) -> bool:
@@ -293,7 +320,11 @@ def _is_member(case: DualPairCase, x: list, on_v: bool, group: bool) -> bool:
 
 
 def equivariance_check(w: WElement, x: list, y: list) -> bool:
-    """Ad-equivariance of both momentum maps under (x, y) . a = y a x^-1."""
+    """Ad-equivariance of both momentum maps under (x, y) . a = y a x^-1:
+    mu_K(y a x^-1) = x mu_K(a) x^-1 and mu_G(y a x^-1) = y mu_G(a) y^-1.
+    Each side is one product chain; x and y are checked group elements, so
+    for ostar every chain is quaternion-linear and formed on its left block
+    column (Fact 3)."""
     case = w.case
     if not in_group_h(case, x):
         raise InputError("x does not lie in the compact group H")
@@ -301,12 +332,11 @@ def equivariance_check(w: WElement, x: list, y: list) -> bool:
         raise InputError("y does not lie in G")
     x_inv = linalg.inverse(x)
     y_inv = linalg.inverse(y)
-    moved = WElement(case, linalg.mat_mul(y, linalg.mat_mul(w.alpha, x_inv)))
-    lhs_k = mu_K(moved)
-    rhs_k = linalg.mat_mul(x, linalg.mat_mul(mu_K(w), x_inv))
-    lhs_g = mu_G(moved)
-    rhs_g = linalg.mat_mul(y, linalg.mat_mul(mu_G(w), y_inv))
-    return linalg.mat_eq(lhs_k, rhs_k) and linalg.mat_eq(lhs_g, rhs_g)
+    alpha, dag = w.alpha, dagger(w)
+    moved = WElement(case, _chain(case, y, alpha, x_inv))
+    rhs_k = linalg.mat_neg(_chain(case, x, dag, alpha, x_inv))
+    rhs_g = _chain(case, y, alpha, dag, y_inv)
+    return linalg.mat_eq(mu_K(moved), rhs_k) and linalg.mat_eq(mu_G(moved), rhs_g)
 
 
 # --- Cartan projection ----------------------------------------------------------
@@ -430,7 +460,7 @@ def sample_zero_level(case: DualPairCase, seed: int, height: int = 10) -> WEleme
         )
     # mix m multiplies by g_m1 g_m2 g_m3; the last mix is leftmost
     mix_gens = [[_g_generator(case, rng) for _ in range(3)] for _ in range(2)]
-    alpha = linalg.mat_chain(*[g for gens in reversed(mix_gens) for g in gens], t_mat, beta)
+    alpha = _chain(case, *[g for gens in reversed(mix_gens) for g in gens], t_mat, beta)
     w = WElement(case, alpha)
     if not linalg.is_zero_matrix(mu_K(w)):
         raise RuntimeError("zero-level construction failed; isotropy violated")
@@ -471,12 +501,12 @@ def random_lie_g(case: DualPairCase, rng: Random) -> list:
 
 def random_h_element(case: DualPairCase, rng: Random) -> list:
     """A product of three random generators of H."""
-    return linalg.mat_chain(*[_h_generator(case, rng) for _ in range(3)])
+    return _chain(case, *[_h_generator(case, rng) for _ in range(3)])
 
 
 def random_g_element(case: DualPairCase, rng: Random) -> list:
     """A product of three random generators of G."""
-    return linalg.mat_chain(*[_g_generator(case, rng) for _ in range(3)])
+    return _chain(case, *[_g_generator(case, rng) for _ in range(3)])
 
 
 def _permutation(rng: Random, n: int, signs: bool = True, phases: bool = False) -> list:
@@ -592,4 +622,4 @@ def _g_generator(case: DualPairCase, rng: Random) -> list:
     coefs = [random_qi(rng, 3) for _ in basis]
     vw = _with_structure(case, linalg.mat_vec(linalg.transpose(basis), coefs))
     vh_k = case.form_v().right(linalg.conj_transpose(vw))
-    return linalg.mat_sub(linalg.identity(2 * d), linalg.mat_mul(vw, vh_k))
+    return linalg.mat_sub(linalg.identity(2 * d), _chain(case, vw, vh_k))

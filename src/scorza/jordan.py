@@ -55,20 +55,27 @@ def algebra_field(algebra: str) -> str:
     return ALGEBRAS[algebra][1]
 
 
+def _entry_algebra(algebra: str, n: int) -> tuple:
+    """(level, field) of a known entry algebra for n x n matrices; octonionic
+    ones need n <= 3."""
+    level, field = ALGEBRAS.get(algebra, (None, None))
+    if level is None:
+        raise InputError(f"unknown entry algebra {algebra!r}")
+    if level == 3 and n > 3:
+        raise UnsupportedError("octonionic hermitian matrices need n <= 3")
+    return level, field
+
+
 @dataclass(frozen=True)
 class JordanElement:
     algebra: str
     entries: tuple  # tuple of row tuples of CDElement
 
     def __post_init__(self):
-        level, field = ALGEBRAS.get(self.algebra, (None, None))
-        if level is None:
-            raise InputError(f"unknown entry algebra {self.algebra!r}")
         n = len(self.entries)
         if any(len(row) != n for row in self.entries):
             raise InputError("entries must form a square matrix")
-        if level == 3 and n > 3:
-            raise UnsupportedError("octonionic hermitian matrices need n <= 3")
+        level, field = _entry_algebra(self.algebra, n)
         for i in range(n):
             for j in range(n):
                 e = self.entries[i][j]
@@ -211,14 +218,17 @@ def rank_one_from_vector(algebra: str, v) -> JordanElement:
 
 
 def random_hermitian(rng: Random, algebra: str, n: int, height: int = 10) -> JordanElement:
-    level, field = ALGEBRAS[algebra]
+    """A random element of H_n(K), entries of height at most height. It is
+    hermitian by construction (`random_square` conjugates the lower
+    triangle), so it skips the constructor's checks."""
+    level, field = _entry_algebra(algebra, n)
     rows = random_square(
         n,
         lambda: cd_scalar(random_qi(rng, height, real=field == FIELD_Q), level, field),
         lambda: random_cd(rng, level, field, height),
         CDElement.conjugate,
     )
-    return JordanElement(algebra, tuple(tuple(r) for r in rows))
+    return JordanElement._trusted(algebra, tuple(tuple(r) for r in rows))
 
 
 # --- operations --------------------------------------------------------------

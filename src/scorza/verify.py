@@ -620,7 +620,14 @@ def _moment_case_checks(sel: str, trials: int, seed: int) -> list:
     def lie_membership(t):
         case = dp.parse_case(sel, 1 + t % 3)
         w = dp.random_w_element(case, derive_seed(seed, "lie", sel, t))
-        ok = dp.in_lie_h(case, dp.mu_K(w)) and dp.in_lie_g(case, dp.mu_G(w))
+        mu_k, mu_g = dp.mu_K(w), dp.mu_G(w)
+        ok = dp.in_lie_h(case, mu_k) and dp.in_lie_g(case, mu_g)
+        if ok and case.kind == "ostar":
+            # mu_K and mu_G are quaternion-linear by construction (Fact 3 of
+            # dual_pairs), so check their half products against full ones
+            dag = dp.dagger(w)
+            ok = (linalg.mat_eq(mu_k, linalg.mat_neg(linalg.mat_chain(dag, w.alpha)))
+                  and linalg.mat_eq(mu_g, linalg.mat_chain(w.alpha, dag)))
         return ok, _w_witness(seed, t, w)
 
     checks.append(_check(

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorza import cayley_dickson, cli, dual_pairs, linalg
 from scorza.sampling import make_rng
@@ -370,3 +372,26 @@ def test_reduce_reports_the_real_case_error(case, s, message):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.strip() == f"error: {message}"
+
+
+# JSON trees: str-keyed dicts, lists and tuples, empty ones included, with
+# leaves of any unicode str (escapes, non-ASCII), int, bool, None and finite float
+JSON_TREES = st.recursive(
+    st.text() | st.integers() | st.booleans() | st.none()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=4) | st.tuples(children, children)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES)
+def test_render_json_matches_json_dumps(obj):
+    assert cli.render_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_render_json_raises_type_error_outside_its_types():
+    for bad in ({1: "int key"}, {"set": {1}}, [QI(1)]):
+        with pytest.raises(TypeError):
+            cli.render_json(bad)

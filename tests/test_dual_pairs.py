@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from scorza import cli, linalg
+from scorza import dual_pairs as dp
 from scorza.dual_pairs import (
     SignedPerm,
     WElement,
@@ -414,3 +415,69 @@ def test_momentum_maps_build_no_fraction_per_entry():
         mu_K(w), mu_G(w), linalg.mat_chain(w.alpha, dagger(w), w.alpha, dagger(w)),
     ))
     assert built == 0
+
+
+def _record_chains(monkeypatch) -> list:
+    """Record (factors, result) of every `_chain` product from now on."""
+    formed, half = [], dp._chain
+
+    def recording(case, *factors):
+        out = half(case, *factors)
+        formed.append((factors, out))
+        return out
+
+    monkeypatch.setattr(dp, "_chain", recording)
+    return formed
+
+
+@pytest.mark.parametrize("sel", ["ostar:2", "ostar:5", "ostar:6"])
+def test_half_products_equal_full_chains(sel, monkeypatch):
+    # Fact 3: each quaternionic product formed on its left block column
+    # equals the full product of the same factors
+    formed = _record_chains(monkeypatch)
+    v = parse_case(sel, 1).v_size
+    expected = {((v, 2), (2, v))}  # the isotropic shear V (V^H K)
+    for s in range(1, 5):
+        case = parse_case(sel, s)
+        n, b = case.s_size, 2 * case.r
+        expected |= {
+            ((v, v),) * 6 + ((v, b), (b, n)),  # the zero-level chain
+            ((n, v), (v, n)), ((v, n), (n, v)),  # mu_K and mu_G
+            ((n, n),) * 3, ((v, v),) * 3,  # random H and G elements
+            ((v, v), (v, n), (n, n)),  # y a x^-1
+            ((n, n), (n, v), (v, n), (n, n)),  # -x dagger(a) a x^-1
+            ((v, v), (v, n), (n, v), (v, v)),  # y a dagger(a) y^-1
+        }
+        for seed in range(3):
+            sample_zero_level(case, seed)
+            w = random_w_element(case, seed)
+            mu_K(w), mu_G(w)
+            rng = make_rng("t-half", sel, s, seed)
+            assert equivariance_check(w, random_h_element(case, rng), random_g_element(case, rng))
+    assert expected <= {tuple(linalg.shape(f) for f in factors) for factors, _ in formed}
+    for factors, out in formed:
+        assert out == linalg.mat_chain(*factors)
+
+
+@pytest.mark.parametrize("sel", ["sp:3", "u:3,3"])
+def test_chain_is_mat_chain_off_ostar(sel):
+    case = parse_case(sel, 2)
+    rng = make_rng("t-chain", sel)
+    v, n = case.v_size, case.s_size
+    factors = [random_qi_matrix(rng, *shape, 5) for shape in ((n, v), (v, v), (v, n))]
+    assert dp._chain(case, *factors) == linalg.mat_chain(*factors)
+
+
+def test_reduce_multiplies_half_the_columns(monkeypatch):
+    # the columns of the last factor summed over every product one ostar
+    # reduce forms: 36 before the half products (the zero-level chain 8,
+    # mu_K twice 8 each, mu_G 12), 14 with them
+    columns, full = [0], linalg.mat_chain
+
+    def counting(*factors):
+        columns[0] += len(factors[-1][0])
+        return full(*factors)
+
+    monkeypatch.setattr(linalg, "mat_chain", counting)
+    _cli_stdout(["reduce", "--case", "ostar:6", "--s", "4", "--seed", "11"])
+    assert columns[0] <= 36 // 2

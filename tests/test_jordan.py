@@ -265,6 +265,17 @@ def test_rank_matches_matrix_rank_on_complex_field_entries():
             assert jordan_rank3(x) == linalg.rank(to_complex_matrix(x))
 
 
+def test_random_hermitian_passes_the_checked_constructor():
+    # random_hermitian skips the constructor's checks; its outputs pass them
+    rng = make_rng("jd", "trusted")
+    for algebra in ALGEBRAS:
+        for n in (1, 2, 3):
+            x = random_hermitian(rng, algebra, n, 5)
+            assert JordanElement(algebra, x.entries) == x
+    with pytest.raises(InputError):
+        random_hermitian(rng, "Z", 2)
+
+
 def test_shape_and_algebra_errors():
     rng = make_rng("jd", "err")
     x = random_hermitian(rng, "O_C", 3, 3)
