@@ -26,11 +26,17 @@ A third fact halves the quaternionic products:
   Fact 3. A quaternion-linear 2m x 2n matrix M, in its complex 2x2-block
           form [[X, -conj(Y)], [Y, conj(X)]], satisfies M C_n = C_m conj(M)
           for the structure C_k = [[0, -I_k], [I_k, 0]], so its right block
-          column is C_m conj(L) for its left block column L. `_chain` forms
-          only L of an ostar product. This holds only for products that are
-          quaternion-linear: every factor passed to it is validated
+          column is C_m conj(L) for its left block column L. `_chain` and
+          `_product` form only L of an ostar product. This holds only for
+          products that are quaternion-linear: every factor is validated
           (WElement, in_group_h, in_group_g) or built quaternion-linear
-          (the generators, the isotropic basis, _quaternion_blocks).
+          (the generator actions, the isotropic basis, _quaternion_blocks).
+
+The random generators of G and H are sparse actions, never matrices: per
+output row the (column, re, im) ints of the nonzero entries over one
+denominator, and for the ostar isotropic shear I - V W the pair of sparse V
+and W, applied as X - V (W X). `_act` applies one to the rows of an integer
+plane, so a zero-level sample and a random group element build QI once.
 
 Every constant of a case (G_V, J_V, the structure maps, i I on K^s) is a
 SignedPerm: per row, a column and a unit i**k. Products with it are indexing
@@ -41,6 +47,7 @@ that negates or swaps real and imaginary parts. The dense builders
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from random import Random
 
 from . import linalg
@@ -48,7 +55,7 @@ from .errors import InputError, UnsupportedError
 from .sampling import (
     make_rng, random_fraction, random_qi, random_qi_matrix, random_square,
 )
-from .scalars import HALF, QI, QI_I, QI_ONE, QI_ZERO
+from .scalars import HALF, QI, QI_I, QI_ONE, QI_ZERO, from_plane, to_plane
 from .strata import (
     PSpaceModel, StratumPoint, check_cells, mat_model, skew_model, split_selector, sym_model,
 )
@@ -218,7 +225,14 @@ def _chain(case: DualPairCase, *factors: list) -> list:
         return linalg.mat_chain(*factors)
     *left, last = factors
     half = len(last[0]) // 2
-    lhalf = linalg.mat_chain(*left, [row[:half] for row in last])
+    return _with_right_half(case, linalg.mat_chain(*left, [row[:half] for row in last]))
+
+
+def _with_right_half(case: DualPairCase, lhalf: list) -> list:
+    """For ostar, [L | C conj(L)] with C = _omega(rows // 2, -1): the
+    quaternion-linear matrix with left block column L (Fact 3). Otherwise L."""
+    if case.kind != "ostar":
+        return lhalf
     rhalf = _omega(len(lhalf) // 2, -1).left(linalg.mat_conj(lhalf))
     return [a + b for a, b in zip(lhalf, rhalf)]
 
@@ -423,19 +437,29 @@ def _quaternion_blocks(x: list, y: list) -> list:
     return top + bot
 
 
+def _isotropic_support(case: DualPairCase) -> list:
+    """Per column of `isotropic_basis`, its entries (row, k), each i**k."""
+    if case.kind == "sp":  # e_i, i < L
+        return [[(i, 0)] for i in range(case.params[0])]
+    if case.kind == "u":  # e_i + e_{P+i}, i < Q
+        p, q = case.params
+        return [[(i, 0), (p + i, 0)] for i in range(q)]
+    # u_m = e_2m + i e_2m+1, then their images e_D+2m - i e_D+2m+1 under C conj
+    d = case.params[0]
+    return [[(o + 2 * m, 0), (o + 2 * m + 1, k)]
+            for o, k in ((0, 1), (d, 3)) for m in range(case.r)]
+
+
 def isotropic_basis(case: DualPairCase) -> list:
     """Columns spanning a maximal B-isotropic subspace of V (complex span;
     closed under the quaternionic structure in the ostar case)."""
-    if case.kind == "sp":  # e_i, i < L
-        cols = [{i: QI_ONE} for i in range(case.params[0])]
-    elif case.kind == "u":  # e_i + e_{P+i}, i < Q
-        p, q = case.params
-        cols = [{i: QI_ONE, p + i: QI_ONE} for i in range(q)]
-    else:  # u_m = e_2m + i e_2m+1, then their images e_D+2m - i e_D+2m+1 under C conj
-        d = case.params[0]
-        cols = [{o + 2 * m: QI_ONE, o + 2 * m + 1: unit}
-                for o, unit in ((0, QI_I), (d, -QI_I)) for m in range(case.r)]
-    return [[col.get(k, QI_ZERO) for k in range(case.v_size)] for col in cols]
+    cols = []
+    for support in _isotropic_support(case):
+        col = [QI_ZERO] * case.v_size
+        for row, k in support:
+            col[row] = SignedPerm.UNITS[k]
+        cols.append(col)
+    return cols
 
 
 def sample_zero_level(case: DualPairCase, seed: int, height: int = 10) -> WElement:
@@ -445,23 +469,31 @@ def sample_zero_level(case: DualPairCase, seed: int, height: int = 10) -> WEleme
     image is B-isotropic, which is exactly mu_K = 0) and then moved by two
     random exact G elements. Any s >= 1 is allowed; for s above the
     isotropic dimension the columns are simply dependent.
+
+    The coefficients beta go to the integer plane once (for ostar only
+    their left block column); the isotropic basis and the six drawn
+    generators act on that plane as sparse actions, right to left, and QI
+    is built once for the result. No generator is formed as a matrix, and
+    the only matrix product is the mu_K check.
     """
     rng = make_rng(seed, "zero-level", case.selector(), case.s, height)
-    basis = isotropic_basis(case)
-    t_mat = linalg.transpose(basis)  # v_size x len(basis)
-    if case.kind == "ostar":
-        r = case.r
-        x = random_qi_matrix(rng, r, case.s, height)
-        y = random_qi_matrix(rng, r, case.s, height)
-        beta = _quaternion_blocks(x, y)
+    support = _isotropic_support(case)
+    if case.kind == "ostar":  # [x; y], the left block column of _quaternion_blocks(x, y)
+        x = random_qi_matrix(rng, case.r, case.s, height)
+        y = random_qi_matrix(rng, case.r, case.s, height)
+        beta = x + y
     else:
         beta = random_qi_matrix(
-            rng, len(basis), case.s_size, height, real=case.real_entries
+            rng, len(support), case.s_size, height, real=case.real_entries
         )
     # mix m multiplies by g_m1 g_m2 g_m3; the last mix is leftmost
     mix_gens = [[_g_generator(case, rng) for _ in range(3)] for _ in range(2)]
-    alpha = _chain(case, *[g for gens in reversed(mix_gens) for g in gens], t_mat, beta)
-    w = WElement(case, alpha)
+    basis = [[] for _ in range(case.v_size)]
+    for col, entries in enumerate(support):
+        for row, k in entries:
+            basis[row].append((col, SignedPerm.UNITS[k]))
+    chain = [g for gens in reversed(mix_gens) for g in gens] + [_sparse(basis)]
+    w = WElement(case, _product(case, chain, _plane(beta)))
     if not linalg.is_zero_matrix(mu_K(w)):
         raise RuntimeError("zero-level construction failed; isotropy violated")
     return w
@@ -498,100 +530,190 @@ def random_lie_g(case: DualPairCase, rng: Random) -> list:
 
 
 # --- exact random group elements -------------------------------------------------
+#
+# A plane (den, rows) holds a matrix as per-row (re, im) int lists over one
+# denominator, the integer plane of `scalars` with its parts split. A sparse
+# action (den, rows) holds per row the (column, re, im) ints of its nonzero
+# entries (re + i im) / den; the ostar isotropic shear is a pair (V, W) of them.
 
 def random_h_element(case: DualPairCase, rng: Random) -> list:
-    """A product of three random generators of H."""
-    return _chain(case, *[_h_generator(case, rng) for _ in range(3)])
+    """A product of three random generators of H, their actions applied to
+    the identity (for ostar only to its left half, Fact 3)."""
+    gens = [_h_generator(case, rng) for _ in range(3)]
+    return _product(case, gens, _identity_plane(case, case.s_size))
 
 
 def random_g_element(case: DualPairCase, rng: Random) -> list:
-    """A product of three random generators of G."""
-    return _chain(case, *[_g_generator(case, rng) for _ in range(3)])
+    """A product of three random generators of G, their actions applied to
+    the identity (for ostar only to its left half, Fact 3)."""
+    gens = [_g_generator(case, rng) for _ in range(3)]
+    return _product(case, gens, _identity_plane(case, case.v_size))
 
 
-def _permutation(rng: Random, n: int, signs: bool = True, phases: bool = False) -> list:
-    """A random signed permutation matrix: column i has its unit in row
-    perm[i], drawn from 1, -1, i, -i (phases) or 1, -1 (signs), else 1."""
+def _identity_plane(case: DualPairCase, n: int) -> tuple:
+    """The plane of the n x n identity, for ostar of its left half."""
+    width = n // 2 if case.kind == "ostar" else n
+    return 1, [([int(i == j) for j in range(width)], [0] * width) for i in range(n)]
+
+
+def _plane(m: list) -> tuple:
+    """The plane of a QI matrix, over the lcm of its entries' d."""
+    den, flat = to_plane([x for row in m for x in row])
+    w = 2 * len(m[0])
+    return den, [(flat[i:i + w:2], flat[i + 1:i + w:2]) for i in range(0, len(flat), w)]
+
+
+def _product(case: DualPairCase, actions: list, plane: tuple) -> list:
+    """The QI matrix actions[0] ... actions[-1] X for the plane of X, applied
+    right to left. For ostar, X is a left block column and the product's
+    right block column C conj(L) is appended (Fact 3)."""
+    for action in reversed(actions):
+        plane = _act(action, plane)
+    den, rows = plane
+    return _with_right_half(case, [from_plane(den, [p for pair in zip(re, im) for p in pair])
+                                   for re, im in rows])
+
+
+def _act(action: tuple, plane: tuple) -> tuple:
+    """The plane of M X for an action M and the plane (den, rows) of X. Row
+    i of a sparse M X is the sum over the terms (c, re, im) of row i of
+    (re + i im) times row c of X; a shear (V, W) is applied as X - V (W X)."""
+    head, tail = action
+    den, rows = plane
+    if not isinstance(head, int):  # a shear (V, W)
+        vwx_den, vwx = _act(head, _act(tail, plane))
+        k = vwx_den // den
+        return vwx_den, [([k * p - q for p, q in zip(xr, yr)], [k * p - q for p, q in zip(xi, yi)])
+                         for (xr, xi), (yr, yi) in zip(rows, vwx)]
+    zero = [0] * len(rows[0][0])  # read, never written
+    out = []
+    for terms in tail:
+        re = im = zero
+        for c, a, b in terms:
+            xr, xi = rows[c]
+            if b:
+                re = [r + a * p - b * q for r, p, q in zip(re, xr, xi)]
+                im = [r + a * q + b * p for r, p, q in zip(im, xr, xi)]
+            elif re is zero:
+                re = [a * p for p in xr]
+                im = [a * q for q in xi]
+            else:
+                re = [r + a * p for r, p in zip(re, xr)]
+                im = [r + a * q for r, q in zip(im, xi)]
+        out.append((re, im))
+    return den * head, out
+
+
+def _sparse(rows: list) -> tuple:
+    """The sparse action of a matrix given per row as (column, QI) entries,
+    over the lcm of their d; zero entries are dropped."""
+    den = lcm(*[x.d for row in rows for _, x in row])
+    return den, [[(c, x.a * (den // x.d), x.b * (den // x.d)) for c, x in row if x]
+                 for row in rows]
+
+
+def _units(entries) -> tuple:
+    """The sparse action of a signed permutation: row r holds i**k in column
+    c, for (c, k) = entries[r], as in `SignedPerm`."""
+    return _sparse([[(c, SignedPerm.UNITS[k])] for c, k in entries])
+
+
+def _permutation(rng: Random, n: int, signs: bool = True, phases: bool = False) -> tuple:
+    """The `SignedPerm` entries of a random signed permutation: column i has
+    its unit in row perm[i], drawn from 1, -1, i, -i (phases) or 1, -1
+    (signs), else 1."""
     perm = list(range(n))
     rng.shuffle(perm)
     ks = [(0, 2, 1, 3)[rng.randrange(4)] if phases else 2 * (rng.random() >= 0.5) if signs
           else 0 for _ in perm]
-    return SignedPerm(tuple((i, ks[i]) for i in sorted(range(n), key=perm.__getitem__))).dense()
+    return tuple((i, ks[i]) for i in sorted(range(n), key=perm.__getitem__))
 
 
-def _rotation(rng: Random, n: int) -> list:
+def _rotation(rng: Random, n: int) -> tuple:
+    """A rotation by a Pythagorean angle in a random coordinate plane of
+    R^n; the identity for n < 2."""
     if n < 2:
-        return linalg.identity(n)
+        return _units([(i, 0) for i in range(n)])
     c, s = _PYTH[rng.randrange(len(_PYTH))]
     return _plane_rotations(n, [rng.sample(range(n), 2)], c, s, -s)
 
 
-def _plane_rotations(n: int, planes, c, s, t) -> list:
-    """The n x n identity with [[c, s], [t, c]] on rows and columns i, j
-    for each plane (i, j)."""
-    m = linalg.identity(n)
+def _plane_rotations(n: int, planes, c, s, t) -> tuple:
+    """The sparse n x n identity with [[c, s], [t, c]] on rows and columns
+    i, j for each plane (i, j)."""
+    rows = [[(i, QI_ONE)] for i in range(n)]
     for i, j in planes:
-        m[i][i] = m[j][j] = c
-        m[i][j], m[j][i] = s, t
-    return m
+        rows[i] = [(i, c), (j, s)]
+        rows[j] = [(i, t), (j, c)]
+    return _sparse(rows)
 
 
-def _h_generator(case: DualPairCase, rng: Random) -> list:
+def _quaternion_monomial(entries) -> tuple:
+    """The sparse block form [[a, -conj(b)], [b, conj(a)]] of the monomial
+    quaternionic matrix a + j b with row i holding qa in a and qb in b, both
+    in column c, for (c, qa, qb) = entries[i]."""
+    d = len(entries)
+    top = [[(c, qa), (d + c, -qb.conjugate())] for c, qa, qb in entries]
+    bot = [[(c, qb), (d + c, qa.conjugate())] for c, qa, qb in entries]
+    return _sparse(top + bot)
+
+
+def _h_generator(case: DualPairCase, rng: Random) -> tuple:
+    """A random generator of H as a sparse action."""
     s = case.s
     if case.kind == "sp":
-        return _rotation(rng, s) if rng.random() < 0.5 else _permutation(rng, s)
+        return _rotation(rng, s) if rng.random() < 0.5 else _units(_permutation(rng, s))
     if case.kind == "u":
         pick = rng.randrange(3)
         if pick == 0:
-            return _permutation(rng, s, phases=True)
+            return _units(_permutation(rng, s, phases=True))
         if pick == 1:
             return _rotation(rng, s)
-        return _permutation(rng, s, signs=False)
+        return _units(_permutation(rng, s, signs=False))
     # ostar: quaternionic permutations and unit-quaternion diagonals
     if rng.random() < 0.5:
-        p = _permutation(rng, s, signs=False)
-        z = linalg.zeros(s, s)
-        return _block(p, z, z, p)
+        return _quaternion_monomial([(c, QI_ONE, QI_ZERO)
+                                     for c, _ in _permutation(rng, s, signs=False)])
     units = [
         (QI_ONE, QI_ZERO), (-QI_ONE, QI_ZERO), (QI_I, QI_ZERO), (-QI_I, QI_ZERO),
         (QI_ZERO, QI_ONE), (QI_ZERO, -QI_ONE), (QI_ZERO, QI_I), (QI_ZERO, -QI_I),
         _PYTH[0], (_PYTH[0][0], _PYTH[0][1].times_unit(1)),  # 3/5 + 4/5 j, 3/5 + 4/5 ij
     ]
-    a = linalg.zeros(s, s)
-    b = linalg.zeros(s, s)
-    for i in range(s):
-        qa, qb = units[rng.randrange(len(units))]
-        a[i][i] = qa
-        b[i][i] = qb
-    return _quaternion_blocks(a, b)
+    return _quaternion_monomial([(i, *units[rng.randrange(len(units))]) for i in range(s)])
 
 
-def _g_generator(case: DualPairCase, rng: Random) -> list:
+def _g_generator(case: DualPairCase, rng: Random) -> tuple:
+    """A random generator of G as an action: for sp a block shear or
+    diag(M, M^-T) with M = I + x e_ij, so M^-T = I - x e_ji; for u a
+    block-diagonal phase permutation or a hyperbolic boost; for ostar a
+    monomial quaternionic matrix, a rotation c I + s J_V, or an isotropic
+    shear (V, W) from coefficients drawn on the isotropic basis."""
     if case.kind == "sp":
         ell = case.params[0]
         pick = rng.randrange(3)
+        rows = [[(i, QI_ONE)] for i in range(2 * ell)]
         if pick < 2:
             def small():
                 return QI(rng.randint(-2, 2))
 
             b = random_square(ell, small, small, lambda x: x)  # symmetric
-            z = linalg.zeros(ell, ell)
-            ident = linalg.identity(ell)
-            return _block(ident, b, z, ident) if pick == 0 else _block(ident, z, b, ident)
-        m = linalg.identity(ell)
-        if ell >= 2:
+            # [[I, b], [0, I]] (pick 0) or [[I, 0], [b, I]] (pick 1)
+            shift = ell * pick
+            for i, brow in enumerate(b):
+                rows[shift + i] += [(ell - shift + j, x) for j, x in enumerate(brow)]
+        elif ell >= 2:
             i, j = rng.sample(range(ell), 2)
-            m[i][j] = QI(rng.randint(-2, 2))
-        m_inv_t = linalg.transpose(linalg.inverse(m))
-        z = linalg.zeros(ell, ell)
-        return _block(m, z, z, m_inv_t)
+            x = QI(rng.randint(-2, 2))
+            rows[i].append((j, x))
+            rows[ell + j].append((ell + i, -x))
+        return _sparse(rows)
     if case.kind == "u":
         p, q = case.params
         if rng.random() < 0.5:
             # block unitary
             top = _permutation(rng, p, phases=True)
             bot = _permutation(rng, q, phases=True)
-            return _block(top, linalg.zeros(p, q), linalg.zeros(q, p), bot)
+            return _units(top + tuple((p + c, k) for c, k in bot))
         c, s = _HYP[rng.randrange(len(_HYP))]  # a hyperbolic boost
         return _plane_rotations(p + q, [(rng.randrange(p), p + rng.randrange(q))], c, s, s)
     # ostar
@@ -603,23 +725,21 @@ def _g_generator(case: DualPairCase, rng: Random) -> list:
             (QI_ZERO, QI_ONE), (QI_ZERO, -QI_ONE),
             _PYTH[0], _PYTH[1],  # 3/5 + 4/5 j, 5/13 + 12/13 j
         ]
-        p = _permutation(rng, d, signs=False)
-        a = linalg.zeros(d, d)
-        b = linalg.zeros(d, d)
-        for i in range(d):
-            qa, qb = units[rng.randrange(len(units))]
-            col = next(j for j in range(d) if p[i][j])
-            a[i][col] = qa
-            b[i][col] = qb
-        return _quaternion_blocks(a, b)
+        return _quaternion_monomial([(c, *units[rng.randrange(len(units))])
+                                     for c, _ in _permutation(rng, d, signs=False)])
     if pick == 1:
         # c I + s J_V with J_V = [[0, I], [-I, 0]]
         c, s = _PYTH[rng.randrange(len(_PYTH))]
         return _plane_rotations(2 * d, [(i, d + i) for i in range(d)], c, s, -s)
-    # isotropic shear I - (v v^H + w w^H) K = I - V (V^H K), V = [v | w], w = J_q v,
-    # with v = B c for the isotropic basis B; K = G_V is also the structure (Fact 1)
-    basis = isotropic_basis(case)
-    coefs = [random_qi(rng, 3) for _ in basis]
-    vw = _with_structure(case, linalg.mat_vec(linalg.transpose(basis), coefs))
-    vh_k = case.form_v().right(linalg.conj_transpose(vw))
-    return linalg.mat_sub(linalg.identity(2 * d), _chain(case, vw, vh_k))
+    # isotropic shear I - (v v^H + u u^H) K = I - V W with V = [v | u],
+    # u = J_q v = C conj(v), and W = V^H K = [-u | v]^T, as K = C (Fact 1),
+    # C^T = -C and C^2 = -I; v = B c is placed from the isotropic basis B
+    v = [QI_ZERO] * (2 * d)
+    for entries in _isotropic_support(case):
+        coef = random_qi(rng, 3)
+        for row, k in entries:
+            v[row] = coef.times_unit(k)
+    vu = _with_structure(case, v)
+    return (_sparse([[(0, a), (1, b)] for a, b in vu]),
+            _sparse([[(k, -b) for k, (_, b) in enumerate(vu)],
+                     [(k, a) for k, (a, _) in enumerate(vu)]]))

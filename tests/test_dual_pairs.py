@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -356,6 +357,109 @@ GROUP_DIGESTS = {
 }
 
 
+# sha256 of matrix_to_json(sample_zero_level(parse_case(C, S), seed).alpha) as
+# JSON, for every case kind at s = 1..4 and seeds 0..2; a changed draw order
+# or a wrong generator action moves these
+ZERO_LEVEL_DIGESTS = {
+    ("sp:1", 1, 0): "dd5bb9a84b66d77cba612f25d44a90fe5de6aec2ded2dde67dc62c8fc7719e29",
+    ("sp:1", 1, 1): "bfb7239f1b4efd3ada627a3026c07149d87d37420b45635b947b2de8391da8ad",
+    ("sp:1", 1, 2): "f1d6927aac39387114be6d65788b6db6e9ecf275c3dde7bcbc38b184020924fd",
+    ("sp:1", 2, 0): "940ea7c3c5c878e7c06bd74eaac70baa7839f2469ecd122625beb72607b35b04",
+    ("sp:1", 2, 1): "14839823db9f31bf837610077c8b8165b5479328ac909bb8bf173e99121ac3a1",
+    ("sp:1", 2, 2): "3cfa2a123a707927fed2ba2f587f18074fa0685937690ce6aeb798965ad28106",
+    ("sp:1", 3, 0): "2ccd1efbb1f4bc5d553ab400138082135abe43574636fd8415d370fb9e05106a",
+    ("sp:1", 3, 1): "5c708b66891a78cf22af7cd29bf5cc6e4f056086f2912e79af97d52a441b9e2d",
+    ("sp:1", 3, 2): "1d718aab0181672581c2b7334d7963cfc231816176700ecc5165374a06d9d6b9",
+    ("sp:1", 4, 0): "89811b173cec4eb347b622b772d7d2db04a83ef96df3d505b9fb57203d7265c1",
+    ("sp:1", 4, 1): "f6511e8ef7145bab66ffb134325f314ae41e651d9842bf247612e107090a05dd",
+    ("sp:1", 4, 2): "a3a24ccaeae617fcbb39574156c4db6171c8842754831a6d037bbe6293b55ca6",
+    ("sp:3", 1, 0): "a31ac9776579ea4248b217fd90b1cbb51db664c968c7fa8dc2fbbecef3928326",
+    ("sp:3", 1, 1): "ba20d639c26ea4e6c1b056819ea5b015ca823950832d65492e9536426d9b8ddf",
+    ("sp:3", 1, 2): "ba9ddaf55af3144e28dfd953a5d3ff9527d37b97e1a2c62b770c5b59bcf3e0b4",
+    ("sp:3", 2, 0): "3162695fc74f9ea718e5561265d0106ad8e915e2b3a72763091df4e1c6d7886a",
+    ("sp:3", 2, 1): "0376db66833024f43563b8ac961db2f193dc7f553e59a9ec516b064928b5c663",
+    ("sp:3", 2, 2): "766a65afeaaabd323b696876c5a58b0ceeeba21d590dc23ef122366097a58018",
+    ("sp:3", 3, 0): "b2c98dad17c6e6c5fc27ee3e63640036e7dbdf0e48602d780b2ec9ab90a049ae",
+    ("sp:3", 3, 1): "51fe5e268ca28514476d65d9f57b3bca8be17b97ef601d16109937f2f2636c7e",
+    ("sp:3", 3, 2): "899c3b0ca3f70429ae8afc4ddb5fde329b2bd3fd5c6633f44c2d233f70d9692e",
+    ("sp:3", 4, 0): "2074dc6528946afc38f30dc1ebdee12ad18dd1da37be1a7ea4995f92b0faa2e7",
+    ("sp:3", 4, 1): "b79135f4f36b1ba076f3c1a2845c945e9604c1ca370e5db86efb4f1db021339a",
+    ("sp:3", 4, 2): "534c5b3dc5d05943bf33dc2a4bd5165b0d0399f519064f417feaab4f0c5c0ab2",
+    ("u:2,1", 1, 0): "f829af3c0e877c7d47dc6d1e83a9c58f7e087120f7ffe4a13f99d78e5d256f96",
+    ("u:2,1", 1, 1): "816ca52f66282a266f11d944a406624aba262a7a5dd8170e3689c9ab372e9f0d",
+    ("u:2,1", 1, 2): "e85c869ebd2011bb3fd4f4a00d61b736ac63ff5cbdc0596e4f8bec32a51917ab",
+    ("u:2,1", 2, 0): "81691a5c0d20f80bcb488385bd90887152679439c42dd6e98868dc91bf02a46e",
+    ("u:2,1", 2, 1): "f63933377553dc4d5f5aa4af69bfc20278fe1ed92e174f85ab884943320ac198",
+    ("u:2,1", 2, 2): "30b29f611ec2d2d626081480fdbd579767c67e57a3c9c53bab18fb4b3618f82d",
+    ("u:2,1", 3, 0): "2a72e7813b299343dbdec35386e962b761d64c8340fb8f779375c30e507d0e85",
+    ("u:2,1", 3, 1): "ec6c0440fbf89b3e666dabc9d7cfc8e70f55eadb665669597ab58366871f1add",
+    ("u:2,1", 3, 2): "de53245e97270d5ea91983e4359fb7bcb359192838441381c22c230f7503192a",
+    ("u:2,1", 4, 0): "b371085d20e1b55584e8b3232f45f19d3c1e5683318a2642ce191237ef731e3d",
+    ("u:2,1", 4, 1): "8df764e18c384a8cf82914ac2df9a2978c94015786da7b362140b6acd3df8f9c",
+    ("u:2,1", 4, 2): "31122838aa991f8ac140d4e62cc1e89855dfb218626ed8dff501530b1df4f877",
+    ("u:3,3", 1, 0): "e863d9033c7084cc3125d7201dabccb0702ce46b95807e88b1c6f137c8dc914d",
+    ("u:3,3", 1, 1): "6675bcef3fd57d8a5f5f83e26631f80a0af6ab82be9c43cd32959537165c22be",
+    ("u:3,3", 1, 2): "f598fcb9281afcc1115f988da7a8e474ad97a154ad42298295f68311f96417bd",
+    ("u:3,3", 2, 0): "30a76f9c1bcce496d192778be9197ac4791513f312f498379a9b4d2f1a2653c2",
+    ("u:3,3", 2, 1): "01d3a2ae06b3717732a51d8a40c3c855543d5d27ed3269f572805fb3f6991790",
+    ("u:3,3", 2, 2): "d64e16d8f60f1a8f9c90002cc618cd48098db1d62626d0f179f569efbe02f2ee",
+    ("u:3,3", 3, 0): "f1b354da3c5b4d9a4252547f76bbaf1690cc4c82bed2d70f0946a6e928bb0062",
+    ("u:3,3", 3, 1): "691db5838719943c8cf7895b8f2bf977d858ec3c863d8d342ab9b98a2e2d414a",
+    ("u:3,3", 3, 2): "a0753af3a0bb9938fb84fff1485b91476bde8a1171e448f3518a4859fe2175f0",
+    ("u:3,3", 4, 0): "68fa58139aac34aa5196caa81baaa792cc6ee8e573f940bd9f85400fe0ee1835",
+    ("u:3,3", 4, 1): "dd2cc6f1ab02a36e7061752056e6110e5ff51f7d95aca1f278a7b21a66c22703",
+    ("u:3,3", 4, 2): "b90adf88c4882331e3dd711b9a59dc5f79b73698e214031aee05b530a60a6fb7",
+    ("u:4,2", 1, 0): "7ccd73e9be2783daf56986858d4a157c73ac98848e8159000e8934ddda5c262f",
+    ("u:4,2", 1, 1): "cd6814b9ea656d8994efe3034a7375923155bd3e1815a7362d86ccb02b4cbd8d",
+    ("u:4,2", 1, 2): "3cdbeccf50498eb2d9fa2dd2de03de60ccee856597474afc523fcdf05dc400a1",
+    ("u:4,2", 2, 0): "db957cafc0799e3f283e955f085533153145f8d61be7877154a686b0c53f84b4",
+    ("u:4,2", 2, 1): "f498d5cbfd1ad1f619daa7c2196a1981b31a401089781a8d01aa271ade02eb75",
+    ("u:4,2", 2, 2): "8b7185685ec40e1ee0ffc826937cf3f884b6a19e6c1d508df0dce544e4c9efa3",
+    ("u:4,2", 3, 0): "90055b2e988cdaaca6abadbb160bd7dea99bd38351133a678c4147577176c9d0",
+    ("u:4,2", 3, 1): "a22d2f46768c70cf42ba46e93d7caf32cf63b59c16cc7301b92168e4a565eb43",
+    ("u:4,2", 3, 2): "c37bb495d7affc986a5a0d043258c4724bd5b7576eb85bb15d7b26bb5603f685",
+    ("u:4,2", 4, 0): "155e6ed126528f2707c6d2194168974023fd4a5e27dea048369b6d9267645a3b",
+    ("u:4,2", 4, 1): "705b1dd35f1024b9c11e86ba8ca07b78f7f17e8e10c266df329fd267f80edca8",
+    ("u:4,2", 4, 2): "03d705f7e596e7ccf2da09c66661b89034ba544df4aa8507013c809bcec1727b",
+    ("ostar:2", 1, 0): "7913ef7ad2cd2e9bb5dd55a35010add1b3a24a85e8058555b5a47b45c3991a98",
+    ("ostar:2", 1, 1): "faa1933168efc70d7912fafae6961049032a838f335eb161a2aba7d4681e274a",
+    ("ostar:2", 1, 2): "b17d25104752fd62997fd593da724862694ae44cf5913dd9ab339ca1a60da1c7",
+    ("ostar:2", 2, 0): "8f8aa1db60b98a6b70066521a62db24add46c6252ee07766c5c236f5ee118f68",
+    ("ostar:2", 2, 1): "a384dc5dbb88b5c72fecd75b4e4d3cdf591dc3283ac47f88455a58aefd43091f",
+    ("ostar:2", 2, 2): "0abf160d488a988976eea43ed164ef40bb904afdc551bb78265a702116ae8f62",
+    ("ostar:2", 3, 0): "5c405d6cae716ca8b35ca3b3662f55425e2337ca5000a1df53a357c0acc4f325",
+    ("ostar:2", 3, 1): "db8702bca24292290f007a0508c4cafff2bd55768bc70fdd6c695da85f620045",
+    ("ostar:2", 3, 2): "036821c77c00bba9a583b917cf867a85353023b80bbc9696dbd11c5cf7c895ab",
+    ("ostar:2", 4, 0): "81bb1b3327a8b5de38d6c0deaf656cb4131aa8eb5096f588632c2a8aed4d9a8e",
+    ("ostar:2", 4, 1): "f8c5bfd6538739020b34dcf418e3bb3a9550f0844fc770e188ec3dd6f3b9a31a",
+    ("ostar:2", 4, 2): "847ca790c9fd1c4351bcfb1b6941e8c2ca0daaf50ac9c68d19fae84d433665bb",
+    ("ostar:5", 1, 0): "77e48c78d804e3a13fd274a6bc1c6ebd2372db37ff93b845f462c1355e549d80",
+    ("ostar:5", 1, 1): "2302bcc3561bb91140b5e56b42fe2c629e1a032f1010b0dee0291775a2c3bab0",
+    ("ostar:5", 1, 2): "ef5e8e7a3ad64f06bc406190f725af85dcf95736c76724ea188c98afcad9ad21",
+    ("ostar:5", 2, 0): "af563a7da30446cf4ec60f1a8d0fd9f66d832cd7464e8410dbcb8d7e22c173a8",
+    ("ostar:5", 2, 1): "0ac56195ad953aa5d9205072bbc6cb3760d63e6a847760725b5e42d9f01f2533",
+    ("ostar:5", 2, 2): "03c601685ca2812943873568c08625e5fa4265b213ce5b55a8ea031bcdf981a4",
+    ("ostar:5", 3, 0): "a91d680507085c71f24b0712abcda1a33a7eaee658c62465574253a5ef9615f0",
+    ("ostar:5", 3, 1): "6a36241c7c9400fe6631d19168203d904d96ac3125a91783745cc7e2ba95e610",
+    ("ostar:5", 3, 2): "ab76e2e1e1df093ca38bfb4dff94eb5780a50c48251565bc536e67ace9f9c4c4",
+    ("ostar:5", 4, 0): "a663cfca3b98b33aeb54e6a11877f6fde8f288ee741e707697282d35816b4acd",
+    ("ostar:5", 4, 1): "985fd5bd2e3b8cef5c674be8244e8d7dc639e67f84bef67e8e579111be2654b1",
+    ("ostar:5", 4, 2): "0d7b5f59f8a412a389408ceb6d9156b76f663cf0ce95b542c5f1e8429f34d918",
+    ("ostar:6", 1, 0): "53e35b33f11904038ba4ea9f79f552fd83b43100ae1e13bb9237e9af99d6b7f4",
+    ("ostar:6", 1, 1): "d2522e7a4a51f9bf45e08f9cc656efb265a60e0c913e8e07763790871bc70321",
+    ("ostar:6", 1, 2): "0cf782714698eb20115fbd26a70b40c42826aea4d2536a628d99cfadd147edc0",
+    ("ostar:6", 2, 0): "dbefdb310dae0ac714059c6f223db08dcc85d2f626eb63bf4abc6a4f39bf8166",
+    ("ostar:6", 2, 1): "cf72b3d919cc35c7d9ed215b7bdc82c3f2b9af25bff8b35f48cead741b161733",
+    ("ostar:6", 2, 2): "4c9b89e45d2e11b8481cfbd873271adc55eea610e13e140f5d3042f233918c64",
+    ("ostar:6", 3, 0): "f5d0e0cf17d502c2deadf6b77b1e4abb5da9bfb4b066f64b8fc9723523f54919",
+    ("ostar:6", 3, 1): "6eef8052e5733ff83525c7a47d7f27679f6f5fde1eef94429ecda51a740af732",
+    ("ostar:6", 3, 2): "dc2d9b2d7b660e7ec0d5392038044ce233bad3c605c1ebb906604133d71f2be3",
+    ("ostar:6", 4, 0): "a112be492630beef2274588eab3faf75e144cf1c1decb924139dbafec97b4eec",
+    ("ostar:6", 4, 1): "c47f6487c4deb2a1b6f8550b41d02e61434e9cb80faf4ffa2c723f9191500e52",
+    ("ostar:6", 4, 2): "a0de74ecb8dec3350ce2801a7017bc9b4e06d499ed11428fed8934ebd5222876",
+}
+
+
 @pytest.mark.parametrize("sel", ALL_CASES)
 def test_random_group_draws_pinned(sel):
     rng = make_rng("t-group-pin", sel)
@@ -371,6 +475,14 @@ def test_random_lie_g_draws_pinned(sel):
     case = parse_case(sel, 2)
     mats = [linalg.matrix_to_json(random_lie_g(case, rng)) for _ in range(3)]
     assert _sha256(json.dumps(mats)) == LIE_G_DIGESTS[sel]
+
+
+@pytest.mark.parametrize("sel,s", sorted({key[:2] for key in ZERO_LEVEL_DIGESTS}))
+def test_zero_level_samples_pinned(sel, s):
+    case = parse_case(sel, s)
+    for seed in range(3):
+        alpha = linalg.matrix_to_json(sample_zero_level(case, seed).alpha)
+        assert _sha256(json.dumps(alpha)) == ZERO_LEVEL_DIGESTS[sel, s, seed]
 
 
 @pytest.mark.parametrize("sel,s", sorted(REDUCE_DIGESTS))
@@ -436,14 +548,12 @@ def test_half_products_equal_full_chains(sel, monkeypatch):
     # equals the full product of the same factors
     formed = _record_chains(monkeypatch)
     v = parse_case(sel, 1).v_size
-    expected = {((v, 2), (2, v))}  # the isotropic shear V (V^H K)
+    expected = set()
     for s in range(1, 5):
         case = parse_case(sel, s)
-        n, b = case.s_size, 2 * case.r
+        n = case.s_size
         expected |= {
-            ((v, v),) * 6 + ((v, b), (b, n)),  # the zero-level chain
             ((n, v), (v, n)), ((v, n), (n, v)),  # mu_K and mu_G
-            ((n, n),) * 3, ((v, v),) * 3,  # random H and G elements
             ((v, v), (v, n), (n, n)),  # y a x^-1
             ((n, n), (n, v), (v, n), (n, n)),  # -x dagger(a) a x^-1
             ((v, v), (v, n), (n, v), (v, v)),  # y a dagger(a) y^-1
@@ -457,6 +567,78 @@ def test_half_products_equal_full_chains(sel, monkeypatch):
     assert expected <= {tuple(linalg.shape(f) for f in factors) for factors, _ in formed}
     for factors, out in formed:
         assert out == linalg.mat_chain(*factors)
+
+
+# how many branches each generator draw picks from, for (G, H)
+PICKS = {"sp": (3, 2), "u": (2, 3), "ostar": (3, 2)}
+
+
+def _next_pick(rng, count) -> int:
+    """The branch the next generator draw takes, read off a copy of rng: its
+    first draw is randrange(3) for three branches, random() < 0.5 for two."""
+    peek = random.Random()
+    peek.setstate(rng.getstate())
+    return peek.randrange(3) if count == 3 else int(peek.random() >= 0.5)
+
+
+def _dense_action(action, cols) -> list:
+    """The matrix of a sparse action (den, rows) with cols columns, or of a
+    shear (V, W), I - V W, read off the representation alone."""
+    head, tail = action
+    if not isinstance(head, int):
+        return linalg.mat_sub(linalg.identity(cols), linalg.mat_mul(
+            _dense_action(head, 2), _dense_action(tail, cols)))
+    m = linalg.zeros(len(tail), cols)
+    for row, terms in zip(m, tail):
+        for c, a, b in terms:
+            row[c] += QI.from_ints(a, b, head)
+    return m
+
+
+@pytest.mark.parametrize("sel", ALL_CASES)
+def test_generator_actions_match_dense_oracle(sel):
+    # every branch of both generators, at s = 1..3: the action's matrix lies
+    # in the group, and acting on a plane equals the product by that matrix
+    rng = make_rng("t-actions", sel)
+    for s in (1, 2, 3):
+        case = parse_case(sel, s)
+        draws = ((dp._g_generator, case.v_size, in_group_g, PICKS[case.kind][0]),
+                 (dp._h_generator, case.s_size, in_group_h, PICKS[case.kind][1]))
+        for generator, n, in_group, count in draws:
+            seen = set()
+            while len(seen) < count:
+                seen.add(_next_pick(rng, count))
+                action = generator(case, rng)
+                dense = _dense_action(action, n)
+                assert in_group(case, dense)
+                x = random_qi_matrix(rng, n, 3, 7)
+                den, rows = dp._act(action, dp._plane(x))
+                got = [[QI.from_ints(a, b, den) for a, b in zip(re, im)] for re, im in rows]
+                assert got == linalg.mat_chain(dense, x)
+
+
+def test_zero_level_and_group_draws_form_no_generator_matrix(monkeypatch):
+    # the generators act on the integer plane: an ostar zero-level sample
+    # makes one matrix product, its mu_K check (2 + 2 per shear drawn when
+    # the generators were dense), and the random H and G elements none
+    calls, full = [0], linalg.mat_chain
+
+    def counting(*factors):
+        calls[0] += 1
+        return full(*factors)
+
+    monkeypatch.setattr(linalg, "mat_chain", counting)
+    case = parse_case("ostar:6", 4)
+    for seed in range(5):
+        calls[0] = 0
+        sample_zero_level(case, seed)
+        assert calls[0] == 1
+    calls[0] = 0
+    for sel in CASES:
+        rng = make_rng("t-no-dense", sel)
+        for _ in range(4):
+            random_h_element(parse_case(sel, 2), rng), random_g_element(parse_case(sel, 2), rng)
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("sel", ["sp:3", "u:3,3"])
