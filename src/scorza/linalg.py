@@ -1,4 +1,5 @@
-"""Exact linear algebra over Gaussian rationals.
+"""Exact linear algebra over Gaussian rationals, and the rank of integer
+matrices.
 
 Matrices are plain lists of lists of QI. Products, rank, det and inverse
 run on the integer plane of `scalars` (one denominator, interleaved integer
@@ -6,10 +7,14 @@ real and imaginary parts). Every product is a chain, mat_chain, formed
 right to left: each factor goes to the plane once, the running product
 stays column planes over one denominator summed as plain ints, and QI is
 built only for the result; mat_mul and mat_vec are its two-factor case.
-Rank, det and inverse share one fraction-free Bareiss elimination over the
-Gaussian integers, _eliminate, which runs in place on interleaved row
-planes, keeps entry growth polynomial and divides exactly. Results return
-to QI through from_plane.
+
+There are two fraction-free Bareiss eliminations, each of which keeps entry
+growth polynomial and divides exactly. Rank, det and inverse of QI
+matrices share _eliminate, over the Gaussian integers, in place on
+interleaved row planes; results return to QI through from_plane. A matrix
+of plain ints, such as the frame Jacobian of the dimension oracle, is
+ranked by int_rank, over the integers with one int per entry, so no QI and
+no plane is built for it.
 """
 
 from __future__ import annotations
@@ -163,6 +168,46 @@ def _eliminate(work: list, ncols: int, full: bool) -> tuple:
         qr, qi = pr, pi
         r += 1
     return r, sign, (qr, qi)
+
+
+def int_rank(rows: list) -> int:
+    """Exact rank of a matrix of plain ints, by fraction-free (Bareiss 1968)
+    elimination in place on `rows`, one int per entry. It pivots on the
+    smallest |a|, made positive by negating its row, and updates
+    x -> (p * x - f * y) // q for pivot p, previous pivot q and f the entry
+    under p, which is exact since after step k every entry is a k x k minor
+    up to sign; it raises RuntimeError otherwise. On a full-rank square
+    matrix the last pivot is |det|. A row with f = 0 is left as it is when
+    p = q, which is nearly every row of a frame Jacobian."""
+    nrows, width = len(rows), len(rows[0]) if rows else 0
+    q, r = 1, 0
+    for c in range(width):
+        pivot_row = best = None
+        for i in range(r, nrows):
+            a = rows[i][c]
+            if a and (best is None or abs(a) < best):
+                best, pivot_row = abs(a), i
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        rowr = rows[r]
+        if rowr[c] < 0:  # negating a row keeps every entry a minor, up to sign
+            rowr[c:] = [-x for x in rowr[c:]]
+        p = rowr[c]
+        for rowi in rows[r + 1:]:
+            f = rowi[c]
+            if not f and p == q:
+                continue  # (p * x - 0 * y) // q = x: the row stays as it is
+            for j in range(c + 1, width):
+                x, y = rowi[j], rowr[j]
+                if x or y:  # 0 stays 0; frame Jacobians are mostly zeros
+                    rowi[j], rem = divmod(p * x - f * y, q)
+                    if rem:
+                        raise RuntimeError("inexact integer division in Bareiss step")
+            rowi[c] = 0
+        q = p
+        r += 1
+    return r
 
 
 def _integer_rows(m: Matrix) -> tuple[list, list]:

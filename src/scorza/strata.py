@@ -8,7 +8,10 @@ stratum's dimension is the exact Jacobian rank of the s-fold rank-one chart
 sum at parameters summing to the frame point, where it equals the rank-s
 orbit's tangent space. Every rank-one chart is quadratic, F(p) = B(p, p),
 so its Jacobian is written in closed form, DF(p)e = B(e, p) + B(p, e),
-without evaluating the chart.
+without evaluating the chart. The frame parameters are 0s and 1s, so that
+Jacobian is an integer matrix (entries 0, +-1, +-2), built as ints and
+ranked by linalg.int_rank; QI matrices (rank_of, the relative invariant)
+go through linalg's Gaussian-integer elimination.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .jordan import (
     sharp,
 )
 from .sampling import derive_seed, make_rng, random_qi, random_qi_vector, random_square
-from .scalars import QI, QI_ONE, QI_ZERO
+from .scalars import QI, QI_ZERO
 
 # model kind -> the names of its parameters, in selector and JSON order
 _PARAMS = {"sym": ("r",), "mat": ("q", "p"), "skew": ("n",), "exc27": ()}
@@ -41,10 +44,11 @@ _RANK1_RETRIES = 32
 # Largest Jacobian the dimension oracle will rank, in cells: s chart
 # blocks of chart_param_count rows by ambient_dim columns. It admits every
 # Scorza family of catalog_scorza(k) for k <= 6 (the largest is skew:15 at
-# s = 7, 210 x 105 = 22,050 cells, ranked at the frame point in about 0.3 s
-# on one Xeon vCPU under Python 3.11); skew:16 at s = 8 (k = 7) already
-# needs 30,720. The same budget bounds a model's ambient_dim and a dual-pair
-# case's matrix size, so that no command starts work whose cost has no bound.
+# s = 7, 210 x 105 = 22,050 cells, built and ranked as ints at the frame
+# point in 4-5 ms on one Xeon vCPU under Python 3.11); skew:16 at s = 8
+# (k = 7) already needs 30,720. The same budget bounds a model's ambient_dim
+# and a dual-pair case's matrix size, so that no command starts work whose
+# cost has no bound.
 MAX_JACOBIAN_CELLS = 25_000
 
 
@@ -189,7 +193,8 @@ class StratumPoint:
 
     @staticmethod
     def from_json(data: dict) -> "StratumPoint":
-        """Inverse of to_json; a missing or ill-typed field raises InputError."""
+        """Inverse of to_json; a missing or ill-typed field, or a "rank" that is
+        not an int in 0..max_rank, raises InputError."""
         try:
             mobj = data["model"]
             kind = mobj["kind"]
@@ -198,7 +203,9 @@ class StratumPoint:
                 coords = JordanElement.from_json(data["coords"])
             else:
                 coords = linalg.matrix_from_json(data["coords"])
-            rank = int(data["rank"]) if "rank" in data else None
+            rank = data["rank"] if "rank" in data else None
+            if "rank" in data and (type(rank) is not int or not 0 <= rank <= model.max_rank):
+                raise InputError(f"rank must be an integer in 0..{model.max_rank}, got {rank!r}")
         except InputError:
             raise
         except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -411,7 +418,9 @@ def coords_vector(point: StratumPoint) -> list:
 
 def _chart_jacobian_columns(model: PSpaceModel, block: list) -> list:
     """Columns DF(p)e_t = B(e_t, p) + B(p, e_t) of the quadratic chart at p,
-    one per parameter, each in coords_vector order."""
+    one per parameter, each in coords_vector order. Any number type works:
+    ints at the frame point, QI at the random points of the tests; an entry
+    that is always zero is the int 0."""
     if model.kind == "sym":
         r = model.params[0]
         cols = []
@@ -422,16 +431,16 @@ def _chart_jacobian_columns(model: PSpaceModel, block: list) -> list:
                     if i == t:
                         col.append(block[j] + block[j] if j == t else block[j])
                     else:
-                        col.append(block[i] if j == t else QI_ZERO)
+                        col.append(block[i] if j == t else 0)
             cols.append(col)
         return cols
     if model.kind == "mat":
         q, p = model.params
         v, w = block[:q], block[q:]
-        zero_row = [QI_ZERO] * p
+        zero_row = [0] * p
         cols = [zero_row * t + w + zero_row * (q - 1 - t) for t in range(q)]
         for t in range(p):
-            col = [QI_ZERO] * (q * p)
+            col = [0] * (q * p)
             col[t::p] = v
             cols.append(col)
         return cols
@@ -455,7 +464,7 @@ def _skew_column(u: list, t: int) -> list:
             elif j == t:
                 col.append(-u[i])
             else:
-                col.append(QI_ZERO)
+                col.append(0)
     return col
 
 
@@ -465,27 +474,27 @@ def _exc27_columns(block: list) -> list:
     x, y, w = block[0:8], block[8:16], block[16]
     ybar = [y[0]] + [-c for c in y[1:]]
     table = _TABLES[3]
-    zero8 = [QI_ZERO] * 8
+    zero8 = [0] * 8
     cols = []
     for t in range(8):
         # d/dx_t: M00 -> 2 x_t, M01 = x ybar -> e_t ybar, M02 = x w -> w e_t
-        m01 = [QI_ZERO] * 8
+        m01 = [0] * 8
         for j, (k, sign) in enumerate(table[t]):
             m01[k] = ybar[j] if sign > 0 else -ybar[j]
         m02 = list(zero8)
         m02[t] = w
-        cols.append([x[t] + x[t], QI_ZERO, QI_ZERO] + m01 + m02 + zero8)
+        cols.append([x[t] + x[t], 0, 0] + m01 + m02 + zero8)
     for t in range(8):
         # d/dy_t: M11 -> 2 y_t, M01 -> x conj(e_t), M12 = y w -> w e_t
-        m01 = [QI_ZERO] * 8
+        m01 = [0] * 8
         for i in range(8):
             k, sign = table[i][t]
             m01[k] = x[i] if (sign > 0) == (t == 0) else -x[i]
         m12 = list(zero8)
         m12[t] = w
-        cols.append([QI_ZERO, y[t] + y[t], QI_ZERO] + m01 + zero8 + m12)
+        cols.append([0, y[t] + y[t], 0] + m01 + zero8 + m12)
     # d/dw: M22 = w^2 -> 2 w, M02 -> x, M12 -> y
-    cols.append([QI_ZERO, QI_ZERO, w + w] + zero8 + list(x) + list(y))
+    cols.append([0, 0, w + w] + zero8 + list(x) + list(y))
     return cols
 
 
@@ -495,16 +504,17 @@ def _check_jacobian_cells(model: PSpaceModel, s: int):
 
 
 def _frame_blocks(model: PSpaceModel, s: int) -> list:
-    """s chart parameter blocks whose charts sum to the frame point c_s: sym
-    e_k; mat (e_k, e_k); skew (e_2k, e_2k+1); exc27 the unit w, then y_0,
-    then x_0 (parameters 16, 8, 0), whose charts are E_33, E_22 and E_11.
-    Not x_0 first: the exc27 chart at x = 1 has rank 10, not 17."""
+    """s chart parameter blocks, as 0/1 ints, whose charts sum to the frame
+    point c_s: sym e_k; mat (e_k, e_k); skew (e_2k, e_2k+1); exc27 the unit
+    w, then y_0, then x_0 (parameters 16, 8, 0), whose charts are E_33, E_22
+    and E_11. Not x_0 first: the exc27 chart at x = 1 has rank 10, not 17.
+    Int blocks make every Jacobian column a list of ints."""
     n = model.params[0] if model.params else 0
     ones = {"sym": [(k,) for k in range(s)], "mat": [(k, n + k) for k in range(s)],
             "skew": [(2 * k, n + 2 * k + 1) for k in range(s)],
             "exc27": [(16,), (8,), (0,)][:s]}[model.kind]
     ppc = chart_param_count(model)
-    return [[QI_ONE if t in unit else QI_ZERO for t in range(ppc)] for unit in ones]
+    return [[1 if t in unit else 0 for t in range(ppc)] for unit in ones]
 
 
 def stratum_dimension(model: PSpaceModel, s: int) -> tuple[int, int]:
@@ -518,14 +528,16 @@ def stratum_dimension(model: PSpaceModel, s: int) -> tuple[int, int]:
     is the stratum dimension, with no random draw. For exc27 a rank at any
     point is at most the generic rank, so the tests that pin 17, 26 and 27
     show the frame exact there too. Each block contributes its closed-form columns
-    B(e_t, p) + B(p, e_t). A Jacobian of more than MAX_JACOBIAN_CELLS cells
-    is rejected with InputError before any column is built.
+    B(e_t, p) + B(p, e_t), as ints, and linalg.int_rank ranks them by
+    integer Bareiss elimination, with no QI and no Gaussian plane. A
+    Jacobian of more than MAX_JACOBIAN_CELLS cells is rejected with
+    InputError before any column is built.
     """
     if not 1 <= s <= model.max_rank:
         raise InputError(f"stratum index {s} outside 1..{model.max_rank}")
     _check_jacobian_cells(model, s)
     blocks = _frame_blocks(model, s)
-    dim = linalg.rank([c for block in blocks for c in _chart_jacobian_columns(model, block)])
+    dim = linalg.int_rank([c for block in blocks for c in _chart_jacobian_columns(model, block)])
     return dim, dim - 1
 
 

@@ -303,6 +303,14 @@ def test_console_script_help():
 SYM1_POINT = json.dumps({"model": {"kind": "sym", "r": 1},
                          "coords": [[{"re": "1/1", "im": "0/1"}]]})
 UNWRITABLE = "{tmp}/missing-dir/out.json"
+
+
+def _sym2_point_with_rank(rank) -> str:
+    one, zero = {"re": "1/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}
+    return json.dumps({"model": {"kind": "sym", "r": 2},
+                       "coords": [[one, zero], [zero, zero]], "rank": rank})
+
+
 _OCT_ZERO = {"level": 3, "coeffs": [{"re": "0", "im": "0"}] * 8}
 # an exc27 point whose second upper-triangle row has one entry, not two
 EXC27_SHORT_ROW = json.dumps({"model": {"kind": "exc27"}, "coords": {
@@ -324,6 +332,13 @@ MALFORMED = {
     "invariant-missing-model-param": (
         ["invariant"], '{"model": {"kind": "mat", "q": 2}, "coords": []}'),
     "invariant-exc27-short-row": (["invariant"], EXC27_SHORT_ROW),
+    # a piped "rank" is taken as the point's rank, so it must be an int in 0..max_rank
+    "invariant-rank-bool": (["invariant"], _sym2_point_with_rank(True)),
+    "invariant-rank-float": (["invariant"], _sym2_point_with_rank(2.7)),
+    "invariant-rank-string": (["invariant"], _sym2_point_with_rank("1")),
+    "invariant-rank-null": (["invariant"], _sym2_point_with_rank(None)),
+    "invariant-rank-negative": (["invariant"], _sym2_point_with_rank(-5)),
+    "invariant-rank-above-max": (["invariant"], _sym2_point_with_rank(99)),
     "sample-height-0": (["sample", "--model", "sym:3", "--height", "0"], None),
     "dim-height-0": (["dim", "--model", "sym:3", "--stratum", "1", "--height", "0"], None),
     "dim-height": (["dim", "--model", "sym:3", "--stratum", "1", "--height", "3"], None),

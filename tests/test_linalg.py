@@ -301,3 +301,38 @@ def test_pfaffian_matches_sympy(kind):
         block += [[-m[j][i] for j in range(half)] + [QI(0)] * half for i in range(half)]
         sign = -1 if half * (half - 1) // 2 % 2 else 1
         assert linalg.pfaffian(block) == _sympy_det(m) * sign
+
+
+# --- sympy oracle for the integer elimination --------------------------------
+
+def _int_inputs(rng):
+    """Integer matrices for int_rank: small and above-2^64 entries, rank-deficient
+    products of thin factors, zero rows and columns, 1 x n, n x 1 and empty."""
+    def draw(rows, cols, bound):
+        return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+
+    yield from ([], [[]], [[], []], [[0]], [[5]], [[0, 0, 0]], [[0], [0]])
+    for bound in (2, 9, 2**70):
+        for rows, cols in ((1, 1), (1, 5), (5, 1), (3, 3), (4, 6), (6, 4), (6, 6)):
+            yield draw(rows, cols, bound)
+        for rows, inner, cols in ((4, 1, 4), (5, 2, 6), (6, 3, 5), (7, 4, 7)):
+            a, b = draw(rows, inner, bound), draw(inner, cols, bound)
+            yield [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        m = draw(5, 6, bound)
+        m[2] = [0] * 6
+        for row in m:
+            row[0] = row[4] = 0
+        yield m
+
+
+def test_int_rank_matches_gaussian_rank_and_sympy():
+    rng = make_rng("linalg", "int-rank")
+    for m in _int_inputs(rng):
+        want = sympy.Matrix(len(m), len(m[0]) if m else 0, sum(m, [])).rank()
+        assert linalg.rank([[QI(x) for x in row] for row in m]) == want
+        work = [list(row) for row in m]
+        assert linalg.int_rank(work) == want
+        n = len(m)
+        if want == n and m and len(m[0]) == n:
+            # every entry left is a minor up to sign, and the last pivot is |det|
+            assert work[-1][-1] == abs(sympy.Matrix(m).det())

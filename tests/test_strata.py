@@ -1,10 +1,11 @@
 import hashlib
 import json
+import sys
 import time
 
 import pytest
 
-from scorza import linalg
+from scorza import linalg, scalars
 from scorza.catalog import catalog_scorza
 from scorza.errors import InputError, UnsupportedError
 from scorza.jordan import generic_det, sharp
@@ -32,7 +33,7 @@ from scorza.strata import (
     sym_model,
     zero_point,
 )
-from scorza.strata import _chart_jacobian_columns
+from scorza.strata import _chart_jacobian_columns, _frame_blocks
 
 ALL_MODELS = [sym_model(3), mat_model(3, 3), mat_model(3, 5), skew_model(6),
               skew_model(7), EXC27]
@@ -204,6 +205,37 @@ def test_stratum_dimension_matches_closed_forms():
             cone = _closed_form_cone_dim(model, s)
             want[model.selector(), s] = (cone, cone - 1)
     assert got == want
+
+
+def test_frame_jacobian_int_columns_equal_qi_columns():
+    # the oracle ranks int columns; at the same blocks as QI they are equal
+    for model in CLOSED_FORM_GRID:
+        for s in range(1, model.max_rank + 1):
+            for block in _frame_blocks(model, s):
+                got = _chart_jacobian_columns(model, block)
+                assert all(type(x) is int for col in got for x in col)
+                assert got == _chart_jacobian_columns(model, [QI(x) for x in block])
+
+
+def test_stratum_dimension_ranks_without_gaussian_planes():
+    # cost pin: no Z[i] elimination and no plane encoding on the oracle's path
+    watched = {linalg._eliminate.__code__, scalars.to_plane.__code__}
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            seen.add(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for sel in ("sym:4", "mat:3,5", "skew:7", "exc27"):
+            model = parse_model(sel)
+            for s in range(1, model.max_rank + 1):
+                stratum_dimension(model, s)
+    finally:
+        sys.setprofile(previous)
+    assert not seen
 
 
 def _symmetric_difference_columns(model, block):
