@@ -26,11 +26,14 @@ A third fact halves the quaternionic products:
   Fact 3. A quaternion-linear 2m x 2n matrix M, in its complex 2x2-block
           form [[X, -conj(Y)], [Y, conj(X)]], satisfies M C_n = C_m conj(M)
           for the structure C_k = [[0, -I_k], [I_k, 0]], so its right block
-          column is C_m conj(L) for its left block column L. `_chain` and
-          `_product` form only L of an ostar product. This holds only for
-          products that are quaternion-linear: every factor is validated
-          (WElement, in_group_h, in_group_g) or built quaternion-linear
-          (the generator actions, the isotropic basis, _quaternion_blocks).
+          column is C_m conj(L) for its left block column L. Only
+          `_left_half` and `_with_right_half` know C; the rest builds an
+          ostar matrix from L and tests M == [L | C_m conj(L)]. `_chain`
+          and `_product` form only L of an ostar product. This holds only
+          for products that are quaternion-linear: every factor is
+          validated (WElement, in_group_h, in_group_g) or built
+          quaternion-linear (the generator actions, the isotropic basis,
+          `_with_right_half`).
 
 The random generators of G and H are sparse actions, never matrices: per
 output row the (column, re, im) ints of the nonzero entries over one
@@ -219,13 +222,17 @@ def _omega(n: int, sign: int) -> SignedPerm:
 def _chain(case: DualPairCase, *factors: list) -> list:
     """The product of the factors, as `linalg.mat_chain`. For ostar the
     product must be quaternion-linear: only the left half of the last
-    factor's columns is multiplied, and the right half is C conj of the
-    result, C = _omega(rows // 2, -1) (Fact 3)."""
-    if case.kind != "ostar":
-        return linalg.mat_chain(*factors)
+    factor's columns is multiplied, and the result is completed (Fact 3)."""
     *left, last = factors
-    half = len(last[0]) // 2
-    return _with_right_half(case, linalg.mat_chain(*left, [row[:half] for row in last]))
+    return _with_right_half(case, linalg.mat_chain(*left, _left_half(case, last)))
+
+
+def _left_half(case: DualPairCase, m: list) -> list:
+    """For ostar, the left block column of m (Fact 3). Otherwise m."""
+    if case.kind != "ostar":
+        return m
+    half = len(m[0]) // 2
+    return [row[:half] for row in m]
 
 
 def _with_right_half(case: DualPairCase, lhalf: list) -> list:
@@ -237,15 +244,11 @@ def _with_right_half(case: DualPairCase, lhalf: list) -> list:
     return [a + b for a, b in zip(lhalf, rhalf)]
 
 
-def _is_h_linear(m: list, rows_struct: SignedPerm, cols_struct: SignedPerm) -> bool:
-    # quaternion-linearity: m @ C_cols == C_rows @ conj(m)
-    return linalg.mat_eq(cols_struct.right(m), rows_struct.left(linalg.mat_conj(m)))
-
-
-def _with_structure(case: DualPairCase, v: list) -> list:
-    """The v_size x 2 matrix [v | C conj(v)] for the structure C on V."""
-    cv = case.structure(True).left([[x.conjugate()] for x in v])
-    return [[a, b] for a, (b,) in zip(v, cv)]
+def _is_h_linear(case: DualPairCase, m: list) -> bool:
+    """Quaternion-linearity of an ostar matrix [L | R], M C_n = C_m conj(M):
+    as C conj(C conj(L)) = -L, it holds exactly when R = C_m conj(L), that
+    is when m is the completion of its left half. True off ostar."""
+    return m == _with_right_half(case, _left_half(case, m))
 
 
 @dataclass
@@ -255,16 +258,26 @@ class WElement:
 
     def __post_init__(self):
         rows, cols = linalg.shape(self.alpha)
+        if any(len(row) != cols for row in self.alpha):
+            raise InputError("alpha rows have different lengths")
         if (rows, cols) != (self.case.v_size, self.case.s_size):
             raise InputError(
                 f"alpha must be {self.case.v_size}x{self.case.s_size}, got {rows}x{cols}"
             )
         if self.case.real_entries and not linalg.is_real_matrix(self.alpha):
             raise InputError("case sp uses real matrices")
-        if self.case.kind == "ostar" and not _is_h_linear(
-            self.alpha, self.case.structure(True), self.case.structure(False)
-        ):
+        if not _is_h_linear(self.case, self.alpha):
             raise InputError("alpha does not commute with the quaternionic structure")
+
+    @staticmethod
+    def _trusted(case: DualPairCase, alpha: list) -> "WElement":
+        """The element with this alpha, built without `__post_init__`'s
+        checks: for alpha of the right shape that is real (sp) or
+        quaternion-linear (ostar) by construction, such as a zero-level
+        sample or a moved element y alpha x^-1 of checked x and y."""
+        w = object.__new__(WElement)
+        w.__dict__.update(case=case, alpha=alpha)
+        return w
 
     def to_json(self) -> dict:
         return {
@@ -317,7 +330,7 @@ def _is_member(case: DualPairCase, x: list, on_v: bool, group: bool) -> bool:
     skew-hermitian, so the second says F X is hermitian), then real entries
     (sp), then quaternion-linearity (ostar)."""
     n = case.v_size if on_v else case.s_size
-    if linalg.shape(x) != (n, n):
+    if len(x) != n or any(len(row) != n for row in x):
         return False
     form = case.form_v() if on_v else SignedPerm(tuple((i, 1) for i in range(n)))
     fx = form.left(x)
@@ -327,10 +340,7 @@ def _is_member(case: DualPairCase, x: list, on_v: bool, group: bool) -> bool:
         ok = linalg.mat_eq(fx, linalg.conj_transpose(fx))
     if not ok or (case.real_entries and not linalg.is_real_matrix(x)):
         return False
-    if case.kind == "ostar":
-        c = form if on_v else case.structure(False)  # on V the structure is G_V (Fact 1)
-        return _is_h_linear(x, c, c)
-    return True
+    return _is_h_linear(case, x)
 
 
 def equivariance_check(w: WElement, x: list, y: list) -> bool:
@@ -347,7 +357,7 @@ def equivariance_check(w: WElement, x: list, y: list) -> bool:
     x_inv = linalg.inverse(x)
     y_inv = linalg.inverse(y)
     alpha, dag = w.alpha, dagger(w)
-    moved = WElement(case, _chain(case, y, alpha, x_inv))
+    moved = WElement._trusted(case, _chain(case, y, alpha, x_inv))
     rhs_k = linalg.mat_neg(_chain(case, x, dag, alpha, x_inv))
     rhs_g = _chain(case, y, alpha, dag, y_inv)
     return linalg.mat_eq(mu_K(moved), rhs_k) and linalg.mat_eq(mu_G(moved), rhs_g)
@@ -405,11 +415,9 @@ def veronese_map(case: DualPairCase, v: list) -> StratumPoint:
         raise InputError("veronese_map needs a case with s = 1")
     if len(v) != case.v_size:
         raise InputError(f"vector must have {case.v_size} coordinates")
-    if case.kind == "ostar":  # J_q(v) = C conj(v) is the second column
-        alpha = _with_structure(case, v)
-    else:
-        alpha = [[x] for x in v]
-    w = WElement(case, alpha)
+    # for ostar J_q(v) = C conj(v) is the second column; the public checks
+    # stay, as v comes from the caller
+    w = WElement(case, _with_right_half(case, [[x] for x in v]))
     return _project_p(mu_G(w), case)
 
 
@@ -419,22 +427,12 @@ def random_w_element(case: DualPairCase, seed: int) -> WElement:
     """A random element of W, its rationals of height at most 10."""
     height = 10
     rng = make_rng(seed, "w-element", case.selector(), case.s, height)
-    if case.kind == "ostar":
+    if case.kind == "ostar":  # [x; y], the left block column of x + j y
         d, s = case.params[0], case.s
-        x = random_qi_matrix(rng, d, s, height)
-        y = random_qi_matrix(rng, d, s, height)
-        return WElement(case, _quaternion_blocks(x, y))
-    alpha = random_qi_matrix(
-        rng, case.v_size, case.s_size, height, real=case.real_entries
-    )
-    return WElement(case, alpha)
-
-
-def _quaternion_blocks(x: list, y: list) -> list:
-    # the complex 2x2-block form of a quaternionic matrix x + j y
-    top = [rx + [-v.conjugate() for v in ry] for rx, ry in zip(x, y)]
-    bot = [ry + [v.conjugate() for v in rx] for rx, ry in zip(x, y)]
-    return top + bot
+        lhalf = random_qi_matrix(rng, d, s, height) + random_qi_matrix(rng, d, s, height)
+    else:
+        lhalf = random_qi_matrix(rng, case.v_size, case.s_size, height, real=case.real_entries)
+    return WElement._trusted(case, _with_right_half(case, lhalf))
 
 
 def _isotropic_support(case: DualPairCase) -> list:
@@ -478,10 +476,9 @@ def sample_zero_level(case: DualPairCase, seed: int, height: int = 10) -> WEleme
     """
     rng = make_rng(seed, "zero-level", case.selector(), case.s, height)
     support = _isotropic_support(case)
-    if case.kind == "ostar":  # [x; y], the left block column of _quaternion_blocks(x, y)
-        x = random_qi_matrix(rng, case.r, case.s, height)
-        y = random_qi_matrix(rng, case.r, case.s, height)
-        beta = x + y
+    if case.kind == "ostar":  # [x; y], the left block column of x + j y
+        beta = random_qi_matrix(rng, case.r, case.s, height) + random_qi_matrix(
+            rng, case.r, case.s, height)
     else:
         beta = random_qi_matrix(
             rng, len(support), case.s_size, height, real=case.real_entries
@@ -493,7 +490,7 @@ def sample_zero_level(case: DualPairCase, seed: int, height: int = 10) -> WEleme
         for row, k in entries:
             basis[row].append((col, SignedPerm.UNITS[k]))
     chain = [g for gens in reversed(mix_gens) for g in gens] + [_sparse(basis)]
-    w = WElement(case, _product(case, chain, _plane(beta)))
+    w = WElement._trusted(case, _product(case, chain, _plane(beta)))
     if not linalg.is_zero_matrix(mu_K(w)):
         raise RuntimeError("zero-level construction failed; isotropy violated")
     return w
@@ -540,20 +537,14 @@ def random_h_element(case: DualPairCase, rng: Random) -> list:
     """A product of three random generators of H, their actions applied to
     the identity (for ostar only to its left half, Fact 3)."""
     gens = [_h_generator(case, rng) for _ in range(3)]
-    return _product(case, gens, _identity_plane(case, case.s_size))
+    return _product(case, gens, _plane(_left_half(case, linalg.identity(case.s_size))))
 
 
 def random_g_element(case: DualPairCase, rng: Random) -> list:
     """A product of three random generators of G, their actions applied to
     the identity (for ostar only to its left half, Fact 3)."""
     gens = [_g_generator(case, rng) for _ in range(3)]
-    return _product(case, gens, _identity_plane(case, case.v_size))
-
-
-def _identity_plane(case: DualPairCase, n: int) -> tuple:
-    """The plane of the n x n identity, for ostar of its left half."""
-    width = n // 2 if case.kind == "ostar" else n
-    return 1, [([int(i == j) for j in range(width)], [0] * width) for i in range(n)]
+    return _product(case, gens, _plane(_left_half(case, linalg.identity(case.v_size))))
 
 
 def _plane(m: list) -> tuple:
@@ -739,7 +730,7 @@ def _g_generator(case: DualPairCase, rng: Random) -> tuple:
         coef = random_qi(rng, 3)
         for row, k in entries:
             v[row] = coef.times_unit(k)
-    vu = _with_structure(case, v)
+    vu = _with_right_half(case, [[x] for x in v])
     return (_sparse([[(0, a), (1, b)] for a, b in vu]),
             _sparse([[(k, -b) for k, (_, b) in enumerate(vu)],
                      [(k, a) for k, (a, _) in enumerate(vu)]]))

@@ -298,6 +298,103 @@ def test_w_element_structure_validation():
         WElement(sp_case, [[QI(1)]] * 3)  # wrong shape
 
 
+def test_ragged_matrices_are_rejected():
+    # the shape is read off every row, not only the first
+    case = parse_case("sp:3", 2)
+    ragged = [[QI(1), QI(0)], [QI(0), QI(1), QI(5)]]
+    assert not in_group_h(case, ragged)
+    assert not in_lie_h(case, [[QI(0), QI(0)], [QI(0), QI(0), QI(0)]])
+    ragged_g = linalg.identity(case.v_size)
+    ragged_g[3].append(QI(0))
+    assert not in_group_g(case, ragged_g)
+    alpha = [[QI(1), QI(0)] for _ in range(case.v_size)]
+    alpha[1].append(QI(0))
+    with pytest.raises(InputError, match="rows have different lengths"):
+        WElement(case, alpha)
+    w = random_w_element(case, seed=1)
+    with pytest.raises(InputError):
+        equivariance_check(w, ragged, linalg.identity(case.v_size))
+    with pytest.raises(InputError):
+        equivariance_check(w, linalg.identity(case.s_size), ragged_g)
+
+
+def _h_linear_oracle(case, m, rows_on_v, cols_on_v) -> bool:
+    """Quaternion-linearity as M C_cols == C_rows conj(M), with the
+    structure maps of the case on V or on K^s."""
+    c_rows, c_cols = case.structure(rows_on_v), case.structure(cols_on_v)
+    return c_cols.right(m) == c_rows.left(linalg.mat_conj(m))
+
+
+@pytest.mark.parametrize("sel", ["ostar:2", "ostar:5", "ostar:6"])
+def test_h_linearity_matches_the_structure_oracle(sel):
+    # m == [L | C conj(L)] agrees with M C = C conj(M) on quaternion-linear
+    # v x v, n x n and v x n matrices and on copies with one entry changed
+    rng = make_rng("t-h-linear", sel)
+    for s in (1, 2, 3):
+        case = parse_case(sel, s)
+        size = {True: case.v_size, False: case.s_size}
+        linear = [(random_w_element(case, derive_seed("t-h-linear", sel, s, t)).alpha, True, False)
+                  for t in range(2)]
+        linear += [(random_h_element(case, rng), False, False),
+                   (random_g_element(case, rng), True, True)]
+        for rows_on_v, cols_on_v in ((True, True), (False, False), (True, False)):
+            lhalf = random_qi_matrix(rng, size[rows_on_v], size[cols_on_v] // 2, 7)
+            linear.append((dp._with_right_half(case, lhalf), rows_on_v, cols_on_v))
+        for m, rows_on_v, cols_on_v in linear:
+            assert dp._is_h_linear(case, m)
+            assert _h_linear_oracle(case, m, rows_on_v, cols_on_v)
+            half = len(m[0]) // 2
+            for col in (rng.randrange(half), half + rng.randrange(half)):  # left, then right
+                bad = [row[:] for row in m]
+                bad[rng.randrange(len(m))][col] += QI(1, rng.randrange(3))
+                assert not dp._is_h_linear(case, bad)
+                assert not _h_linear_oracle(case, bad, rows_on_v, cols_on_v)
+
+
+@pytest.mark.parametrize("sel", ["sp:1", "sp:3", "u:2,1", "u:4,2"])
+def test_h_linearity_holds_off_ostar(sel):
+    rng = make_rng("t-h-linear-off", sel)
+    case = parse_case(sel, 2)
+    for shape in ((case.v_size, case.v_size), (case.s_size, case.s_size),
+                  (case.v_size, case.s_size)):
+        assert dp._is_h_linear(case, random_qi_matrix(rng, *shape, 7))
+
+
+@pytest.mark.parametrize("sel", ALL_CASES)
+def test_trusted_results_pass_the_public_checks(sel):
+    # every alpha built without the constructor's checks passes them
+    for s in range(1, 5):
+        case = parse_case(sel, s)
+        for seed in range(3):
+            rng = make_rng("t-trusted", sel, s, seed)
+            alpha = random_w_element(case, seed).alpha
+            x, y = random_h_element(case, rng), random_g_element(case, rng)
+            moved = dp._chain(case, y, alpha, linalg.inverse(x))
+            for built in (sample_zero_level(case, seed).alpha, alpha, moved):
+                assert WElement(case, built).alpha is built
+    # veronese_map keeps the public checks: v comes from the caller
+    with pytest.raises(InputError, match="case sp uses real matrices"):
+        veronese_map(parse_case("sp:3", 1), [QI(0, 1)] * 6)
+
+
+def test_trusted_builds_make_no_h_linearity_check(monkeypatch):
+    calls, check = [0], dp._is_h_linear
+
+    def counting(case, m):
+        calls[0] += 1
+        return check(case, m)
+
+    monkeypatch.setattr(dp, "_is_h_linear", counting)
+    for s in range(1, 5):
+        case = parse_case("ostar:6", s)
+        for seed in range(3):
+            sample_zero_level(case, seed)
+            w = random_w_element(case, seed)
+    assert calls[0] == 0
+    WElement(case, w.alpha)
+    assert calls[0] == 1  # the counter sees the public constructor's check
+
+
 def _cli_stdout(argv) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
