@@ -322,7 +322,7 @@ def _cmd_invariant(args) -> int:
 def _cmd_reduce(args, seed: int) -> int:
     case = dp.parse_case(args.case, args.s)
     w = dp.sample_zero_level(case, seed, args.height)
-    mu_k = linalg.zeros(case.s_size, case.s_size)  # mu_K(w): sample_zero_level checked it is 0
+    mu_k = dp.mu_K(w)
     mu_g = dp.mu_G(w)
     point = dp._project_p(mu_g, case)  # mu_G(w) lies in g
     rank = st.rank_of(point)

@@ -255,6 +255,7 @@ def _is_h_linear(case: DualPairCase, m: list) -> bool:
 class WElement:
     case: DualPairCase
     alpha: list  # v_size x s_size complex matrix
+    checked_mu_K = None  # mu_K(alpha), set by sample_zero_level alone
 
     def __post_init__(self):
         rows, cols = linalg.shape(self.alpha)
@@ -297,7 +298,10 @@ def dagger(w: WElement) -> list:
 
 def mu_K(w: WElement) -> list:
     """Momentum map for the compact group H: -dagger(a) a, valued in Lie(H).
-    For ostar only its left block column is multiplied (Fact 3)."""
+    For ostar only its left block column is multiplied (Fact 3). A
+    `sample_zero_level` element returns the value that sampling checked."""
+    if w.checked_mu_K is not None:
+        return w.checked_mu_K
     return linalg.mat_neg(_chain(w.case, dagger(w), w.alpha))
 
 
@@ -354,8 +358,11 @@ def equivariance_check(w: WElement, x: list, y: list) -> bool:
         raise InputError("x does not lie in the compact group H")
     if not in_group_g(case, y):
         raise InputError("y does not lie in G")
-    x_inv = linalg.inverse(x)
-    y_inv = linalg.inverse(y)
+    # inverses from the forms just checked (Fact 1): x^H x = I, and
+    # y^H G_V y = G_V with G_V^-1 = -G_V
+    form = case.form_v()
+    x_inv = linalg.conj_transpose(x)
+    y_inv = (-form).left(form.right(linalg.conj_transpose(y)))
     alpha, dag = w.alpha, dagger(w)
     moved = WElement._trusted(case, _chain(case, y, alpha, x_inv))
     rhs_k = linalg.mat_neg(_chain(case, x, dag, alpha, x_inv))
@@ -427,11 +434,8 @@ def random_w_element(case: DualPairCase, seed: int) -> WElement:
     """A random element of W, its rationals of height at most 10."""
     height = 10
     rng = make_rng(seed, "w-element", case.selector(), case.s, height)
-    if case.kind == "ostar":  # [x; y], the left block column of x + j y
-        d, s = case.params[0], case.s
-        lhalf = random_qi_matrix(rng, d, s, height) + random_qi_matrix(rng, d, s, height)
-    else:
-        lhalf = random_qi_matrix(rng, case.v_size, case.s_size, height, real=case.real_entries)
+    # for ostar the left block column [x; y] of x + j y, with case.s columns
+    lhalf = random_qi_matrix(rng, case.v_size, case.s, height, real=case.real_entries)
     return WElement._trusted(case, _with_right_half(case, lhalf))
 
 
@@ -472,17 +476,13 @@ def sample_zero_level(case: DualPairCase, seed: int, height: int = 10) -> WEleme
     their left block column); the isotropic basis and the six drawn
     generators act on that plane as sparse actions, right to left, and QI
     is built once for the result. No generator is formed as a matrix, and
-    the only matrix product is the mu_K check.
+    the only matrix product is the mu_K check, whose value the element
+    keeps as `checked_mu_K` for `mu_K` to return.
     """
     rng = make_rng(seed, "zero-level", case.selector(), case.s, height)
     support = _isotropic_support(case)
-    if case.kind == "ostar":  # [x; y], the left block column of x + j y
-        beta = random_qi_matrix(rng, case.r, case.s, height) + random_qi_matrix(
-            rng, case.r, case.s, height)
-    else:
-        beta = random_qi_matrix(
-            rng, len(support), case.s_size, height, real=case.real_entries
-        )
+    # for ostar the left block column [x; y] of x + j y, with case.s columns
+    beta = random_qi_matrix(rng, len(support), case.s, height, real=case.real_entries)
     # mix m multiplies by g_m1 g_m2 g_m3; the last mix is leftmost
     mix_gens = [[_g_generator(case, rng) for _ in range(3)] for _ in range(2)]
     basis = [[] for _ in range(case.v_size)]
@@ -491,8 +491,10 @@ def sample_zero_level(case: DualPairCase, seed: int, height: int = 10) -> WEleme
             basis[row].append((col, SignedPerm.UNITS[k]))
     chain = [g for gens in reversed(mix_gens) for g in gens] + [_sparse(basis)]
     w = WElement._trusted(case, _product(case, chain, _plane(beta)))
-    if not linalg.is_zero_matrix(mu_K(w)):
+    mu_k = mu_K(w)
+    if not linalg.is_zero_matrix(mu_k):
         raise RuntimeError("zero-level construction failed; isotropy violated")
+    w.checked_mu_K = mu_k
     return w
 
 

@@ -156,7 +156,7 @@ def _eliminate(work: list, ncols: int, full: bool) -> tuple:
             for j in range(lo, width, 2):
                 xr, xi, yr, yi = rowi[j], rowi[j + 1], rowr[j], rowr[j + 1]
                 if not (xr or xi or yr or yi):
-                    continue  # stays 0; chart Jacobians are mostly zeros
+                    continue  # 0 stays 0; sparse rows skip the update
                 ur = pr * xr - pi * xi - fr * yr + fi * yi
                 ui = pr * xi + pi * xr - fr * yi - fi * yr
                 # exact division by the previous pivot q: u * conj(q) / |q|^2

@@ -194,7 +194,8 @@ class StratumPoint:
     @staticmethod
     def from_json(data: dict) -> "StratumPoint":
         """Inverse of to_json; a missing or ill-typed field, or a "rank" that is
-        not an int in 0..max_rank, raises InputError."""
+        not an int in 0..max_rank, raises InputError. The rank is not trusted:
+        `rank_of` computes it from the coordinates."""
         try:
             mobj = data["model"]
             kind = mobj["kind"]
@@ -212,7 +213,7 @@ class StratumPoint:
             raise InputError(
                 f"malformed stratum point JSON ({type(exc).__name__}: {exc})"
             ) from exc
-        return StratumPoint(model, coords, rank)
+        return StratumPoint(model, coords)
 
 
 def _validate_coords(model: PSpaceModel, coords):

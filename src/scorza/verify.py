@@ -540,9 +540,17 @@ def suite_strata(trials: int, seed: int) -> list:
             d = st.defects(st.parse_model(sel))
             if (d.deltas, d.k0, d.scorza_ok) != (deltas, k0, ok_flag):
                 return False, {"model": sel, "got": [list(d.deltas), d.k0, d.scorza_ok]}
-        d = st.defects(st.mat_model(3, 5))
-        if d.k0 + (5 - 3) // 2 != d.dim_x // d.deltas[0]:
-            return False, {"model": "mat:3,5", "relation": "k0-shift"}
+        # the rectangular counterexamples mat:3,p, p = 5, 6, shift the rank
+        for p in (5, 6):
+            d = st.defects(st.mat_model(3, p))
+            if d.scorza_ok or d.k0 + (p - 3) // 2 != d.dim_x // d.deltas[0]:
+                return False, {"model": f"mat:3,{p}", "relation": "k0-shift"}
+        for k in range(2, 7):
+            for e in catalog_scorza(k):
+                d = st.defects(st.parse_model(e.p_model))
+                got = (d.dim_x, d.ambient_proj_dim, d.deltas[0], d.k0, d.scorza_ok)
+                if got != (e.dim_x, e.ambient_m, e.delta, e.k0, True):
+                    return False, {"k": k, "label": e.label, "got": list(got)}
         return True, None
 
     checks.append(_check(
@@ -553,11 +561,14 @@ def suite_strata(trials: int, seed: int) -> list:
 
 def _secant_check(model, s, trials, seed) -> CheckResult:
     sel = model.selector()
+    # the relative invariant vanishes below the top rank of a regular model
+    vanishes = model.regular and s < model.max_rank
 
     def fn(t):
         p = st.sample_secant(model, s - 1, derive_seed(seed, "secant", sel, s, t))
         r = st.rank_of(p)
-        return r <= s, r == s, _pt_witness(seed, t, p)
+        bound = r <= s and not (vanishes and st.relative_invariant(p))
+        return bound, r == s, _pt_witness(seed, t, p)
 
     return _bound_and_generic(
         f"secant_rank_{sel}_s{s}", ("sample_secant", "rank_of"), trials, fn,

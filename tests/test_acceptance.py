@@ -2,30 +2,23 @@
 
 Everything runs in exact arithmetic with fixed seeds; tolerances are zero
 (integer and rational equality) except for the genericity thresholds,
-which are the stated 95 out of 100 seeded trials.
+which are the stated 95 out of 100 seeded trials. Criteria 4-6 read their
+verdicts from the strata suite's shared run (see conftest.py).
 """
 
-import json
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 from scorza.catalog import catalog_scorza, golden_names, golden_text
-from scorza.jordan import generic_det, sharp
-from scorza.sampling import derive_seed
-from scorza.strata import (
-    EXC27,
-    defects,
-    parse_model,
-    rank_of,
-    relative_invariant,
-    sample_secant,
-    stratum_dimension,
-)
+from scorza.strata import parse_model, stratum_dimension
 from scorza.verify import run_suite
 
 SEED = 20_260_810
+
+
+def _failures(report) -> list:
+    return [(c.name, c.witness) for c in report.checks if not c.ok]
 
 
 def _report(num: int, description: str, ok: bool):
@@ -45,7 +38,8 @@ def test_criterion_1_composition_suite():
              "octonion_associativity_counterexample"} <= names
         and elapsed < 5.0
     )
-    _report(1, f"composition suite, 1000 octonion pairs, {elapsed:.2f}s", ok)
+    _report(1, f"composition suite, 1000 octonion pairs, {elapsed:.2f}s "
+               f"(failures: {_failures(report)})", ok)
 
 
 def test_criterion_2_jordan_suite():
@@ -59,7 +53,8 @@ def test_criterion_2_jordan_suite():
              "det_associative_restriction"} <= names
         and elapsed < 30.0
     )
-    _report(2, f"jordan suite, 200 elements per check, {elapsed:.2f}s", ok)
+    _report(2, f"jordan suite, 200 elements per check, {elapsed:.2f}s "
+               f"(failures: {_failures(report)})", ok)
 
 
 # (dim X, m) per family and Scorza index, plus the chordal row for k = 2
@@ -103,77 +98,29 @@ def test_criterion_3_dimension_tables():
     )
 
 
-def test_criterion_4_severi_relation():
-    computed = {}
-    for sel in ("sym:3", "mat:3,3", "mat:3,4", "skew:6", "skew:7", "exc27"):
-        model = parse_model(sel)
-        n = stratum_dimension(model, 1)[1]
-        m = stratum_dimension(model, model.max_rank)[1]
-        computed[sel] = Fraction(3, 2) * n + 2 == m
-    expected = {"sym:3": True, "mat:3,3": True, "mat:3,4": False,
-                "skew:6": True, "skew:7": False, "exc27": True}
-    ok = computed == expected
-    _report(4, f"critical relation holds for exactly the four regular rows: "
-               f"{computed}", ok)
+def test_criterion_4_severi_relation(suite_checks):
+    check = suite_checks("strata")["severi_dimension_table"]
+    _report(4, f"critical relation holds for exactly the four regular rows "
+               f"(witness: {check.witness})", check.ok)
 
 
-def test_criterion_5_scorza_conditions():
-    failures = []
-    scorza_true = []
-    for k in (2, 3):
-        scorza_true += [f"sym:{k + 1}", f"mat:{k + 1},{k + 1}",
-                        f"mat:{k + 1},{k + 2}", f"skew:{2 * k + 2}",
-                        f"skew:{2 * k + 3}"]
-    scorza_true.append("exc27")
-    for sel in scorza_true:
-        d = defects(parse_model(sel))
-        if not d.scorza_ok:
-            failures.append((sel, "expected scorza_ok"))
-    for sel, p, q in (("mat:3,5", 5, 3), ("mat:3,6", 6, 3)):
-        d = defects(parse_model(sel))
-        if d.scorza_ok:
-            failures.append((sel, "expected not scorza_ok"))
-        if d.k0 + (p - q) // 2 != d.dim_x // d.deltas[0]:
-            failures.append((sel, "rank-shift identity"))
-    for k in range(2, 7):
-        for e in catalog_scorza(k):
-            d = defects(parse_model(e.p_model))
-            got = (d.dim_x, d.ambient_proj_dim, d.deltas[0], d.k0, d.scorza_ok)
-            if got != (e.dim_x, e.ambient_m, e.delta, e.k0, True):
-                failures.append((e.p_model, "catalog row", got))
-    _report(5, f"defect conditions at k=2,3, every catalog family k=2..6 and "
-               f"the two rectangular counterexamples (failures: {failures})", not failures)
+def test_criterion_5_scorza_conditions(suite_checks):
+    check = suite_checks("strata")["scorza_defect_conditions"]
+    _report(5, f"defect conditions of every catalog family k=2..6 and the two "
+               f"rectangular counterexamples (witness: {check.witness})", check.ok)
 
 
 SECANT_MODELS = ("sym:3", "mat:3,3", "mat:3,5", "skew:6", "skew:7", "exc27")
 
 
-def test_criterion_6_secant_identification():
-    failures = []
-    for sel in SECANT_MODELS:
-        model = parse_model(sel)
-        for s in range(1, model.max_rank + 1):
-            generic = 0
-            for t in range(100):
-                p = sample_secant(model, s - 1, seed=derive_seed(SEED, sel, s, t))
-                r = rank_of(p)
-                if r > s:
-                    failures.append((sel, s, t, "rank bound"))
-                generic += r == s
-                if model.regular and s < model.max_rank and relative_invariant(p):
-                    failures.append((sel, s, t, "invariant nonzero"))
-            if generic < 95:
-                failures.append((sel, s, "genericity", generic))
-    # chordal samples of the exceptional model: inside the cubic, sharp
-    # generically nonzero
-    generic = 0
-    for t in range(100):
-        p = sample_secant(EXC27, 1, seed=derive_seed(SEED, "chordal", t))
-        if generic_det(p.coords):
-            failures.append(("exc27-chordal", t, "det nonzero"))
-        generic += not sharp(p.coords).is_zero()
-    if generic < 95:
-        failures.append(("exc27-chordal", "genericity", generic))
+def test_criterion_6_secant_identification(suite_checks):
+    # rank bound, genericity and the invariant's vanishing below the top rank
+    # per stratum, and the exc27 chordal samples inside the cubic
+    checks = suite_checks("strata")
+    names = [f"secant_rank_{sel}_s{s}" for sel in SECANT_MODELS
+             for s in range(1, parse_model(sel).max_rank + 1)]
+    names.append("exc27_chordal_inside_cubic")
+    failures = [(n, checks[n].witness, checks[n].info) for n in names if not checks[n].ok]
     _report(6, f"secant rank identification, 100 seeded trials per stratum "
                f"(failures: {failures})", not failures)
 
@@ -195,7 +142,7 @@ def test_criterion_7_momentum_reduction_suite():
         needed |= {f"reduced_rank_bound_{sel}_s{s}" for s in range(1, 5)}
     ok = report.passed and needed <= names
     _report(7, f"momentum and reduction suite, 100 trials per check, "
-               f"{elapsed:.1f}s", ok)
+               f"{elapsed:.1f}s (failures: {_failures(report)})", ok)
 
 
 def test_criterion_8_catalog_golden_files():
