@@ -71,6 +71,16 @@ def test_associativity_counterexample_exposed():
     assert lhs != rhs
 
 
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_norm_multiplicative_all_levels(field):
+    rng = make_rng("cd", "norm", field)
+    for level in range(4):
+        for _ in range(40):
+            x = random_cd(rng, level, field)
+            y = random_cd(rng, level, field)
+            assert norm_form(x * y) == norm_form(x) * norm_form(y)
+
+
 def test_norm_values():
     assert norm_form(cd_zero(3)) == QI(0)
     assert norm_form(cd_basis(3, 1) + cd_basis(3, 2)) == QI(2)

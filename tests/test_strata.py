@@ -127,6 +127,23 @@ def test_closure_membership():
                 assert closure_membership(p, s) == (s >= r)
 
 
+SEVERI_TABLE = {
+    "sym:3": [2, 4, 5],
+    "mat:3,3": [4, 7, 8],
+    "skew:6": [8, 13, 14],
+    "exc27": [16, 25, 26],
+}
+
+
+@pytest.mark.parametrize("sel,proj_dims", SEVERI_TABLE.items())
+def test_stratum_dimension_severi_rows(sel, proj_dims):
+    model = parse_model(sel)
+    for s, expected in enumerate(proj_dims, start=1):
+        cone, proj = stratum_dimension(model, s)
+        assert proj == expected
+        assert cone == expected + 1
+
+
 def test_stratum_dimension_nonregular_and_quadric():
     assert [stratum_dimension(mat_model(3, 5), s)[1] for s in (1, 2, 3)] == [6, 11, 14]
     assert [stratum_dimension(skew_model(7), s)[1] for s in (1, 2, 3)] == [10, 17, 20]
