@@ -213,7 +213,3 @@ def golden_objects() -> dict:
     """Each golden file name -> the JSON object frozen in it."""
     scorza = {f"scorza_k{k}.json": scorza_json_obj(k) for k in range(2, 7)}
     return scorza | {f"hermitian_r{r}.json": hermitian_json_obj(r) for r in range(1, 7)}
-
-
-def golden_names() -> list[str]:
-    return list(golden_objects())

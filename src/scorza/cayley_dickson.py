@@ -34,7 +34,7 @@ from random import Random
 
 from .errors import InputError
 from .sampling import random_ratio
-from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, to_plane
+from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, json_int, to_plane
 
 FIELD_Q = "Q"
 FIELD_QI = "Qi"
@@ -182,7 +182,7 @@ class CDElement:
         coeffs = tuple(QI.from_json(c) for c in data["coeffs"])
         if field is None:
             field = FIELD_Q if all(c.is_real() for c in coeffs) else FIELD_QI
-        return CDElement(int(data["level"]), field, coeffs)
+        return CDElement(json_int(data["level"], "level"), field, coeffs)
 
 
 def _element(level: int, field: str, den: int, flat) -> CDElement:

@@ -35,7 +35,7 @@ from .cayley_dickson import (
     random_cd,
 )
 from .errors import InputError, UnsupportedError
-from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane
+from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, json_int
 from .sampling import random_qi, random_square
 
 # algebra tag -> (Cayley-Dickson level, scalar field tag)
@@ -154,7 +154,7 @@ class JordanElement:
 
     @staticmethod
     def from_json(data: dict) -> "JordanElement":
-        n = int(data["n"])
+        n = json_int(data["n"], "n")
         algebra = data["algebra"]
         field = algebra_field(algebra)
         upper = data["entries"]

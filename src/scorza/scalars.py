@@ -284,9 +284,11 @@ def common_plane(planes) -> tuple:
     return den, [flat if d == den else [v * (den // d) for v in flat] for d, flat in planes]
 
 
-def fraction_str(f: Fraction) -> str:
-    """Canonical "p/q" form with an explicit positive denominator."""
-    return f"{f.numerator}/{f.denominator}"
+def json_int(value, what: str) -> int:
+    """A JSON integer field: an int and not a bool, else InputError."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def parse_fraction(s: str) -> Fraction:

@@ -33,7 +33,7 @@ from .jordan import (
     sharp,
 )
 from .sampling import derive_seed, make_rng, random_qi, random_qi_vector, random_square
-from .scalars import QI, QI_ZERO
+from .scalars import QI, QI_ZERO, json_int
 
 # model kind -> the names of its parameters, in selector and JSON order
 _PARAMS = {"sym": ("r",), "mat": ("q", "p"), "skew": ("n",), "exc27": ()}
@@ -193,20 +193,21 @@ class StratumPoint:
 
     @staticmethod
     def from_json(data: dict) -> "StratumPoint":
-        """Inverse of to_json; a missing or ill-typed field, or a "rank" that is
-        not an int in 0..max_rank, raises InputError. The rank is not trusted:
+        """Inverse of to_json; a missing or ill-typed field (an integer field
+        must be a JSON integer, not a float, bool or string), or a "rank"
+        outside 0..max_rank, raises InputError. The rank is not trusted:
         `rank_of` computes it from the coordinates."""
         try:
             mobj = data["model"]
             kind = mobj["kind"]
-            model = PSpaceModel(kind, tuple(int(mobj[name]) for name in _PARAMS.get(kind, ())))
+            model = PSpaceModel(kind, tuple(json_int(mobj[name], name)
+                                            for name in _PARAMS.get(kind, ())))
             if kind == "exc27":
                 coords = JordanElement.from_json(data["coords"])
             else:
                 coords = linalg.matrix_from_json(data["coords"])
-            rank = data["rank"] if "rank" in data else None
-            if "rank" in data and (type(rank) is not int or not 0 <= rank <= model.max_rank):
-                raise InputError(f"rank must be an integer in 0..{model.max_rank}, got {rank!r}")
+            if "rank" in data and not 0 <= json_int(data["rank"], "rank") <= model.max_rank:
+                raise InputError(f"rank must be in 0..{model.max_rank}, got {data['rank']!r}")
         except InputError:
             raise
         except (KeyError, IndexError, TypeError, ValueError) as exc:

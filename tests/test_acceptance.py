@@ -3,14 +3,14 @@
 Everything runs in exact arithmetic with fixed seeds; tolerances are zero
 (integer and rational equality) except for the genericity thresholds,
 which are the stated 95 out of 100 seeded trials. Criteria 4-6 read their
-verdicts from the strata suite's shared run (see conftest.py).
+verdicts from the shared runs of the strata suite's checks (see conftest.py).
 """
 
 import subprocess
 import sys
 import time
 
-from scorza.catalog import catalog_scorza, golden_names, golden_text
+from scorza.catalog import catalog_scorza, golden_objects, golden_text
 from scorza.strata import parse_model, stratum_dimension
 from scorza.verify import run_suite
 
@@ -98,14 +98,14 @@ def test_criterion_3_dimension_tables():
     )
 
 
-def test_criterion_4_severi_relation(suite_checks):
-    check = suite_checks("strata")["severi_dimension_table"]
+def test_criterion_4_severi_relation(suite_check):
+    check = suite_check("strata", "severi_dimension_table")
     _report(4, f"critical relation holds for exactly the four regular rows "
                f"(witness: {check.witness})", check.ok)
 
 
-def test_criterion_5_scorza_conditions(suite_checks):
-    check = suite_checks("strata")["scorza_defect_conditions"]
+def test_criterion_5_scorza_conditions(suite_check):
+    check = suite_check("strata", "scorza_defect_conditions")
     _report(5, f"defect conditions of every catalog family k=2..6 and the two "
                f"rectangular counterexamples (witness: {check.witness})", check.ok)
 
@@ -113,14 +113,14 @@ def test_criterion_5_scorza_conditions(suite_checks):
 SECANT_MODELS = ("sym:3", "mat:3,3", "mat:3,5", "skew:6", "skew:7", "exc27")
 
 
-def test_criterion_6_secant_identification(suite_checks):
+def test_criterion_6_secant_identification(suite_check):
     # rank bound, genericity and the invariant's vanishing below the top rank
     # per stratum, and the exc27 chordal samples inside the cubic
-    checks = suite_checks("strata")
     names = [f"secant_rank_{sel}_s{s}" for sel in SECANT_MODELS
              for s in range(1, parse_model(sel).max_rank + 1)]
     names.append("exc27_chordal_inside_cubic")
-    failures = [(n, checks[n].witness, checks[n].info) for n in names if not checks[n].ok]
+    checks = [suite_check("strata", n) for n in names]
+    failures = [(c.name, c.witness, c.info) for c in checks if not c.ok]
     _report(6, f"secant rank identification, 100 seeded trials per stratum "
                f"(failures: {failures})", not failures)
 
@@ -147,7 +147,7 @@ def test_criterion_7_momentum_reduction_suite():
 
 def test_criterion_8_catalog_golden_files():
     failures = []
-    for name in golden_names():
+    for name in golden_objects():
         if name.startswith("scorza"):
             k = name.removeprefix("scorza_k").removesuffix(".json")
             args = ["catalog", "--k", k, "--format", "json"]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorza import cayley_dickson, cli, dual_pairs, linalg
+from scorza import cayley_dickson, cli, dual_pairs, linalg, strata
 from scorza.sampling import make_rng
 from scorza.scalars import QI
 from scorza.verify import run_suite
@@ -266,19 +266,40 @@ def test_verify_witness_is_the_first_failing_trial(monkeypatch):
     assert check.witness == {"seed": 11, "trial": 0, "elements": [x.to_json(), y.to_json()]}
 
 
-def test_genericity_shortfall_carries_a_witness():
-    # every trial meets the rank bound but the one draw is not generic: the
-    # report still fails (exit 1) and names that trial and its input
-    result = run_cli(["verify", "--suite", "moment", "--trials", "1", "--seed", "336516587"])
-    assert result.returncode == 1
-    checks = {c["name"]: c for c in json.loads(result.stdout)["checks"]}
+def test_genericity_shortfall_carries_a_witness(monkeypatch):
+    # every reduced point has rank 0: each trial meets the rank bound but no
+    # draw is generic, so the report fails (exit 1) and names trial 0 and
+    # its input
+    reduced = dual_pairs.reduced_point
+    monkeypatch.setattr(dual_pairs, "reduced_point",
+                        lambda w: strata.zero_point(reduced(w).model))
+    code, out = _main_in_process(["verify", "--suite", "moment", "--trials", "4",
+                                  "--seed", "7"])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
     check = checks["reduced_rank_bound_sp:3_s2"]
-    assert not check["ok"] and check["passes"] == check["trials"] == 1
-    assert check["info"] == {"generic": 0, "generic_required": 1}
+    assert not check["ok"] and check["passes"] == check["trials"] == 4
+    assert check["info"] == {"generic": 0, "generic_required": 3}
     witness = check["witness"]
-    assert witness["seed"] == 336516587 and witness["trial"] == 0
+    assert witness["seed"] == 7 and witness["trial"] == 0
     assert witness["element"]["case"] == "sp:3" and witness["element"]["s"] == 2
-    assert [c for c in checks.values() if not c["ok"]] == [check]
+    assert {n for n, c in checks.items() if not c["ok"]} == {
+        n for n in checks if n.startswith("reduced_rank_bound_")
+    }
+
+
+@pytest.mark.parametrize("seed,s", [
+    (3642584154, 3), (2992739187, 3), (78485939, 3), (336516587, 2),
+])
+def test_one_non_generic_draw_passes_at_one_trial(seed, s):
+    # the one draw is correct but not generic: at one trial the rank bound
+    # alone decides, so the run exits 0
+    code, out = _main_in_process(["verify", "--suite", "moment", "--trials", "1",
+                                  "--seed", str(seed)])
+    assert code == 0
+    check = next(c for c in json.loads(out)["checks"]
+                 if c["name"] == f"reduced_rank_bound_sp:3_s{s}")
+    assert check["ok"] and check["info"] == {"generic": 0, "generic_required": 0}
 
 
 def test_verify_all_exercises_every_operation():
@@ -311,11 +332,19 @@ def _sym2_point_with_rank(rank) -> str:
                        "coords": [[one, zero], [zero, zero]], "rank": rank})
 
 
-_OCT_ZERO = {"level": 3, "coeffs": [{"re": "0", "im": "0"}] * 8}
-# an exc27 point whose second upper-triangle row has one entry, not two
-EXC27_SHORT_ROW = json.dumps({"model": {"kind": "exc27"}, "coords": {
-    "n": 3, "algebra": "O_C",
-    "entries": [[_OCT_ZERO] * 3, [_OCT_ZERO], [_OCT_ZERO]]}})
+def _mat22_point(q, p) -> str:
+    zero = {"re": "0/1", "im": "0/1"}
+    return json.dumps({"model": {"kind": "mat", "q": q, "p": p},
+                       "coords": [[zero, zero], [zero, zero]]})
+
+
+def _exc27_point(n=3, level=3, rows=(3, 2, 1)) -> str:
+    # the zero point, with the second upper-triangle row one entry short
+    # when rows = (3, 1, 1)
+    octonion = {"level": level, "coeffs": [{"re": "0", "im": "0"}] * 8}
+    return json.dumps({"model": {"kind": "exc27"}, "coords": {
+        "n": n, "algebra": "O_C", "entries": [[octonion] * k for k in rows]}})
+
 
 MALFORMED = {
     "invariant-bad-json-stdin": (["invariant"], "{not json"),
@@ -331,7 +360,13 @@ MALFORMED = {
         ["invariant"], '{"model": {"kind": "frob"}, "coords": [[{"re": "1", "im": "0"}]]}'),
     "invariant-missing-model-param": (
         ["invariant"], '{"model": {"kind": "mat", "q": 2}, "coords": []}'),
-    "invariant-exc27-short-row": (["invariant"], EXC27_SHORT_ROW),
+    "invariant-exc27-short-row": (["invariant"], _exc27_point(rows=(3, 1, 1))),
+    # every JSON integer field takes a non-bool int only
+    "invariant-model-param-float": (["invariant"], _mat22_point(2.9, 2.2)),
+    "invariant-model-param-bool": (["invariant"], SYM1_POINT.replace("1}", "true}", 1)),
+    "invariant-model-param-string": (["invariant"], _mat22_point("2", 2)),
+    "invariant-exc27-n-float": (["invariant"], _exc27_point(n=3.5)),
+    "invariant-exc27-level-float": (["invariant"], _exc27_point(level=3.0)),
     # a piped "rank" is taken as the point's rank, so it must be an int in 0..max_rank
     "invariant-rank-bool": (["invariant"], _sym2_point_with_rank(True)),
     "invariant-rank-float": (["invariant"], _sym2_point_with_rank(2.7)),

@@ -540,12 +540,13 @@ def test_reduce_output_pinned(sel, s):
 
 
 def test_verify_moment_report_pinned():
-    # the report with its one timing field removed, as sorted-key JSON
+    # the report with its one timing field removed, as sorted-key JSON; at 2
+    # trials a generic check requires 1 generic draw
     out = _cli_stdout(["verify", "--suite", "moment", "--trials", "2", "--seed", "8"])
     report = json.loads(out)
     del report["wall_time_s"]
     assert _sha256(json.dumps(report, sort_keys=True)) == (
-        "87d9ed692f7342988a0cbce0a2190fe82749c11c25f42ee58dabc2ed864157b7"
+        "e0e9f62bb4bd5263d4bf956e80a54177b7f1f73afdf234b37c12a7dcde991b87"
     )
 
 
@@ -702,9 +703,10 @@ def test_reduction_trial_forms_two_products(monkeypatch):
     # the zero-level sample keeps the mu_K it checked, so reduced_point
     # forms mu_G alone (3 products when it formed mu_K again)
     formed = _record_chains(monkeypatch)
+    rows = {row.name: row for row in verify.CHECKS["moment"]}
     for sel in CASES:
         formed.clear()
-        assert verify._reduction_check(sel, 2, parse_case(sel, 1).r, 1, 0).ok
+        assert rows[f"reduced_rank_bound_{sel}_s2"].run(1, 0).ok
         assert len(formed) == 2
 
 

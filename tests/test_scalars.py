@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from scorza.errors import InputError
 from scorza.sampling import make_rng, random_fraction, random_qi, random_ratio
-from scorza.scalars import (
-    QI, QI_I, QI_ONE, common_plane, fraction_str, from_plane, parse_fraction, to_plane,
-)
+from scorza.scalars import QI, QI_I, QI_ONE, common_plane, from_plane, parse_fraction, to_plane
 
 fractions = st.builds(
     Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**24)
 ) | st.builds(Fraction, st.integers(-3, 3), st.integers(1, 12))
 qi_lists = st.lists(st.builds(QI, fractions, fractions), max_size=8)
+
+
+def fraction_str(f: Fraction) -> str:
+    """Canonical "p/q" form with an explicit positive denominator."""
+    return f"{f.numerator}/{f.denominator}"
 
 
 def test_basic_arithmetic():
