@@ -140,21 +140,20 @@ def list_hermitian(r: int, regular_only: bool = False) -> list[HermitianAlgebraE
                 "so*(8) = so(6,2)",
             )
         )
-        if not regular_only:
-            entries.append(
-                HermitianAlgebraEntry(
-                    name="su(p,2)", rank=2, regular=False, p_model="mat:2,p",
-                    kc="GL(2,C) x GL(p,C)", dim_p=None, family=True, note="p > 2",
-                )
+        entries.append(
+            HermitianAlgebraEntry(
+                name="su(p,2)", rank=2, regular=False, p_model="mat:2,p",
+                kc="GL(2,C) x GL(p,C)", dim_p=None, family=True, note="p > 2",
             )
-            entries.append(so_star_entry(5, regular=False))
-            entries.append(
-                HermitianAlgebraEntry(
-                    name="e6(-14)", rank=2, regular=False, p_model="none",
-                    kc="", dim_p=16, family=False,
-                    note="p+ is the half-spin 16; outside the four matrix models",
-                )
+        )
+        entries.append(so_star_entry(5, regular=False))
+        entries.append(
+            HermitianAlgebraEntry(
+                name="e6(-14)", rank=2, regular=False, p_model="none",
+                kc="", dim_p=16, family=False,
+                note="p+ is the half-spin 16; outside the four matrix models",
             )
+        )
     else:
         entries.append(sp_entry(r))
         entries.append(su_rr_entry(r))
@@ -166,14 +165,13 @@ def list_hermitian(r: int, regular_only: bool = False) -> list[HermitianAlgebraE
                     kc="E6(C) x C*", dim_p=27, family=False,
                 )
             )
-        if not regular_only:
-            entries.append(
-                HermitianAlgebraEntry(
-                    name=f"su(p,{r})", rank=r, regular=False, p_model=f"mat:{r},p",
-                    kc="GL(q,C) x GL(p,C)", dim_p=None, family=True, note=f"p > {r}",
-                )
+        entries.append(
+            HermitianAlgebraEntry(
+                name=f"su(p,{r})", rank=r, regular=False, p_model=f"mat:{r},p",
+                kc="GL(q,C) x GL(p,C)", dim_p=None, family=True, note=f"p > {r}",
             )
-            entries.append(so_star_entry(2 * r + 1, regular=False))
+        )
+        entries.append(so_star_entry(2 * r + 1, regular=False))
     if regular_only:
         entries = [e for e in entries if e.regular]
     return entries

@@ -217,11 +217,11 @@ def _dispatch(args) -> int:
     raise InputError(f"unknown command {args.command!r}")
 
 
-def _emit_result(args, json_obj, table_rows, headers=("field", "value")):
+def _emit_result(args, json_obj, table_rows):
     if args.format == "json":
         _emit(render_json(json_obj), args.out)
     else:
-        _emit(_table(list(headers), table_rows), args.out)
+        _emit(_table(["field", "value"], table_rows), args.out)
 
 
 def _point_rows(point) -> list:

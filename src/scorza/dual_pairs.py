@@ -44,7 +44,7 @@ plane, so a zero-level sample and a random group element build QI once.
 Every constant of a case (G_V, J_V, the structure maps, i I on K^s) is a
 SignedPerm: per row, a column and a unit i**k. Products with it are indexing
 that negates or swaps real and imaginary parts. The dense builders
-(form_v_matrix, j_v_matrix, structure_v, structure_s) are the tests' oracle.
+form_v_matrix and j_v_matrix are the tests' oracle.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from math import lcm
 from random import Random
 
 from . import linalg
-from .errors import InputError, UnsupportedError
+from .errors import InputError
 from .sampling import (
     make_rng, random_fraction, random_qi, random_qi_matrix, random_square,
 )
@@ -154,18 +154,6 @@ class DualPairCase:
     def j_v_matrix(self) -> list:
         """The complex structure J_V = -G_V (Fact 1)."""
         return (-self.form_v()).dense()
-
-    # antilinear quaternionic structure X -> C conj(X) C^-1, on V or on K^s
-    def structure(self, on_v: bool) -> "SignedPerm":
-        if self.kind != "ostar":
-            raise UnsupportedError("structure map exists in the quaternionic case only")
-        return _omega(self.params[0] if on_v else self.s, -1)
-
-    def structure_v(self) -> list:
-        return self.structure(True).dense()
-
-    def structure_s(self) -> list:
-        return self.structure(False).dense()
 
     def w_complex_dim(self) -> int:
         """Complex dimension of W(s) under the complex structure J_V o (.)"""
@@ -372,7 +360,7 @@ def equivariance_check(w: WElement, x: list, y: list) -> bool:
 
 # --- Cartan projection ----------------------------------------------------------
 
-def cartan_split(case: DualPairCase, x: list) -> tuple[list, list]:
+def cartan_split(x: list) -> tuple[list, list]:
     """Split X in g into the J_V-commuting and J_V-anticommuting parts,
     (X - X^H)/2 and (X + X^H)/2, since J_V X J_V = X^H on g (Fact 2)."""
     pairs = [list(zip(row, col)) for row, col in zip(x, zip(*x))]
@@ -440,7 +428,9 @@ def random_w_element(case: DualPairCase, seed: int) -> WElement:
 
 
 def _isotropic_support(case: DualPairCase) -> list:
-    """Per column of `isotropic_basis`, its entries (row, k), each i**k."""
+    """A basis of a maximal B-isotropic subspace of V (complex span; closed
+    under the quaternionic structure in the ostar case), as sparse columns:
+    per column its entries (row, k), each i**k."""
     if case.kind == "sp":  # e_i, i < L
         return [[(i, 0)] for i in range(case.params[0])]
     if case.kind == "u":  # e_i + e_{P+i}, i < Q
@@ -450,18 +440,6 @@ def _isotropic_support(case: DualPairCase) -> list:
     d = case.params[0]
     return [[(o + 2 * m, 0), (o + 2 * m + 1, k)]
             for o, k in ((0, 1), (d, 3)) for m in range(case.r)]
-
-
-def isotropic_basis(case: DualPairCase) -> list:
-    """Columns spanning a maximal B-isotropic subspace of V (complex span;
-    closed under the quaternionic structure in the ostar case)."""
-    cols = []
-    for support in _isotropic_support(case):
-        col = [QI_ZERO] * case.v_size
-        for row, k in support:
-            col[row] = SignedPerm.UNITS[k]
-        cols.append(col)
-    return cols
 
 
 def sample_zero_level(case: DualPairCase, seed: int, height: int = 10) -> WElement:

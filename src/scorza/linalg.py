@@ -1,20 +1,21 @@
 """Exact linear algebra over Gaussian rationals, and the rank of integer
 matrices.
 
-Matrices are plain lists of lists of QI. Products, rank, det and inverse
-run on the integer plane of `scalars` (one denominator, interleaved integer
-real and imaginary parts). Every product is a chain, mat_chain, formed
-right to left: each factor goes to the plane once, the running product
-stays column planes over one denominator summed as plain ints, and QI is
-built only for the result; mat_mul and mat_vec are its two-factor case.
+Matrices are plain lists of lists of QI. Products, rank and det run on
+the integer plane of `scalars` (one denominator, interleaved integer real
+and imaginary parts). Every product is a chain, mat_chain, formed right to
+left: each factor goes to the plane once, the running product stays column
+planes over one denominator summed as plain ints, and QI is built only for
+the result; mat_mul is its two-factor case.
 
 There are two fraction-free Bareiss eliminations, each of which keeps entry
-growth polynomial and divides exactly. Rank, det and inverse of QI
-matrices share _eliminate, over the Gaussian integers, in place on
-interleaved row planes; results return to QI through from_plane. A matrix
-of plain ints, such as the frame Jacobian of the dimension oracle, is
-ranked by int_rank, over the integers with one int per entry, so no QI and
-no plane is built for it.
+growth polynomial and divides exactly. Rank and det of QI matrices share
+_eliminate, over the Gaussian integers, in place on interleaved row planes;
+the determinant returns to QI through from_plane. A matrix of plain ints,
+such as the frame Jacobian of the dimension oracle, is ranked by int_rank,
+over the integers with one int per entry, so no QI and no plane is built
+for it. The inverse is the adjugate over the determinant, one det per
+cofactor: no caller in the package inverts, so it is kept simple, not fast.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ def mat_scale(a: Matrix, s) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return mat_chain(a, b)
-
-
-def mat_vec(a: Matrix, v: list) -> list:
-    return [row[0] for row in mat_chain(a, [[x] for x in v])]
 
 
 def mat_chain(*factors: Matrix) -> Matrix:
@@ -123,14 +120,13 @@ def is_real_matrix(a: Matrix) -> bool:
 
 # --- elimination: rank, determinant, inverse ---------------------------------
 
-def _eliminate(work: list, ncols: int, full: bool) -> tuple:
+def _eliminate(work: list, ncols: int) -> tuple:
     """Fraction-free (Bareiss 1968) elimination in place on interleaved
     Gaussian-integer row planes, pivoting in the first ncols columns; returns
     (rank, swap sign, last pivot as (re, im)). Each update
     (pivot * x - f * y) / previous pivot is exact, since after step k every
     entry is a k x k minor, and on a full-rank square block sign * last pivot
-    is the determinant. full=True also clears above each pivot (Gauss-Jordan),
-    leaving pivot block = last pivot * I.
+    is the determinant.
     """
     rows, width = len(work), len(work[0]) if work else 0
     qr, qi, sign, r = 1, 0, 1, 0
@@ -150,10 +146,9 @@ def _eliminate(work: list, ncols: int, full: bool) -> tuple:
         rowr = work[r]
         pr, pi = rowr[c], rowr[c + 1]
         norm = qr * qr + qi * qi
-        lo = 0 if full else c + 2  # rows above the pivot need rescaling left of c
-        for rowi in work[:r] + work[r + 1:] if full else work[r + 1:]:
+        for rowi in work[r + 1:]:
             fr, fi = rowi[c], rowi[c + 1]
-            for j in range(lo, width, 2):
+            for j in range(c + 2, width, 2):
                 xr, xi, yr, yi = rowi[j], rowi[j + 1], rowr[j], rowr[j + 1]
                 if not (xr or xi or yr or yi):
                     continue  # 0 stays 0; sparse rows skip the update
@@ -218,7 +213,7 @@ def _integer_rows(m: Matrix) -> tuple[list, list]:
 
 def rank(m: Matrix) -> int:
     """Exact rank over Q(i) by fraction-free elimination on Gaussian integers."""
-    return _eliminate(_integer_rows(m)[1], shape(m)[1], False)[0]
+    return _eliminate(_integer_rows(m)[1], shape(m)[1])[0]
 
 
 def det(m: Matrix) -> QI:
@@ -227,33 +222,28 @@ def det(m: Matrix) -> QI:
     if n != c:
         raise InputError("determinant needs a square matrix")
     dens, work = _integer_rows(m)
-    r, sign, (a, b) = _eliminate(work, n, False)
+    r, sign, (a, b) = _eliminate(work, n)
     if r < n:
         return QI_ZERO
     return from_plane(prod(dens), (sign * a, sign * b))[0]
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Fraction-free Gauss-Jordan on [A_int | I]: the left block ends as p * I
-    for the last pivot p, so A^-1 = (right block / p) * diag(row denominators)."""
+    """A^-1 = adj(A) / det(A), entry (i, j) the cofactor of a_ji: n^2 + 1
+    determinants, a cost that no caller in the package pays."""
     n, c = shape(m)
     if n != c:
         raise InputError("inverse needs a square matrix")
-    dens, work = _integer_rows(m)
-    for i, row in enumerate(work):
-        row += [0] * (2 * n)
-        row[2 * (n + i)] = 1
-    r, _, (pa, pb) = _eliminate(work, n, True)
-    if r < n:
+    d = det(m)
+    if not d:
         raise InputError("matrix is singular")
-    # (a + ib) / (pa + i pb) * d = ((a pa + b pb) + i (b pa - a pb)) d / |p|^2
-    out = []
-    for row in work:
-        flat = []
-        for a, b, d in zip(row[2 * n::2], row[2 * n + 1::2], dens):
-            flat += ((a * pa + b * pb) * d, (b * pa - a * pb) * d)
-        out.append(from_plane(pa * pa + pb * pb, flat))
-    return out
+    inv_d = 1 / d
+
+    def cofactor(i, j):
+        minor = [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
+        return det(minor) * (inv_d if (i + j) % 2 == 0 else -inv_d)
+
+    return [[cofactor(j, i) for j in range(n)] for i in range(n)]
 
 
 # --- Pfaffian ----------------------------------------------------------------

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from random import Random
 
 from . import linalg
-from .cayley_dickson import _TABLES, CDElement, cd_scalar, random_cd
+from .cayley_dickson import _TABLES, CDElement, cd_scalar
 from .errors import InputError, UnsupportedError
 from .jordan import (
     JordanElement,
@@ -30,7 +29,6 @@ from .jordan import (
     jordan_zero,
     random_hermitian,
     rank_one_from_vector,
-    sharp,
 )
 from .sampling import derive_seed, make_rng, random_qi, random_qi_vector, random_square
 from .scalars import QI, QI_ZERO, json_int
@@ -155,7 +153,7 @@ def parse_model(selector: str) -> PSpaceModel:
 class StratumPoint:
     model: PSpaceModel
     coords: object  # QI matrix, or JordanElement for exc27
-    cached_rank: int | None = field(default=None)
+    cached_rank: int | None = field(default=None, init=False)  # written by rank_of alone
 
     def __post_init__(self):
         _validate_coords(self.model, self.coords)
@@ -276,32 +274,16 @@ def closure_membership(point: StratumPoint, s: int) -> bool:
 # --- sampling -------------------------------------------------------------------
 
 def sample_rank_one(model: PSpaceModel, seed: int, height: int = 10) -> StratumPoint:
-    """A random rank-1 point of the model: chart_point at a random vector
-    for the matrix models. For exc27 the vector v has complexified-quaternion
-    entries, which makes v v* genuinely rank 1; sharp = 0 is verified, with
-    bounded resampling against the measure-zero degenerate draws.
-    """
+    """A random rank-1 point of the model: chart_point at a random parameter
+    vector, for every model. The chart's image lies in the rank-1 cone and
+    is dense in it, exc27 included; only a zero draw is redrawn, up to
+    _RANK1_RETRIES times."""
     rng = make_rng(seed, "rank1", model.selector(), height)
     for _ in range(_RANK1_RETRIES):
-        point = _rank_one_from_rng(model, rng, height)
-        if point is not None:
+        point = chart_point(model, random_qi_vector(rng, chart_param_count(model), height))
+        if not point.is_zero():
             return point
     raise RuntimeError(f"could not sample a rank-1 point of {model} (construction bug?)")
-
-
-def _rank_one_from_rng(model: PSpaceModel, rng: Random, height: int) -> StratumPoint | None:
-    if model.kind == "exc27":
-        # quaternionic entries embedded in the complexified octonions
-        v = [random_cd(rng, 2, "Qi", height) for _ in range(3)]
-        a = rank_one_from_vector("O_C", v)
-        if a.is_zero() or not sharp(a).is_zero():
-            return None
-        return StratumPoint(model, a, cached_rank=1)
-    point = chart_point(model, random_qi_vector(rng, chart_param_count(model), height))
-    if point.is_zero():
-        return None
-    point.cached_rank = 1
-    return point
 
 
 def sample_secant(model: PSpaceModel, k: int, seed: int, height: int = 10) -> StratumPoint:
@@ -316,7 +298,6 @@ def sample_secant(model: PSpaceModel, k: int, seed: int, height: int = 10) -> St
     for i in range(k + 1):
         point = sample_rank_one(model, derive_seed(seed, "secant", i), height)
         total = point if total is None else total + point
-    total.cached_rank = None  # summands may degenerate; recompute on demand
     return total
 
 
@@ -374,14 +355,14 @@ def _outer(u: list, v: list) -> list:
 def chart_point(model: PSpaceModel, params: list) -> StratumPoint:
     """The quadratic rank-one chart: the one definition of a model's rank-one
     point. The dimension oracle differentiates it at the frame point, the
-    sampler evaluates it at a random vector (exc27 excepted), and peeling
-    evaluates it at a pivot.
+    sampler evaluates it at a random vector, and peeling evaluates it at a
+    pivot.
 
     sym: v -> v v^t; mat: (v, w) -> v w^t; skew: (v, w) -> v w^t - w v^t.
     exc27: (x, y, w) -> v v* with v = (x, y, w 1), x and y full octonion
     coefficient blocks and w a scalar. Any two octonions generate an
-    associative subalgebra, so the image is rank <= 1, and it is dense in
-    the 17-dimensional rank-1 cone (the all-quaternion sampler is not).
+    associative subalgebra (Artin), so the image is rank <= 1, and it is
+    dense in the 17-dimensional rank-1 cone.
     """
     if len(params) != chart_param_count(model):
         raise InputError("wrong chart parameter count")
@@ -400,29 +381,14 @@ def chart_point(model: PSpaceModel, params: list) -> StratumPoint:
     return StratumPoint(model, rank_one_from_vector("O_C", [x, y, w]))
 
 
-def coords_vector(point: StratumPoint) -> list:
-    """Flatten model coordinates into ambient_dim independent QI entries."""
-    model = point.model
-    if model.kind == "sym":
-        r = model.params[0]
-        return [point.coords[i][j] for i in range(r) for j in range(i, r)]
-    if model.kind == "mat":
-        return [x for row in point.coords for x in row]
-    if model.kind == "skew":
-        n = model.params[0]
-        return [point.coords[i][j] for i in range(n) for j in range(i + 1, n)]
-    x = point.coords
-    out = [x.entry(i, i).scalar_part() for i in range(3)]
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        out.extend(x.entry(i, j).coeffs)
-    return out
-
-
 def _chart_jacobian_columns(model: PSpaceModel, block: list) -> list:
     """Columns DF(p)e_t = B(e_t, p) + B(p, e_t) of the quadratic chart at p,
-    one per parameter, each in coords_vector order. Any number type works:
-    ints at the frame point, QI at the random points of the tests; an entry
-    that is always zero is the int 0."""
+    one per parameter, each listing the model's independent coordinates:
+    the upper triangle (diagonal included) for sym, all entries for mat,
+    the strict upper triangle for skew, in row order; for exc27 the three
+    diagonal scalars, then the octonion entries (0, 1), (0, 2) and (1, 2).
+    Any number type works: ints at the frame point, QI at the random points
+    of the tests; an entry that is always zero is the int 0."""
     if model.kind == "sym":
         r = model.params[0]
         cols = []
@@ -471,7 +437,7 @@ def _skew_column(u: list, t: int) -> list:
 
 
 def _exc27_columns(block: list) -> list:
-    # v = (x, y, w 1) and M_ij = v_i conj(v_j); coords_vector order is
+    # v = (x, y, w 1) and M_ij = v_i conj(v_j); the coordinate order is
     # M00, M11, M22 (scalar parts), then the octonion blocks M01, M02, M12
     x, y, w = block[0:8], block[8:16], block[16]
     ybar = [y[0]] + [-c for c in y[1:]]

@@ -46,7 +46,7 @@ OPS = {
     "hermitian_catalog": ("catalog_scorza", "severi_check", "list_hermitian"),
     "strata_geometry": (
         "rank_of", "sample_rank_one", "sample_secant", "relative_invariant",
-        "stratum_dimension", "defects", "closure_membership",
+        "stratum_dimension", "defects", "closure_membership", "peel_rank_one",
     ),
     "dual_pair_reduction": (
         "dagger", "mu_K_mu_G", "equivariance_check", "sample_zero_level",
@@ -431,7 +431,7 @@ def _chain(seed, t):
     return ok, _pt_witness(seed, t, p)
 
 
-@check("strata", "rank_one_peeling_reconstructs", ("rank_of",))
+@check("strata", "rank_one_peeling_reconstructs", ("peel_rank_one", "rank_of"))
 def _peel(seed, t):
     sel = ("sym:4", "mat:3,5", "skew:6")[t % 3]
     model = st.parse_model(sel)
@@ -580,7 +580,7 @@ def _cartan(sel, seed, t):
     rng = make_rng(seed, "cartan", sel, t)
     x = dp.random_lie_g(case, rng)
     j = case.j_v_matrix()
-    x_k, x_p = dp.cartan_split(case, x)
+    x_k, x_p = dp.cartan_split(x)
     ok = (
         linalg.mat_eq(linalg.mat_add(x_k, x_p), x)
         and linalg.mat_eq(linalg.mat_mul(x_k, j), linalg.mat_mul(j, x_k))

@@ -211,9 +211,9 @@ SAMPLE_DIGESTS = {
     ("skew:7", 0): "290bde09113f7c0dc885bdbd4ada41e19136418112a3d269bb3519d8f66d351c",
     ("skew:7", 1): "c34ac7500104fe9932072a87f904703c4bdbf9cbf46b81047b8e0b865b140c15",
     ("skew:7", 2): "1ed8f2522106fd2135a79b3b2e72eb2cb321eb076165edb5661514943f58ae7d",
-    ("exc27", 0): "65913b5934b75287a0a91664b42923ab2f32a29bfe8d9f273f8ca138bfaa00ac",
-    ("exc27", 1): "152e7a2119e3efacf757661190859a4a423d648763dad9fd51f364d8cb8040bb",
-    ("exc27", 2): "bd60f1678db2191c3e6b0de129b2ee77475e63b2dbf8e0fbcec765d19f85b913",
+    ("exc27", 0): "2f83cb0528d484d872780faa144f7b38701d3782fb00d660bdc1f4227953ff80",
+    ("exc27", 1): "1c77e72b26505b22a28b283920e9aab58ace41c3eb81de3bafe5706b9c2b9f8e",
+    ("exc27", 2): "1203eb6f0d6cdbb692abc73f73340ad984fae432f4bf7602c78d89f77184dc14",
 }
 
 

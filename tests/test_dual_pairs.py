@@ -21,7 +21,6 @@ from scorza.dual_pairs import (
     in_group_h,
     in_lie_g,
     in_lie_h,
-    isotropic_basis,
     mu_G,
     mu_K,
     parse_case,
@@ -33,7 +32,7 @@ from scorza.dual_pairs import (
     sample_zero_level,
     veronese_map,
 )
-from scorza.errors import InputError, UnsupportedError
+from scorza.errors import InputError
 from scorza.sampling import derive_seed, make_rng, random_qi_matrix
 from scorza.scalars import HALF, QI
 from scorza.strata import rank_of
@@ -41,6 +40,12 @@ from scorza.strata import rank_of
 CASES = ["sp:3", "u:3,3", "ostar:6"]
 # every case kind, with small, square and tall parameters
 ALL_CASES = ["sp:1", "sp:3", "u:2,1", "u:3,3", "u:4,2", "ostar:2", "ostar:5", "ostar:6"]
+
+
+def _structure(case, on_v: bool) -> SignedPerm:
+    """The antilinear quaternionic structure X -> C conj(X) C^-1 of an ostar
+    case, C = [[0, -I], [I, 0]] on V (size 2D) or on K^s (size 2s)."""
+    return dp._omega(case.params[0] if on_v else case.s, -1)
 
 
 def test_case_parsing_and_shapes():
@@ -76,16 +81,11 @@ def test_case_structural_invariants(sel):
         assert linalg.mat_eq(linalg.mat_mul(gv, gv), minus_one)
         assert linalg.mat_eq(j, linalg.mat_neg(gv))
         if case.kind == "ostar":
-            assert linalg.mat_eq(case.structure_v(), gv)
-            cs = case.structure_s()
+            assert linalg.mat_eq(_structure(case, True).dense(), gv)
+            cs = _structure(case, False).dense()
             assert linalg.mat_eq(
                 linalg.mat_mul(cs, cs), linalg.mat_neg(linalg.identity(case.s_size))
             )
-        else:
-            with pytest.raises(UnsupportedError):
-                case.structure_v()
-            with pytest.raises(UnsupportedError):
-                case.structure_s()
 
 
 @pytest.mark.parametrize("sel", ALL_CASES)
@@ -97,8 +97,8 @@ def test_signed_permutations_match_dense_products(sel):
         case = parse_case(sel, s)
         consts = [(case.form_v(), case.form_v_matrix()), (-case.form_v(), case.j_v_matrix())]
         if case.kind == "ostar":
-            consts += [(case.structure(True), case.structure_v()),
-                       (case.structure(False), case.structure_s())]
+            consts += [(_structure(case, on_v), _structure(case, on_v).dense())
+                       for on_v in (True, False)]
         for perm, dense in consts:
             n = len(dense)
             for cols in (1, n, 3):
@@ -166,11 +166,22 @@ def test_equivariance_rejects_non_group_input():
         equivariance_check(w, linalg.identity(case.s_size), bad_g)
 
 
+def _isotropic_basis(case) -> list:
+    """The dense columns of the sampler's isotropic support."""
+    cols = []
+    for support in dp._isotropic_support(case):
+        col = [QI(0)] * case.v_size
+        for row, k in support:
+            col[row] = SignedPerm.UNITS[k]
+        cols.append(col)
+    return cols
+
+
 @pytest.mark.parametrize("sel", CASES)
 def test_isotropic_basis_is_isotropic(sel):
     case = parse_case(sel, 1)
     gv = case.form_v_matrix()
-    basis = isotropic_basis(case)
+    basis = _isotropic_basis(case)
     for u in basis:
         for v in basis:
             val = QI(0)
@@ -198,7 +209,7 @@ def test_cartan_split_and_projection(sel):
     for t in range(10):
         x = random_lie_g(case, rng)
         assert in_lie_g(case, x)
-        x_k, x_p = cartan_split(case, x)
+        x_k, x_p = cartan_split(x)
         assert linalg.mat_eq(linalg.mat_add(x_k, x_p), x)
         assert linalg.mat_eq(linalg.mat_mul(x_k, j), linalg.mat_mul(j, x_k))
         assert linalg.mat_eq(
@@ -218,7 +229,7 @@ def test_cartan_split_and_projection(sel):
                for t in range(3)]
         for x in xs:
             jxj = linalg.mat_mul(j, linalg.mat_mul(x, j))
-            x_k, x_p = cartan_split(case, x)
+            x_k, x_p = cartan_split(x)
             assert linalg.mat_eq(x_k, linalg.mat_scale(linalg.mat_sub(x, jxj), HALF))
             assert linalg.mat_eq(x_p, linalg.mat_scale(linalg.mat_add(x, jxj), HALF))
 
@@ -272,7 +283,7 @@ def test_ragged_matrices_are_rejected():
 def _h_linear_oracle(case, m, rows_on_v, cols_on_v) -> bool:
     """Quaternion-linearity as M C_cols == C_rows conj(M), with the
     structure maps of the case on V or on K^s."""
-    c_rows, c_cols = case.structure(rows_on_v), case.structure(cols_on_v)
+    c_rows, c_cols = _structure(case, rows_on_v), _structure(case, cols_on_v)
     return c_cols.right(m) == c_rows.left(linalg.mat_conj(m))
 
 

@@ -5,10 +5,11 @@ import time
 
 import pytest
 
-from scorza import linalg, scalars
+from scorza import linalg, scalars, verify
+from scorza import strata as st
 from scorza.catalog import catalog_scorza
 from scorza.errors import InputError, UnsupportedError
-from scorza.jordan import generic_det, sharp
+from scorza.jordan import generic_det, jordan_rank3, sharp
 from scorza.sampling import derive_seed, make_rng, random_qi_vector
 from scorza.scalars import HALF, QI
 from scorza.strata import (
@@ -18,7 +19,6 @@ from scorza.strata import (
     chart_param_count,
     chart_point,
     closure_membership,
-    coords_vector,
     defects,
     mat_model,
     parse_model,
@@ -81,6 +81,29 @@ def test_rank_one_samples(model):
             assert sharp(p.coords).is_zero()
             assert not generic_det(p.coords)
             assert not p.coords.is_zero()
+
+
+def test_rank_one_row_computes_each_rank(monkeypatch):
+    # a sampler whose points have rank 2 fails the row: the rank it reads is
+    # computed from the coordinates, never written by the sampler
+    chart = st.chart_point
+
+    def rank_two(model, params):
+        return chart(model, params) + chart(model, params[1:] + params[:1])
+
+    monkeypatch.setattr(st, "chart_point", rank_two)
+    row = next(row for row in verify.CHECKS["strata"] if row.name == "rank_one_samples")
+    assert not row.run(12, 0).ok
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_exc27_samples_leave_the_quaternions(seed):
+    # the chart reaches the whole Cayley-plane cone, not only H_3(H_C):
+    # octonion slots 4-7 of some off-diagonal entry are nonzero, and three
+    # summands reach the top rank
+    x = sample_rank_one(EXC27, seed).coords
+    assert any(any(x.entry(i, j).coeffs[4:]) for i, j in ((0, 1), (0, 2), (1, 2)))
+    assert jordan_rank3(sample_secant(EXC27, 2, seed).coords) == 3
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.selector())
@@ -220,6 +243,25 @@ def test_stratum_dimension_ranks_without_gaussian_planes():
     assert not seen
 
 
+def coords_vector(point: StratumPoint) -> list:
+    """Flatten model coordinates into ambient_dim independent QI entries, in
+    the order of the chart's Jacobian columns."""
+    model = point.model
+    if model.kind == "sym":
+        r = model.params[0]
+        return [point.coords[i][j] for i in range(r) for j in range(i, r)]
+    if model.kind == "mat":
+        return [x for row in point.coords for x in row]
+    if model.kind == "skew":
+        n = model.params[0]
+        return [point.coords[i][j] for i in range(n) for j in range(i + 1, n)]
+    x = point.coords
+    out = [x.entry(i, i).scalar_part() for i in range(3)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        out.extend(x.entry(i, j).coeffs)
+    return out
+
+
 def _symmetric_difference_columns(model, block):
     # (F(p + e_t) - F(p - e_t)) / 2 is exactly DF(p)e_t for a quadratic chart
     cols = []
@@ -344,6 +386,8 @@ def test_point_validation():
         StratumPoint(skew_model(2), [[QI(0), QI(1)], [QI(1), QI(0)]])
     with pytest.raises(InputError):
         StratumPoint(mat_model(2, 3), linalg.zeros(3, 2))
+    with pytest.raises(TypeError):  # only rank_of writes a rank
+        StratumPoint(sym_model(2), linalg.zeros(2, 2), cached_rank=0)
 
 
 def test_json_round_trip():
