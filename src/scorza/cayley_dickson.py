@@ -33,7 +33,7 @@ from math import gcd, lcm
 from random import Random
 
 from .errors import InputError
-from .sampling import random_ratio
+from .sampling import random_ratios
 from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, json_int, to_plane
 
 FIELD_Q = "Q"
@@ -171,6 +171,8 @@ class CDElement:
         """Embed into a higher level by zero-padding (subalgebra inclusion)."""
         if level < self.level or level > MAX_LEVEL:
             raise InputError(f"cannot embed level {self.level} into level {level}")
+        if level == self.level:
+            return self
         den, flat = self._intform
         return _element(level, self.field, den, flat + (0,) * ((2 << level) - len(flat)))
 
@@ -250,16 +252,19 @@ def cd_scalar(s, level: int, field: str = FIELD_Q) -> CDElement:
 def random_cd(rng: Random, level: int, field: str = FIELD_Q, height: int = 10) -> CDElement:
     """Coefficients drawn as `sampling.random_qi` draws them, straight into a plane.
 
-    Per coefficient: real numerator, real denominator, then (tag Qi only)
-    imaginary numerator and denominator, so seeded outputs match random_qi.
+    One `random_ratios` call draws, per coefficient, the real numerator and
+    denominator, then (tag Qi only) the imaginary numerator and denominator,
+    so seeded outputs match random_qi.
     """
     real = field == FIELD_Q
-    parts = []  # (numerator, denominator) in plane order
-    for _ in range(1 << level):
-        parts.append(random_ratio(rng, height))
-        parts.append((0, 1) if real else random_ratio(rng, height))
-    den = lcm(*[q for _, q in parts])
-    return _element(level, field, den, [p * (den // q) for p, q in parts])
+    nums, dens = random_ratios(rng, (1 if real else 2) << level, height)
+    den = lcm(*dens)
+    parts = [p * (den // q) for p, q in zip(nums, dens)]
+    if not real:
+        return _element(level, field, den, parts)
+    flat = [0] * (2 << level)  # tag Q: the imaginary parts stay 0
+    flat[::2] = parts
+    return _element(level, field, den, flat)
 
 
 # --- reference recursion and generated product tables -----------------------

@@ -15,7 +15,6 @@ import sys
 from functools import cache
 
 from . import dual_pairs as dp
-from . import linalg
 from . import strata as st
 from .catalog import (
     catalog_scorza,
@@ -24,14 +23,17 @@ from .catalog import (
     scorza_json_obj,
 )
 from .errors import InputError
+from .scalars import QI
 from .verify import SUITES, run_suite
 
 
 def render_json(obj) -> str:
     """json.dumps(obj, indent=2) and a newline, byte for byte, for trees of
-    str-keyed dicts and lists (or tuples) with str, int, bool, None and
-    float leaves; built by joining strings instead of by json's pure-Python
-    indenting encoder. Any other key or value type raises TypeError."""
+    str-keyed dicts and lists (or tuples) with str, int, bool, None, float
+    and QI leaves; a QI is written as its `to_json` dict would be, from its
+    `part_strings`, so no dict is built for it. Built by joining strings
+    instead of by json's pure-Python indenting encoder. Any other key or
+    value type raises TypeError."""
     return _render(obj, "\n") + "\n"
 
 
@@ -40,6 +42,9 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 def _render(obj, nl: str) -> str:
     """obj as indented JSON; nl is the newline and indent of its own line."""
+    if obj.__class__ is QI:  # the parts are ASCII "p/q": nothing to escape
+        re, im = obj.part_strings()
+        return f'{{{nl}  "re": "{re}",{nl}  "im": "{im}"{nl}}}'
     if isinstance(obj, str):
         return _encode_str(obj)
     if obj is None:
@@ -329,9 +334,9 @@ def _cmd_reduce(args, seed: int) -> int:
     obj = {
         "case": case.selector(),
         "s": case.s,
-        "alpha": linalg.matrix_to_json(w.alpha),
-        "mu_K": linalg.matrix_to_json(mu_k),
-        "mu_G": linalg.matrix_to_json(mu_g),
+        "alpha": w.alpha,
+        "mu_K": mu_k,
+        "mu_G": mu_g,
         "reduced_point": point.to_json(),
         "rank": rank,
     }

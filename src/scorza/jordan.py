@@ -36,7 +36,7 @@ from .cayley_dickson import (
 )
 from .errors import InputError, UnsupportedError
 from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, json_int
-from .sampling import random_qi, random_square
+from .sampling import random_square
 
 # algebra tag -> (Cayley-Dickson level, scalar field tag)
 ALGEBRAS = {
@@ -218,13 +218,15 @@ def rank_one_from_vector(algebra: str, v) -> JordanElement:
 
 
 def random_hermitian(rng: Random, algebra: str, n: int, height: int = 10) -> JordanElement:
-    """A random element of H_n(K), entries of height at most height. It is
+    """A random element of H_n(K), entries of height at most height. A
+    diagonal entry is a scalar drawn as `sampling.random_qi` draws it,
+    straight into its plane; the upper entries are `random_cd` draws. It is
     hermitian by construction (`random_square` conjugates the lower
     triangle), so it skips the constructor's checks."""
     level, field = _entry_algebra(algebra, n)
     rows = random_square(
         n,
-        lambda: cd_scalar(random_qi(rng, height, real=field == FIELD_Q), level, field),
+        lambda: random_cd(rng, 0, field, height).embed(level),
         lambda: random_cd(rng, level, field, height),
         CDElement.conjugate,
     )

@@ -120,9 +120,9 @@ def is_real_matrix(a: Matrix) -> bool:
 
 # --- elimination: rank, determinant, inverse ---------------------------------
 
-def _eliminate(work: list, ncols: int) -> tuple:
+def _eliminate(work: list) -> tuple:
     """Fraction-free (Bareiss 1968) elimination in place on interleaved
-    Gaussian-integer row planes, pivoting in the first ncols columns; returns
+    Gaussian-integer row planes, pivoting in every column; returns
     (rank, swap sign, last pivot as (re, im)). Each update
     (pivot * x - f * y) / previous pivot is exact, since after step k every
     entry is a k x k minor, and on a full-rank square block sign * last pivot
@@ -130,7 +130,7 @@ def _eliminate(work: list, ncols: int) -> tuple:
     """
     rows, width = len(work), len(work[0]) if work else 0
     qr, qi, sign, r = 1, 0, 1, 0
-    for c in range(0, 2 * ncols, 2):
+    for c in range(0, width, 2):
         pivot_row = best = None
         for i in range(r, rows):
             a, b = work[i][c], work[i][c + 1]
@@ -213,7 +213,7 @@ def _integer_rows(m: Matrix) -> tuple[list, list]:
 
 def rank(m: Matrix) -> int:
     """Exact rank over Q(i) by fraction-free elimination on Gaussian integers."""
-    return _eliminate(_integer_rows(m)[1], shape(m)[1])[0]
+    return _eliminate(_integer_rows(m)[1])[0]
 
 
 def det(m: Matrix) -> QI:
@@ -222,7 +222,7 @@ def det(m: Matrix) -> QI:
     if n != c:
         raise InputError("determinant needs a square matrix")
     dens, work = _integer_rows(m)
-    r, sign, (a, b) = _eliminate(work, n)
+    r, sign, (a, b) = _eliminate(work)
     if r < n:
         return QI_ZERO
     return from_plane(prod(dens), (sign * a, sign * b))[0]

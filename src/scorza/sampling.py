@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .scalars import QI
+from .scalars import QI, _reduced
 
 
 def derive_seed(*parts) -> int:
@@ -22,49 +22,55 @@ def make_rng(*parts) -> random.Random:
     return random.Random(derive_seed(*parts))
 
 
-def random_ratio(rng: random.Random, height: int) -> tuple[int, int]:
-    """(rng.randint(-height, height), rng.randint(1, height)) with randint's
+def random_ratios(rng: random.Random, count: int, height: int) -> tuple[list, list]:
+    """(numerators, denominators) of count ratios, drawn as count rounds of
+    (rng.randint(-height, height), rng.randint(1, height)) with randint's
     exact draws and end state, as `Random._randbelow_with_getrandbits` makes
     them: getrandbits(width.bit_length()), redrawn while not below width."""
     if height < 1:
         raise ValueError(f"height must be at least 1, got {height}")
     getrandbits = rng.getrandbits
     width = 2 * height + 1
-    k = width.bit_length()
-    p = getrandbits(k)
-    while p >= width:
-        p = getrandbits(k)
-    k = height.bit_length()
-    q = getrandbits(k)
-    while q >= height:
-        q = getrandbits(k)
-    return p - height, q + 1
+    kp, kq = width.bit_length(), height.bit_length()
+    nums, dens = [], []
+    for _ in range(count):
+        p = getrandbits(kp)
+        while p >= width:
+            p = getrandbits(kp)
+        q = getrandbits(kq)
+        while q >= height:
+            q = getrandbits(kq)
+        nums.append(p - height)
+        dens.append(q + 1)
+    return nums, dens
 
 
 def random_fraction(rng: random.Random, height: int = 10, nonzero: bool = False) -> QI:
-    """A random rational p/q from one `random_ratio` draw, as a real QI."""
-    while True:
-        p, q = random_ratio(rng, height)
-        if p or not nonzero:
-            return QI.from_ints(p, 0, q)
+    """A random rational p/q from one ratio draw, as a real QI."""
+    return random_qi(rng, height, real=True, nonzero=nonzero)
 
 
 def random_qi(
     rng: random.Random, height: int = 10, real: bool = False, nonzero: bool = False
 ) -> QI:
-    """(p/q) + (r/s) i from two `random_ratio` draws, the real part first;
-    a real value makes no second draw."""
+    """(p/q) + (r/s) i from two ratio draws, the real part first; a real
+    value makes no second draw. A nonzero value redraws a zero."""
     while True:
-        p, q = random_ratio(rng, height)
-        r, s = (0, 1) if real else random_ratio(rng, height)
-        if p or r or not nonzero:
-            return QI.from_ints(p * s, r * q, q * s)
+        (x,) = random_qi_vector(rng, 1, height, real)
+        if x or not nonzero:
+            return x
 
 
 def random_qi_vector(
     rng: random.Random, n: int, height: int = 10, real: bool = False
 ) -> list:
-    return [random_qi(rng, height, real=real) for _ in range(n)]
+    """n values drawn as n `random_qi` calls draw them, from one
+    `random_ratios` call."""
+    nums, dens = random_ratios(rng, n if real else 2 * n, height)
+    if real:
+        return [_reduced(p, 0, q) for p, q in zip(nums, dens)]
+    ps, qs = iter(nums), iter(dens)
+    return [_reduced(p * s, r * q, q * s) for p, r, q, s in zip(ps, ps, qs, qs)]
 
 
 def random_square(n: int, diag, off, mirror) -> list:

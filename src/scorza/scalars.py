@@ -4,8 +4,10 @@ A QI value is stored as three ints (a, b, d), meaning (a + b i) / d, with
 d > 0 and gcd(a, b, d) = 1, so every value has exactly one representation:
 a plane of length one. Arithmetic runs on the ints and reduces once with
 one three-argument gcd; negation, conjugation and multiplication by a unit
-only copy or negate ints. The real and imaginary parts are `Fraction`
-properties (`re`, `im`) for the string and JSON boundary. Values with
+only copy or negate ints. The JSON form {"re": "p/q", "im": "r/s"} is
+written from the ints (`part_strings`) and read into them (`parse_ratio`)
+without a `Fraction`; the real and imaginary parts are `Fraction`
+properties (`re`, `im`) for `str` and for callers. Values with
 b == 0 double as plain rationals; consumers that insist on the rational
 field (tag "Q") check is_real() at their boundaries.
 
@@ -32,11 +34,12 @@ from .errors import InputError
 
 
 def _ratio(x) -> tuple:
-    """(numerator, denominator) of an int, Fraction or "p/q" string."""
+    """(numerator, denominator) in lowest terms of an int, Fraction or "p/q"
+    string."""
     if isinstance(x, int):
         return x, 1
     if isinstance(x, str):
-        x = parse_fraction(x)
+        return parse_ratio(x)
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     raise InputError(f"cannot interpret {x!r} as an exact rational")
@@ -193,17 +196,27 @@ class QI:
         sign = "+" if im > 0 else "-"
         return f"{re}{sign}{abs(im)}i"
 
-    def to_json(self) -> dict:
-        """Each part in lowest terms on its own, as "p/q"."""
+    def part_strings(self) -> tuple:
+        """(re, im) as strings "p/q", each part in lowest terms on its own:
+        the one statement of the JSON form, read by `to_json` and by
+        `cli.render_json`."""
         a, b, d = self.a, self.b, self.d
         g, h = gcd(a, d), gcd(b, d)
-        return {"re": f"{a // g}/{d // g}", "im": f"{b // h}/{d // h}"}
+        return f"{a // g}/{d // g}", f"{b // h}/{d // h}"
+
+    def to_json(self) -> dict:
+        re, im = self.part_strings()
+        return {"re": re, "im": im}
 
     @staticmethod
     def from_json(data: dict) -> "QI":
-        if not isinstance(data, dict) or not {"re", "im"} <= data.keys():
+        """Inverse of to_json, read as ints by `parse_ratio`: p/q + (r/s) i
+        is (p s + r q i) / (q s), put in lowest terms with one gcd."""
+        if not isinstance(data, dict) or "re" not in data or "im" not in data:
             raise InputError(f'expected {{"re": "p/q", "im": "p/q"}}, got {data!r}')
-        return QI(parse_fraction(data["re"]), parse_fraction(data["im"]))
+        p, q = parse_ratio(data["re"])
+        r, s = parse_ratio(data["im"])
+        return _reduced(p * s, r * q, q * s)
 
 
 _new = object.__new__
@@ -291,13 +304,21 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def parse_fraction(s: str) -> Fraction:
+def parse_ratio(s: str) -> tuple:
+    """(num, den) in lowest terms with den > 0 of a string "p" or "p/q",
+    each part as int() reads it (surrounding whitespace, a sign and digit
+    underscores allowed). A non-str, a zero denominator or any other form
+    raises InputError."""
     if not isinstance(s, str):
         raise InputError(f"expected a rational string like \"p/q\", got {s!r}")
-    try:
-        if "/" in s:
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
+    num, slash, den = s.partition("/")
+    try:  # a second "/" is left in den, which int() then rejects
+        p, q = int(num), int(den) if slash else 1
+    except ValueError as exc:
         raise InputError(f"malformed rational string {s!r}") from exc
+    if q < 0:
+        p, q = -p, -q
+    elif not q:
+        raise InputError(f"malformed rational string {s!r}")
+    g = gcd(p, q)
+    return p // g, q // g

@@ -23,7 +23,7 @@ from scorza.cayley_dickson import (
     reference_multiply,
 )
 from scorza.errors import InputError
-from scorza.sampling import make_rng, random_qi, random_ratio
+from scorza.sampling import make_rng, random_qi, random_ratios
 from scorza.scalars import QI, from_plane
 
 
@@ -294,14 +294,17 @@ def test_random_cd_draws_like_random_qi(field):
         assert a.coeffs == tuple(coeffs)
 
 
-@pytest.mark.parametrize("height", [1, 2, 7, 10, 16, 1000])
+@pytest.mark.parametrize("height", [1, 2, 7, 10, 16, 1000, 2**40])
 def test_random_ratio_matches_randint(height):
+    """random_ratios(rng, count, height) draws as count rounds of randint."""
     for seed in range(200):
-        ours, stdlib = random.Random(seed), random.Random(seed)
-        for _ in range(5):
-            assert random_ratio(ours, height) == (
-                stdlib.randint(-height, height), stdlib.randint(1, height)
-            )
-        assert ours.getstate() == stdlib.getstate()
+        for count in range(6):
+            ours, stdlib = random.Random(seed), random.Random(seed)
+            nums, dens = random_ratios(ours, count, height)
+            assert list(zip(nums, dens)) == [
+                (stdlib.randint(-height, height), stdlib.randint(1, height))
+                for _ in range(count)
+            ]
+            assert ours.getstate() == stdlib.getstate()
     with pytest.raises(ValueError):
-        random_ratio(random.Random(0), 0)
+        random_ratios(random.Random(0), 1, 0)

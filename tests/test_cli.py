@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -426,13 +427,22 @@ def test_reduce_reports_the_real_case_error(case, s, message):
 
 # JSON trees: str-keyed dicts, lists and tuples, empty ones included, with
 # leaves of any unicode str (escapes, non-ASCII), int, bool, None and finite float
-JSON_TREES = st.recursive(
-    st.text() | st.integers() | st.booleans() | st.none()
-    | st.floats(allow_nan=False, allow_infinity=False),
-    lambda children: st.lists(children, max_size=4) | st.tuples(children, children)
-    | st.dictionaries(st.text(), children, max_size=4),
-    max_leaves=20,
-)
+LEAVES = (st.text() | st.integers() | st.booleans() | st.none()
+          | st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.lists(children, max_size=4) | st.tuples(children, children)
+        | st.dictionaries(st.text(), children, max_size=4),
+        max_leaves=20,
+    )
+
+
+JSON_TREES = _trees(LEAVES)
+# QI leaves from any int triple (a, b, d > 0), zero and negative parts included
+QI_LEAVES = st.builds(QI.from_ints, st.integers(), st.integers(), st.integers(min_value=1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -441,7 +451,32 @@ def test_render_json_matches_json_dumps(obj):
     assert cli.render_json(obj) == json.dumps(obj, indent=2) + "\n"
 
 
+@settings(max_examples=300, deadline=None)
+@given(_trees(LEAVES | QI_LEAVES))
+def test_render_json_writes_qi_leaves_as_their_to_json(obj):
+    expected = json.dumps(obj, indent=2, default=QI.to_json) + "\n"
+    assert cli.render_json(obj) == expected
+
+
+def test_reduce_writes_its_matrices_without_matrix_to_json():
+    """alpha, mu_K and mu_G go to the writer as QI matrices; only the reduced
+    point's own `StratumPoint.to_json` still calls matrix_to_json."""
+    target, caller, calls = linalg.matrix_to_json.__code__, cli._cmd_reduce.__code__, []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is target and frame.f_back.f_code is caller:
+            calls.append(1)
+
+    sys.setprofile(hook)
+    try:
+        code, out = _main_in_process(["reduce", "--case", "ostar:6", "--s", "3"])
+    finally:
+        sys.setprofile(None)
+    assert code == 0 and not calls
+    assert len(json.loads(out)["alpha"]) == 12
+
+
 def test_render_json_raises_type_error_outside_its_types():
-    for bad in ({1: "int key"}, {"set": {1}}, [QI(1)]):
+    for bad in ({1: "int key"}, {"set": {1}}, [Fraction(1, 2)], [cayley_dickson.cd_one(3)]):
         with pytest.raises(TypeError):
             cli.render_json(bad)

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from scorza import linalg
-from scorza.cayley_dickson import cd_basis, cd_zero, random_cd, reference_multiply
+from scorza.cayley_dickson import (
+    CDElement, cd_basis, cd_scalar, cd_zero, random_cd, reference_multiply,
+)
 from scorza.errors import InputError, UnsupportedError
 from scorza.jordan import (
     ALGEBRAS,
@@ -23,7 +25,7 @@ from scorza.jordan import (
     to_complex_matrix,
     trace_form,
 )
-from scorza.sampling import make_rng, random_fraction
+from scorza.sampling import make_rng, random_fraction, random_qi, random_square
 from scorza.scalars import QI
 
 
@@ -260,3 +262,27 @@ def test_json_round_trip():
         data = x.to_json()
         assert data["n"] == 3 and data["algebra"] == algebra
         assert JordanElement.from_json(data) == x
+
+
+def _scalar_diagonal_hermitian(rng, algebra, n, height):
+    """random_hermitian as it drew each diagonal entry: one random_qi scalar,
+    made an element by cd_scalar."""
+    level, field = ALGEBRAS[algebra]
+    rows = random_square(
+        n,
+        lambda: cd_scalar(random_qi(rng, height, real=field == "Q"), level, field),
+        lambda: random_cd(rng, level, field, height),
+        CDElement.conjugate,
+    )
+    return JordanElement(algebra, tuple(tuple(row) for row in rows))
+
+
+@pytest.mark.parametrize("algebra", sorted(ALGEBRAS))
+def test_random_hermitian_draws_its_diagonal_as_scalars(algebra):
+    for n in (1, 2, 3):
+        for seed in range(5):
+            ours, ref = (make_rng("herm-diag", algebra, n, seed) for _ in range(2))
+            x = random_hermitian(ours, algebra, n, 7)
+            y = _scalar_diagonal_hermitian(ref, algebra, n, 7)
+            assert x == y  # entries compare by their integer planes
+            assert ours.getstate() == ref.getstate()

@@ -1,13 +1,15 @@
 from fractions import Fraction
-from math import gcd
+import sys
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scorza.errors import InputError
-from scorza.sampling import make_rng, random_fraction, random_qi, random_ratio
-from scorza.scalars import QI, QI_I, QI_ONE, common_plane, from_plane, parse_fraction, to_plane
+from scorza import strata
+from scorza.sampling import make_rng, random_fraction, random_qi, random_qi_vector, random_ratios
+from scorza.scalars import QI, QI_I, QI_ONE, common_plane, from_plane, parse_ratio, to_plane
 
 fractions = st.builds(
     Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**24)
@@ -59,12 +61,13 @@ def test_reality_predicates():
 def test_fraction_strings_round_trip():
     f = Fraction(-14, 21)
     assert fraction_str(f) == "-2/3"
-    assert parse_fraction("-2/3") == f
-    assert parse_fraction("5") == Fraction(5)
+    assert Fraction(*parse_ratio("-2/3")) == f
+    assert parse_ratio("-14/21") == parse_ratio("4/-6") == (-2, 3)
+    assert parse_ratio("5") == (5, 1)
     with pytest.raises(InputError):
-        parse_fraction("nonsense")
+        parse_ratio("nonsense")
     with pytest.raises(InputError):
-        parse_fraction("1/0")
+        parse_ratio("1/0")
 
 
 def test_json_round_trip():
@@ -153,12 +156,18 @@ def test_equality_and_hash_across_int_fraction_and_qi(p, q):
     assert QI(a) == a and hash(QI(a)) == hash(a)
 
 
+def _one_ratio(rng, height):
+    (p,), (q,) = random_ratios(rng, 1, height)
+    return Fraction(p, q)
+
+
 def _fraction_draw(rng, height, real, nonzero):
-    """random_qi as it drew its parts as Fractions: real numerator and
-    denominator, then (unless real) imaginary numerator and denominator."""
+    """random_qi as it drew its parts as Fractions, one ratio at a time: real
+    numerator and denominator, then (unless real) imaginary numerator and
+    denominator."""
     while True:
-        re = Fraction(*random_ratio(rng, height))
-        im = Fraction(0) if real else Fraction(*random_ratio(rng, height))
+        re = _one_ratio(rng, height)
+        im = Fraction(0) if real else _one_ratio(rng, height)
         if re or im or not nonzero:
             return re, im
 
@@ -174,6 +183,8 @@ def test_random_qi_draws_as_fraction_pairs(seed):
                     _agrees(x, _fraction_draw(ref, height, real, nonzero))
                     f = random_fraction(ours, height, nonzero=nonzero)
                     _agrees(f, _fraction_draw(ref, height, True, nonzero))
+                for x in random_qi_vector(ours, 5, height, real=real):
+                    _agrees(x, _fraction_draw(ref, height, real, False))
                 assert ours.getstate() == ref.getstate()
 
 
@@ -186,3 +197,82 @@ def test_from_ints_reduces_and_rejects_bad_denominators():
     assert QI("-6/4", 2) == QI.from_ints(-3, 4, 2)
     with pytest.raises(InputError):
         QI(0.5)
+
+
+def _fraction_ratio(s):
+    """The string reader as it was, on Fraction: the oracle for parse_ratio."""
+    if not isinstance(s, str):
+        raise InputError(f"expected a rational string like \"p/q\", got {s!r}")
+    try:
+        if "/" in s:
+            num, den = s.split("/")
+            return Fraction(int(num), int(den))
+        return Fraction(int(s))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed rational string {s!r}") from exc
+
+
+def _fraction_from_json(data):
+    """(a, b, d) of QI.from_json(data) as the Fraction reader built it."""
+    if not isinstance(data, dict) or not {"re", "im"} <= data.keys():
+        raise InputError(f'expected {{"re": "p/q", "im": "p/q"}}, got {data!r}')
+    re, im = _fraction_ratio(data["re"]), _fraction_ratio(data["im"])
+    d = lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+
+
+# "p/q" strings and near misses: signs, whitespace, "+", "_", zero and
+# negative denominators, extra "/", empty parts; and values that are no str
+RATIO_TEXT = st.lists(
+    st.sampled_from(["", " ", "\t", "+", "-", "_", "/", "0", "1", "2", "4", "6", "12", "x"]),
+    max_size=8,
+).map("".join) | st.builds("{}/{}".format, st.integers(-99, 99), st.integers(-99, 99))
+RATIO_VALUES = RATIO_TEXT | st.integers(-5, 5) | st.none() | st.floats(allow_nan=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(RATIO_VALUES, RATIO_VALUES)
+def test_from_json_matches_the_fraction_reader(re, im):
+    data = {"re": re, "im": im}
+    try:
+        expected = _fraction_from_json(data)
+    except InputError as exc:
+        with pytest.raises(InputError) as raised:
+            QI.from_json(data)
+        assert str(raised.value) == str(exc)
+        return
+    x = QI.from_json(data)
+    assert (x.a, x.b, x.d) == expected
+    assert (x.re, x.im) == (_fraction_ratio(re), _fraction_ratio(im))
+    assert Fraction(*parse_ratio(re)) == _fraction_ratio(re)
+
+
+def test_from_json_accepts_and_rejects_as_before():
+    for text, value in [(" 3 ", (3, 1)), ("+2/3", (2, 3)), ("1_0/4", (5, 2)),
+                        ("4/-6", (-2, 3)), ("2/4", (1, 2))]:
+        assert parse_ratio(text) == value
+        x = QI.from_json({"re": text, "im": "0"})
+        assert (x.a, x.b, x.d) == (value[0], 0, value[1])
+    for text in ("1/0", "1/2/3", "", "1/"):
+        with pytest.raises(InputError, match=f"^malformed rational string {text!r}$"):
+            QI.from_json({"re": "0", "im": text})
+    with pytest.raises(InputError, match="^expected a rational string"):
+        QI.from_json({"re": 1, "im": "0"})
+
+
+def test_point_from_json_builds_no_fraction():
+    point = strata.sample_secant(strata.parse_model("skew:7"), 2, 11)
+    data = point.to_json()
+    target, calls = Fraction.__new__.__code__, []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is target:
+            calls.append(1)
+
+    sys.setprofile(hook)
+    try:
+        back = strata.StratumPoint.from_json(data)
+    finally:
+        sys.setprofile(None)
+    assert back == point
+    assert not calls
