@@ -41,8 +41,9 @@ class HermitianAlgebraEntry:
     note: str = ""
 
 
-def catalog_scorza(k: int) -> list[ScorzaEntry]:
-    """The Scorza families at index k, exceptional row included iff k = 2."""
+def catalog_scorza(k: int, regular_only: bool = False) -> list[ScorzaEntry]:
+    """The Scorza families at index k, exceptional row included iff k = 2;
+    with regular_only, the regular rows only."""
     if not isinstance(k, int) or k < 2:
         raise InputError("Scorza index k must be an integer >= 2")
 
@@ -80,6 +81,8 @@ def catalog_scorza(k: int) -> list[ScorzaEntry]:
     ]
     if k == 2:
         entries.append(entry("(1.4)", 16, 26, 8, True, "exceptional", "exc27"))
+    if regular_only:
+        entries = [e for e in entries if e.regular]
     return entries
 
 
@@ -180,14 +183,11 @@ def list_hermitian(r: int, regular_only: bool = False) -> list[HermitianAlgebraE
 # --- rendering and golden files ----------------------------------------------
 
 def scorza_json_obj(k: int, regular_only: bool = False) -> dict:
-    entries = catalog_scorza(k)
-    if regular_only:
-        entries = [e for e in entries if e.regular]
     return {
         "kind": "scorza",
         "k": k,
         "regular_only": regular_only,
-        "entries": [asdict(e) for e in entries],
+        "entries": [asdict(e) for e in catalog_scorza(k, regular_only)],
     }
 
 

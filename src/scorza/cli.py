@@ -244,13 +244,10 @@ def _cmd_catalog(args) -> int:
         if args.format == "json":
             _emit(render_json(scorza_json_obj(args.k, args.regular_only)), args.out)
         else:
-            entries = catalog_scorza(args.k)
-            if args.regular_only:
-                entries = [e for e in entries if e.regular]
             rows = [
                 [e.label, e.dim_x, e.ambient_m, e.delta, e.k0,
                  "yes" if e.regular else "no", e.embedding, e.p_model]
-                for e in entries
+                for e in catalog_scorza(args.k, args.regular_only)
             ]
             _emit(_table(
                 ["label", "dim_x", "m", "delta", "k0", "regular", "embedding",

@@ -8,14 +8,15 @@ left: each factor goes to the plane once, the running product stays column
 planes over one denominator summed as plain ints, and QI is built only for
 the result; mat_mul is its two-factor case.
 
-There are two fraction-free Bareiss eliminations, each of which keeps entry
-growth polynomial and divides exactly. Rank and det of QI matrices share
-_eliminate, over the Gaussian integers, in place on interleaved row planes;
-the determinant returns to QI through from_plane. A matrix of plain ints,
-such as the frame Jacobian of the dimension oracle, is ranked by int_rank,
-over the integers with one int per entry, so no QI and no plane is built
-for it. The inverse is the adjugate over the determinant, one det per
-cofactor: no caller in the package inverts, so it is kept simple, not fast.
+There are three eliminations. Rank and det of QI matrices share
+_eliminate, a fraction-free (Bareiss 1968) elimination over Z[i] in place on
+interleaved row planes; det returns to QI through from_plane. int_rank
+ranks a matrix of plain ints, such as the frame Jacobian of the dimension
+oracle, the same way over Z. Both divide exactly and keep entry growth
+polynomial. The Pfaffian eliminates on QI itself with 2 x 2 skew pivots
+(Bunch 1982), in O(n^3) QI operations; its oracle, the memoized cofactor
+expansion, is in tests/test_linalg.py. The inverse is the adjugate over the
+determinant, one det per cofactor: no caller in the package inverts.
 """
 
 from __future__ import annotations
@@ -256,35 +257,34 @@ def is_skew(m: Matrix) -> bool:
 
 
 def pfaffian(m: Matrix) -> QI:
-    """Pfaffian of an even skew-symmetric matrix by memoized expansion."""
+    """Pfaffian of an even skew-symmetric matrix by skew elimination: step k
+    swaps a nonzero a_kj into column k + 1 (Pf changes sign; none: Pf = 0),
+    multiplies Pf by the pivot p = a_k,k+1 and replaces the block past k + 1
+    by its Schur complement a_il + (a_ik a_k+1,l - a_i,k+1 a_kl) / p, again
+    skew. About n^3 / 3 QI multiplications."""
     n, c = shape(m)
     if n != c or not is_skew(m):
         raise InputError("pfaffian needs a square skew-symmetric matrix")
     if n % 2:
         raise InputError("pfaffian is defined for even-sized matrices")
-    memo: dict = {}
-
-    def pf(idx: tuple) -> QI:
-        if not idx:
-            return QI_ONE
-        hit = memo.get(idx)
-        if hit is not None:
-            return hit
-        i0 = idx[0]
-        total = QI_ZERO
-        sign = 1
-        for pos in range(1, len(idx)):
-            j = idx[pos]
-            a = m[i0][j]
-            if a:
-                rest = idx[1:pos] + idx[pos + 1 :]
-                term = a * pf(rest)
-                total = total + term if sign > 0 else total - term
-            sign = -sign
-        memo[idx] = total
-        return total
-
-    return pf(tuple(range(n)))
+    a, pf = [list(row) for row in m], QI_ONE
+    for k in range(0, n, 2):
+        j = next((j for j in range(k + 1, n) if a[k][j]), None)
+        if j is None:
+            return QI_ZERO
+        if j != k + 1:
+            a[j], a[k + 1] = a[k + 1], a[j]
+            for row in a[k:]:
+                row[j], row[k + 1] = row[k + 1], row[j]
+            pf = -pf
+        rk, rk1, p = a[k], a[k + 1], a[k][k + 1]
+        pf *= p
+        for i, ri in enumerate(a[k + 2:], k + 2):
+            f0, f1 = ri[k] / p, ri[k + 1] / p
+            for l in range(i + 1, n):
+                ri[l] = x = ri[l] + f0 * rk1[l] - f1 * rk[l]
+                a[l][i] = -x
+    return pf
 
 
 def _require_same_shape(a: Matrix, b: Matrix):

@@ -45,8 +45,9 @@ _RANK1_RETRIES = 32
 # s = 7, 210 x 105 = 22,050 cells, built and ranked as ints at the frame
 # point in 4-5 ms on one Xeon vCPU under Python 3.11); skew:16 at s = 8
 # (k = 7) already needs 30,720. The same budget bounds a model's ambient_dim
-# and a dual-pair case's matrix size, so that no command starts work whose
-# cost has no bound.
+# and a dual-pair case's matrix size; every other step on a point (rank,
+# det, the skew-elimination Pfaffian, the cubic norm) is polynomial in its
+# size, so that no command starts work whose cost has no bound.
 MAX_JACOBIAN_CELLS = 25_000
 
 

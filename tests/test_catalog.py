@@ -10,6 +10,7 @@ def test_k2_table_matches_classification():
     assert rows == {(2, 5), (4, 8), (5, 11), (8, 14), (10, 20), (16, 26)}
     regular = {(e.dim_x, e.ambient_m) for e in catalog_scorza(2) if e.regular}
     assert regular == {(2, 5), (4, 8), (8, 14), (16, 26)}
+    assert catalog_scorza(2, regular_only=True) == [e for e in catalog_scorza(2) if e.regular]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])

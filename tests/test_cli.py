@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,10 @@ from scorza.scalars import QI
 from scorza.verify import run_suite
 
 
-def run_cli(args, env=None, stdin=None):
+def run_cli(args, env=None, stdin=None, timeout=None):
     cmd = [sys.executable, "-m", "scorza.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, input=stdin, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, input=stdin, env=env,
+                          timeout=timeout)
 
 
 def test_catalog_table_lists_severi_rows():
@@ -103,6 +105,26 @@ def test_sample_and_invariant_pipeline(tmp_path):
     result2 = run_cli(["invariant"], stdin=result.stdout)
     assert result2.returncode == 0
     assert json.loads(result2.stdout)["is_zero"] is False
+
+
+def test_invariant_of_skew40_costs_polynomial_time():
+    # a 40 x 40 Pfaffian by cofactor expansion would take of the order of
+    # 2^40 steps; the skew elimination takes about 0.13 s
+    model = strata.skew_model(40)
+    full = strata.random_point(model, 40)
+    result = run_cli(["invariant"], stdin=json.dumps(full.to_json()), timeout=30)
+    assert result.returncode == 0
+    out = json.loads(result.stdout)
+    assert out["is_zero"] is False
+    assert QI.from_json(out["invariant"]) ** 2 == linalg.det(full.coords)
+    low = strata.sample_secant(model, 14, seed=40)
+    assert strata.rank_of(low) == 15  # below the top rank 20
+    result = run_cli(["invariant"], stdin=json.dumps(low.to_json()), timeout=30)
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["is_zero"] is True
+    start = time.perf_counter()
+    strata.relative_invariant(full)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_reduce_output_shape():

@@ -5,8 +5,10 @@ import sympy
 
 from scorza import linalg
 from scorza.errors import InputError
+from scorza.linalg import is_skew, shape
 from scorza.sampling import make_rng, random_qi_matrix, random_qi_vector
-from scorza.scalars import QI
+from scorza.scalars import QI, QI_ONE, QI_ZERO
+from scorza.strata import random_point, sample_secant, skew_model
 
 
 def test_rank_known_cases():
@@ -299,6 +301,81 @@ def test_pfaffian_matches_sympy(kind):
         block += [[-m[j][i] for j in range(half)] + [QI(0)] * half for i in range(half)]
         sign = -1 if half * (half - 1) // 2 % 2 else 1
         assert linalg.pfaffian(block) == _sympy_det(m) * sign
+
+
+# --- cofactor-expansion oracle for the skew elimination ----------------------
+
+def _pfaffian_by_expansion(m):
+    """Pfaffian of an even skew-symmetric matrix by memoized expansion."""
+    n, c = shape(m)
+    if n != c or not is_skew(m):
+        raise InputError("pfaffian needs a square skew-symmetric matrix")
+    if n % 2:
+        raise InputError("pfaffian is defined for even-sized matrices")
+    memo: dict = {}
+
+    def pf(idx: tuple) -> QI:
+        if not idx:
+            return QI_ONE
+        hit = memo.get(idx)
+        if hit is not None:
+            return hit
+        i0 = idx[0]
+        total = QI_ZERO
+        sign = 1
+        for pos in range(1, len(idx)):
+            j = idx[pos]
+            a = m[i0][j]
+            if a:
+                rest = idx[1:pos] + idx[pos + 1 :]
+                term = a * pf(rest)
+                total = total + term if sign > 0 else total - term
+            sign = -sign
+        memo[idx] = total
+        return total
+
+    return pf(tuple(range(n)))
+
+
+def _permuted(m, perm):
+    """P m P^T for the permutation matrix P with P[i][perm[i]] = 1, and det(P)."""
+    inversions = sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])
+    return [[m[i][j] for j in perm] for i in perm], -1 if inversions % 2 else 1
+
+
+def _sparse(rng, m):
+    """m with about two thirds of its upper-triangle entries zeroed, kept skew."""
+    upper = [[x if i < j and rng.random() < 1 / 3 else QI(0) for j, x in enumerate(row)]
+             for i, row in enumerate(m)]
+    return _skew_from_upper(upper)
+
+
+@pytest.mark.parametrize("n", range(0, 14, 2))
+def test_pfaffian_matches_the_cofactor_expansion(n):
+    rng = make_rng("linalg", "pfaffian-expansion", n)
+    inputs = [_skew_from_upper(_oracle_matrix(rng, n, n, kind))
+              for kind in ("real", "imag", "bigden")]
+    if n:
+        model = skew_model(n)
+        inputs += [random_point(model, seed).coords for seed in range(3)]
+        for k in range(n // 2):  # rank min(k + 1, n / 2): Pf = 0 below the top
+            point = sample_secant(model, k, seed=k + n)
+            assert bool(linalg.pfaffian(point.coords)) == (k + 1 == n // 2)
+            inputs.append(point.coords)
+        # zero pivots a_k,k+1 before and during the elimination
+        inputs += [_sparse(rng, random_point(model, seed).coords) for seed in range(3)]
+    for m in inputs:
+        pf = linalg.pfaffian(m)
+        assert pf == _pfaffian_by_expansion(m)
+        # Pf(P A P^T) = det(P) Pf(A), over both parities of P
+        for _ in range(2):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            pm, sign = _permuted(m, perm)
+            assert linalg.pfaffian(pm) == _pfaffian_by_expansion(pm) == pf * sign
+        if n >= 2:
+            swap = [1, 0, *range(2, n)]
+            assert linalg.pfaffian(_permuted(m, swap)[0]) == -pf
 
 
 # --- sympy oracle for the integer elimination --------------------------------
