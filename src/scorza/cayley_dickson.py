@@ -21,10 +21,10 @@ real/imaginary parts, in lowest terms, so equal values have equal planes.
 All arithmetic, comparison and hashing runs on plane integers, and so does
 the reference recursion, which splits a plane into its two halves. QI
 coefficients are built only at the boundary, through `scalars.from_plane`:
-the public constructor takes them, and the cached `coeffs` tuple (used by
-`to_json`, the exc27 coordinate vector and callers of the public API) is
-built from the plane on first use. `norm`, `trace` and `scalar_part` return
-QI.
+the public constructor takes them, and the `coeffs` tuple (read by
+`to_json`, `repr` and callers of the public API) is built from the plane on
+each read, so an element keeps its plane and nothing else. `norm`, `trace`
+and `scalar_part` return QI.
 """
 
 from __future__ import annotations
@@ -61,21 +61,15 @@ class CDElement:
         if field == FIELD_Q and any(not c.is_real() for c in coeffs):
             raise InputError("field tag Q requires real rational coefficients")
         den, flat = to_plane(coeffs)
-        self.__dict__.update(
-            level=level, field=field, _intform=(den, tuple(flat)), _coeffs=coeffs
-        )
+        self.__dict__.update(level=level, field=field, _intform=(den, tuple(flat)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"CDElement is immutable; cannot set {name!r}")
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as QI values, built from the plane on first use."""
-        cached = self.__dict__.get("_coeffs")
-        if cached is None:
-            cached = tuple(from_plane(*self._intform))
-            self.__dict__["_coeffs"] = cached
-        return cached
+        """The coefficients as QI values, built from the plane on each read."""
+        return tuple(from_plane(*self._intform))
 
     def int_form(self) -> tuple:
         """(den, flat): the denominator and the interleaved integer re/im pairs."""

@@ -194,8 +194,11 @@ def _dispatch(args) -> int:
         point = st.sample_secant(
             st.parse_model(args.model), args.secant, seed, args.height
         )
-        st.rank_of(point)
-        _emit_result(args, point.to_json(), _point_rows(point))
+        rank = st.rank_of(point)
+        _emit_result(
+            args, {**point.to_json(), "rank": rank},
+            [["model", point.model.selector()], ["rank", rank], ["coords", "see JSON format"]],
+        )
         return 0
     if args.command == "dim":
         cone, proj = st.stratum_dimension(st.parse_model(args.model), args.stratum)
@@ -227,14 +230,6 @@ def _emit_result(args, json_obj, table_rows):
         _emit(render_json(json_obj), args.out)
     else:
         _emit(_table(["field", "value"], table_rows), args.out)
-
-
-def _point_rows(point) -> list:
-    return [
-        ["model", point.model.selector()],
-        ["rank", point.cached_rank],
-        ["coords", "see JSON format"],
-    ]
 
 
 def _cmd_catalog(args) -> int:
@@ -334,7 +329,7 @@ def _cmd_reduce(args, seed: int) -> int:
         "alpha": w.alpha,
         "mu_K": mu_k,
         "mu_G": mu_g,
-        "reduced_point": point.to_json(),
+        "reduced_point": {**point.to_json(), "rank": rank},
         "rank": rank,
     }
     _emit_result(

@@ -14,6 +14,12 @@ only scalar parts of entry products (the scalar-part kernels of
 `cayley_dickson`). Full octonion products remain only for the terms
 x_ik y_kj with k != i, j.
 
+An element is one integer plane: a denominator and the n x n entry planes
+of `cayley_dickson` over it, in lowest terms, so equal values have equal
+planes. Sums, scalings, traces, products and sharps run on that plane
+alone; CDElement entries are built from it only at the boundary (`entries`,
+`entry`, `to_json`).
+
 The rank characterization (x# = 0 iff rank <= 1, det = 0 iff rank <= 2) is
 field-agnostic and is used unchanged over the complexified algebras.
 Sharp and rank are degree-3 only.
@@ -21,7 +27,7 @@ Sharp and rank are degree-3 only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import gcd, lcm
 from random import Random
 
 from .cayley_dickson import (
@@ -35,7 +41,7 @@ from .cayley_dickson import (
     random_cd,
 )
 from .errors import InputError, UnsupportedError
-from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, json_int
+from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, json_int, to_plane
 from .sampling import random_square
 
 # algebra tag -> (Cayley-Dickson level, scalar field tag)
@@ -66,40 +72,57 @@ def _entry_algebra(algebra: str, n: int) -> tuple:
     return level, field
 
 
-@dataclass(frozen=True)
 class JordanElement:
-    algebra: str
-    entries: tuple  # tuple of row tuples of CDElement
+    """An element of H_n(K), stored as one integer plane: a positive `den`
+    and `rows`, the n x n entry planes (the interleaved parts of
+    `cayley_dickson`) over it, with gcd(den, every part) = 1, so equal
+    values have equal planes. `JordanElement(algebra, entries)` takes and
+    checks a square tuple of CDElement rows; `entries` and `entry` build
+    them back from the plane."""
 
-    def __post_init__(self):
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
+    def __init__(self, algebra: str, entries):
+        n = len(entries)
+        if any(len(row) != n for row in entries):
             raise InputError("entries must form a square matrix")
-        level, field = _entry_algebra(self.algebra, n)
-        for i in range(n):
-            for j in range(n):
-                e = self.entries[i][j]
+        level, field = _entry_algebra(algebra, n)
+        for row in entries:
+            for e in row:
                 if e.level != level or e.field != field:
                     raise InputError("entry algebra mismatch")
         for i in range(n):
-            if not self.entries[i][i].is_scalar():
+            if not entries[i][i].is_scalar():
                 raise InputError("diagonal entries must be scalars")
             for j in range(i + 1, n):
-                if self.entries[j][i] != self.entries[i][j].conjugate():
+                if entries[j][i] != entries[i][j].conjugate():
                     raise InputError("matrix is not hermitian")
+        self.__dict__.update(vars(_from_entries(algebra, entries)))
 
-    @staticmethod
-    def _trusted(algebra: str, entries: tuple) -> "JordanElement":
-        """The element with these entries, built without `__post_init__`'s
-        checks: for results hermitian by construction, whose entries already
-        lie in the algebra, such as sums, scalings and Jordan products."""
-        x = object.__new__(JordanElement)
-        x.__dict__.update(algebra=algebra, entries=entries)
-        return x
+    def __setattr__(self, name, value):
+        raise AttributeError(f"JordanElement is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not JordanElement:
+            return NotImplemented
+        return self.den == other.den and self.rows == other.rows and self.algebra == other.algebra
+
+    def __hash__(self):
+        return hash((self.algebra, self.den, self.rows))
+
+    def __repr__(self):
+        return f"JordanElement(algebra={self.algebra!r}, entries={self.entries!r})"
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
+
+    @property
+    def entries(self) -> tuple:
+        """The entries as CDElement rows, built from the plane."""
+        return tuple([tuple([self.entry(i, j) for j in range(self.n)]) for i in range(self.n)])
+
+    def entry(self, i: int, j: int) -> CDElement:
+        level, field = ALGEBRAS[self.algebra]
+        return _element(level, field, self.den, self.rows[i][j])
 
     def _require_match(self, other: "JordanElement"):
         if self.algebra != other.algebra or self.n != other.n:
@@ -108,48 +131,38 @@ class JordanElement:
                 f"{other.n}x{other.n} {other.algebra}"
             )
 
-    def __add__(self, other: "JordanElement") -> "JordanElement":
+    def _combine(self, other: "JordanElement", sign: int) -> "JordanElement":
+        """self + sign other, over the lcm of the two dens."""
         self._require_match(other)
-        return JordanElement._trusted(
-            self.algebra,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        return _jordan(self.algebra, den, [
+            [[s * p + t * q for p, q in zip(a, b)] for a, b in zip(ra, rb)]
+            for ra, rb in zip(self.rows, other.rows)
+        ])
+
+    def __add__(self, other: "JordanElement") -> "JordanElement":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "JordanElement") -> "JordanElement":
-        self._require_match(other)
-        return JordanElement._trusted(
-            self.algebra,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "JordanElement":
-        return JordanElement._trusted(
-            self.algebra, tuple(tuple(-a for a in row) for row in self.entries)
-        )
+        return _jordan(self.algebra, self.den, [[[-v for v in e] for e in row] for row in self.rows])
 
     def scale(self, s) -> "JordanElement":
         s = s if isinstance(s, QI) else QI(s)
-        return JordanElement._trusted(
-            self.algebra, tuple(tuple(a.scale(s) for a in row) for row in self.entries)
-        )
+        if algebra_field(self.algebra) == FIELD_Q and not s.is_real():
+            raise InputError("cannot scale a Q-tagged element by a complex scalar")
+        ds, pair = to_plane((s,))
+        return _jordan(self.algebra, self.den * ds,
+                       [[_scale_add(pair, e, (0, 0), e) for e in row] for row in self.rows])
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def entry(self, i: int, j: int) -> CDElement:
-        return self.entries[i][j]
+        return not any(v for row in self.rows for e in row for v in e)
 
     def to_json(self) -> dict:
-        upper = [
-            [self.entries[i][j].to_json() for j in range(i, self.n)]
-            for i in range(self.n)
-        ]
+        upper = [[self.entry(i, j).to_json() for j in range(i, self.n)] for i in range(self.n)]
         return {"n": self.n, "algebra": self.algebra, "entries": upper}
 
     @staticmethod
@@ -165,6 +178,28 @@ class JordanElement:
         )
 
 
+def _jordan(algebra: str, den: int, rows) -> JordanElement:
+    """The element with entry planes rows[i][j] over den, reduced to lowest
+    terms, built without the constructor's checks: for results hermitian by
+    construction, such as sums, scalings, Jordan products and sharps."""
+    g = gcd(den, *[v for row in rows for e in row for v in e])
+    if g > 1:
+        den //= g
+        rows = [[[v // g for v in e] for e in row] for row in rows]
+    x = object.__new__(JordanElement)
+    x.__dict__.update(algebra=algebra, den=den,
+                      rows=tuple([tuple([tuple(e) for e in row]) for row in rows]))
+    return x
+
+
+def _from_entries(algebra: str, entries) -> JordanElement:
+    """The element with these CDElement entries, built without the
+    constructor's checks, on the lcm plane of the entries' own planes."""
+    n = len(entries)
+    den, flats = common_plane([e.int_form() for row in entries for e in row])
+    return _jordan(algebra, den, [flats[i * n:(i + 1) * n] for i in range(n)])
+
+
 # --- constructors -----------------------------------------------------------
 
 def jordan_zero(algebra: str, n: int) -> JordanElement:
@@ -176,14 +211,12 @@ def jordan_identity(algebra: str, n: int) -> JordanElement:
 
 
 def jordan_diag(algebra: str, scalars) -> JordanElement:
-    """The diagonal element with these scalars. Each scalar object, and the
-    zero off the diagonal, is built into one entry: the identity builds two."""
+    """The diagonal element with these scalars."""
     level, field = ALGEBRAS[algebra]
-    entry = {id(s): s for s in (QI_ZERO, *scalars)}
-    entry = {key: cd_scalar(s, level, field) for key, s in entry.items()}
-    n = len(scalars)
-    rows = [[entry[id(scalars[i] if i == j else QI_ZERO)] for j in range(n)] for i in range(n)]
-    return JordanElement(algebra, tuple(map(tuple, rows)))
+    diag = [cd_scalar(s, level, field) for s in scalars]
+    zero = cd_scalar(QI_ZERO, level, field)
+    n = len(diag)
+    return JordanElement(algebra, [[diag[i] if i == j else zero for j in range(n)] for i in range(n)])
 
 
 def from_upper(algebra: str, upper) -> JordanElement:
@@ -230,35 +263,10 @@ def random_hermitian(rng: Random, algebra: str, n: int, height: int = 10) -> Jor
         lambda: random_cd(rng, level, field, height),
         CDElement.conjugate,
     )
-    return JordanElement._trusted(algebra, tuple(tuple(r) for r in rows))
+    return _from_entries(algebra, rows)
 
 
 # --- operations --------------------------------------------------------------
-
-def _int_form(x: JordanElement) -> tuple:
-    """Cached (den, rows): every entry's integer plane over one common den.
-
-    Built from the entries' own planes (see `cayley_dickson`) by
-    `scalars.common_plane`; no QI is touched.
-    """
-    cached = getattr(x, "_intform", None)
-    if cached is not None:
-        return cached
-    n = x.n
-    den, flats = common_plane([e.int_form() for row in x.entries for e in row])
-    value = (den, [flats[i * n:(i + 1) * n] for i in range(n)])
-    object.__setattr__(x, "_intform", value)
-    return value
-
-
-def _from_int_form(algebra: str, den: int, rows: list) -> JordanElement:
-    """The element whose entries are the planes rows[i][j] over den."""
-    level, field = ALGEBRAS[algebra]
-    return JordanElement._trusted(
-        algebra,
-        tuple([tuple([_element(level, field, den, flat) for flat in line]) for line in rows]),
-    )
-
 
 def _scale_add(s: tuple, a, t: tuple, b) -> list:
     """s a + t b on interleaved planes, for Gaussian-integer pairs s and t."""
@@ -279,8 +287,8 @@ def _product_planes(x: JordanElement, y: JordanElement) -> tuple:
     sp = _scalar_kernel(level, field)
     width = 2 << level
     n = x.n
-    dx, X = _int_form(x)
-    dy, Y = _int_form(y)
+    dx, X = x.den, x.rows
+    dy, Y = y.den, y.rows
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         acc = [0] * width
@@ -322,14 +330,12 @@ def jordan_product(x: JordanElement, y: JordanElement) -> JordanElement:
     (j, i) is the conjugate of entry (i, j), its scalar pair kept and the
     rest negated, as in `CDElement.conjugate`.
     """
-    return _from_int_form(x.algebra, *_product_planes(x, y))
+    return _jordan(x.algebra, *_product_planes(x, y))
 
 
 def jtrace(x: JordanElement) -> QI:
-    acc = QI_ZERO
-    for i in range(x.n):
-        acc = acc + x.entries[i][i].scalar_part()
-    return acc
+    diagonal = [x.rows[i][i] for i in range(x.n)]
+    return from_plane(x.den, (sum(e[0] for e in diagonal), sum(e[1] for e in diagonal)))[0]
 
 
 def _trace_pair(algebra: str, A: list, B: list) -> list:
@@ -344,11 +350,9 @@ def _trace_pair(algebra: str, A: list, B: list) -> list:
 
 def trace_form(x: JordanElement, y: JordanElement) -> QI:
     """T(x, y) = tr(x o y) = sum_ik sp(x_ik y_ki), without forming x o y:
-    the scalar-part kernel summed on the cached integer planes."""
+    the scalar-part kernel summed on the integer planes."""
     x._require_match(y)
-    dx, X = _int_form(x)
-    dy, Y = _int_form(y)
-    return from_plane(dx * dy, _trace_pair(x.algebra, X, Y))[0]
+    return from_plane(x.den * y.den, _trace_pair(x.algebra, x.rows, y.rows))[0]
 
 
 def _sharp_planes(x: JordanElement) -> tuple:
@@ -356,7 +360,7 @@ def _sharp_planes(x: JordanElement) -> tuple:
     s = (t^2 - tr(x^2))/2, from the one square x o x = S / 2d^2. With
     tr(x) = t/d and tr(x^2) = p/2d^2, x# = (2S - 4t X + (2t^2 - p) I) / 4d^2."""
     d2, S = _product_planes(x, x)
-    d, X = _int_form(x)
+    d, X = x.den, x.rows
     tr = sum(X[i][i][0] for i in range(3))
     ti = sum(X[i][i][1] for i in range(3))
     pr = sum(S[i][i][0] for i in range(3))
@@ -374,7 +378,7 @@ def sharp(x: JordanElement) -> JordanElement:
     formed on the integer planes from one square x o x."""
     if x.n != 3:
         raise UnsupportedError("sharp is defined for 3x3 elements only")
-    return _from_int_form(x.algebra, *_sharp_planes(x))
+    return _jordan(x.algebra, *_sharp_planes(x))
 
 
 def generic_det(x: JordanElement) -> QI:
@@ -419,7 +423,7 @@ def jordan_rank3(x: JordanElement) -> int:
     _, adj = _sharp_planes(x)
     if not any(v for row in adj for e in row for v in e):
         return 1
-    if not any(_trace_pair(x.algebra, adj, _int_form(x)[1])):
+    if not any(_trace_pair(x.algebra, adj, x.rows)):
         return 2
     return 3
 
@@ -432,12 +436,8 @@ def freudenthal_det3(x: JordanElement) -> QI:
     """
     if x.n != 3:
         raise UnsupportedError("freudenthal_det3 needs a 3x3 element")
-    p = x.entries[0][0].scalar_part()
-    q = x.entries[1][1].scalar_part()
-    r = x.entries[2][2].scalar_part()
-    a = x.entries[1][2]
-    b = x.entries[2][0]
-    c = x.entries[0][1]
+    p, q, r = (x.entry(i, i).scalar_part() for i in range(3))
+    a, b, c = x.entry(1, 2), x.entry(2, 0), x.entry(0, 1)
     cross = ((a * b) * c).trace()
     return p * q * r - p * a.norm() - q * b.norm() - r * c.norm() + cross
 
@@ -451,14 +451,13 @@ def to_complex_matrix(x: JordanElement):
     """
     level, field = ALGEBRAS[x.algebra]
     out = []
-    for row in x.entries:
+    for row in x.rows:
         line = []
         for e in row:
-            if level == 0 or e.is_scalar():
-                line.append(e.scalar_part())
+            if not any(e[2:]):  # a scalar entry, every entry at level 0
+                line += from_plane(x.den, e[:2])
             elif level == 1 and field == FIELD_Q:  # plane (a, 0, b, 0) over den
-                den, (a, _, b, _) = e.int_form()
-                line.extend(from_plane(den, (a, b)))
+                line += from_plane(x.den, e[::2])
             else:
                 raise UnsupportedError(
                     "entries do not lie in a commutative subfield"

@@ -17,7 +17,7 @@ go through linalg's Gaussian-integer elimination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linalg
 from .cayley_dickson import _TABLES, CDElement, cd_scalar
@@ -150,11 +150,13 @@ def parse_model(selector: str) -> PSpaceModel:
     return PSpaceModel(*split_selector(selector, "model", MODEL_GRAMMAR))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StratumPoint:
+    """A model and its checked coordinates, and nothing else: `rank_of`
+    computes the rank, and `to_json` writes no rank."""
+
     model: PSpaceModel
     coords: object  # QI matrix, or JordanElement for exc27
-    cached_rank: int | None = field(default=None, init=False)  # written by rank_of alone
 
     def __post_init__(self):
         _validate_coords(self.model, self.coords)
@@ -185,10 +187,7 @@ class StratumPoint:
             coords = self.coords.to_json()
         else:
             coords = linalg.matrix_to_json(self.coords)
-        out = {"model": model_obj, "coords": coords}
-        if self.cached_rank is not None:
-            out["rank"] = self.cached_rank
-        return out
+        return {"model": model_obj, "coords": coords}
 
     @staticmethod
     def from_json(data: dict) -> "StratumPoint":
@@ -251,20 +250,14 @@ def zero_point(model: PSpaceModel) -> StratumPoint:
 def rank_of(point: StratumPoint) -> int:
     """Jordan rank: matrix rank for sym/mat, half of it for skew, degree-3
     rank for the exceptional model."""
-    if point.cached_rank is not None:
-        return point.cached_rank
     if point.model.kind == "exc27":
-        r = jordan_rank3(point.coords)
-    else:
-        mr = linalg.rank(point.coords)
-        if point.model.kind == "skew":
-            if mr % 2:
-                raise RuntimeError("skew matrix with odd rank; input not exact")
-            r = mr // 2
-        else:
-            r = mr
-    point.cached_rank = r
-    return r
+        return jordan_rank3(point.coords)
+    mr = linalg.rank(point.coords)
+    if point.model.kind == "skew":
+        if mr % 2:
+            raise RuntimeError("skew matrix with odd rank; input not exact")
+        return mr // 2
+    return mr
 
 
 def closure_membership(point: StratumPoint, s: int) -> bool:
@@ -580,8 +573,7 @@ def peel_rank_one(point: StratumPoint) -> list:
             else:  # sym with a zero diagonal
                 params = [row[i] + x for row, x in zip(a, col_j)]
                 pivot = params[i] + params[j]
-        piece = chart_point(model, params)
-        piece.coords = linalg.mat_scale(piece.coords, 1 / pivot)  # still sym/skew
+        piece = StratumPoint(model, linalg.mat_scale(chart_point(model, params).coords, 1 / pivot))
         out.append(piece)
         a = linalg.mat_sub(a, piece.coords)
     return out

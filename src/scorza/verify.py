@@ -363,7 +363,7 @@ _REGULAR_MODELS = ("sym:3", "mat:3,3", "skew:6", "exc27")
 
 
 def _pt_witness(seed, t, p):
-    return lambda: {"seed": seed, "trial": t, "point": p.to_json()}
+    return lambda: {"seed": seed, "trial": t, "point": {**p.to_json(), "rank": st.rank_of(p)}}
 
 
 @check("strata", "rank_one_samples", ("sample_rank_one", "rank_of"))

@@ -1,4 +1,5 @@
 import functools
+import sys
 
 import pytest
 
@@ -14,6 +15,31 @@ ROWS = {(suite, row.name): row for suite, rows in CHECKS.items() for row in rows
 @functools.cache
 def _check_result(suite: str, name: str):
     return ROWS[suite, name].run(SUITE_TRIALS[suite], SUITE_SEED)
+
+
+@pytest.fixture
+def count_calls():
+    """count_calls(fn, match) -> (fn(), the number of calls made while fn
+    runs into a frame that match(frame) accepts), counted by a
+    sys.setprofile hook; the profiler in place before is put back."""
+
+    def counted(fn, match) -> tuple:
+        count = 0
+
+        def hook(frame, event, arg):
+            nonlocal count
+            if event == "call" and match(frame):
+                count += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            result = fn()
+        finally:
+            sys.setprofile(previous)
+        return result, count
+
+    return counted
 
 
 @pytest.fixture(scope="session")

@@ -480,21 +480,15 @@ def test_render_json_writes_qi_leaves_as_their_to_json(obj):
     assert cli.render_json(obj) == expected
 
 
-def test_reduce_writes_its_matrices_without_matrix_to_json():
+def test_reduce_writes_its_matrices_without_matrix_to_json(count_calls):
     """alpha, mu_K and mu_G go to the writer as QI matrices; only the reduced
     point's own `StratumPoint.to_json` still calls matrix_to_json."""
-    target, caller, calls = linalg.matrix_to_json.__code__, cli._cmd_reduce.__code__, []
-
-    def hook(frame, event, arg):
-        if event == "call" and frame.f_code is target and frame.f_back.f_code is caller:
-            calls.append(1)
-
-    sys.setprofile(hook)
-    try:
-        code, out = _main_in_process(["reduce", "--case", "ostar:6", "--s", "3"])
-    finally:
-        sys.setprofile(None)
-    assert code == 0 and not calls
+    target, caller = linalg.matrix_to_json.__code__, cli._cmd_reduce.__code__
+    (code, out), calls = count_calls(
+        lambda: _main_in_process(["reduce", "--case", "ostar:6", "--s", "3"]),
+        lambda frame: frame.f_code is target and frame.f_back.f_code is caller,
+    )
+    assert code == 0 and calls == 0
     assert len(json.loads(out)["alpha"]) == 12
 
 

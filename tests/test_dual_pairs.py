@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -561,29 +560,15 @@ def test_verify_moment_report_pinned():
     )
 
 
-def _fractions_built(fn) -> int:
-    """The number of Fraction.__new__ calls made while fn() runs."""
-    code, count = Fraction.__new__.__code__, 0
+def test_momentum_maps_build_no_fraction_per_entry(count_calls):
+    def fractions_built(fn) -> int:
+        """The number of Fraction.__new__ calls made while fn() runs."""
+        return count_calls(fn, lambda frame: frame.f_code is Fraction.__new__.__code__)[1]
 
-    def hook(frame, event, arg):
-        nonlocal count
-        if event == "call" and frame.f_code is code:
-            count += 1
-
-    old = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        fn()
-    finally:
-        sys.setprofile(old)
-    return count
-
-
-def test_momentum_maps_build_no_fraction_per_entry():
     case = parse_case("ostar:6", 3)
     w = WElement(case, sample_zero_level(case, 5).alpha)  # keeps no mu_K: mu_K(w) forms it
-    assert _fractions_built(lambda: Fraction(1, 2)) == 1  # the counter sees a build
-    built = _fractions_built(lambda: (
+    assert fractions_built(lambda: Fraction(1, 2)) == 1  # the counter sees a build
+    built = fractions_built(lambda: (
         mu_K(w), mu_G(w), linalg.mat_chain(w.alpha, dagger(w), w.alpha, dagger(w)),
     ))
     assert built == 0

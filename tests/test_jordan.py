@@ -1,5 +1,5 @@
-import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -26,7 +26,7 @@ from scorza.jordan import (
     trace_form,
 )
 from scorza.sampling import make_rng, random_fraction, random_qi, random_square
-from scorza.scalars import QI
+from scorza.scalars import QI, from_plane
 
 
 def test_product_with_identity_and_diagonals():
@@ -149,39 +149,25 @@ def test_generic_det_at_n_1_and_2(algebra):
         assert generic_det(x) == p * q - x.entry(0, 1).norm()
 
 
-def _calls(fn, code_name: str) -> int:
-    """The number of calls into code compiled under code_name while fn() runs."""
-    count = 0
-
-    def hook(frame, event, arg):
-        nonlocal count
-        if event == "call" and frame.f_code.co_filename == code_name:
-            count += 1
-
-    old = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        fn()
-    finally:
-        sys.setprofile(old)
-    return count
-
-
-def test_full_octonion_kernel_calls_pinned():
+def test_full_octonion_kernel_calls_pinned(count_calls):
     # full level-3 products on one 3x3 O_C input: only the terms x_ik y_kj
     # with k != i, j need one; diagonals scale and traces take scalar parts
+    def calls(fn, code_name: str) -> int:
+        """The number of calls into code compiled under code_name while fn() runs."""
+        return count_calls(fn, lambda frame: frame.f_code.co_filename == code_name)[1]
+
     full, scalar = "<cayley_dickson level 3>", "<cayley_dickson level 3 scalar>"
     rng = make_rng("jd", "kernelcalls")
     x = random_hermitian(rng, "O_C", 3, 6)
     y = random_hermitian(rng, "O_C", 3, 6)
-    assert _calls(lambda: x.entry(0, 1) * y.entry(1, 2), full) == 1  # the counter sees a product
+    assert calls(lambda: x.entry(0, 1) * y.entry(1, 2), full) == 1  # the counter sees a product
     assert jordan_rank3(x) == 3
-    assert _calls(lambda: jordan_product(x, y), full) == 6
-    assert _calls(lambda: trace_form(x, y), full) == 0
-    assert _calls(lambda: trace_form(x, y), scalar) == 9
-    assert _calls(lambda: generic_det(x), full) == 6
-    assert _calls(lambda: jordan_rank3(x), full) == 6
-    assert _calls(lambda: sharp(x), full) == 6
+    assert calls(lambda: jordan_product(x, y), full) == 6
+    assert calls(lambda: trace_form(x, y), full) == 0
+    assert calls(lambda: trace_form(x, y), scalar) == 9
+    assert calls(lambda: generic_det(x), full) == 6
+    assert calls(lambda: jordan_rank3(x), full) == 6
+    assert calls(lambda: sharp(x), full) == 6
 
 
 def test_rank_characterization():
@@ -233,19 +219,31 @@ def test_shape_and_algebra_errors():
 
 @pytest.mark.parametrize("algebra", list(ALGEBRAS))
 def test_trusted_results_pass_the_public_checks(algebra):
-    # products, sums, negations and scalings skip the constructor's checks,
-    # which each result must still pass
+    # products, sums, negations, scalings and sharps are built from planes
+    # without the constructor's checks, which each result must still pass;
+    # each is in lowest terms, so equal values have equal planes and hashes
     rng = make_rng("jd", "trusted", algebra)
     level, field = ALGEBRAS[algebra]
     lam = QI(Fraction(-2, 3), 0 if field == "Q" else Fraction(5, 7))
     for n in range(1, 4):
         x = random_hermitian(rng, algebra, n, 6)
         y = random_hermitian(rng, algebra, n, 6)
-        results = [jordan_product(x, y), x + y, x - y, -x, x.scale(lam)]
+        zero = jordan_zero(algebra, n)
+        assert x + (-x) == zero and hash(x + (-x)) == hash(zero)
+        assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+        results = [jordan_product(x, y), x + y, x - y, -x, x.scale(lam), x.scale(0)]
         if n == 3:
             results.append(sharp(x))
         for r in results:
-            assert JordanElement(r.algebra, r.entries) == r
+            checked = JordanElement(r.algebra, r.entries)
+            assert checked == r and hash(checked) == hash(r)
+            assert gcd(r.den, *[v for row in r.rows for e in row for v in e]) == 1
+            for i in range(n):
+                for j in range(n):
+                    # the entry equals its plane reduced on its own
+                    e = r.entry(i, j)
+                    assert e == CDElement(level, field, from_plane(r.den, r.rows[i][j]))
+                    assert gcd(*e.int_form()[1], e.int_form()[0]) == 1
 
 
 def test_hermitian_validation_and_upper_triangle():

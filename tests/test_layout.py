@@ -4,6 +4,10 @@ A public function or method (its name has no leading underscore) passes
 when `src/scorza` names it outside its own definition, when
 `scorza/__init__.py` exports it, or when `perfbench/tracer.py` binds it in
 `SPANS`. Helpers that only tests call belong in the tests.
+
+No value is written after it is built: `src/scorza` calls no
+`object.__setattr__` and assigns into no `__dict__`, so no value keeps a
+lazily written second form.
 """
 
 import ast
@@ -62,3 +66,26 @@ def test_every_public_function_has_a_caller_in_the_package():
     unreached = [f"{module}:{qualname}" for module, qualname, name in _public_functions(trees)
                  if name not in reached]
     assert unreached == []
+
+
+def _late_writes(tree) -> list:
+    """Lines that write an attribute past a class's own protocol: calls of
+    `object.__setattr__` and assignments into an object's `__dict__`."""
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"):
+            out.append(node.lineno)
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+        out += [t.lineno for t in targets if isinstance(t, ast.Subscript)
+                and isinstance(t.value, ast.Attribute) and t.value.attr == "__dict__"]
+    return out
+
+
+def test_no_value_is_written_after_it_is_built():
+    # an exact value keeps one form: no memo is written onto a built object
+    writes = [f"{module}:{line}" for module, tree in _trees().items()
+              for line in _late_writes(tree)]
+    assert writes == []

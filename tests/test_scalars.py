@@ -1,5 +1,4 @@
 from fractions import Fraction
-import sys
 from math import gcd, lcm
 
 import pytest
@@ -260,19 +259,12 @@ def test_from_json_accepts_and_rejects_as_before():
         QI.from_json({"re": 1, "im": "0"})
 
 
-def test_point_from_json_builds_no_fraction():
+def test_point_from_json_builds_no_fraction(count_calls):
     point = strata.sample_secant(strata.parse_model("skew:7"), 2, 11)
     data = point.to_json()
-    target, calls = Fraction.__new__.__code__, []
-
-    def hook(frame, event, arg):
-        if event == "call" and frame.f_code is target:
-            calls.append(1)
-
-    sys.setprofile(hook)
-    try:
-        back = strata.StratumPoint.from_json(data)
-    finally:
-        sys.setprofile(None)
+    back, calls = count_calls(
+        lambda: strata.StratumPoint.from_json(data),
+        lambda frame: frame.f_code is Fraction.__new__.__code__,
+    )
     assert back == point
-    assert not calls
+    assert calls == 0

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import sys
 import time
 
 import pytest
@@ -222,25 +221,18 @@ def test_frame_jacobian_int_columns_equal_qi_columns():
                 assert got == _chart_jacobian_columns(model, [QI(x) for x in block])
 
 
-def test_stratum_dimension_ranks_without_gaussian_planes():
+def test_stratum_dimension_ranks_without_gaussian_planes(count_calls):
     # cost pin: no Z[i] elimination and no plane encoding on the oracle's path
     watched = {linalg._eliminate.__code__, scalars.to_plane.__code__}
-    seen = set()
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in watched:
-            seen.add(frame.f_code.co_name)
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
+    def oracle_runs():
         for sel in ("sym:4", "mat:3,5", "skew:7", "exc27"):
             model = parse_model(sel)
             for s in range(1, model.max_rank + 1):
                 stratum_dimension(model, s)
-    finally:
-        sys.setprofile(previous)
-    assert not seen
+
+    _, calls = count_calls(oracle_runs, lambda frame: frame.f_code in watched)
+    assert calls == 0
 
 
 def coords_vector(point: StratumPoint) -> list:
@@ -336,7 +328,7 @@ def test_defects_scorza_conditions():
 
 
 # points that random draws do not reach, each with the sha256 of its pieces'
-# JSON, ranks included: a zero diagonal (the e_i + e_j pivot), a first
+# JSON, each with its "rank" added: a zero diagonal (the e_i + e_j pivot), a first
 # nonzero entry below row 0, a single row, and the smallest skew model
 PEEL_POINTS = {
     "sym:3": ([[0, 1, 2], [1, 0, 3], [2, 3, 0]],
@@ -370,7 +362,7 @@ def test_peeling_reconstructs_exactly(sel):
     if sel in PEEL_POINTS:
         rows, digest = PEEL_POINTS[sel]
         pieces = _peel_exactly(StratumPoint(model, [[QI(x) for x in row] for row in rows]))
-        pieces_json = json.dumps([piece.to_json() for piece in pieces])
+        pieces_json = json.dumps([{**piece.to_json(), "rank": rank_of(piece)} for piece in pieces])
         assert hashlib.sha256(pieces_json.encode()).hexdigest() == digest
 
 
@@ -386,19 +378,27 @@ def test_point_validation():
         StratumPoint(skew_model(2), [[QI(0), QI(1)], [QI(1), QI(0)]])
     with pytest.raises(InputError):
         StratumPoint(mat_model(2, 3), linalg.zeros(3, 2))
-    with pytest.raises(TypeError):  # only rank_of writes a rank
+    with pytest.raises(TypeError):  # a point keeps no rank
         StratumPoint(sym_model(2), linalg.zeros(2, 2), cached_rank=0)
+    with pytest.raises(AttributeError):  # nor new coordinates
+        zero_point(sym_model(2)).coords = linalg.zeros(2, 2)
 
 
 def test_json_round_trip():
     for model in ALL_MODELS:
         p = sample_secant(model, 1, seed=42)
-        rank_of(p)
         data = p.to_json()
         q = StratumPoint.from_json(data)
-        assert q == p
-        assert q.cached_rank is None and rank_of(q) == p.cached_rank
+        assert q == p and rank_of(q) == rank_of(p)
         assert data["model"]["kind"] == model.kind
+
+
+def test_to_json_is_the_same_before_and_after_rank_of():
+    for model in ALL_MODELS:
+        p = sample_secant(model, 1, seed=7)
+        before = p.to_json()
+        assert rank_of(p) >= 1 and "rank" not in before
+        assert p.to_json() == before
 
 
 def test_from_json_computes_the_rank():
