@@ -42,8 +42,6 @@ FIELDS = (FIELD_Q, FIELD_QI)
 
 MAX_LEVEL = 3  # octonions; sedenions are out of scope
 
-LEVEL_NAMES = {0: "R", 1: "C", 2: "H", 3: "O"}
-
 
 class CDElement:
     """Immutable element; `CDElement(level, field, coeffs)` takes QI coefficients."""

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
 
 from . import linalg
 from .cayley_dickson import _TABLES, CDElement, cd_scalar
@@ -25,13 +27,15 @@ from .errors import InputError, UnsupportedError
 from .jordan import (
     JordanElement,
     generic_det,
+    jordan_product,
     jordan_rank3,
     jordan_zero,
     random_hermitian,
     rank_one_from_vector,
+    trace_form,
 )
 from .sampling import derive_seed, make_rng, random_qi, random_qi_vector, random_square
-from .scalars import QI, QI_ZERO, json_int
+from .scalars import QI, QI_ONE, QI_ZERO, json_int
 
 # model kind -> the names of its parameters, in selector and JSON order
 _PARAMS = {"sym": ("r",), "mat": ("q", "p"), "skew": ("n",), "exc27": ()}
@@ -172,6 +176,13 @@ class StratumPoint:
         if self.model.kind == "exc27":
             return StratumPoint(self.model, self.coords + other.coords)
         return StratumPoint(self.model, linalg.mat_add(self.coords, other.coords))
+
+    def __sub__(self, other: "StratumPoint") -> "StratumPoint":
+        if self.model != other.model:
+            raise InputError("cannot subtract points of different models")
+        if self.model.kind == "exc27":
+            return StratumPoint(self.model, self.coords - other.coords)
+        return StratumPoint(self.model, linalg.mat_sub(self.coords, other.coords))
 
     def __eq__(self, other):
         if not isinstance(other, StratumPoint) or self.model != other.model:
@@ -349,8 +360,7 @@ def _outer(u: list, v: list) -> list:
 def chart_point(model: PSpaceModel, params: list) -> StratumPoint:
     """The quadratic rank-one chart: the one definition of a model's rank-one
     point. The dimension oracle differentiates it at the frame point, the
-    sampler evaluates it at a random vector, and peeling evaluates it at a
-    pivot.
+    sampler evaluates it at a random vector, and peeling at 0/1 vectors.
 
     sym: v -> v v^t; mat: (v, w) -> v w^t; skew: (v, w) -> v w^t - w v^t.
     exc27: (x, y, w) -> v v* with v = (x, y, w 1), x and y full octonion
@@ -544,41 +554,40 @@ def defects(model: PSpaceModel) -> DefectData:
 # --- rank-one peeling -------------------------------------------------------------
 
 def peel_rank_one(point: StratumPoint) -> list:
-    """Decompose an exact sym/mat/skew point into rank_of-many rank-1
-    summands that re-sum to it exactly (Wedderburn elimination).
-
-    Each summand is chart_point at a pivot of the remainder A, scaled by
-    1/pivot. With (i, j) the first nonzero entry of A: mat takes (column j,
-    row i) and skew (column i, column j), both with pivot a_ij; sym takes
-    column i with pivot a_ii at its first nonzero diagonal entry, or, when
-    the diagonal is zero, column i + column j with pivot 2 a_ij = v^t A v.
+    """Decompose an exact point into rank_of-many rank-1 summands that
+    re-sum to it exactly: Wedderburn's rank-one reduction in its Jordan
+    form. Each summand is P_x(c) / <x, c> for the remainder x and lowers its
+    rank by exactly one. c is the first candidate with <x, c> != 0, the
+    candidates being chart_point at the unit parameter vectors e_a, then at
+    e_a + e_b for a < b; they span the model, so one pairs nonzero with x.
+    P_x(c) = x c^t x and <x, c> = tr(c^t x), halved for skew, on the matrix
+    models; U_x(c) = 2 x o (x o c) - x^2 o c and the trace form T(x, c) on
+    exc27.
     """
-    model = point.model
-    if model.kind == "exc27":
-        raise UnsupportedError("peeling is implemented for the matrix models only")
-    a, out = point.coords, []
-    while not linalg.is_zero_matrix(a):
-        if len(out) > model.ambient_dim + 1:
+    model, x, out = point.model, point, []
+    m = chart_param_count(model)
+    units = [*zip(range(m), range(m)), *combinations(range(m), 2)]
+    # the candidates, each built once a scan reaches it and kept for the rescans
+    chart = cache(lambda ab: chart_point(model, [QI_ONE if t in ab else QI_ZERO for t in range(m)]))
+    while not x.is_zero():
+        if len(out) == model.max_rank:
             raise RuntimeError("peeling failed to terminate")
-        i = next((t for t in range(len(a)) if a[t][t]), None) if model.kind == "sym" else None
-        if i is not None:
-            params, pivot = [row[i] for row in a], a[i][i]
-        else:
-            i, j = _first_nonzero(a)
-            col_j = [row[j] for row in a]
-            if model.kind == "mat":
-                params, pivot = col_j + a[i], a[i][j]
-            elif model.kind == "skew":
-                params, pivot = [row[i] for row in a] + col_j, a[i][j]
-            else:  # sym with a zero diagonal
-                params = [row[i] + x for row, x in zip(a, col_j)]
-                pivot = params[i] + params[j]
-        piece = StratumPoint(model, linalg.mat_scale(chart_point(model, params).coords, 1 / pivot))
-        out.append(piece)
-        a = linalg.mat_sub(a, piece.coords)
+        c, pivot = next((c, t) for c in map(chart, units) if (t := _pairing(x, c)))
+        out.append(StratumPoint(model, _quadratic_map(x, c, 1 / pivot)))
+        x = x - out[-1]
     return out
 
 
-def _first_nonzero(a: list) -> tuple[int, int]:
-    """(i, j) of the first nonzero entry of a nonzero matrix, in row order."""
-    return next((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
+def _pairing(x: StratumPoint, c: StratumPoint) -> QI:
+    if x.model.kind == "exc27":
+        return trace_form(x.coords, c.coords)
+    t = sum((u * v for cr, xr in zip(c.coords, x.coords) for u, v in zip(cr, xr) if u), QI_ZERO)
+    return t / 2 if x.model.kind == "skew" else t
+
+
+def _quadratic_map(x: StratumPoint, c: StratumPoint, s: QI):
+    a, b = x.coords, c.coords
+    if x.model.kind == "exc27":
+        return (jordan_product(a, jordan_product(a, b)).scale(2)
+                - jordan_product(jordan_product(a, a), b)).scale(s)
+    return linalg.mat_scale(linalg.mat_chain(a, linalg.transpose(b), a), s)

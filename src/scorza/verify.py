@@ -360,6 +360,7 @@ def _rank_one_square(seed, t):
 
 _STRATA_MODELS = ("sym:3", "mat:3,3", "mat:3,5", "skew:6", "skew:7", "exc27")
 _REGULAR_MODELS = ("sym:3", "mat:3,3", "skew:6", "exc27")
+_PEEL_MODELS = ("sym:4", "mat:3,5", "skew:6", "exc27")
 
 
 def _pt_witness(seed, t, p):
@@ -421,7 +422,7 @@ def _pf_sq(seed, t):
 @check("strata", "ascending_closure_chain", ("closure_membership",))
 def _chain(seed, t):
     model = st.parse_model(_STRATA_MODELS[t % len(_STRATA_MODELS)])
-    k = t % model.max_rank
+    k = t // len(_STRATA_MODELS) % model.max_rank
     p = st.sample_secant(model, k, derive_seed(seed, "chain", t))
     r = st.rank_of(p)
     ok = all(
@@ -433,19 +434,12 @@ def _chain(seed, t):
 
 @check("strata", "rank_one_peeling_reconstructs", ("peel_rank_one", "rank_of"))
 def _peel(seed, t):
-    sel = ("sym:4", "mat:3,5", "skew:6")[t % 3]
-    model = st.parse_model(sel)
-    k = t % model.max_rank
+    model = st.parse_model(_PEEL_MODELS[t % len(_PEEL_MODELS)])
+    k = t // len(_PEEL_MODELS) % model.max_rank
     p = st.sample_secant(model, k, derive_seed(seed, "peel", t))
     pieces = st.peel_rank_one(p)
-    if len(pieces) != st.rank_of(p):
-        return False, _pt_witness(seed, t, p)
-    total = st.zero_point(model)
-    for piece in pieces:
-        if st.rank_of(piece) != 1:
-            return False, _pt_witness(seed, t, p)
-        total = total + piece
-    return total == p, _pt_witness(seed, t, p)
+    ok = len(pieces) == st.rank_of(p) and all(st.rank_of(q) == 1 for q in pieces)
+    return ok and sum(pieces, st.zero_point(model)) == p, _pt_witness(seed, t, p)
 
 
 @check("strata", "severi_dimension_table", ("stratum_dimension",), ONCE)

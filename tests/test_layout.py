@@ -1,9 +1,11 @@
-"""Every public function of the package has a caller in the package.
+"""Every public function and constant of the package has a reader in the
+package.
 
-A public function or method (its name has no leading underscore) passes
-when `src/scorza` names it outside its own definition, when
-`scorza/__init__.py` exports it, or when `perfbench/tracer.py` binds it in
-`SPANS`. Helpers that only tests call belong in the tests.
+A public function, method or module-level constant (its name has no
+leading underscore) passes when `src/scorza` reads it outside its own
+definition, when `scorza/__init__.py` exports it, or when
+`perfbench/tracer.py` binds it in `SPANS`. Helpers and values that only
+tests read belong in the tests.
 
 No value is written after it is built: `src/scorza` calls no
 `object.__setattr__` and assigns into no `__dict__`, so no value keeps a
@@ -36,13 +38,25 @@ def _public_functions(trees) -> list:
     return [entry for entry in out if not entry[2].startswith("_")]
 
 
+def _public_constants(trees) -> list:
+    """(module, name) of every public name bound at the top of a module."""
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            out += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [entry for entry in out if not entry[1].startswith("_")]
+
+
 def _referenced(trees) -> set:
+    """Every name the package reads, so a binding alone does not count."""
     names = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
     return names
 
@@ -66,6 +80,14 @@ def test_every_public_function_has_a_caller_in_the_package():
     unreached = [f"{module}:{qualname}" for module, qualname, name in _public_functions(trees)
                  if name not in reached]
     assert unreached == []
+
+
+def test_every_public_constant_has_a_reader_in_the_package():
+    trees = _trees()
+    reached = _referenced(trees) | _exported(trees) | _traced()
+    unread = [f"{module}:{name}" for module, name in _public_constants(trees)
+              if name not in reached]
+    assert unread == []
 
 
 def _late_writes(tree) -> list:

@@ -8,7 +8,8 @@ from scorza import linalg, scalars, verify
 from scorza import strata as st
 from scorza.catalog import catalog_scorza
 from scorza.errors import InputError, UnsupportedError
-from scorza.jordan import generic_det, jordan_rank3, sharp
+from scorza.cayley_dickson import CDElement
+from scorza.jordan import from_upper, generic_det, jordan_rank3, sharp
 from scorza.sampling import derive_seed, make_rng, random_qi_vector
 from scorza.scalars import HALF, QI
 from scorza.strata import (
@@ -329,7 +330,12 @@ def test_defects_scorza_conditions():
 
 # points that random draws do not reach, each with the sha256 of its pieces'
 # JSON, each with its "rank" added: a zero diagonal (the e_i + e_j pivot), a first
-# nonzero entry below row 0, a single row, and the smallest skew model
+# nonzero entry below row 0, a single row, the smallest skew model, and an exc27
+# point (its upper triangle, each entry by its 8 octonion coefficients) with a
+# zero diagonal and x_01 = e_1, to which every candidate E_ii or
+# (e_i + e_j)(e_i + e_j)* pairs to zero: the pivot is a candidate with a unit
+# octonion off the diagonal
+_O, _E1 = [0] * 8, [0, 1, 0, 0, 0, 0, 0, 0]
 PEEL_POINTS = {
     "sym:3": ([[0, 1, 2], [1, 0, 3], [2, 3, 0]],
               "0db7fcb79c3628166a8cabce01e5f0dc3dde568f00d3b4f392cb44b1962c011e"),
@@ -339,7 +345,16 @@ PEEL_POINTS = {
                 "58ad8510a58f775233398519edd1bae5e5598cfcee4fb031a924b8349f4af3c0"),
     "skew:2": ([[0, 4], [-4, 0]],
                "05324b27ef9e71c55f78f27e2671035c554dcc86c15efc24b93d3c263ac9d1e4"),
+    "exc27": ([[_O, _E1, _O], [_O, _O], [_O]],
+              "4680c96e3015c4aebd62b028833cede0cfab40d01ff10ff820dea83323baa178"),
 }
+
+
+def _peel_point(model, rows) -> StratumPoint:
+    if model.kind == "exc27":
+        upper = [[CDElement(3, "Qi", [QI(v) for v in e]) for e in row] for row in rows]
+        return StratumPoint(model, from_upper("O_C", upper))
+    return StratumPoint(model, [[QI(x) for x in row] for row in rows])
 
 
 def _peel_exactly(p: StratumPoint) -> list:
@@ -361,14 +376,40 @@ def test_peeling_reconstructs_exactly(sel):
             _peel_exactly(sample_secant(model, k, seed=derive_seed("t-peel", sel, k, t)))
     if sel in PEEL_POINTS:
         rows, digest = PEEL_POINTS[sel]
-        pieces = _peel_exactly(StratumPoint(model, [[QI(x) for x in row] for row in rows]))
+        pieces = _peel_exactly(_peel_point(model, rows))
         pieces_json = json.dumps([{**piece.to_json(), "rank": rank_of(piece)} for piece in pieces])
         assert hashlib.sha256(pieces_json.encode()).hexdigest() == digest
 
 
-def test_peeling_unsupported_for_exc27():
-    with pytest.raises(UnsupportedError):
-        peel_rank_one(sample_rank_one(EXC27, seed=5))
+def test_peeling_stops_at_max_rank_pieces(monkeypatch):
+    # a wrong step that lowers no rank (here: every piece is zero) trips the guard
+    steps = []
+
+    def no_progress(x, c, s):
+        steps.append(c)
+        return linalg.zeros(3, 3)
+
+    monkeypatch.setattr(st, "_quadratic_map", no_progress)
+    with pytest.raises(RuntimeError, match="failed to terminate"):
+        peel_rank_one(sample_secant(sym_model(3), 2, seed=7))
+    assert len(steps) == 3
+
+
+@pytest.mark.parametrize("row, sels", [
+    ("ascending_closure_chain", ("sym:3", "mat:3,3", "mat:3,5", "skew:6", "skew:7", "exc27")),
+    ("rank_one_peeling_reconstructs", ("sym:4", "mat:3,5", "skew:6", "exc27")),
+])
+def test_secant_rows_draw_every_model_at_every_secant_index(monkeypatch, row, sels):
+    drawn = set()
+
+    def recorded(model, k, seed, height=10):
+        drawn.add((model.selector(), k))
+        return sample_secant(model, k, seed, height)
+
+    monkeypatch.setattr(st, "sample_secant", recorded)
+    check = next(c for c in verify.CHECKS["strata"] if c.name == row)
+    assert check.run(100, 20_260_810).ok
+    assert drawn == {(sel, k) for sel in sels for k in range(parse_model(sel).max_rank)}
 
 
 def test_point_validation():
@@ -382,6 +423,16 @@ def test_point_validation():
         StratumPoint(sym_model(2), linalg.zeros(2, 2), cached_rank=0)
     with pytest.raises(AttributeError):  # nor new coordinates
         zero_point(sym_model(2)).coords = linalg.zeros(2, 2)
+
+
+def test_points_add_and_subtract_within_one_model():
+    for model in ALL_MODELS:
+        p, q = sample_secant(model, 1, seed=3), sample_secant(model, 0, seed=4)
+        assert (p + q) - q == p and p - p == zero_point(model)
+    other = zero_point(mat_model(3, 3))
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(InputError):
+            op(zero_point(sym_model(3)), other)
 
 
 def test_json_round_trip():
