@@ -29,11 +29,11 @@ and `scalar_part` return QI.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from random import Random
 
 from .errors import InputError
-from .sampling import random_ratios
+from .sampling import random_plane
 from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, json_int, to_plane
 
 FIELD_Q = "Q"
@@ -242,21 +242,9 @@ def cd_scalar(s, level: int, field: str = FIELD_Q) -> CDElement:
 
 
 def random_cd(rng: Random, level: int, field: str = FIELD_Q, height: int = 10) -> CDElement:
-    """Coefficients drawn as `sampling.random_qi` draws them, straight into a plane.
-
-    One `random_ratios` call draws, per coefficient, the real numerator and
-    denominator, then (tag Qi only) the imaginary numerator and denominator,
-    so seeded outputs match random_qi.
-    """
-    real = field == FIELD_Q
-    nums, dens = random_ratios(rng, (1 if real else 2) << level, height)
-    den = lcm(*dens)
-    parts = [p * (den // q) for p, q in zip(nums, dens)]
-    if not real:
-        return _element(level, field, den, parts)
-    flat = [0] * (2 << level)  # tag Q: the imaginary parts stay 0
-    flat[::2] = parts
-    return _element(level, field, den, flat)
+    """Coefficients drawn as `sampling.random_qi` draws them, straight into a
+    plane by `sampling.random_plane`, so seeded outputs match random_qi."""
+    return _element(level, field, *random_plane(rng, 1 << level, height, field == FIELD_Q))
 
 
 # --- reference recursion and generated product tables -----------------------

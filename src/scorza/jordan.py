@@ -241,13 +241,30 @@ def rank_one_from_vector(algebra: str, v) -> JordanElement:
     subalgebra (e.g. quaternionic entries, or at most two independent
     octonions plus scalars); callers verify sharp = 0 when it matters.
     """
-    level, field = ALGEBRAS[algebra]
+    level, field = _entry_algebra(algebra, len(v))
     vv = [x if x.level == level else x.embed(level) for x in v]
     if any(x.field != field for x in vv):
         raise InputError("vector entries must match the algebra's field tag")
-    n = len(vv)
-    upper = [[vv[i] * vv[j].conjugate() for j in range(i, n)] for i in range(n)]
-    return from_upper(algebra, upper)
+    den, flats = common_plane([x.int_form() for x in vv])
+    return _jordan(algebra, den * den, outer_square_planes(level, field, flats))
+
+
+def outer_square_planes(level: int, field: str, vs) -> list:
+    """The entry planes, over den^2, of v v* for entry planes vs over one den:
+    the norm form n(v_i) = sp(v_i conj(v_i)) on the diagonal; above it
+    v_i conj(v_j), a scaling when v_j is a scalar and one kernel product
+    otherwise; below it the conjugates, so it is hermitian."""
+    mul, sp = _kernel(level, field), _scalar_kernel(level, field)
+    width, n = 2 << level, len(vs)
+    bars = [[a[0], a[1], *[-v for v in a[2:]]] for a in vs]
+    rows = [[None] * n for _ in range(n)]
+    for i, a in enumerate(vs):
+        rows[i][i] = sp(a, bars[i], [0, 0]) + [0] * (width - 2)
+        for j in range(i + 1, n):
+            b = bars[j]
+            e = _scale_add(b[:2], a, (0, 0), a) if not any(b[2:]) else mul(a, b, [0] * width)
+            rows[i][j], rows[j][i] = e, e[:2] + [-v for v in e[2:]]
+    return rows
 
 
 def random_hermitian(rng: Random, algebra: str, n: int, height: int = 10) -> JordanElement:

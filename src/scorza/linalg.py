@@ -250,10 +250,10 @@ def inverse(m: Matrix) -> Matrix:
 # --- Pfaffian ----------------------------------------------------------------
 
 def is_skew(m: Matrix) -> bool:
+    # m[j][i] == -m[i][j] on the canonical QI ints, building no negation
     n, c = shape(m)
-    if n != c:
-        return False
-    return all(m[i][j] == -m[j][i] for i in range(n) for j in range(i, n))
+    return n == c and all(x.a == -y.a and x.b == -y.b and x.d == y.d
+                          for row, col in zip(m, zip(*m)) for x, y in zip(row, col))
 
 
 def pfaffian(m: Matrix) -> QI:

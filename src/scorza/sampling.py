@@ -2,13 +2,16 @@
 
 Every sampling routine in the package derives its RNG through derive_seed,
 a counter-based sha256 scheme, so trial k of any run is reproducible in
-isolation and results never depend on Python hash randomization.
+isolation and results never depend on Python hash randomization. Every
+exact draw is made by `random_ratios`: `random_qi_vector` builds QI values
+from one call, `random_plane` one integer plane of `scalars`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from math import gcd, lcm
 
 from .scalars import QI, _reduced
 
@@ -71,6 +74,19 @@ def random_qi_vector(
         return [_reduced(p, 0, q) for p, q in zip(nums, dens)]
     ps, qs = iter(nums), iter(dens)
     return [_reduced(p * s, r * q, q * s) for p, r, q, s in zip(ps, ps, qs, qs)]
+
+
+def random_plane(rng: random.Random, n: int, height: int = 10, real: bool = False) -> tuple:
+    """(den, flat): the n values `random_qi_vector` draws, with its draws and
+    end state, as one integer plane in lowest terms."""
+    nums, dens = random_ratios(rng, n if real else 2 * n, height)
+    den = lcm(*dens)
+    flat = [p * (den // q) for p, q in zip(nums, dens)]
+    if real:  # the imaginary parts stay 0
+        parts, flat = flat, [0] * (2 * n)
+        flat[::2] = parts
+    g = gcd(den, *flat)
+    return (den, flat) if g == 1 else (den // g, [v // g for v in flat])
 
 
 def random_square(n: int, diag, off, mirror) -> list:

@@ -11,31 +11,25 @@ so its Jacobian is written in closed form, DF(p)e = B(e, p) + B(p, e),
 without evaluating the chart. The frame parameters are 0s and 1s, so that
 Jacobian is an integer matrix (entries 0, +-1, +-2), built as ints and
 ranked by linalg.int_rank; QI matrices (rank_of, the relative invariant)
-go through linalg's Gaussian-integer elimination.
+go through linalg's Gaussian-integer elimination. The samplers draw,
+chart and sum on the integer plane of `scalars` and build a point once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
+from operator import add
 
 from . import linalg
-from .cayley_dickson import _TABLES, CDElement, cd_scalar
+from .cayley_dickson import _TABLES
 from .errors import InputError, UnsupportedError
-from .jordan import (
-    JordanElement,
-    generic_det,
-    jordan_product,
-    jordan_rank3,
-    jordan_zero,
-    random_hermitian,
-    rank_one_from_vector,
-    trace_form,
-)
-from .sampling import derive_seed, make_rng, random_qi, random_qi_vector, random_square
-from .scalars import QI, QI_ONE, QI_ZERO, json_int
+from .jordan import (JordanElement, _jordan, generic_det, jordan_product, jordan_rank3,
+                     jordan_zero, outer_square_planes, random_hermitian, trace_form)
+from .sampling import derive_seed, make_rng, random_plane, random_qi, random_qi_vector, random_square
+from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, json_int, to_plane
 
 # model kind -> the names of its parameters, in selector and JSON order
 _PARAMS = {"sym": ("r",), "mat": ("q", "p"), "skew": ("n",), "exc27": ()}
@@ -279,31 +273,33 @@ def closure_membership(point: StratumPoint, s: int) -> bool:
 # --- sampling -------------------------------------------------------------------
 
 def sample_rank_one(model: PSpaceModel, seed: int, height: int = 10) -> StratumPoint:
-    """A random rank-1 point of the model: chart_point at a random parameter
-    vector, for every model. The chart's image lies in the rank-1 cone and
-    is dense in it, exc27 included; only a zero draw is redrawn, up to
-    _RANK1_RETRIES times."""
+    """A random rank-1 point of the model: the chart at a random parameter vector."""
+    return _plane_point(model, *_rank_one_plane(model, seed, height))
+
+
+def _rank_one_plane(model: PSpaceModel, seed: int, height: int) -> tuple:
+    """(den, flat): `_chart_plane` at a `random_plane` draw, dense in the rank-1
+    cone (exc27 included); all-zero planes are redrawn, up to _RANK1_RETRIES."""
     rng = make_rng(seed, "rank1", model.selector(), height)
     for _ in range(_RANK1_RETRIES):
-        point = chart_point(model, random_qi_vector(rng, chart_param_count(model), height))
-        if not point.is_zero():
-            return point
+        den, flat = _chart_plane(model, *random_plane(rng, chart_param_count(model), height))
+        if any(flat):
+            return den, flat
     raise RuntimeError(f"could not sample a rank-1 point of {model} (construction bug?)")
 
 
 def sample_secant(model: PSpaceModel, k: int, seed: int, height: int = 10) -> StratumPoint:
-    """Sum of k+1 independent rank-1 samples; Jordan rank <= min(k+1, max).
-    A summand costs the cells of its coordinate matrix (r^2, q p, n^2 or 27);
-    over MAX_JACOBIAN_CELLS in all is rejected with InputError up front."""
+    """Sum of k+1 independent rank-1 samples; Jordan rank <= min(k+1, max),
+    their planes added as ints over their common denominator. A summand costs
+    the cells of its coordinate matrix (r^2, q p, n^2 or 27); over
+    MAX_JACOBIAN_CELLS in all is rejected with InputError up front."""
     if k < 0:
         raise InputError("secant index k must be >= 0")
     cells = 27 if model.kind == "exc27" else math.prod(_coords_shape(model))
     check_cells(f"a sum of {k + 1} rank-1 samples of {model.selector()}", (k + 1) * cells)
-    total = None
-    for i in range(k + 1):
-        point = sample_rank_one(model, derive_seed(seed, "secant", i), height)
-        total = point if total is None else total + point
-    return total
+    den, flats = common_plane(_rank_one_plane(model, derive_seed(seed, "secant", i), height)
+                              for i in range(k + 1))
+    return _plane_point(model, den, reduce(lambda a, b: list(map(add, a, b)), flats))
 
 
 def random_point(model: PSpaceModel, seed: int, height: int = 10) -> StratumPoint:
@@ -353,14 +349,10 @@ def chart_param_count(model: PSpaceModel) -> int:
     return 17
 
 
-def _outer(u: list, v: list) -> list:
-    return [[x * y for y in v] for x in u]
-
-
 def chart_point(model: PSpaceModel, params: list) -> StratumPoint:
-    """The quadratic rank-one chart: the one definition of a model's rank-one
-    point. The dimension oracle differentiates it at the frame point, the
-    sampler evaluates it at a random vector, and peeling at 0/1 vectors.
+    """The quadratic rank-one chart, `_chart_plane` on the plane of QI params:
+    the one definition of a model's rank-one point. The dimension oracle
+    differentiates it at the frame point; sampling and peeling evaluate it.
 
     sym: v -> v v^t; mat: (v, w) -> v w^t; skew: (v, w) -> v w^t - w v^t.
     exc27: (x, y, w) -> v v* with v = (x, y, w 1), x and y full octonion
@@ -370,19 +362,46 @@ def chart_point(model: PSpaceModel, params: list) -> StratumPoint:
     """
     if len(params) != chart_param_count(model):
         raise InputError("wrong chart parameter count")
-    if model.kind == "sym":
-        return StratumPoint(model, _outer(params, params))
+    return _plane_point(model, *_chart_plane(model, *to_plane(params)))
+
+
+def _chart_plane(model: PSpaceModel, den: int, flat: list) -> tuple:
+    """(den^2, coords): the chart at the parameter plane (den, flat), the
+    coordinates (exc27: entry planes) in row order, each over den^2. sym:
+    v_a v_b for a <= b, mirrored; mat: v_a w_b; skew: v_a w_b - v_b w_a for
+    a < b, negated in the mirror; exc27: `jordan.outer_square_planes`."""
+    if model.kind == "exc27":
+        rows = outer_square_planes(3, "Qi", [flat[:16], flat[16:32], flat[32:] + [0] * 14])
+        return den * den, [v for row in rows for e in row for v in e]
+    v = list(zip(flat[0::2], flat[1::2]))
     if model.kind == "mat":
         q = model.params[0]
-        return StratumPoint(model, _outer(params[:q], params[q:]))
-    if model.kind == "skew":
-        n = model.params[0]
-        v, w = params[:n], params[n:]
-        return StratumPoint(model, linalg.mat_sub(_outer(v, w), _outer(w, v)))
-    x = CDElement(3, "Qi", tuple(params[0:8]))
-    y = CDElement(3, "Qi", tuple(params[8:16]))
-    w = cd_scalar(params[16], 3, "Qi")
-    return StratumPoint(model, rank_one_from_vector("O_C", [x, y, w]))
+        return den * den, [c for ar, ai in v[:q] for br, bi in v[q:]
+                           for c in (ar * br - ai * bi, ar * bi + ai * br)]
+    n, sym = model.params[0], model.kind == "sym"
+    w = v if sym else v[n:]
+    out = [0] * (2 * n * n)
+    for a in range(n):
+        ar, ai = v[a]
+        for b in range(a if sym else a + 1, n):
+            br, bi = w[b]
+            re, im = ar * br - ai * bi, ar * bi + ai * br
+            if not sym:  # minus v_b w_a
+                (cr, ci), (dr, di) = v[b], w[a]
+                re, im = re - cr * dr + ci * di, im - cr * di - ci * dr
+            s, t = 2 * (a * n + b), 2 * (b * n + a)
+            out[s:s + 2], out[t:t + 2] = (re, im), (re, im) if sym else (-re, -im)
+    return den * den, out
+
+
+def _plane_point(model: PSpaceModel, den: int, flat: list) -> StratumPoint:
+    """The point with the coordinates of a `_chart_plane`, checked once."""
+    if model.kind == "exc27":
+        return StratumPoint(model, _jordan("O_C", den, [
+            [flat[48 * i + 16 * j:48 * i + 16 * j + 16] for j in range(3)] for i in range(3)]))
+    cols = _coords_shape(model)[1]
+    values = from_plane(den, flat)
+    return StratumPoint(model, [values[k:k + cols] for k in range(0, len(values), cols)])
 
 
 def _chart_jacobian_columns(model: PSpaceModel, block: list) -> list:

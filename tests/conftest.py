@@ -1,9 +1,16 @@
 import functools
+import os
 import sys
+from pathlib import Path
 
 import pytest
 
 from scorza.verify import CHECKS
+
+# CLI subprocesses (`python -m scorza.cli`) import the package from this
+# checkout's src, as the tests themselves do through pyproject's pythonpath
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [os.environ.get("PYTHONPATH")])])
 
 # the one seeded run of each check that test_suites.py and acceptance
 # criteria 4-6 read

@@ -188,6 +188,28 @@ def test_rank_matches_matrix_rank_on_complex_field_entries():
             assert jordan_rank3(x) == linalg.rank(to_complex_matrix(x))
 
 
+def test_rank_one_from_vector_equals_entrywise_products():
+    # the plane v v* rule against v_i conj(v_j) by the doubling recursion, the
+    # lower triangle conjugated by the checked constructor; scalar, zero and
+    # lower-level entries take the scaling and embedding paths
+    rng = make_rng("jd", "outer-square")
+    for algebra, (level, field) in ALGEBRAS.items():
+        for n in (1, 2, 3):
+            for t in range(6):
+                v = [random_cd(rng, (level, 0, max(level - 1, 0))[(t + i) % 3], field, 5)
+                     for i in range(n)]
+                if t == 5:
+                    v[0] = cd_zero(level, field)
+                vv = [x.embed(level) for x in v]
+                upper = [[reference_multiply(vv[i], vv[j].conjugate()) for j in range(i, n)]
+                         for i in range(n)]
+                assert rank_one_from_vector(algebra, v) == from_upper(algebra, upper)
+    with pytest.raises(InputError):
+        rank_one_from_vector("O_C", [random_cd(rng, 3, "Q")])
+    with pytest.raises(UnsupportedError):
+        rank_one_from_vector("O_C", [cd_zero(3, "Qi")] * 4)
+
+
 def test_random_hermitian_passes_the_checked_constructor():
     # random_hermitian skips the constructor's checks; its outputs pass them
     rng = make_rng("jd", "trusted")

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from scorza.errors import InputError
 from scorza import strata
-from scorza.sampling import make_rng, random_fraction, random_qi, random_qi_vector, random_ratios
+from scorza.sampling import (
+    make_rng, random_fraction, random_plane, random_qi, random_qi_vector, random_ratios,
+)
 from scorza.scalars import QI, QI_I, QI_ONE, common_plane, from_plane, parse_ratio, to_plane
 
 fractions = st.builds(
@@ -185,6 +187,21 @@ def test_random_qi_draws_as_fraction_pairs(seed):
                 for x in random_qi_vector(ours, 5, height, real=real):
                     _agrees(x, _fraction_draw(ref, height, real, False))
                 assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("height", [1, 2, 7, 10, 16, 1000])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_random_plane_draws_like_random_qi_vector(height, real):
+    # the same draws and end state, the same values, one plane in lowest terms
+    for seed in range(25):
+        for n in (0, 1, 5, 17):
+            ours, ref = (make_rng("plane-draw", seed, height, n) for _ in range(2))
+            den, flat = random_plane(ours, n, height, real)
+            values = random_qi_vector(ref, n, height, real)
+            assert ours.getstate() == ref.getstate()
+            assert from_plane(den, flat) == values
+            assert (den, flat) == to_plane(values)
+            assert gcd(den, *flat) == 1
 
 
 def test_from_ints_reduces_and_rejects_bad_denominators():

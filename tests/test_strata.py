@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -8,10 +9,10 @@ from scorza import linalg, scalars, verify
 from scorza import strata as st
 from scorza.catalog import catalog_scorza
 from scorza.errors import InputError, UnsupportedError
-from scorza.cayley_dickson import CDElement
+from scorza.cayley_dickson import CDElement, cd_scalar, reference_multiply
 from scorza.jordan import from_upper, generic_det, jordan_rank3, sharp
 from scorza.sampling import derive_seed, make_rng, random_qi_vector
-from scorza.scalars import HALF, QI
+from scorza.scalars import HALF, QI, QI_ZERO
 from scorza.strata import (
     EXC27,
     MAX_JACOBIAN_CELLS,
@@ -86,12 +87,14 @@ def test_rank_one_samples(model):
 def test_rank_one_row_computes_each_rank(monkeypatch):
     # a sampler whose points have rank 2 fails the row: the rank it reads is
     # computed from the coordinates, never written by the sampler
-    chart = st.chart_point
+    chart = st._chart_plane
 
-    def rank_two(model, params):
-        return chart(model, params) + chart(model, params[1:] + params[:1])
+    def rank_two(model, den, flat):
+        d, a = chart(model, den, flat)
+        _, b = chart(model, den, flat[2:] + flat[:2])
+        return d, [p + q for p, q in zip(a, b)]
 
-    monkeypatch.setattr(st, "chart_point", rank_two)
+    monkeypatch.setattr(st, "_chart_plane", rank_two)
     row = next(row for row in verify.CHECKS["strata"] if row.name == "rank_one_samples")
     assert not row.run(12, 0).ok
 
@@ -309,6 +312,100 @@ def test_chart_quadratic_consistency():
         assert len(coords_vector(p)) == model.ambient_dim
     with pytest.raises(InputError):
         chart_point(sym_model(3), [QI(1)])
+
+
+# --- the plane chart and the plane sum against a QI oracle ----------------------
+
+CHART_MODELS = ["sym:1", "sym:4", "mat:1,4", "mat:4,1", "mat:3,5", "skew:2", "skew:7", "exc27"]
+
+
+def _oracle_outer(u: list, v: list) -> list:
+    return [[x * y for y in v] for x in u]
+
+
+def _oracle_chart(model, params) -> StratumPoint:
+    """The rank-one chart built term by term: QI outer products on the
+    matrix models, and on exc27 v v* from CDElement entries with each
+    v_i conj(v_j) by the doubling recursion and the lower triangle
+    conjugated by `from_upper`."""
+    if model.kind == "exc27":
+        vec = [CDElement(3, "Qi", params[0:8]), CDElement(3, "Qi", params[8:16]),
+               cd_scalar(params[16], 3, "Qi")]
+        upper = [[reference_multiply(vec[i], vec[j].conjugate()) for j in range(i, 3)]
+                 for i in range(3)]
+        return StratumPoint(model, from_upper("O_C", upper))
+    if model.kind == "sym":
+        return StratumPoint(model, _oracle_outer(params, params))
+    n = model.params[0]
+    v, w = params[:n], params[n:]
+    if model.kind == "mat":
+        return StratumPoint(model, _oracle_outer(v, w))
+    return StratumPoint(model, linalg.mat_sub(_oracle_outer(v, w), _oracle_outer(w, v)))
+
+
+def _entries(point: StratumPoint) -> list:
+    if point.model.kind == "exc27":
+        return [e for row in point.coords.entries for e in row]
+    return [x for row in point.coords for x in row]
+
+
+def _chart_parameter_sets(model, t: int) -> dict:
+    m = chart_param_count(model)
+    rng = make_rng("t-oracle", model.selector(), t)
+    big = [2**61 - 1, 3**40, 10**30 + 7, 97]  # mixed, mostly coprime denominators
+    return {
+        "random": random_qi_vector(rng, m, 5),
+        "zero": [QI_ZERO] * m,
+        "real": random_qi_vector(rng, m, 9, real=True),
+        "imaginary": [QI(0, x.re) for x in random_qi_vector(rng, m, 9, real=True)],
+        "large": [QI(Fraction((-1) ** k * (2**70 + 11 * k + t), big[k % 4]),
+                     Fraction(3**k - 5 * t, big[(k + t + 1) % 4]))
+                  for k in range(m)],
+    }
+
+
+@pytest.mark.parametrize("sel", CHART_MODELS)
+def test_chart_point_equals_the_qi_oracle(sel):
+    model = parse_model(sel)
+    for t in range(4):
+        for name, params in _chart_parameter_sets(model, t).items():
+            got, want = chart_point(model, params), _oracle_chart(model, params)
+            assert _entries(got) == _entries(want), (name, t)
+
+
+def _oracle_secant(model, k: int, seed: int, height: int) -> StratumPoint:
+    """The sum, one summand at a time, of k + 1 oracle charts at the samplers'
+    draws; a zero chart is redrawn from the same rng."""
+    total = zero_point(model)
+    for i in range(k + 1):
+        rng = make_rng(derive_seed(seed, "secant", i), "rank1", model.selector(), height)
+        point = zero_point(model)
+        while point.is_zero():
+            point = _oracle_chart(model, random_qi_vector(rng, chart_param_count(model), height))
+        total = total + point
+    return total
+
+
+@pytest.mark.parametrize("sel, height", [*((sel, 10) for sel in CHART_MODELS),
+                                         ("sym:1", 1), ("skew:2", 1), ("mat:1,4", 1)])
+def test_secant_samples_equal_the_qi_sum_of_oracle_charts(sel, height):
+    # height 1 draws zero charts often, so the redraw rule is exercised too
+    model = parse_model(sel)
+    for k in range(4):
+        for seed in range(20):
+            got = sample_secant(model, k, seed, height)
+            want = _oracle_secant(model, k, seed, height)
+            assert got == want and got.to_json() == want.to_json(), (k, seed)
+
+
+@pytest.mark.parametrize("sel", ["sym:3", "mat:3,5", "skew:7", "exc27"])
+def test_secant_samples_do_no_qi_arithmetic(sel, count_calls):
+    # the draw, the chart and the sum run on ints; QI is only built at the end
+    watched = {getattr(QI, name).__code__ for name in ("__add__", "__sub__", "__mul__", "__neg__")}
+    model = parse_model(sel)
+    point, calls = count_calls(lambda: sample_secant(model, 2, 5),
+                               lambda frame: frame.f_code in watched)
+    assert calls == 0 and rank_of(point) == 3
 
 
 def test_defects_scorza_conditions():
