@@ -11,7 +11,9 @@ and a basis product table per level is generated from it at import time.
 Every product runs through one kernel per level and field tag, compiled
 at import from that table into straight-line code on integer planes (the
 tag-Q kernel multiplies real parts only); the recursion is kept as the
-reference path the tests cross-check both against. The same compiler
+reference path the tests cross-check both against. Its base is level 1,
+where the rule is spelled out on four Gaussian scalars, whose conjugation
+is trivial; it reads neither the tables nor the kernels. The same compiler
 builds a second kernel per level and tag that adds only the scalar part
 of a product, for the Jordan diagonals and trace form of `jordan`.
 
@@ -107,7 +109,7 @@ class CDElement:
 
     def __neg__(self) -> "CDElement":
         den, flat = self._intform
-        return _element(self.level, self.field, den, [-v for v in flat])
+        return _wrap(self.level, self.field, den, [-v for v in flat])
 
     def __mul__(self, other: "CDElement") -> "CDElement":
         self._require_match(other)
@@ -133,7 +135,7 @@ class CDElement:
         # scalar part fixed, imaginary basis part negated; the complex
         # scalars of a Qi-tagged element are untouched (C-linear involution)
         den, flat = self._intform
-        return _element(self.level, self.field, den, [flat[0], flat[1]] + [-v for v in flat[2:]])
+        return _wrap(self.level, self.field, den, [flat[0], flat[1]] + [-v for v in flat[2:]])
 
     def norm(self) -> QI:
         """Sum of the squared coefficients, c_k * c_k (no complex conjugation)."""
@@ -166,7 +168,7 @@ class CDElement:
         if level == self.level:
             return self
         den, flat = self._intform
-        return _element(level, self.field, den, flat + (0,) * ((2 << level) - len(flat)))
+        return _wrap(level, self.field, den, flat + (0,) * ((2 << level) - len(flat)))
 
     def to_json(self) -> dict:
         return {"level": self.level, "coeffs": [c.to_json() for c in self.coeffs]}
@@ -180,21 +182,25 @@ class CDElement:
 
 
 def _element(level: int, field: str, den: int, flat) -> CDElement:
-    """The element with plane flat/den, reduced to lowest terms.
+    """The element with plane flat/den, reduced to lowest terms."""
+    g = gcd(den, *flat)
+    if g > 1:
+        den //= g
+        flat = [v // g for v in flat]
+    return _wrap(level, field, den, flat)
+
+
+def _wrap(level: int, field: str, den: int, flat) -> CDElement:
+    """The element with plane flat/den, which must be in lowest terms:
+    a drawn plane, or a reduced one negated, conjugated or zero-padded.
 
     Plane tuples are built from lists, whose length is known: a tuple built
     from a generator is allocated at a guessed size and resized, which
     drains CPython's per-size tuple free lists at one size and fills them
     at another, so they grow to their cap and hold memory.
     """
-    g = gcd(den, *flat)
-    if g > 1:
-        den //= g
-        flat = tuple([v // g for v in flat])
-    else:
-        flat = tuple(flat)
     x = object.__new__(CDElement)
-    x.__dict__.update(level=level, field=field, _intform=(den, flat))
+    x.__dict__.update(level=level, field=field, _intform=(den, tuple(flat)))
     return x
 
 
@@ -244,7 +250,7 @@ def cd_scalar(s, level: int, field: str = FIELD_Q) -> CDElement:
 def random_cd(rng: Random, level: int, field: str = FIELD_Q, height: int = 10) -> CDElement:
     """Coefficients drawn as `sampling.random_qi` draws them, straight into a
     plane by `sampling.random_plane`, so seeded outputs match random_qi."""
-    return _element(level, field, *random_plane(rng, 1 << level, height, field == FIELD_Q))
+    return _wrap(level, field, *random_plane(rng, 1 << level, height, field == FIELD_Q))
 
 
 # --- reference recursion and generated product tables -----------------------
@@ -253,16 +259,20 @@ def random_cd(rng: Random, level: int, field: str = FIELD_Q, height: int = 10) -
 # with the compiled kernels it cross-checks.
 
 def _doubling_conj(t: tuple) -> tuple:
-    if len(t) == 2:
-        return t
-    h = len(t) // 2
-    return _doubling_conj(t[:h]) + tuple([-v for v in t[h:]])
+    """(a, b)* = (a*, -b), unrolled: the scalar pair kept, the rest negated."""
+    return t[:2] + tuple([-v for v in t[2:]])
 
 
 def _doubling_mul(x: tuple, y: tuple) -> tuple:
     if len(x) == 2:
         (ar, ai), (br, bi) = x, y
         return (ar * br - ai * bi, ar * bi + ai * br)
+    if len(x) == 4:
+        # (a, b)(c, d) = (ac - db, da + bc) on Gaussian scalars a, b, c, d
+        ar, ai, br, bi = x
+        cr, ci, dr, di = y
+        return (ar * cr - ai * ci - dr * br + di * bi, ar * ci + ai * cr - dr * bi - di * br,
+                dr * ar - di * ai + br * cr - bi * ci, dr * ai + di * ar + br * ci + bi * cr)
     h = len(x) // 2
     a, b = x[:h], x[h:]
     c, d = y[:h], y[h:]
@@ -350,10 +360,11 @@ def _scalar_kernel(level: int, field: str):
 
 def associativity_counterexample(field: str = FIELD_Q):
     """A basis triple of the octonions with (ab)c != a(bc), found by search."""
+    e = [cd_basis(3, t, field) for t in range(8)]
     for i in range(1, 8):
         for j in range(1, 8):
             for k in range(1, 8):
-                a, b, c = (cd_basis(3, t, field) for t in (i, j, k))
+                a, b, c = e[i], e[j], e[k]
                 lhs = (a * b) * c
                 rhs = a * (b * c)
                 if lhs != rhs:

@@ -38,11 +38,10 @@ from .cayley_dickson import (
     FIELD_Q,
     FIELD_QI,
     cd_scalar,
-    random_cd,
 )
 from .errors import InputError, UnsupportedError
 from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, json_int, to_plane
-from .sampling import random_square
+from .sampling import random_plane
 
 # algebra tag -> (Cayley-Dickson level, scalar field tag)
 ALGEBRAS = {
@@ -268,19 +267,26 @@ def outer_square_planes(level: int, field: str, vs) -> list:
 
 
 def random_hermitian(rng: Random, algebra: str, n: int, height: int = 10) -> JordanElement:
-    """A random element of H_n(K), entries of height at most height. A
-    diagonal entry is a scalar drawn as `sampling.random_qi` draws it,
-    straight into its plane; the upper entries are `random_cd` draws. It is
-    hermitian by construction (`random_square` conjugates the lower
-    triangle), so it skips the constructor's checks."""
+    """A random element of H_n(K), entries of height at most height, drawn
+    row by row: diagonal entry i as one `sampling.random_qi` scalar, then
+    each entry above it as a `random_cd` draw. One `random_plane` call
+    draws all of them, with the per-entry draws and rng end state, and its
+    plane is mirrored into the element's: the lower entries are the
+    conjugates, so it is hermitian by construction and skips the
+    constructor's checks."""
     level, field = _entry_algebra(algebra, n)
-    rows = random_square(
-        n,
-        lambda: random_cd(rng, 0, field, height).embed(level),
-        lambda: random_cd(rng, level, field, height),
-        CDElement.conjugate,
-    )
-    return _from_entries(algebra, rows)
+    width = 2 << level
+    den, flat = random_plane(rng, n + n * (n - 1) // 2 * (1 << level), height, field == FIELD_Q)
+    rows = [[None] * n for _ in range(n)]
+    at = 0
+    for i in range(n):
+        rows[i][i] = flat[at:at + 2] + [0] * (width - 2)
+        at += 2
+        for j in range(i + 1, n):
+            e = flat[at:at + width]
+            at += width
+            rows[i][j], rows[j][i] = e, e[:2] + [-v for v in e[2:]]
+    return _jordan(algebra, den, rows)
 
 
 # --- operations --------------------------------------------------------------
@@ -306,28 +312,36 @@ def _product_planes(x: JordanElement, y: JordanElement) -> tuple:
     n = x.n
     dx, X = x.den, x.rows
     dy, Y = y.den, y.rows
+    square = x is y
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         acc = [0] * width
         for k in range(n):
             sp(X[i][k], Y[k][i], acc)
-        acc[0] *= 2
-        acc[1] *= 2
+        if not square:
+            acc[0] *= 2
+            acc[1] *= 2
         rows[i][i] = acc
     for i in range(n):
         for j in range(i + 1, n):
             Xi, Yi, Xj, Yj = X[i], Y[i], X[j], Y[j]
-            acc = _scale_add(
-                (Xi[i][0] + Xj[j][0], Xi[i][1] + Xj[j][1]), Yi[j],
-                (Yi[i][0] + Yj[j][0], Yi[i][1] + Yj[j][1]), Xi[j],
-            )
-            for k in range(n):
-                if k != i and k != j:
-                    mul(Xi[k], Y[k][j], acc)
-                    mul(Yi[k], X[k][j], acc)
+            if square:
+                acc = _scale_add((Xi[i][0] + Xj[j][0], Xi[i][1] + Xj[j][1]), Xi[j], (0, 0), Xi[j])
+                for k in range(n):
+                    if k != i and k != j:
+                        mul(Xi[k], X[k][j], acc)
+            else:
+                acc = _scale_add(
+                    (Xi[i][0] + Xj[j][0], Xi[i][1] + Xj[j][1]), Yi[j],
+                    (Yi[i][0] + Yj[j][0], Yi[i][1] + Yj[j][1]), Xi[j],
+                )
+                for k in range(n):
+                    if k != i and k != j:
+                        mul(Xi[k], Y[k][j], acc)
+                        mul(Yi[k], X[k][j], acc)
             rows[i][j] = acc
             rows[j][i] = acc[:2] + [-v for v in acc[2:]]
-    return 2 * dx * dy, rows
+    return (dx * dx if square else 2 * dx * dy), rows
 
 
 def jordan_product(x: JordanElement, y: JordanElement) -> JordanElement:
@@ -346,6 +360,11 @@ def jordan_product(x: JordanElement, y: JordanElement) -> JordanElement:
     two Gaussian scale-adds and full kernels only for k != i, j. Entry
     (j, i) is the conjugate of entry (i, j), its scalar pair kept and the
     rest negated, as in `CDElement.conjugate`.
+
+    A square, `jordan_product(x, x)` with the same object twice, has its
+    two cross terms x_ik x_kj equal: it forms each once, so
+    (x o x)_ij = (x_ii + x_jj) x_ij + sum over k != i, j of x_ik x_kj and
+    (x o x)_ii = sum_k sp(x_ik x_ki), all over dx^2 with nothing doubled.
     """
     return _jordan(x.algebra, *_product_planes(x, y))
 
@@ -374,19 +393,20 @@ def trace_form(x: JordanElement, y: JordanElement) -> QI:
 
 def _sharp_planes(x: JordanElement) -> tuple:
     """(den, rows): the planes of x# = x^2 - t x + s I, t = tr(x) and
-    s = (t^2 - tr(x^2))/2, from the one square x o x = S / 2d^2. With
-    tr(x) = t/d and tr(x^2) = p/2d^2, x# = (2S - 4t X + (2t^2 - p) I) / 4d^2."""
+    s = (t^2 - tr(x^2))/2, from the one square x o x = S / d^2 (the square
+    path of `jordan_product`, nothing doubled). With tr(x) = t/d and
+    tr(x^2) = p/d^2, x# = (2S - 2t X + (t^2 - p) I) / 2d^2."""
     d2, S = _product_planes(x, x)
-    d, X = x.den, x.rows
+    X = x.rows
     tr = sum(X[i][i][0] for i in range(3))
     ti = sum(X[i][i][1] for i in range(3))
     pr = sum(S[i][i][0] for i in range(3))
     pi = sum(S[i][i][1] for i in range(3))
-    rows = [[_scale_add((2, 0), S[i][j], (-4 * tr, -4 * ti), X[i][j]) for j in range(3)]
+    rows = [[_scale_add((2, 0), S[i][j], (-2 * tr, -2 * ti), X[i][j]) for j in range(3)]
             for i in range(3)]
     for i in range(3):
-        rows[i][i][0] += 2 * (tr * tr - ti * ti) - pr
-        rows[i][i][1] += 4 * tr * ti - pi
+        rows[i][i][0] += tr * tr - ti * ti - pr
+        rows[i][i][1] += 2 * tr * ti - pi
     return 2 * d2, rows
 
 
@@ -430,7 +450,8 @@ def generic_det(x: JordanElement) -> QI:
 def jordan_rank3(x: JordanElement) -> int:
     """Jordan rank of a 3x3 element: 0, 1, 2, or 3.
 
-    x o x is formed once, for the planes of x#; then x# o x = N(x) I gives
+    x o x is formed once, on the square path that forms each cross
+    product once, for the planes of x#; then x# o x = N(x) I gives
     T(x#, x) = 3 N(x), so det = 0 is decided by the trace form alone.
     """
     if x.n != 3:

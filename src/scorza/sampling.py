@@ -56,10 +56,16 @@ def random_fraction(rng: random.Random, height: int = 10, nonzero: bool = False)
 def random_qi(
     rng: random.Random, height: int = 10, real: bool = False, nonzero: bool = False
 ) -> QI:
-    """(p/q) + (r/s) i from two ratio draws, the real part first; a real
-    value makes no second draw. A nonzero value redraws a zero."""
+    """(p/q) + (r/s) i from two ratio draws of one `random_ratios` call, the
+    real part first; a real value makes no second draw. A nonzero value
+    redraws a zero."""
     while True:
-        (x,) = random_qi_vector(rng, 1, height, real)
+        nums, dens = random_ratios(rng, 1 if real else 2, height)
+        if real:
+            x = _reduced(nums[0], 0, dens[0])
+        else:
+            (p, r), (q, s) = nums, dens
+            x = _reduced(p * s, r * q, q * s)
         if x or not nonzero:
             return x
 

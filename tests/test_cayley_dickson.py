@@ -7,6 +7,7 @@ from scorza.cayley_dickson import (
     _KERNELS,
     _REAL_KERNELS,
     CDElement,
+    _doubling_conj,
     _doubling_mul,
     _kernel,
     _scalar_kernel,
@@ -146,6 +147,28 @@ def test_json_round_trip():
 
 # --- integer-plane kernels against coefficient-wise QI arithmetic -------------
 
+def _level0_conj(t: tuple) -> tuple:
+    if len(t) == 2:
+        return t
+    h = len(t) // 2
+    return _level0_conj(t[:h]) + tuple([-v for v in t[h:]])
+
+
+def _level0_doubling_mul(x: tuple, y: tuple) -> tuple:
+    """The doubling recursion on integer planes down to level 0, one
+    Gaussian product per pair of scalars: the recursion with its level-1
+    base case unrolled is checked against it."""
+    if len(x) == 2:
+        (ar, ai), (br, bi) = x, y
+        return (ar * br - ai * bi, ar * bi + ai * br)
+    h = len(x) // 2
+    a, b = x[:h], x[h:]
+    c, d = y[:h], y[h:]
+    left = [p - q for p, q in zip(_level0_doubling_mul(a, c), _level0_doubling_mul(_level0_conj(d), b))]
+    right = [p + q for p, q in zip(_level0_doubling_mul(d, a), _level0_doubling_mul(b, _level0_conj(c)))]
+    return tuple(left + right)
+
+
 def _qi_conj(t: tuple) -> tuple:
     if len(t) == 1:
         return t
@@ -234,6 +257,16 @@ def test_integer_plane_kernels_match_qi_oracle(level, field):
             assert from_plane(da * db, out) == expected
 
 
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_recursion_matches_its_level0_base_oracle(level, field):
+    samples = [x.int_form()[1] for x in _oracle_samples(level, field)]
+    for a in samples:
+        assert _doubling_conj(a) == _level0_conj(a)
+        for b in samples:
+            assert _doubling_mul(a, b) == _level0_doubling_mul(a, b)
+
+
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_real_kernels_match_the_recursion(level):
     # tag Q planes have every imaginary part 0: the real kernel adds the
@@ -308,3 +341,5 @@ def test_random_ratio_matches_randint(height):
             assert ours.getstate() == stdlib.getstate()
     with pytest.raises(ValueError):
         random_ratios(random.Random(0), 1, 0)
+    with pytest.raises(ValueError):
+        random_qi(random.Random(0), 0)

@@ -11,6 +11,7 @@ from scorza.errors import InputError, UnsupportedError
 from scorza.jordan import (
     ALGEBRAS,
     JordanElement,
+    _from_entries,
     from_upper,
     generic_det,
     jordan_diag,
@@ -58,15 +59,15 @@ def test_product_entries_match_cd_oracle(algebra):
     for n in range(1, 4 if level == 3 else 5):
         for _ in range(3):
             x = random_hermitian(rng, algebra, n, 6)
-            y = random_hermitian(rng, algebra, n, 6)
-            p = jordan_product(x, y)
-            for i in range(n):
-                for j in range(n):
-                    acc = cd_zero(level, field)
-                    for k in range(n):
-                        acc = acc + reference_multiply(x.entry(i, k), y.entry(k, j))
-                        acc = acc + reference_multiply(y.entry(i, k), x.entry(k, j))
-                    assert p.entry(i, j) == acc.scale(QI(Fraction(1, 2)))
+            for y in (random_hermitian(rng, algebra, n, 6), x):  # y = x takes the square path
+                p = jordan_product(x, y)
+                for i in range(n):
+                    for j in range(n):
+                        acc = cd_zero(level, field)
+                        for k in range(n):
+                            acc = acc + reference_multiply(x.entry(i, k), y.entry(k, j))
+                            acc = acc + reference_multiply(y.entry(i, k), x.entry(k, j))
+                        assert p.entry(i, j) == acc.scale(QI(Fraction(1, 2)))
 
 
 def test_trace_and_trace_form():
@@ -163,11 +164,13 @@ def test_full_octonion_kernel_calls_pinned(count_calls):
     assert calls(lambda: x.entry(0, 1) * y.entry(1, 2), full) == 1  # the counter sees a product
     assert jordan_rank3(x) == 3
     assert calls(lambda: jordan_product(x, y), full) == 6
+    # a square forms each cross product x_ik x_kj once
+    assert calls(lambda: jordan_product(x, x), full) == 3
     assert calls(lambda: trace_form(x, y), full) == 0
     assert calls(lambda: trace_form(x, y), scalar) == 9
-    assert calls(lambda: generic_det(x), full) == 6
-    assert calls(lambda: jordan_rank3(x), full) == 6
-    assert calls(lambda: sharp(x), full) == 6
+    assert calls(lambda: generic_det(x), full) == 3
+    assert calls(lambda: jordan_rank3(x), full) == 3
+    assert calls(lambda: sharp(x), full) == 3
 
 
 def test_rank_characterization():
@@ -297,6 +300,20 @@ def _scalar_diagonal_hermitian(rng, algebra, n, height):
     return JordanElement(algebra, tuple(tuple(row) for row in rows))
 
 
+def _per_entry_hermitian(rng, algebra, n, height):
+    """random_hermitian as it drew entry by entry: a level-0 random_cd
+    embedded on the diagonal, a random_cd above it, its conjugate below,
+    and the entries' planes put on their lcm plane."""
+    level, field = ALGEBRAS[algebra]
+    rows = random_square(
+        n,
+        lambda: random_cd(rng, 0, field, height).embed(level),
+        lambda: random_cd(rng, level, field, height),
+        CDElement.conjugate,
+    )
+    return _from_entries(algebra, rows)
+
+
 @pytest.mark.parametrize("algebra", sorted(ALGEBRAS))
 def test_random_hermitian_draws_its_diagonal_as_scalars(algebra):
     for n in (1, 2, 3):
@@ -306,3 +323,18 @@ def test_random_hermitian_draws_its_diagonal_as_scalars(algebra):
             y = _scalar_diagonal_hermitian(ref, algebra, n, 7)
             assert x == y  # entries compare by their integer planes
             assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("algebra", sorted(ALGEBRAS))
+def test_random_hermitian_is_one_draw_of_the_per_entry_stream(algebra):
+    # one random_plane call draws what the per-entry random_cd calls drew,
+    # to the same plane and the same rng end state
+    level, _ = ALGEBRAS[algebra]
+    for n in range(1, 4 if level == 3 else 5):
+        for height in (1, 5, 10):
+            for seed in range(8):
+                ours, ref = (make_rng("herm-plane", algebra, n, height, seed) for _ in range(2))
+                x = random_hermitian(ours, algebra, n, height)
+                y = _per_entry_hermitian(ref, algebra, n, height)
+                assert (x.den, x.rows) == (y.den, y.rows)
+                assert ours.getstate() == ref.getstate()
