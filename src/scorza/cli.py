@@ -298,7 +298,7 @@ def _cmd_invariant(args) -> int:
             data = json.load(sys.stdin)
     except OSError as exc:
         raise InputError(f"cannot read {source!r}: {exc.strerror or exc}") from exc
-    except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nested too deep
         raise InputError(f"{source} is not valid JSON: {exc}") from exc
     point = st.StratumPoint.from_json(data)
     value = st.relative_invariant(point)

@@ -56,7 +56,7 @@ from random import Random
 from . import linalg
 from .errors import InputError
 from .sampling import (
-    make_rng, random_fraction, random_qi, random_qi_matrix, random_square,
+    make_rng, random_qi, random_qi_matrix, random_square,
 )
 from .scalars import HALF, QI, QI_I, QI_ONE, QI_ZERO, from_plane, to_plane
 from .strata import (
@@ -498,13 +498,13 @@ def random_lie_g(case: DualPairCase, rng: Random) -> list:
         return _block(a, b, c, linalg.mat_neg(linalg.transpose(a)))
     if case.kind == "u":
         p, q = case.params
-        a = random_square(p, lambda: random_fraction(rng, height).times_unit(1), qi, anti)
-        d = random_square(q, lambda: random_fraction(rng, height).times_unit(1), qi, anti)
+        a = random_square(p, lambda: random_qi(rng, height, real=True).times_unit(1), qi, anti)
+        d = random_square(q, lambda: random_qi(rng, height, real=True).times_unit(1), qi, anti)
         b = random_qi_matrix(rng, p, q, height)
         return _block(a, b, linalg.conj_transpose(b), d)
     d = case.params[0]
     a = random_square(d, lambda: QI_ZERO, qi, lambda x: -x)  # complex skew
-    b = random_square(d, lambda: random_fraction(rng, height), qi, QI.conjugate)
+    b = random_square(d, lambda: random_qi(rng, height, real=True), qi, QI.conjugate)
     return _block(
         a, b, linalg.mat_neg(linalg.mat_conj(b)), linalg.mat_conj(a)
     )

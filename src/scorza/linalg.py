@@ -10,13 +10,15 @@ the result; mat_mul is its two-factor case.
 
 There are three eliminations. Rank and det of QI matrices share
 _eliminate, a fraction-free (Bareiss 1968) elimination over Z[i] in place on
-interleaved row planes; det returns to QI through from_plane. int_rank
-ranks a matrix of plain ints, such as the frame Jacobian of the dimension
-oracle, the same way over Z. Both divide exactly and keep entry growth
-polynomial. The Pfaffian eliminates on QI itself with 2 x 2 skew pivots
-(Bunch 1982), in O(n^3) QI operations; its oracle, the memoized cofactor
-expansion, is in tests/test_linalg.py. The inverse is the adjugate over the
-determinant, one det per cofactor: no caller in the package inverts.
+interleaved row planes; det returns to QI through from_plane. int_ranks is
+the same elimination over Z on a matrix of plain ints, such as the frame
+Jacobian of the dimension oracle, column by column, so that one pass gives
+the rank of every leading run of columns. Both divide exactly and keep entry
+growth polynomial. The Pfaffian eliminates on QI itself with 2 x 2 skew
+pivots (Bunch 1982), in O(n^3) QI operations; its oracle, the memoized
+cofactor expansion, is in tests/test_linalg.py. The inverse is the adjugate
+over the determinant, one det per cofactor: no caller in the package
+inverts.
 """
 
 from __future__ import annotations
@@ -166,17 +168,19 @@ def _eliminate(work: list) -> tuple:
     return r, sign, (qr, qi)
 
 
-def int_rank(rows: list) -> int:
-    """Exact rank of a matrix of plain ints, by fraction-free (Bareiss 1968)
-    elimination in place on `rows`, one int per entry. It pivots on the
-    smallest |a|, made positive by negating its row, and updates
+def int_ranks(rows: list) -> list:
+    """[r_0, ..., r_width]: r_j is the exact rank of the first j columns of a
+    matrix of plain ints, by one fraction-free (Bareiss 1968) elimination
+    column by column in place on `rows`, one int per entry; a column adds
+    one to the rank exactly when it holds a pivot. It pivots on the smallest
+    |a|, made positive by negating its row, and updates
     x -> (p * x - f * y) // q for pivot p, previous pivot q and f the entry
     under p, which is exact since after step k every entry is a k x k minor
     up to sign; it raises RuntimeError otherwise. On a full-rank square
     matrix the last pivot is |det|. A row with f = 0 is left as it is when
     p = q, which is nearly every row of a frame Jacobian."""
     nrows, width = len(rows), len(rows[0]) if rows else 0
-    q, r = 1, 0
+    q, r, ranks = 1, 0, [0]
     for c in range(width):
         pivot_row = best = None
         for i in range(r, nrows):
@@ -184,6 +188,7 @@ def int_rank(rows: list) -> int:
             if a and (best is None or abs(a) < best):
                 best, pivot_row = abs(a), i
         if pivot_row is None:
+            ranks.append(r)
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         rowr = rows[r]
@@ -203,7 +208,8 @@ def int_rank(rows: list) -> int:
             rowi[c] = 0
         q = p
         r += 1
-    return r
+        ranks.append(r)
+    return ranks
 
 
 def _integer_rows(m: Matrix) -> tuple[list, list]:

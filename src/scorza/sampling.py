@@ -48,11 +48,6 @@ def random_ratios(rng: random.Random, count: int, height: int) -> tuple[list, li
     return nums, dens
 
 
-def random_fraction(rng: random.Random, height: int = 10, nonzero: bool = False) -> QI:
-    """A random rational p/q from one ratio draw, as a real QI."""
-    return random_qi(rng, height, real=True, nonzero=nonzero)
-
-
 def random_qi(
     rng: random.Random, height: int = 10, real: bool = False, nonzero: bool = False
 ) -> QI:

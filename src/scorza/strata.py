@@ -6,13 +6,15 @@ complexified octonions. Rank is exact matrix rank (halved for skew), the
 relative invariant is the determinant / Pfaffian / cubic norm, and a
 stratum's dimension is the exact Jacobian rank of the s-fold rank-one chart
 sum at parameters summing to the frame point, where it equals the rank-s
-orbit's tangent space. Every rank-one chart is quadratic, F(p) = B(p, p),
-so its Jacobian is written in closed form, DF(p)e = B(e, p) + B(p, e),
-without evaluating the chart. The frame parameters are 0s and 1s, so that
-Jacobian is an integer matrix (entries 0, +-1, +-2), built as ints and
-ranked by linalg.int_rank; QI matrices (rank_of, the relative invariant)
-go through linalg's Gaussian-integer elimination. The samplers draw,
-chart and sum on the integer plane of `scalars` and build a point once.
+orbit's tangent space. Every rank-one chart is stated once, as
+`_chart_plane`, an int evaluation on the integer plane of `scalars`:
+sampling and peeling evaluate it, and the dimension oracle differentiates
+it, reading each frame Jacobian off one complex chart evaluation per block.
+The frame parameters are 0s and 1s, so that Jacobian is an integer matrix
+(entries 0, +-1, +-2), ranked by linalg.int_ranks, which gives every
+stratum of a model from one elimination; QI matrices (rank_of, the relative
+invariant) go through linalg's Gaussian-integer elimination. The samplers
+draw, chart and sum on the integer plane and build a point once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from itertools import combinations
 from operator import add
 
 from . import linalg
-from .cayley_dickson import _TABLES
 from .errors import InputError, UnsupportedError
 from .jordan import (JordanElement, _jordan, generic_det, jordan_product, jordan_rank3,
                      jordan_zero, outer_square_planes, random_hermitian, trace_form)
@@ -37,11 +38,11 @@ MODEL_GRAMMAR = "sym:R | mat:Q,P | skew:N | exc27"
 
 _RANK1_RETRIES = 32
 
-# Largest Jacobian the dimension oracle will rank, in cells: s chart
-# blocks of chart_param_count rows by ambient_dim columns. It admits every
+# Largest Jacobian the dimension oracle will rank, in cells: ambient_dim
+# coordinate rows by s blocks of chart_param_count columns. It admits every
 # Scorza family of catalog_scorza(k) for k <= 6 (the largest is skew:15 at
-# s = 7, 210 x 105 = 22,050 cells, built and ranked as ints at the frame
-# point in 4-5 ms on one Xeon vCPU under Python 3.11); skew:16 at s = 8
+# s = 7, 105 x 210 = 22,050 cells, built from 7 chart evaluations and ranked
+# as ints in 1.5-1.7 ms on one Xeon vCPU under Python 3.11); skew:16 at s = 8
 # (k = 7) already needs 30,720. The same budget bounds a model's ambient_dim
 # and a dual-pair case's matrix size; every other step on a point (rank,
 # det, the skew-elimination Pfaffian, the cubic norm) is polynomial in its
@@ -351,8 +352,9 @@ def chart_param_count(model: PSpaceModel) -> int:
 
 def chart_point(model: PSpaceModel, params: list) -> StratumPoint:
     """The quadratic rank-one chart, `_chart_plane` on the plane of QI params:
-    the one definition of a model's rank-one point. The dimension oracle
-    differentiates it at the frame point; sampling and peeling evaluate it.
+    the one definition of a model's rank-one point. Sampling and peeling
+    evaluate `_chart_plane`; the dimension oracle differentiates it at the
+    frame point (`_frame_jacobian`).
 
     sym: v -> v v^t; mat: (v, w) -> v w^t; skew: (v, w) -> v w^t - w v^t.
     exc27: (x, y, w) -> v v* with v = (x, y, w 1), x and y full octonion
@@ -404,108 +406,61 @@ def _plane_point(model: PSpaceModel, den: int, flat: list) -> StratumPoint:
     return StratumPoint(model, [values[k:k + cols] for k in range(0, len(values), cols)])
 
 
-def _chart_jacobian_columns(model: PSpaceModel, block: list) -> list:
-    """Columns DF(p)e_t = B(e_t, p) + B(p, e_t) of the quadratic chart at p,
-    one per parameter, each listing the model's independent coordinates:
-    the upper triangle (diagonal included) for sym, all entries for mat,
-    the strict upper triangle for skew, in row order; for exc27 the three
-    diagonal scalars, then the octonion entries (0, 1), (0, 2) and (1, 2).
-    Any number type works: ints at the frame point, QI at the random points
-    of the tests; an entry that is always zero is the int 0."""
-    if model.kind == "sym":
-        r = model.params[0]
-        cols = []
-        for t in range(r):
-            col = []
-            for i in range(r):
-                for j in range(i, r):
-                    if i == t:
-                        col.append(block[j] + block[j] if j == t else block[j])
-                    else:
-                        col.append(block[i] if j == t else 0)
-            cols.append(col)
-        return cols
-    if model.kind == "mat":
-        q, p = model.params
-        v, w = block[:q], block[q:]
-        zero_row = [0] * p
-        cols = [zero_row * t + w + zero_row * (q - 1 - t) for t in range(q)]
-        for t in range(p):
-            col = [0] * (q * p)
-            col[t::p] = v
-            cols.append(col)
-        return cols
-    if model.kind == "skew":
-        n = model.params[0]
-        v, w = block[:n], block[n:]
-        return [_skew_column(w, t) for t in range(n)] + [
-            [-x for x in _skew_column(v, t)] for t in range(n)
-        ]
-    return _exc27_columns(block)
-
-
-def _skew_column(u: list, t: int) -> list:
-    # entries (i, j), i < j, of e_t u^T - u e_t^T
-    n = len(u)
-    col = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if i == t:
-                col.append(u[j])
-            elif j == t:
-                col.append(-u[i])
-            else:
-                col.append(0)
-    return col
-
-
-def _exc27_columns(block: list) -> list:
-    # v = (x, y, w 1) and M_ij = v_i conj(v_j); the coordinate order is
-    # M00, M11, M22 (scalar parts), then the octonion blocks M01, M02, M12
-    x, y, w = block[0:8], block[8:16], block[16]
-    ybar = [y[0]] + [-c for c in y[1:]]
-    table = _TABLES[3]
-    zero8 = [0] * 8
-    cols = []
-    for t in range(8):
-        # d/dx_t: M00 -> 2 x_t, M01 = x ybar -> e_t ybar, M02 = x w -> w e_t
-        m01 = [0] * 8
-        for j, (k, sign) in enumerate(table[t]):
-            m01[k] = ybar[j] if sign > 0 else -ybar[j]
-        m02 = list(zero8)
-        m02[t] = w
-        cols.append([x[t] + x[t], 0, 0] + m01 + m02 + zero8)
-    for t in range(8):
-        # d/dy_t: M11 -> 2 y_t, M01 -> x conj(e_t), M12 = y w -> w e_t
-        m01 = [0] * 8
-        for i in range(8):
-            k, sign = table[i][t]
-            m01[k] = x[i] if (sign > 0) == (t == 0) else -x[i]
-        m12 = list(zero8)
-        m12[t] = w
-        cols.append([0, y[t] + y[t], 0] + m01 + zero8 + m12)
-    # d/dw: M22 = w^2 -> 2 w, M02 -> x, M12 -> y
-    cols.append([0, 0, w + w] + zero8 + list(x) + list(y))
-    return cols
-
-
-def _check_jacobian_cells(model: PSpaceModel, s: int):
-    rows, cols = s * chart_param_count(model), model.ambient_dim
-    check_cells(f"the {rows} x {cols} Jacobian of stratum {s} of {model}", rows * cols)
-
-
 def _frame_blocks(model: PSpaceModel, s: int) -> list:
     """s chart parameter blocks, as 0/1 ints, whose charts sum to the frame
     point c_s: sym e_k; mat (e_k, e_k); skew (e_2k, e_2k+1); exc27 the unit
     w, then y_0, then x_0 (parameters 16, 8, 0), whose charts are E_33, E_22
     and E_11. Not x_0 first: the exc27 chart at x = 1 has rank 10, not 17.
-    Int blocks make every Jacobian column a list of ints."""
+    The blocks of stratum s are the first s of every larger stratum's."""
     n = model.params[0] if model.params else 0
     ones = {"sym": [(k,) for k in range(s)], "mat": [(k, n + k) for k in range(s)],
             "skew": [(2 * k, n + 2 * k + 1) for k in range(s)],
             "exc27": [(16,), (8,), (0,)][:s]}[model.kind]
     ppc = chart_param_count(model)
     return [[1 if t in unit else 0 for t in range(ppc)] for unit in ones]
+
+
+def _coordinate_index(model: PSpaceModel) -> list:
+    """Where a `_chart_plane` holds the model's independent coordinates, as
+    (re, im) pair indices: the upper triangle (diagonal included) for sym,
+    every entry for mat, the strict upper triangle for skew, in row order;
+    for exc27 the three diagonal scalars, then the octonion coefficients of
+    the entries (0, 1), (0, 2) and (1, 2), 8 pairs per entry."""
+    if model.kind == "exc27":
+        return [0, 32, 64, *range(8, 24), *range(40, 48)]
+    if model.kind == "mat":
+        return list(range(model.ambient_dim))
+    n, lo = model.params[0], model.kind == "skew"
+    return [a * n + b for a in range(n) for b in range(a + lo, n)]
+
+
+def _frame_jacobian(model: PSpaceModel, blocks: list) -> list:
+    """The Jacobian J of the chart sum at the 0/1 parameter blocks, one int
+    row per independent coordinate and one column per parameter, block by
+    block, from one `_chart_plane` evaluation per block (Kronecker
+    substitution). Every chart F is quadratic and C-bilinear (exc27's
+    octonion conjugation is C-linear), so for real p and u,
+    Im F(p + i u) = DF(p) u. Each block is evaluated at u_t = 256^t, t < m =
+    chart_param_count, and block k's imaginary parts are scaled by 256^(k m)
+    and added as ints, so that a coordinate's sum is sum 256^(k m + t) J_(k,t),
+    a base-256 number whose digits are that coordinate's row. At 0/1
+    parameters every entry lies in -2..2, inside the -128..127 that reads
+    back exactly: adding 128 to every digit leaves no carry, and xor-ing it
+    off again leaves each digit's two's-complement byte."""
+    m = chart_param_count(model)
+    width = len(blocks) * m
+    u = [1 << 8 * t for t in range(m)]
+    ims = [_chart_plane(model, 1, [v for pair in zip(block, u) for v in pair])[1][1::2]
+           for block in blocks]
+    offset = int.from_bytes(b"\x80" * width, "little")
+    return [memoryview(((sum(im[i] << 8 * k * m for k, im in enumerate(ims)) + offset)
+                        ^ offset).to_bytes(width, "little")).cast("b").tolist()
+            for i in _coordinate_index(model)]
+
+
+def _check_jacobian_cells(model: PSpaceModel, s: int):
+    rows, cols = s * chart_param_count(model), model.ambient_dim
+    check_cells(f"the {rows} x {cols} Jacobian of stratum {s} of {model}", rows * cols)
 
 
 def stratum_dimension(model: PSpaceModel, s: int) -> tuple[int, int]:
@@ -518,17 +473,16 @@ def stratum_dimension(model: PSpaceModel, s: int) -> tuple[int, int]:
     sum_k w_k e_k^t + e_k w_k^t = {X c + c X^t}; mat and skew alike). Its rank
     is the stratum dimension, with no random draw. For exc27 a rank at any
     point is at most the generic rank, so the tests that pin 17, 26 and 27
-    show the frame exact there too. Each block contributes its closed-form columns
-    B(e_t, p) + B(p, e_t), as ints, and linalg.int_rank ranks them by
-    integer Bareiss elimination, with no QI and no Gaussian plane. A
-    Jacobian of more than MAX_JACOBIAN_CELLS cells is rejected with
-    InputError before any column is built.
+    show the frame exact there too. `_frame_jacobian` differentiates the
+    chart, as ints, and linalg.int_ranks ranks it by integer Bareiss
+    elimination, with no QI and no Gaussian plane. A Jacobian of more than
+    MAX_JACOBIAN_CELLS cells is rejected with InputError before any chart
+    is evaluated.
     """
     if not 1 <= s <= model.max_rank:
         raise InputError(f"stratum index {s} outside 1..{model.max_rank}")
     _check_jacobian_cells(model, s)
-    blocks = _frame_blocks(model, s)
-    dim = linalg.int_rank([c for block in blocks for c in _chart_jacobian_columns(model, block)])
+    dim = linalg.int_ranks(_frame_jacobian(model, _frame_blocks(model, s)))[-1]
     return dim, dim - 1
 
 
@@ -545,11 +499,14 @@ class DefectData:
 
 def defects(model: PSpaceModel) -> DefectData:
     """Secant defects, k0, and the two Scorza conditions, all from the exact
-    stratum dimensions of stratum_dimension."""
+    stratum dimensions: one elimination of the frame Jacobian of the top
+    stratum, whose first s blocks of columns are stratum s's Jacobian."""
     if model.max_rank < 2:
         raise InputError("defect analysis needs max rank >= 2")
     _check_jacobian_cells(model, model.max_rank)  # the largest of the strata
-    dims = [stratum_dimension(model, s)[1] for s in range(1, model.max_rank + 1)]
+    m = chart_param_count(model)
+    ranks = linalg.int_ranks(_frame_jacobian(model, _frame_blocks(model, model.max_rank)))
+    dims = [ranks[s * m] - 1 for s in range(1, model.max_rank + 1)]
     ambient = model.ambient_proj_dim
     dim_x = dims[0]
     k0 = next(i for i in range(1, model.max_rank) if dims[i] == ambient)

@@ -30,7 +30,7 @@ from .catalog import (
     ScorzaEntry,
 )
 from .errors import InputError
-from .sampling import derive_seed, make_rng, random_fraction, random_qi_vector
+from .sampling import derive_seed, make_rng, random_qi, random_qi_vector
 
 SUITES = ("composition", "jordan", "strata", "moment", "catalog", "all")
 
@@ -319,7 +319,7 @@ def _det_restriction(seed, t):
 def _det_homog(seed, t):
     rng = make_rng(seed, "dethom", t)
     x = jd.random_hermitian(rng, "O_C", 3, 5)
-    lam = random_fraction(rng, 7, nonzero=True)
+    lam = random_qi(rng, 7, real=True, nonzero=True)
     ok = jd.generic_det(x.scale(lam)) == lam ** 3 * jd.generic_det(x)
     return ok, _elements_witness(seed, t, x)
 
@@ -596,7 +596,7 @@ def _veronese(sel, seed, t):
     v = random_qi_vector(rng, case.v_size, 5, real=case.real_entries)
     pt = dp.veronese_map(case, v)
     rk = st.rank_of(pt)
-    lam = random_fraction(rng, 5, nonzero=True)
+    lam = random_qi(rng, 5, real=True, nonzero=True)
     pt2 = dp.veronese_map(case, [x * lam for x in v])
     homog = linalg.mat_eq(pt2.coords, linalg.mat_scale(pt.coords, lam * lam))
     return rk <= 1 and homog, rk == 1, {"seed": seed, "trial": t, "case": sel}

@@ -347,6 +347,8 @@ def test_console_script_help():
 SYM1_POINT = json.dumps({"model": {"kind": "sym", "r": 1},
                          "coords": [[{"re": "1/1", "im": "0/1"}]]})
 UNWRITABLE = "{tmp}/missing-dir/out.json"
+# nested past the JSON decoder's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 def _sym2_point_with_rank(rank) -> str:
@@ -372,6 +374,8 @@ def _exc27_point(n=3, level=3, rows=(3, 2, 1)) -> str:
 MALFORMED = {
     "invariant-bad-json-stdin": (["invariant"], "{not json"),
     "invariant-bad-json-file": (["invariant", "--point", "{tmp}/bad.json"], None),
+    "invariant-deep-json-stdin": (["invariant"], DEEP_JSON),
+    "invariant-deep-json-file": (["invariant", "--point", "{tmp}/deep.json"], None),
     "invariant-missing-file": (["invariant", "--point", "{tmp}/none.json"], None),
     "invariant-missing-keys": (["invariant"], "{}"),
     "invariant-ill-typed-coords": (
@@ -427,6 +431,7 @@ MALFORMED = {
 def test_malformed_input_exits_2_without_traceback(case, tmp_path):
     args, stdin = MALFORMED[case]
     (tmp_path / "bad.json").write_text("{\"model\": ")
+    (tmp_path / "deep.json").write_text(DEEP_JSON)
     result = run_cli([a.format(tmp=tmp_path) for a in args], stdin=stdin)
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr

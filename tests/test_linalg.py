@@ -381,7 +381,7 @@ def test_pfaffian_matches_the_cofactor_expansion(n):
 # --- sympy oracle for the integer elimination --------------------------------
 
 def _int_inputs(rng):
-    """Integer matrices for int_rank: small and above-2^64 entries, rank-deficient
+    """Integer matrices for int_ranks: small and above-2^64 entries, rank-deficient
     products of thin factors, zero rows and columns, 1 x n, n x 1 and empty."""
     def draw(rows, cols, bound):
         return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
@@ -406,8 +406,17 @@ def test_int_rank_matches_gaussian_rank_and_sympy():
         want = sympy.Matrix(len(m), len(m[0]) if m else 0, sum(m, [])).rank()
         assert linalg.rank([[QI(x) for x in row] for row in m]) == want
         work = [list(row) for row in m]
-        assert linalg.int_rank(work) == want
+        assert linalg.int_ranks(work)[-1] == want
         n = len(m)
         if want == n and m and len(m[0]) == n:
             # every entry left is a minor up to sign, and the last pivot is |det|
             assert work[-1][-1] == abs(sympy.Matrix(m).det())
+
+
+def test_int_ranks_give_the_rank_of_every_leading_column_run():
+    rng = make_rng("linalg", "int-rank")
+    for m in _int_inputs(rng):
+        width = len(m[0]) if m else 0
+        want = [sympy.Matrix(len(m), j, [x for row in m for x in row[:j]]).rank()
+                for j in range(width + 1)]
+        assert linalg.int_ranks([list(row) for row in m]) == want

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scorza.errors import InputError
 from scorza import strata
 from scorza.sampling import (
-    make_rng, random_fraction, random_plane, random_qi, random_qi_vector, random_ratios,
+    make_rng, random_plane, random_qi, random_qi_vector, random_ratios,
 )
 from scorza.scalars import QI, QI_I, QI_ONE, common_plane, from_plane, parse_ratio, to_plane
 
@@ -182,7 +182,7 @@ def test_random_qi_draws_as_fraction_pairs(seed):
                 for _ in range(40):
                     x = random_qi(ours, height, real=real, nonzero=nonzero)
                     _agrees(x, _fraction_draw(ref, height, real, nonzero))
-                    f = random_fraction(ours, height, nonzero=nonzero)
+                    f = random_qi(ours, height, real=True, nonzero=nonzero)
                     _agrees(f, _fraction_draw(ref, height, True, nonzero))
                 for x in random_qi_vector(ours, 5, height, real=real):
                     _agrees(x, _fraction_draw(ref, height, real, False))

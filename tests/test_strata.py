@@ -34,7 +34,7 @@ from scorza.strata import (
     sym_model,
     zero_point,
 )
-from scorza.strata import _chart_jacobian_columns, _frame_blocks
+from scorza.strata import _chart_plane, _frame_blocks, _frame_jacobian
 
 ALL_MODELS = [sym_model(3), mat_model(3, 3), mat_model(3, 5), skew_model(6),
               skew_model(7), EXC27]
@@ -215,14 +215,35 @@ def test_stratum_dimension_matches_closed_forms():
     assert got == want
 
 
-def test_frame_jacobian_int_columns_equal_qi_columns():
-    # the oracle ranks int columns; at the same blocks as QI they are equal
+@pytest.mark.parametrize("model", CLOSED_FORM_GRID, ids=str)
+def test_packed_frame_jacobian_matches_symmetric_difference(model):
+    # each block's columns of the one-evaluation-per-block Jacobian are the
+    # chart's symmetric differences at that block, on every frame of the grid
+    m = chart_param_count(model)
+    blocks = _frame_blocks(model, model.max_rank)
+    columns = [list(col) for col in zip(*_frame_jacobian(model, blocks))]
+    assert all(type(x) is int for col in columns for x in col)
+    for k, block in enumerate(blocks):
+        want = _symmetric_difference_columns(model, [QI(x) for x in block])
+        assert columns[k * m:(k + 1) * m] == want
+
+
+def test_defects_dims_equal_stratum_dimensions():
+    # the one elimination of defects reads the same dims as every stratum's own
     for model in CLOSED_FORM_GRID:
-        for s in range(1, model.max_rank + 1):
-            for block in _frame_blocks(model, s):
-                got = _chart_jacobian_columns(model, block)
-                assert all(type(x) is int for col in got for x in col)
-                assert got == _chart_jacobian_columns(model, [QI(x) for x in block])
+        if model.max_rank >= 2:
+            assert defects(model).secant_proj_dims == tuple(
+                stratum_dimension(model, s)[1] for s in range(1, model.max_rank + 1))
+
+
+def test_defects_charts_each_block_once_and_eliminates_once(count_calls):
+    # cost pin: one chart evaluation per frame block and one int elimination
+    for sel in ("sym:4", "mat:3,5", "skew:7", "skew:15", "exc27"):
+        model = parse_model(sel)
+        for code, want in ((_chart_plane.__code__, model.max_rank),
+                           (linalg.int_ranks.__code__, 1)):
+            _, calls = count_calls(lambda: defects(model), lambda frame: frame.f_code is code)
+            assert calls == want, (sel, code.co_name)
 
 
 def test_stratum_dimension_ranks_without_gaussian_planes(count_calls):
@@ -269,17 +290,6 @@ def _symmetric_difference_columns(model, block):
         fm = coords_vector(chart_point(model, minus))
         cols.append([(a - b) * HALF for a, b in zip(fp, fm)])
     return cols
-
-
-@pytest.mark.parametrize("sel", ["sym:1", "sym:4", "mat:1,4", "mat:4,1", "mat:3,5",
-                                 "mat:4,4", "skew:2", "skew:6", "skew:7", "exc27"])
-def test_closed_form_jacobian_matches_symmetric_difference(sel):
-    model = parse_model(sel)
-    for t in range(12):
-        rng = make_rng("t-jacobian", sel, t)
-        block = random_qi_vector(rng, chart_param_count(model), 5)
-        got = _chart_jacobian_columns(model, block)
-        assert got == _symmetric_difference_columns(model, block)
 
 
 def test_stratum_dimension_cost_limit():
