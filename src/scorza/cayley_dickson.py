@@ -122,14 +122,9 @@ class CDElement:
         s = s if isinstance(s, QI) else QI(s)
         if self.field == FIELD_Q and not s.is_real():
             raise InputError("cannot scale a Q-tagged element by a complex scalar")
-        ds, (sr, si) = to_plane((s,))
+        ds, pair = to_plane((s,))
         den, flat = self._intform
-        out = []
-        for k in range(0, len(flat), 2):
-            r, i = flat[k], flat[k + 1]
-            out.append(r * sr - i * si)
-            out.append(r * si + i * sr)
-        return _element(self.level, self.field, den * ds, out)
+        return _element(self.level, self.field, den * ds, _scale(pair, flat))
 
     def conjugate(self) -> "CDElement":
         # scalar part fixed, imaginary basis part negated; the complex
@@ -358,9 +353,20 @@ def _scalar_kernel(level: int, field: str):
     return (_REAL_SCALAR_KERNELS if field == FIELD_Q else _SCALAR_KERNELS)[level]
 
 
-def associativity_counterexample(field: str = FIELD_Q):
-    """A basis triple of the octonions with (ab)c != a(bc), found by search."""
-    e = [cd_basis(3, t, field) for t in range(8)]
+def _scale(s: tuple, a) -> list:
+    """s a on an interleaved plane, for a Gaussian-integer pair s: the one
+    scaling of a plane by a scalar, for elements and Jordan planes alike."""
+    sr, si = s
+    out = []
+    for k in range(0, len(a), 2):
+        ar, ai = a[k], a[k + 1]
+        out += (sr * ar - si * ai, sr * ai + si * ar)
+    return out
+
+
+def associativity_counterexample():
+    """A basis triple of the octonions over Q with (ab)c != a(bc), found by search."""
+    e = [cd_basis(3, t) for t in range(8)]
     for i in range(1, 8):
         for j in range(1, 8):
             for k in range(1, 8):

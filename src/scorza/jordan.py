@@ -34,6 +34,7 @@ from .cayley_dickson import (
     _element,
     _kernel,
     _scalar_kernel,
+    _scale,
     CDElement,
     FIELD_Q,
     FIELD_QI,
@@ -155,7 +156,7 @@ class JordanElement:
             raise InputError("cannot scale a Q-tagged element by a complex scalar")
         ds, pair = to_plane((s,))
         return _jordan(self.algebra, self.den * ds,
-                       [[_scale_add(pair, e, (0, 0), e) for e in row] for row in self.rows])
+                       [[_scale(pair, e) for e in row] for row in self.rows])
 
     def is_zero(self) -> bool:
         return not any(v for row in self.rows for e in row for v in e)
@@ -261,7 +262,7 @@ def outer_square_planes(level: int, field: str, vs) -> list:
         rows[i][i] = sp(a, bars[i], [0, 0]) + [0] * (width - 2)
         for j in range(i + 1, n):
             b = bars[j]
-            e = _scale_add(b[:2], a, (0, 0), a) if not any(b[2:]) else mul(a, b, [0] * width)
+            e = _scale(b[:2], a) if not any(b[2:]) else mul(a, b, [0] * width)
             rows[i][j], rows[j][i] = e, e[:2] + [-v for v in e[2:]]
     return rows
 
@@ -326,7 +327,7 @@ def _product_planes(x: JordanElement, y: JordanElement) -> tuple:
         for j in range(i + 1, n):
             Xi, Yi, Xj, Yj = X[i], Y[i], X[j], Y[j]
             if square:
-                acc = _scale_add((Xi[i][0] + Xj[j][0], Xi[i][1] + Xj[j][1]), Xi[j], (0, 0), Xi[j])
+                acc = _scale((Xi[i][0] + Xj[j][0], Xi[i][1] + Xj[j][1]), Xi[j])
                 for k in range(n):
                     if k != i and k != j:
                         mul(Xi[k], X[k][j], acc)

@@ -10,7 +10,8 @@ the result; mat_mul is its two-factor case.
 
 There are three eliminations. Rank and det of QI matrices share
 _eliminate, a fraction-free (Bareiss 1968) elimination over Z[i] in place on
-interleaved row planes; det returns to QI through from_plane. int_ranks is
+interleaved row planes, which also ranks the plane of a stratum point
+(strata.rank_of); det returns to QI through from_plane. int_ranks is
 the same elimination over Z on a matrix of plain ints, such as the frame
 Jacobian of the dimension oracle, column by column, so that one pass gives
 the rank of every leading run of columns. Both divide exactly and keep entry
@@ -32,10 +33,6 @@ from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, to_plane
 Matrix = list  # list[list[QI]]
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[QI_ZERO for _ in range(cols)] for _ in range(rows)]
-
-
 def identity(n: int) -> Matrix:
     return [[QI_ONE if i == j else QI_ZERO for j in range(n)] for i in range(n)]
 
@@ -45,13 +42,9 @@ def shape(m: Matrix) -> tuple[int, int]:
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    _require_same_shape(a, b)
+    if shape(a) != shape(b):
+        raise InputError(f"shape mismatch: {shape(a)} vs {shape(b)}")
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    _require_same_shape(a, b)
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_neg(a: Matrix) -> Matrix:
@@ -291,11 +284,6 @@ def pfaffian(m: Matrix) -> QI:
                 ri[l] = x = ri[l] + f0 * rk1[l] - f1 * rk[l]
                 a[l][i] = -x
     return pf
-
-
-def _require_same_shape(a: Matrix, b: Matrix):
-    if shape(a) != shape(b):
-        raise InputError(f"shape mismatch: {shape(a)} vs {shape(b)}")
 
 
 def matrix_to_json(m: Matrix) -> list:

@@ -27,6 +27,7 @@ planes to one denominator.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -199,10 +200,13 @@ class QI:
     def part_strings(self) -> tuple:
         """(re, im) as strings "p/q", each part in lowest terms on its own:
         the one statement of the JSON form, read by `to_json` and by
-        `cli.render_json`."""
+        `cli.render_json`. A part too long to write raises InputError."""
         a, b, d = self.a, self.b, self.d
         g, h = gcd(a, d), gcd(b, d)
-        return f"{a // g}/{d // g}", f"{b // h}/{d // h}"
+        try:
+            return f"{a // g}/{d // g}", f"{b // h}/{d // h}"
+        except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
+            raise InputError(f"a value has a part of {_past_digit_limit()}") from None
 
     def to_json(self) -> dict:
         re, im = self.part_strings()
@@ -297,11 +301,24 @@ def common_plane(planes) -> tuple:
     return den, [flat if d == den else [v * (den // d) for v in flat] for d, flat in planes]
 
 
+def _past_digit_limit() -> str:
+    limit = sys.get_int_max_str_digits()
+    return f"more than {limit} digits, the interpreter's limit for an int as text"
+
+
 def json_int(value, what: str) -> int:
     """A JSON integer field: an int and not a bool, else InputError."""
     if type(value) is not int:
         raise InputError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _malformed(s: str) -> InputError:
+    """The error for a rejected rational string, quoting at most its first 40 characters."""
+    if len(s) <= 40:
+        return InputError(f"malformed rational string {s!r}")
+    return InputError(f"rational string {s[:40]!r}... of {len(s)} characters is malformed "
+                      f"or has a part of {_past_digit_limit()}")
 
 
 def parse_ratio(s: str) -> tuple:
@@ -315,10 +332,10 @@ def parse_ratio(s: str) -> tuple:
     try:  # a second "/" is left in den, which int() then rejects
         p, q = int(num), int(den) if slash else 1
     except ValueError as exc:
-        raise InputError(f"malformed rational string {s!r}") from exc
+        raise _malformed(s) from exc
     if q < 0:
         p, q = -p, -q
     elif not q:
-        raise InputError(f"malformed rational string {s!r}")
+        raise _malformed(s)
     g = gcd(p, q)
     return p // g, q // g

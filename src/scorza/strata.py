@@ -12,9 +12,9 @@ sampling and peeling evaluate it, and the dimension oracle differentiates
 it, reading each frame Jacobian off one complex chart evaluation per block.
 The frame parameters are 0s and 1s, so that Jacobian is an integer matrix
 (entries 0, +-1, +-2), ranked by linalg.int_ranks, which gives every
-stratum of a model from one elimination; QI matrices (rank_of, the relative
-invariant) go through linalg's Gaussian-integer elimination. The samplers
-draw, chart and sum on the integer plane and build a point once.
+stratum of a model from one elimination. A point is one integer plane in
+`_chart_plane`'s layout: samplers hand it their chart sums, and rank, sums,
+comparison and peeling's pairing run on its ints; its QI form is only read.
 """
 
 from __future__ import annotations
@@ -23,20 +23,21 @@ import math
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations
-from operator import add
+from operator import add, sub
 
 from . import linalg
 from .errors import InputError, UnsupportedError
 from .jordan import (JordanElement, _jordan, generic_det, jordan_product, jordan_rank3,
-                     jordan_zero, outer_square_planes, random_hermitian, trace_form)
-from .sampling import derive_seed, make_rng, random_plane, random_qi, random_qi_vector, random_square
-from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, json_int, to_plane
+                     outer_square_planes, random_hermitian)
+from .sampling import derive_seed, make_rng, random_plane
+from .scalars import QI, common_plane, from_plane, json_int, to_plane
 
 # model kind -> the names of its parameters, in selector and JSON order
 _PARAMS = {"sym": ("r",), "mat": ("q", "p"), "skew": ("n",), "exc27": ()}
 MODEL_GRAMMAR = "sym:R | mat:Q,P | skew:N | exc27"
 
 _RANK1_RETRIES = 32
+_HEIGHT = 10  # the height of the ratios of random points and rank-one samples
 
 # Largest Jacobian the dimension oracle will rank, in cells: ambient_dim
 # coordinate rows by s blocks of chart_param_count columns. It admits every
@@ -149,51 +150,61 @@ def parse_model(selector: str) -> PSpaceModel:
     return PSpaceModel(*split_selector(selector, "model", MODEL_GRAMMAR))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False)
 class StratumPoint:
-    """A model and its checked coordinates, and nothing else: `rank_of`
-    computes the rank, and `to_json` writes no rank."""
+    """A model and one integer plane, `den` and `flat` in lowest terms: the
+    coordinate matrix in row order (exc27: its JordanElement's entry
+    planes). `StratumPoint(model, coords)` takes and checks a QI matrix or a
+    JordanElement, which `coords` builds back on each read. A point keeps
+    no rank: `rank_of` computes it, and `to_json` writes none."""
 
     model: PSpaceModel
-    coords: object  # QI matrix, or JordanElement for exc27
+    den: int
+    flat: tuple
 
-    def __post_init__(self):
-        _validate_coords(self.model, self.coords)
+    def __init__(self, model: PSpaceModel, coords):
+        if model.kind == "exc27":
+            if not isinstance(coords, JordanElement) or coords.algebra != "O_C" or coords.n != 3:
+                raise InputError("exc27 coordinates must be a 3x3 hermitian O_C element")
+            den, flat = coords.den, [v for row in coords.rows for e in row for v in e]
+        else:
+            shape = linalg.shape(coords)
+            if any(len(row) != shape[1] for row in coords):
+                raise InputError("coordinate rows have different lengths")
+            rows, cols = _coords_shape(model)
+            if shape != (rows, cols):
+                raise InputError(f"expected {rows}x{cols} coordinates")
+            den, flat = to_plane([x for row in coords for x in row])
+        self.__dict__.update(vars(_point(model, den, flat)))
+
+    @property
+    def coords(self):
+        den, flat = self.den, self.flat
+        if self.model.kind == "exc27":
+            return _jordan("O_C", den, [[flat[k:k + 16] for k in range(i, i + 48, 16)]
+                                        for i in range(0, 144, 48)])
+        values, cols = from_plane(den, flat), _coords_shape(self.model)[1]
+        return [values[k:k + cols] for k in range(0, len(values), cols)]
 
     def is_zero(self) -> bool:
-        if self.model.kind == "exc27":
-            return self.coords.is_zero()
-        return linalg.is_zero_matrix(self.coords)
+        return not any(self.flat)
+
+    def _combine(self, other: "StratumPoint", op, verb: str) -> "StratumPoint":
+        if self.model != other.model:
+            raise InputError(f"cannot {verb} points of different models")
+        den, (a, b) = common_plane(((self.den, self.flat), (other.den, other.flat)))
+        return _point(self.model, den, list(map(op, a, b)))
 
     def __add__(self, other: "StratumPoint") -> "StratumPoint":
-        if self.model != other.model:
-            raise InputError("cannot add points of different models")
-        if self.model.kind == "exc27":
-            return StratumPoint(self.model, self.coords + other.coords)
-        return StratumPoint(self.model, linalg.mat_add(self.coords, other.coords))
+        return self._combine(other, add, "add")
 
     def __sub__(self, other: "StratumPoint") -> "StratumPoint":
-        if self.model != other.model:
-            raise InputError("cannot subtract points of different models")
-        if self.model.kind == "exc27":
-            return StratumPoint(self.model, self.coords - other.coords)
-        return StratumPoint(self.model, linalg.mat_sub(self.coords, other.coords))
-
-    def __eq__(self, other):
-        if not isinstance(other, StratumPoint) or self.model != other.model:
-            return False
-        if self.model.kind == "exc27":
-            return self.coords == other.coords
-        return linalg.mat_eq(self.coords, other.coords)
+        return self._combine(other, sub, "subtract")
 
     def to_json(self) -> dict:
-        kind = self.model.kind
-        model_obj = {"kind": kind, **dict(zip(_PARAMS[kind], self.model.params))}
-        if kind == "exc27":
-            coords = self.coords.to_json()
-        else:
-            coords = linalg.matrix_to_json(self.coords)
-        return {"model": model_obj, "coords": coords}
+        kind, coords = self.model.kind, self.coords
+        return {"model": {"kind": kind, **dict(zip(_PARAMS[kind], self.model.params))},
+                "coords": coords.to_json() if kind == "exc27" else linalg.matrix_to_json(coords)}
 
     @staticmethod
     def from_json(data: dict) -> "StratumPoint":
@@ -221,23 +232,33 @@ class StratumPoint:
         return StratumPoint(model, coords)
 
 
-def _validate_coords(model: PSpaceModel, coords):
-    if model.kind == "exc27":
-        if not isinstance(coords, JordanElement) or coords.algebra != "O_C" or coords.n != 3:
-            raise InputError("exc27 coordinates must be a 3x3 hermitian O_C element")
-        return
-    shape = linalg.shape(coords)
-    if any(len(row) != shape[1] for row in coords):
-        raise InputError("coordinate rows have different lengths")
-    rows, cols = _coords_shape(model)
-    if shape != (rows, cols):
-        raise InputError(f"expected {rows}x{cols} coordinates")
-    if model.kind == "sym" and any(
-        coords[i][j] != coords[j][i] for i in range(rows) for j in range(i + 1, cols)
-    ):
-        raise InputError("coordinates are not symmetric")
-    if model.kind == "skew" and not linalg.is_skew(coords):
-        raise InputError("coordinates are not skew-symmetric")
+def _point(model: PSpaceModel, den: int, flat: list) -> StratumPoint:
+    """The point flat / den, in lowest terms by one gcd, checked."""
+    g = math.gcd(den, *flat)
+    if g > 1:
+        den, flat = den // g, [v // g for v in flat]
+    _validate_coords(model, flat)
+    point = object.__new__(StratumPoint)
+    point.__dict__.update(model=model, den=den, flat=tuple(flat))
+    return point
+
+
+def _validate_coords(model: PSpaceModel, flat: list):
+    """The check every new point passes: its plane has the model's symmetry."""
+    if any(flat[where] != values for where, values in _mirror(model, flat)):
+        raise InputError(f"coordinates are not {'' if model.kind == 'sym' else 'skew-'}symmetric")
+
+
+def _mirror(model: PSpaceModel, flat: list):
+    """The model's symmetry as (slice of flat, the parts it must hold), one per
+    part of each column a from the diagonal down: sym copies row a from the
+    diagonal on, skew negates it (so its diagonal is 0); mat and exc27 yield none."""
+    if model.kind in ("sym", "skew"):
+        n = model.params[0]
+        for a in range(n):
+            for s in (2 * (a * n + a), 2 * (a * n + a) + 1):
+                row = flat[s:2 * (a * n + n):2]
+                yield slice(s, None, 2 * n), row if model.kind == "sym" else [-v for v in row]
 
 
 def _coords_shape(model: PSpaceModel) -> tuple[int, int]:
@@ -246,20 +267,21 @@ def _coords_shape(model: PSpaceModel) -> tuple[int, int]:
 
 
 def zero_point(model: PSpaceModel) -> StratumPoint:
-    if model.kind == "exc27":
-        return StratumPoint(model, jordan_zero("O_C", 3))
-    return StratumPoint(model, linalg.zeros(*_coords_shape(model)))
+    size = 144 if model.kind == "exc27" else 2 * math.prod(_coords_shape(model))
+    return _point(model, 1, [0] * size)
 
 
 # --- rank and membership ------------------------------------------------------
 
 def rank_of(point: StratumPoint) -> int:
-    """Jordan rank: matrix rank for sym/mat, half of it for skew, degree-3
-    rank for the exceptional model."""
-    if point.model.kind == "exc27":
+    """Jordan rank: matrix rank (Bareiss on the plane's rows) for sym/mat,
+    half of it for skew, degree-3 rank for the exceptional model."""
+    model, flat = point.model, point.flat
+    if model.kind == "exc27":
         return jordan_rank3(point.coords)
-    mr = linalg.rank(point.coords)
-    if point.model.kind == "skew":
+    width = 2 * _coords_shape(model)[1]
+    mr = linalg._eliminate([list(flat[k:k + width]) for k in range(0, len(flat), width)])[0]
+    if model.kind == "skew":
         if mr % 2:
             raise RuntimeError("skew matrix with odd rank; input not exact")
         return mr // 2
@@ -273,9 +295,9 @@ def closure_membership(point: StratumPoint, s: int) -> bool:
 
 # --- sampling -------------------------------------------------------------------
 
-def sample_rank_one(model: PSpaceModel, seed: int, height: int = 10) -> StratumPoint:
+def sample_rank_one(model: PSpaceModel, seed: int) -> StratumPoint:
     """A random rank-1 point of the model: the chart at a random parameter vector."""
-    return _plane_point(model, *_rank_one_plane(model, seed, height))
+    return _point(model, *_rank_one_plane(model, seed, _HEIGHT))
 
 
 def _rank_one_plane(model: PSpaceModel, seed: int, height: int) -> tuple:
@@ -300,25 +322,23 @@ def sample_secant(model: PSpaceModel, k: int, seed: int, height: int = 10) -> St
     check_cells(f"a sum of {k + 1} rank-1 samples of {model.selector()}", (k + 1) * cells)
     den, flats = common_plane(_rank_one_plane(model, derive_seed(seed, "secant", i), height)
                               for i in range(k + 1))
-    return _plane_point(model, den, reduce(lambda a, b: list(map(add, a, b)), flats))
+    return _point(model, den, reduce(lambda a, b: list(map(add, a, b)), flats))
 
 
-def random_point(model: PSpaceModel, seed: int, height: int = 10) -> StratumPoint:
-    """A random point of the full model (no rank structure imposed)."""
-    rng = make_rng(seed, "full", model.selector(), height)
-
-    def draw():
-        return random_qi(rng, height)
-
-    if model.kind == "sym":
-        return StratumPoint(model, random_square(model.params[0], draw, draw, lambda x: x))
-    if model.kind == "mat":
-        q, p = model.params
-        return StratumPoint(model, [random_qi_vector(rng, p, height) for _ in range(q)])
-    if model.kind == "skew":
-        m = random_square(model.params[0], lambda: QI_ZERO, draw, lambda x: -x)  # skew
-        return StratumPoint(model, m)
-    return StratumPoint(model, random_hermitian(rng, "O_C", 3, height))
+def random_point(model: PSpaceModel, seed: int) -> StratumPoint:
+    """A random point of the full model (no rank structure imposed): a
+    `random_plane` of the independent coordinates, mirrored, or for exc27 a
+    `random_hermitian` element."""
+    rng = make_rng(seed, "full", model.selector(), 10)
+    if model.kind == "exc27":
+        return StratumPoint(model, random_hermitian(rng, "O_C", 3, _HEIGHT))
+    den, values = random_plane(rng, model.ambient_dim, _HEIGHT)
+    flat = [0] * (2 * math.prod(_coords_shape(model)))
+    for k, i in enumerate(_coordinate_index(model)):
+        flat[2 * i:2 * i + 2] = values[2 * k:2 * k + 2]
+    for where, parts in _mirror(model, flat):
+        flat[where] = parts
+    return _point(model, den, flat)
 
 
 # --- relative invariant --------------------------------------------------------
@@ -364,7 +384,7 @@ def chart_point(model: PSpaceModel, params: list) -> StratumPoint:
     """
     if len(params) != chart_param_count(model):
         raise InputError("wrong chart parameter count")
-    return _plane_point(model, *_chart_plane(model, *to_plane(params)))
+    return _point(model, *_chart_plane(model, *to_plane(params)))
 
 
 def _chart_plane(model: PSpaceModel, den: int, flat: list) -> tuple:
@@ -394,16 +414,6 @@ def _chart_plane(model: PSpaceModel, den: int, flat: list) -> tuple:
             s, t = 2 * (a * n + b), 2 * (b * n + a)
             out[s:s + 2], out[t:t + 2] = (re, im), (re, im) if sym else (-re, -im)
     return den * den, out
-
-
-def _plane_point(model: PSpaceModel, den: int, flat: list) -> StratumPoint:
-    """The point with the coordinates of a `_chart_plane`, checked once."""
-    if model.kind == "exc27":
-        return StratumPoint(model, _jordan("O_C", den, [
-            [flat[48 * i + 16 * j:48 * i + 16 * j + 16] for j in range(3)] for i in range(3)]))
-    cols = _coords_shape(model)[1]
-    values = from_plane(den, flat)
-    return StratumPoint(model, [values[k:k + cols] for k in range(0, len(values), cols)])
 
 
 def _frame_blocks(model: PSpaceModel, s: int) -> list:
@@ -532,33 +542,39 @@ def defects(model: PSpaceModel) -> DefectData:
 def peel_rank_one(point: StratumPoint) -> list:
     """Decompose an exact point into rank_of-many rank-1 summands that
     re-sum to it exactly: Wedderburn's rank-one reduction in its Jordan
-    form. Each summand is P_x(c) / <x, c> for the remainder x and lowers its
-    rank by exactly one. c is the first candidate with <x, c> != 0, the
-    candidates being chart_point at the unit parameter vectors e_a, then at
-    e_a + e_b for a < b; they span the model, so one pairs nonzero with x.
-    P_x(c) = x c^t x and <x, c> = tr(c^t x), halved for skew, on the matrix
-    models; U_x(c) = 2 x o (x o c) - x^2 o c and the trace form T(x, c) on
-    exc27.
+    form. Each summand is P_x(c) / <x, c> for the remainder x (x c^t x, and
+    U_x(c) = 2 x o (x o c) - x^2 o c on exc27) and lowers its rank by one.
+    c is the first candidate with <x, c> != 0: the chart's nonzero ints at
+    the unit parameters e_a, then e_a + e_b for a < b, which span the model;
+    only c becomes a point. <x, c> is the C-bilinear dot product of the two
+    planes: tr(c^t x), halved for skew, and on exc27 the trace form
+    T(x, c) = sum_ik sp(x_ik c_ki), as c is hermitian and sp(a conj(b)) is
+    the coefficient dot product of a and b.
     """
     model, x, out = point.model, point, []
     m = chart_param_count(model)
     units = [*zip(range(m), range(m)), *combinations(range(m), 2)]
-    # the candidates, each built once a scan reaches it and kept for the rescans
-    chart = cache(lambda ab: chart_point(model, [QI_ONE if t in ab else QI_ZERO for t in range(m)]))
+
+    @cache  # each candidate charted once a scan reaches it, kept for the rescans
+    def candidate(ones: tuple) -> tuple:
+        flat = _chart_plane(model, 1, [v for t in range(m) for v in (int(t in ones), 0)])[1]
+        return flat, [(k, v) for k, v in enumerate(flat) if v]  # real parts only
+
     while not x.is_zero():
         if len(out) == model.max_rank:
             raise RuntimeError("peeling failed to terminate")
-        c, pivot = next((c, t) for c in map(chart, units) if (t := _pairing(x, c)))
-        out.append(StratumPoint(model, _quadratic_map(x, c, 1 / pivot)))
+        (flat, _), pivot = next((c, t) for c in map(candidate, units) if (t := _pairing(x, c[1])))
+        out.append(StratumPoint(model, _quadratic_map(x, _point(model, 1, flat), 1 / pivot)))
         x = x - out[-1]
     return out
 
 
-def _pairing(x: StratumPoint, c: StratumPoint) -> QI:
-    if x.model.kind == "exc27":
-        return trace_form(x.coords, c.coords)
-    t = sum((u * v for cr, xr in zip(c.coords, x.coords) for u, v in zip(cr, xr) if u), QI_ZERO)
-    return t / 2 if x.model.kind == "skew" else t
+def _pairing(x: StratumPoint, nonzero: list):
+    """<x, c> for c's nonzero (index, real part) entries, or None if it is 0."""
+    xs = x.flat
+    re, im = sum([xs[k] * v for k, v in nonzero]), sum([xs[k + 1] * v for k, v in nonzero])
+    if re or im:
+        return from_plane(x.den * (2 if x.model.kind == "skew" else 1), (re, im))[0]
 
 
 def _quadratic_map(x: StratumPoint, c: StratumPoint, s: QI):

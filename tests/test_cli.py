@@ -371,7 +371,29 @@ def _exc27_point(n=3, level=3, rows=(3, 2, 1)) -> str:
         "n": n, "algebra": "O_C", "entries": [[octonion] * k for k in rows]}})
 
 
+def _sym_point(diagonal: str, r: int) -> str:
+    # diag(diagonal, ..., diagonal) in sym:r
+    zero = {"re": "0/1", "im": "0/1"}
+    return json.dumps({"model": {"kind": "sym", "r": r}, "coords": [
+        [{"re": diagonal, "im": "0/1"} if i == j else zero for j in range(r)] for i in range(r)]})
+
+
+# values whose parts pass the interpreter's limit on writing an int as text
+# (4,300 digits by default): a determinant of 4,861 digits, samples drawn at
+# height 10^4000, and an input part of 4,400 digits
+BIG_DET_POINT = _sym_point(str(10**80), 60)
+BIG_PART_POINT = _sym_point("1" * 4400, 1)
+PAST_DIGIT_LIMIT = {
+    "invariant-det-past-digit-limit": (["invariant"], BIG_DET_POINT),
+    "invariant-table-det-past-digit-limit": (["invariant", "--format", "table"], BIG_DET_POINT),
+    "sample-past-digit-limit": (["sample", "--model", "sym:2", "--secant", "1",
+                                 "--height", str(10**4000)], None),
+    "reduce-past-digit-limit": (["reduce", "--case", "sp:1", "--s", "1",
+                                 "--height", str(10**4000)], None),
+    "invariant-part-past-digit-limit": (["invariant"], BIG_PART_POINT),
+}
 MALFORMED = {
+    **PAST_DIGIT_LIMIT,
     "invariant-bad-json-stdin": (["invariant"], "{not json"),
     "invariant-bad-json-file": (["invariant", "--point", "{tmp}/bad.json"], None),
     "invariant-deep-json-stdin": (["invariant"], DEEP_JSON),
@@ -436,6 +458,15 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path):
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
     assert "error:" in result.stderr
+
+
+@pytest.mark.parametrize("case", sorted(PAST_DIGIT_LIMIT))
+def test_values_past_the_digit_limit_get_a_short_message_naming_it(case):
+    args, stdin = PAST_DIGIT_LIMIT[case]
+    result = run_cli(args, stdin=stdin)
+    assert result.returncode == 2
+    assert result.stderr.count("\n") == 1 and len(result.stderr) < 300
+    assert f"more than {sys.get_int_max_str_digits()} digits" in result.stderr
 
 
 @pytest.mark.parametrize("case,s,message", [

@@ -229,7 +229,8 @@ def test_cartan_split_and_projection(sel):
         for x in xs:
             jxj = linalg.mat_mul(j, linalg.mat_mul(x, j))
             x_k, x_p = cartan_split(x)
-            assert linalg.mat_eq(x_k, linalg.mat_scale(linalg.mat_sub(x, jxj), HALF))
+            assert linalg.mat_eq(
+                x_k, linalg.mat_scale(linalg.mat_add(x, linalg.mat_neg(jxj)), HALF))
             assert linalg.mat_eq(x_p, linalg.mat_scale(linalg.mat_add(x, jxj), HALF))
 
 
@@ -631,9 +632,9 @@ def _dense_action(action, cols) -> list:
     shear (V, W), I - V W, read off the representation alone."""
     head, tail = action
     if not isinstance(head, int):
-        return linalg.mat_sub(linalg.identity(cols), linalg.mat_mul(
-            _dense_action(head, 2), _dense_action(tail, cols)))
-    m = linalg.zeros(len(tail), cols)
+        return linalg.mat_add(linalg.identity(cols), linalg.mat_neg(linalg.mat_mul(
+            _dense_action(head, 2), _dense_action(tail, cols))))
+    m = [[QI(0)] * cols for _ in tail]
     for row, terms in zip(m, tail):
         for c, a, b in terms:
             row[c] += QI.from_ints(a, b, head)

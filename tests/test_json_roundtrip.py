@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorza import linalg
 from scorza.cayley_dickson import CDElement, cd_scalar
 from scorza.jordan import ALGEBRAS, JordanElement, from_upper
 from scorza.scalars import QI
@@ -94,7 +93,7 @@ def stratum_points(draw, kind):
         coords = [[draw(entry) for _ in range(p)] for _ in range(q)]
         return StratumPoint(mat_model(q, p), coords)
     n = draw(st.integers(2 if kind == "skew" else 1, 4))
-    coords = linalg.zeros(n, n)
+    coords = [[QI(0)] * n for _ in range(n)]
     for i in range(n):
         if kind == "sym":
             coords[i][i] = draw(entry)

@@ -11,10 +11,14 @@ from scorza.scalars import QI, QI_ONE, QI_ZERO
 from scorza.strata import random_point, sample_secant, skew_model
 
 
+def zeros(rows: int, cols: int) -> list:
+    return [[QI_ZERO] * cols for _ in range(rows)]
+
+
 def test_rank_known_cases():
     assert linalg.rank([[QI(1), QI(2)], [QI(2), QI(4)]]) == 1
     assert linalg.rank(linalg.identity(4)) == 4
-    assert linalg.rank(linalg.zeros(3, 5)) == 0
+    assert linalg.rank(zeros(3, 5)) == 0
     m = [[QI(0, 1), QI(1)], [QI(-1), QI(0, 1)]]  # second row = i * first
     assert linalg.rank(m) == 1
 
@@ -62,7 +66,7 @@ def test_rank_matches_plain_gauss_on_random_matrices():
 def test_rank_of_outer_product_sums():
     rng = make_rng("linalg", "outer")
     for k in range(4):
-        m = linalg.zeros(5, 7)
+        m = zeros(5, 7)
         for _ in range(k):
             u = random_qi_vector(rng, 5, 5)
             v = random_qi_vector(rng, 7, 5)
@@ -90,7 +94,7 @@ def test_inverse():
             continue
         assert linalg.mat_eq(linalg.mat_mul(m, linalg.inverse(m)), linalg.identity(4))
     with pytest.raises(InputError):
-        linalg.inverse(linalg.zeros(2, 2))
+        linalg.inverse(zeros(2, 2))
 
 
 def test_pfaffian_small_cases():
@@ -115,7 +119,7 @@ def test_pfaffian_square_is_determinant():
     rng = make_rng("linalg", "pfsq")
     for n in (4, 6, 8):
         for _ in range(10):
-            m = linalg.zeros(n, n)
+            m = zeros(n, n)
             for i in range(n):
                 for j in range(i + 1, n):
                     x = random_qi_vector(rng, 1, 5)[0]
@@ -138,9 +142,9 @@ def test_conj_transpose_and_shapes():
     assert ct[0][1] == QI(0, 1)
     assert ct[1][0] == QI(3)
     with pytest.raises(InputError):
-        linalg.mat_mul(m, linalg.zeros(3, 2))
+        linalg.mat_mul(m, zeros(3, 2))
     with pytest.raises(InputError):
-        linalg.mat_add(m, linalg.zeros(3, 2))
+        linalg.mat_add(m, zeros(3, 2))
 
 
 # --- sympy oracle for the integer-plane product ----------------------------
@@ -222,9 +226,9 @@ def test_mat_chain_matches_nested_mat_mul_and_sympy(kind):
                 expected = expected * _sympy_dm(f)
             assert got == [[_from_sympy(expected.domain.to_sympy(x)) for x in row]
                            for row in expected.to_list()]
-    zero = linalg.zeros(3, 3)
+    zero = zeros(3, 3)
     a = _oracle_matrix(rng, 2, 3, "bigden")
-    assert linalg.mat_chain(a, zero, zero) == linalg.zeros(2, 3)
+    assert linalg.mat_chain(a, zero, zero) == zeros(2, 3)
     assert linalg.mat_chain(a, zero, [[]] * 3) == [[], []]  # 2 x 0
     with pytest.raises(InputError):
         linalg.mat_chain(a, zero, a)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,7 +11,7 @@ from scorza import strata as st
 from scorza.catalog import catalog_scorza
 from scorza.errors import InputError, UnsupportedError
 from scorza.cayley_dickson import CDElement, cd_scalar, reference_multiply
-from scorza.jordan import from_upper, generic_det, jordan_rank3, sharp
+from scorza.jordan import from_upper, generic_det, jordan_rank3, sharp, trace_form
 from scorza.sampling import derive_seed, make_rng, random_qi_vector
 from scorza.scalars import HALF, QI, QI_ZERO
 from scorza.strata import (
@@ -40,6 +41,10 @@ ALL_MODELS = [sym_model(3), mat_model(3, 3), mat_model(3, 5), skew_model(6),
               skew_model(7), EXC27]
 
 
+def zeros(rows: int, cols: int) -> list:
+    return [[QI_ZERO] * cols for _ in range(rows)]
+
+
 def test_model_parsing_and_properties():
     assert parse_model("sym:3") == sym_model(3)
     assert parse_model("mat:3,5") == mat_model(3, 5)
@@ -63,12 +68,12 @@ def test_rank_of_basic_points():
     for model in ALL_MODELS:
         assert rank_of(zero_point(model)) == 0
     # e1 wedge e2 + e3 wedge e4 inside skew(6): matrix rank 4, Jordan rank 2
-    m = linalg.zeros(6, 6)
+    m = zeros(6, 6)
     for i, j in ((0, 1), (2, 3)):
         m[i][j] = QI(1)
         m[j][i] = QI(-1)
     assert rank_of(StratumPoint(skew_model(6), m)) == 2
-    e11 = linalg.zeros(3, 3)
+    e11 = zeros(3, 3)
     e11[0][0] = QI(1)
     assert rank_of(StratumPoint(sym_model(3), e11)) == 1
 
@@ -131,6 +136,24 @@ def test_relative_invariant_vanishing_and_degree():
             else:
                 scaled = StratumPoint(model, linalg.mat_scale(full.coords, lam))
             assert relative_invariant(scaled) == lam ** model.max_rank * relative_invariant(full)
+
+
+# sha256 of the JSON list of random_point(model, seed) for seeds 0..5
+RANDOM_POINT_DIGESTS = {
+    "sym:1": "f1151b29ee5a0de41776e63bff80fb5b9553e7329e79aa2f6fe6bccbfee1789e",
+    "sym:4": "04adcd852fc5a07463438adda658b9976f0e453b44a2fe10d122b1f399451c41",
+    "mat:1,4": "335d839d32768c078d6268c4e6bd2799891971f9b4e76354d88b6415640b6a7f",
+    "mat:3,5": "771c8a61e767b6957f8b686ac5b75adfc440124621ae4c7c12604847973dd75e",
+    "skew:2": "1c5dc8a9a5cc282d6561d3ab8b2ebae50dc90e15349865bc8c17a96975594858",
+    "skew:7": "3bb9ebdd55a7d6d3b7770477a8a9c9226dd2b0e03ba25d398435b21f6887dc32",
+    "exc27": "a1e7862fb9ec6d1147f22174dcb66b29ef71de04a7cfe844200df8e30c2637ca",
+}
+
+
+@pytest.mark.parametrize("sel", RANDOM_POINT_DIGESTS)
+def test_random_points_pinned(sel):
+    points = [random_point(parse_model(sel), seed).to_json() for seed in range(6)]
+    assert hashlib.sha256(json.dumps(points).encode()).hexdigest() == RANDOM_POINT_DIGESTS[sel]
 
 
 def test_relative_invariant_unsupported_models():
@@ -350,7 +373,8 @@ def _oracle_chart(model, params) -> StratumPoint:
     v, w = params[:n], params[n:]
     if model.kind == "mat":
         return StratumPoint(model, _oracle_outer(v, w))
-    return StratumPoint(model, linalg.mat_sub(_oracle_outer(v, w), _oracle_outer(w, v)))
+    return StratumPoint(model, linalg.mat_add(_oracle_outer(v, w),
+                                          linalg.mat_neg(_oracle_outer(w, v))))
 
 
 def _entries(point: StratumPoint) -> list:
@@ -406,6 +430,17 @@ def test_secant_samples_equal_the_qi_sum_of_oracle_charts(sel, height):
             got = sample_secant(model, k, seed, height)
             want = _oracle_secant(model, k, seed, height)
             assert got == want and got.to_json() == want.to_json(), (k, seed)
+
+
+@pytest.mark.parametrize("sel", ["sym:3", "mat:3,5", "skew:7", "exc27"])
+def test_secant_samples_are_ranked_on_their_plane(sel, count_calls):
+    # cost pin: the sampler hands its plane to the point and rank_of
+    # eliminates that plane, with no QI round trip
+    watched = {scalars.from_plane.__code__, scalars.to_plane.__code__}
+    model = parse_model(sel)
+    rank, calls = count_calls(lambda: rank_of(sample_secant(model, 2, 5)),
+                              lambda frame: frame.f_code in watched)
+    assert calls == 0 and rank == 3
 
 
 @pytest.mark.parametrize("sel", ["sym:3", "mat:3,5", "skew:7", "exc27"])
@@ -475,6 +510,45 @@ def _peel_exactly(p: StratumPoint) -> list:
     return pieces
 
 
+def _oracle_pairing(x: StratumPoint, c: StratumPoint) -> QI:
+    """<x, c> on QI: tr(c^t x), halved for skew; the trace form on exc27."""
+    if x.model.kind == "exc27":
+        return trace_form(x.coords, c.coords)
+    t = sum((u * v for cr, xr in zip(c.coords, x.coords) for u, v in zip(cr, xr)), QI_ZERO)
+    return t / 2 if x.model.kind == "skew" else t
+
+
+@pytest.mark.parametrize("sel", CHART_MODELS)
+def test_plane_pairing_equals_the_qi_pairing(sel):
+    # every candidate of the peeling scan, paired on the plane with random
+    # points and secant samples, against the pairing on QI
+    model = parse_model(sel)
+    m = chart_param_count(model)
+    xs = [random_point(model, seed) for seed in range(3)]
+    xs += [sample_secant(model, k, seed=k) for k in range(model.max_rank)]
+    for ones in [*zip(range(m), range(m)), *combinations(range(m), 2)]:
+        c = chart_point(model, [QI(int(t in ones)) for t in range(m)])
+        assert c.den == 1 and not any(c.flat[1::2])  # real ints at 0/1 parameters
+        nonzero = [(k, v) for k, v in enumerate(c.flat) if v]
+        for x in xs:
+            assert (st._pairing(x, nonzero) or QI_ZERO) == _oracle_pairing(x, c), (ones, x)
+
+
+@pytest.mark.parametrize("sel", ["sym:4", "mat:3,5", "skew:6", *PEEL_POINTS])
+def test_peeling_builds_no_candidate_point(sel, count_calls):
+    # cost pin: candidates stay ints, and a piece builds three points: the
+    # chosen candidate, the piece and the remainder
+    model = parse_model(sel)
+    points = [sample_secant(model, model.max_rank - 1, seed=1)]
+    if sel in PEEL_POINTS:
+        points.append(_peel_point(model, PEEL_POINTS[sel][0]))
+    for p in points:
+        for code, per_piece in ((chart_point.__code__, 0), (st._validate_coords.__code__, 3)):
+            pieces, calls = count_calls(lambda: peel_rank_one(p),
+                                        lambda frame: frame.f_code is code)
+            assert pieces and calls == per_piece * len(pieces), code.co_name
+
+
 @pytest.mark.parametrize("sel", ["sym:4", "mat:3,5", "skew:6", *PEEL_POINTS])
 def test_peeling_reconstructs_exactly(sel):
     model = parse_model(sel)
@@ -494,7 +568,7 @@ def test_peeling_stops_at_max_rank_pieces(monkeypatch):
 
     def no_progress(x, c, s):
         steps.append(c)
-        return linalg.zeros(3, 3)
+        return zeros(3, 3)
 
     monkeypatch.setattr(st, "_quadratic_map", no_progress)
     with pytest.raises(RuntimeError, match="failed to terminate"):
@@ -524,12 +598,18 @@ def test_point_validation():
         StratumPoint(sym_model(2), [[QI(0), QI(1)], [QI(2), QI(0)]])
     with pytest.raises(InputError):
         StratumPoint(skew_model(2), [[QI(0), QI(1)], [QI(1), QI(0)]])
+    with pytest.raises(InputError, match="not symmetric"):  # the imaginary parts differ
+        StratumPoint(sym_model(2), [[QI(0), QI(1, 1)], [QI(1, -1), QI(0)]])
+    with pytest.raises(InputError, match="not skew-symmetric"):  # a nonzero diagonal
+        StratumPoint(skew_model(2), [[QI(0), QI(1)], [QI(-1), QI(0, 1)]])
     with pytest.raises(InputError):
-        StratumPoint(mat_model(2, 3), linalg.zeros(3, 2))
+        StratumPoint(mat_model(2, 3), zeros(3, 2))
     with pytest.raises(TypeError):  # a point keeps no rank
-        StratumPoint(sym_model(2), linalg.zeros(2, 2), cached_rank=0)
-    with pytest.raises(AttributeError):  # nor new coordinates
-        zero_point(sym_model(2)).coords = linalg.zeros(2, 2)
+        StratumPoint(sym_model(2), zeros(2, 2), cached_rank=0)
+    with pytest.raises(AttributeError):  # nor new coordinates or a new plane
+        zero_point(sym_model(2)).coords = zeros(2, 2)
+    with pytest.raises(AttributeError):
+        zero_point(sym_model(2)).flat = (1,) * 8
 
 
 def test_points_add_and_subtract_within_one_model():
