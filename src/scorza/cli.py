@@ -319,17 +319,15 @@ def _cmd_invariant(args) -> int:
 def _cmd_reduce(args, seed: int) -> int:
     case = dp.parse_case(args.case, args.s)
     w = dp.sample_zero_level(case, seed, args.height)
-    mu_k = dp.mu_K(w)
-    mu_g = dp.mu_G(w)
-    point = dp._project_p(mu_g, case)  # mu_G(w) lies in g
+    mu_g, point = dp.reduction(w)
     rank = st.rank_of(point)
     obj = {
         "case": case.selector(),
         "s": case.s,
         "alpha": w.alpha,
-        "mu_K": mu_k,
+        "mu_K": dp.mu_K(w),
         "mu_G": mu_g,
-        "reduced_point": {**point.to_json(), "rank": rank},
+        "reduced_point": {**point.to_json(qi_leaves=True), "rank": rank},
         "rank": rank,
     }
     _emit_result(

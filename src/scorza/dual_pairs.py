@@ -6,13 +6,13 @@ Three cases, by the base division algebra of V:
   u:P,Q   K = C, V = C^{P+Q} signature (P,Q),    H = U(s),  G = U(P,Q)
   ostar:D K = H, V = H^D skew-hermitian,         H = Sp(s), G = O*(2D)
 
-Everything is stored as exact complex matrices; the quaternionic case
-carries an antilinear structure map and all quaternion-linear maps commute
-with it. The frozen bases fix the p to matrix-model identification up to a
-scalar, which no downstream test depends on (rank and vanishing only).
+Matrices are complex; the quaternionic case carries an antilinear structure
+map and all quaternion-linear maps commute with it. The frozen bases fix the
+p to matrix-model identification up to a scalar, which no downstream test
+depends on (rank and vanishing only).
 
-Two facts, checked in the tests on every case kind, carry the constants
-and the Cartan decomposition g = k + p:
+Three facts, checked in the tests on every case kind, carry the constants,
+the Cartan decomposition g = k + p and the quaternionic halving:
 
   Fact 1. G_V^2 = -I and the complex structure is J_V = -G_V, where G_V
           is the Gram matrix of the form B on V; in the ostar case the
@@ -20,57 +20,46 @@ and the Cartan decomposition g = k + p:
   Fact 2. X in g means X^H G_V + G_V X = 0, that is X^H = G_V X G_V, so
           by Fact 1 J_V X J_V = X^H. The J_V-commuting part of X is
           therefore (X - X^H)/2 and the anticommuting part (X + X^H)/2.
-
-A third fact halves the quaternionic products:
-
   Fact 3. A quaternion-linear 2m x 2n matrix M, in its complex 2x2-block
           form [[X, -conj(Y)], [Y, conj(X)]], satisfies M C_n = C_m conj(M)
-          for the structure C_k = [[0, -I_k], [I_k, 0]], so its right block
-          column is C_m conj(L) for its left block column L. Only
-          `_left_half` and `_with_right_half` know C; the rest builds an
-          ostar matrix from L and tests M == [L | C_m conj(L)]. `_chain`
-          and `_product` form only L of an ostar product. This holds only
-          for products that are quaternion-linear: every factor is
-          validated (WElement, in_group_h, in_group_g) or built
-          quaternion-linear (the generator actions, the isotropic basis,
-          `_with_right_half`).
+          for C_k = [[0, -I_k], [I_k, 0]], so its right block column is
+          C_m conj(L) for its left block column L. `_completed` appends it,
+          only to matrices validated or built quaternion-linear.
 
-The random generators of G and H are sparse actions, never matrices: per
-output row the (column, re, im) ints of the nonzero entries over one
-denominator, and for the ostar isotropic shear I - V W the pair of sparse V
-and W, applied as X - V (W X). `_act` applies one to the rows of an integer
-plane, so a zero-level sample and a random group element build QI once.
-
-Every constant of a case (G_V, J_V, the structure maps, i I on K^s) is a
-SignedPerm: per row, a column and a unit i**k. Products with it are indexing
-that negates or swaps real and imaginary parts. The dense builders
-form_v_matrix and j_v_matrix are the tests' oracle.
+A W element is its integer plane: one denominator and the interleaved
+Gaussian-integer parts of alpha, for ostar of its left block column only.
+On its split rows (`linalg.split_rows`) dagger is a sparse action, mu_K
+and mu_G are one `linalg.products` each and the projection to p writes the
+model point's plane; the random generators of G and H are sparse actions
+too, and QI is built only for public results. The constants of a case
+(G_V, J_V, the structure maps, i I on K^s) are SignedPerms, per row a
+column and a unit i**k; their dense matrices are the tests' oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from functools import partial
+from math import gcd, lcm
 from random import Random
 
 from . import linalg
 from .errors import InputError
-from .sampling import (
-    make_rng, random_qi, random_qi_matrix, random_square,
-)
-from .scalars import HALF, QI, QI_I, QI_ONE, QI_ZERO, from_plane, to_plane
+from .linalg import split_matrix, split_rows, split_transpose
+from .sampling import make_rng, random_plane, random_qi, random_qi_matrix, random_square
+from .scalars import HALF, QI, QI_I, QI_ONE, QI_ZERO, to_plane
 from .strata import (
-    PSpaceModel, StratumPoint, check_cells, mat_model, skew_model, split_selector, sym_model,
+    PSpaceModel, StratumPoint, _point, check_cells, mat_model, skew_model, split_selector,
+    sym_model,
 )
 
 KINDS = ("sp", "u", "ostar")
 
-# exact Pythagorean pairs (a/c, b/c), a^2 + b^2 = c^2, for rational rotations
-_PYTH = tuple((QI.from_ints(a, 0, c), QI.from_ints(b, 0, c))
-              for a, b, c in ((3, 4, 5), (5, 12, 13), (8, 15, 17)))
-# exact hyperbolic pairs (a/c, b/c) with a^2 - b^2 = c^2
-_HYP = tuple((QI.from_ints(a, 0, c), QI.from_ints(b, 0, c))
-             for a, b, c in ((5, 3, 4), (13, 5, 12), (17, 8, 15)))
+# exact Pythagorean triples (a, b, c), a^2 + b^2 = c^2, for rational rotations
+_PYTH = ((3, 4, 5), (5, 12, 13), (8, 15, 17))
+# exact hyperbolic triples (a, b, c) with a^2 - b^2 = c^2
+_HYP = ((5, 3, 4), (13, 5, 12), (17, 8, 15))
+_UNIT_PARTS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # the (re, im) of i**k
 
 
 CASE_GRAMMAR = "sp:L | u:P,Q | ostar:D"
@@ -84,9 +73,7 @@ class DualPairCase:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise InputError(
-                f"unknown dual-pair case {self.kind!r}; expected {CASE_GRAMMAR}"
-            )
+            raise InputError(f"unknown dual-pair case {self.kind!r}; expected {CASE_GRAMMAR}")
         expected = {"sp": 1, "u": 2, "ostar": 1}[self.kind]
         if len(self.params) != expected:
             raise InputError(f"case {self.kind} takes {expected} parameter(s)")
@@ -104,20 +91,12 @@ class DualPairCase:
 
     @property
     def r(self) -> int:
-        """Split rank of G, the saturation rank of the reduction."""
-        if self.kind == "sp":
-            return self.params[0]
-        if self.kind == "u":
-            return self.params[1]
-        return self.params[0] // 2
+        """Split rank of G, the saturation rank of the reduction: L, Q or D // 2."""
+        return self.params[-1] // (2 if self.kind == "ostar" else 1)
 
     @property
     def v_size(self) -> int:
-        if self.kind == "sp":
-            return 2 * self.params[0]
-        if self.kind == "u":
-            return sum(self.params)
-        return 2 * self.params[0]
+        return sum(self.params) if self.kind == "u" else 2 * self.params[0]
 
     @property
     def s_size(self) -> int:
@@ -157,11 +136,7 @@ class DualPairCase:
 
     def w_complex_dim(self) -> int:
         """Complex dimension of W(s) under the complex structure J_V o (.)"""
-        if self.kind == "sp":
-            return self.params[0] * self.s
-        if self.kind == "u":
-            return sum(self.params) * self.s
-        return 2 * self.params[0] * self.s
+        return self.v_size * self.s // (2 if self.kind == "sp" else 1)
 
 
 def parse_case(selector: str, s: int) -> DualPairCase:
@@ -170,9 +145,7 @@ def parse_case(selector: str, s: int) -> DualPairCase:
 
 
 def _block(a, b, c, d) -> list:
-    top = [ra + rb for ra, rb in zip(a, b)]
-    bot = [rc + rd for rc, rd in zip(c, d)]
-    return top + bot
+    return [ra + rb for ra, rb in zip(a, b)] + [rc + rd for rc, rd in zip(c, d)]
 
 
 @dataclass(frozen=True)
@@ -207,100 +180,155 @@ def _omega(n: int, sign: int) -> SignedPerm:
     return SignedPerm(tuple((n + i, k) for i in range(n)) + tuple((i, k ^ 2) for i in range(n)))
 
 
+# --- split rows ------------------------------------------------------------------
+
+def _plane(m: list) -> tuple:
+    """(den, split rows) of a QI matrix, over the lcm of its entries' d."""
+    den, flat = to_plane([x for row in m for x in row])
+    return den, split_rows(flat, len(m[0]))
+
+
+def _completed(case: DualPairCase, rows: list) -> list:
+    """For ostar, the split rows of [L | C conj(L)], C = _omega(m, -1), for
+    the 2m split rows of L (Fact 3). Otherwise rows."""
+    if case.kind != "ostar":
+        return rows
+    m = len(rows) // 2
+    right = [([-p for p in re], im) for re, im in rows[m:]] + [
+        (re, [-q for q in im]) for re, im in rows[:m]]
+    return [([*re, *r_re], [*im, *r_im]) for (re, im), (r_re, r_im) in zip(rows, right)]
+
+
 def _chain(case: DualPairCase, *factors: list) -> list:
     """The product of the factors, as `linalg.mat_chain`. For ostar the
     product must be quaternion-linear: only the left half of the last
     factor's columns is multiplied, and the result is completed (Fact 3)."""
+    if case.kind != "ostar":
+        return linalg.mat_chain(*factors)
     *left, last = factors
-    return _with_right_half(case, linalg.mat_chain(*left, _left_half(case, last)))
-
-
-def _left_half(case: DualPairCase, m: list) -> list:
-    """For ostar, the left block column of m (Fact 3). Otherwise m."""
-    if case.kind != "ostar":
-        return m
-    half = len(m[0]) // 2
-    return [row[:half] for row in m]
-
-
-def _with_right_half(case: DualPairCase, lhalf: list) -> list:
-    """For ostar, [L | C conj(L)] with C = _omega(rows // 2, -1): the
-    quaternion-linear matrix with left block column L (Fact 3). Otherwise L."""
-    if case.kind != "ostar":
-        return lhalf
-    rhalf = _omega(len(lhalf) // 2, -1).left(linalg.mat_conj(lhalf))
-    return [a + b for a, b in zip(lhalf, rhalf)]
+    den, rows = _plane(linalg.mat_chain(*left, [row[:len(row) // 2] for row in last]))
+    return split_matrix(den, _completed(case, rows))
 
 
 def _is_h_linear(case: DualPairCase, m: list) -> bool:
     """Quaternion-linearity of an ostar matrix [L | R], M C_n = C_m conj(M):
     as C conj(C conj(L)) = -L, it holds exactly when R = C_m conj(L), that
     is when m is the completion of its left half. True off ostar."""
-    return m == _with_right_half(case, _left_half(case, m))
+    if case.kind != "ostar":
+        return True
+    half, rows = len(m[0]) // 2, _plane(m)[1]
+    return _completed(case, [(re[:half], im[:half]) for re, im in rows]) == rows
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class WElement:
+    """A case and the integer plane of alpha in lowest terms: `flat` / `den`
+    is its first s columns row by row, all of alpha but for ostar (Fact 3).
+    `WElement(case, alpha)` takes and checks a QI matrix, which `alpha`
+    builds back on each read. `checked_mu_K` is None but on a
+    `sample_zero_level` element: the (den^2, split rows) of -mu_K(a) that
+    the sample checked to be 0. Forming it again made the reduce items of a
+    moment pass 7% slower (in-process A/B, 2 vCPUs, Python 3.11)."""
+
     case: DualPairCase
-    alpha: list  # v_size x s_size complex matrix
-    # mu_K(alpha), set by sample_zero_level alone: the value of its safety
-    # check, which mu_K returns. Kept on purpose: forming it again made a
-    # moment benchmark pass 4-7% slower (2 vCPUs, Python 3.11, in-process
-    # alternating runs; faster in at most 5 of 16 pairs).
-    checked_mu_K = None
+    den: int
+    flat: tuple
 
-    def __post_init__(self):
-        rows, cols = linalg.shape(self.alpha)
-        if any(len(row) != cols for row in self.alpha):
+    def __init__(self, case: DualPairCase, alpha: list):
+        self.__post_init__(case, alpha)
+
+    def __post_init__(self, case: DualPairCase, alpha: list):
+        # the public checks, under the name perfbench/tracer.py spans
+        rows, cols = linalg.shape(alpha)
+        if any(len(row) != cols for row in alpha):
             raise InputError("alpha rows have different lengths")
-        if (rows, cols) != (self.case.v_size, self.case.s_size):
-            raise InputError(
-                f"alpha must be {self.case.v_size}x{self.case.s_size}, got {rows}x{cols}"
-            )
-        if self.case.real_entries and not linalg.is_real_matrix(self.alpha):
+        if (rows, cols) != (case.v_size, case.s_size):
+            raise InputError(f"alpha must be {case.v_size}x{case.s_size}, got {rows}x{cols}")
+        if case.real_entries and not linalg.is_real_matrix(alpha):
             raise InputError("case sp uses real matrices")
-        if not _is_h_linear(self.case, self.alpha):
+        if not _is_h_linear(case, alpha):
             raise InputError("alpha does not commute with the quaternionic structure")
+        left = to_plane([x for row in alpha for x in row[:case.s]])
+        self.__dict__.update(vars(_element(case, *left)))
 
-    @staticmethod
-    def _trusted(case: DualPairCase, alpha: list) -> "WElement":
-        """The element with this alpha, built without `__post_init__`'s
-        checks: for alpha of the right shape that is real (sp) or
-        quaternion-linear (ostar) by construction, such as a zero-level
-        sample or a moved element y alpha x^-1 of checked x and y."""
-        w = object.__new__(WElement)
-        w.__dict__.update(case=case, alpha=alpha)
-        return w
+    @property
+    def alpha(self) -> list:
+        return split_matrix(self.den, _rows(self))
 
     def to_json(self) -> dict:
-        return {
-            "case": self.case.selector(),
-            "s": self.case.s,
-            "alpha": linalg.matrix_to_json(self.alpha),
-        }
+        return {"case": self.case.selector(), "s": self.case.s,
+                "alpha": linalg.matrix_to_json(self.alpha)}
+
+
+def _element(case: DualPairCase, den: int, flat: list, checked_mu_K=None) -> WElement:
+    """The element of the plane flat / den in lowest terms, without the public
+    checks: for a plane of the right shape that is real (sp) by construction."""
+    g = gcd(den, *flat)
+    if g > 1:
+        den, flat = den // g, [v // g for v in flat]
+    w = object.__new__(WElement)
+    w.__dict__.update(case=case, den=den, flat=tuple(flat), checked_mu_K=checked_mu_K)
+    return w
+
+
+def _rows(w: WElement) -> list:
+    return _completed(w.case, split_rows(w.flat, w.case.s))
 
 
 # --- momentum maps -------------------------------------------------------------
 
+def _dagger_columns(case: DualPairCase, rows: list) -> list:
+    """The split columns of dagger(a) = a^H J_V = (G_V a)^H for the split
+    rows of a: the conjugated rows of G_V a."""
+    return [(re, [-q for q in im]) for re, im in _act(_units(case.form_v().entries), (1, rows))[1]]
+
+
 def dagger(w: WElement) -> list:
     """The adjoint map V -> K^s defined by (dagger(a) u, v) = B(u, a v):
     a^H G_V^H = a^H J_V, as G_V is skew-hermitian."""
-    return (-w.case.form_v()).right(linalg.conj_transpose(w.alpha))
+    return split_matrix(w.den, split_transpose(_dagger_columns(w.case, _rows(w))))
+
+
+def _times(case: DualPairCase, den: int, rows: list, cols: list) -> tuple:
+    """(den^2, split rows) of R C for the split rows of R and the split
+    columns of C over den; for ostar only the left half of C's columns is
+    multiplied, and the product is completed (Fact 3)."""
+    if case.kind == "ostar":
+        cols = cols[:len(cols) // 2]
+    return den ** 2, _completed(case, linalg.products(cols, rows))
+
+
+def _mu_g(w: WElement, zero_level: bool = False) -> tuple:
+    """mu_G(w) = a dagger(a), as `_times`; zero_level checks mu_K(w) = 0 first."""
+    if zero_level and not _is_zero(_checked_mu_k(w)[1]):
+        raise InputError("reduced_point needs mu_K(alpha) = 0")
+    rows = _rows(w)
+    return _times(w.case, w.den, rows, _dagger_columns(w.case, rows))
+
+
+def _dagger_alpha(case: DualPairCase, den: int, rows: list) -> tuple:
+    """dagger(a) a = -mu_K(a) for the split rows of a over den, as `_times`."""
+    dag = split_transpose(_dagger_columns(case, rows))
+    return _times(case, den, dag, split_transpose(rows))
+
+
+def _checked_mu_k(w: WElement) -> tuple:
+    return w.checked_mu_K or _dagger_alpha(w.case, w.den, _rows(w))
+
+
+def _is_zero(rows: list) -> bool:
+    return not any(any(re) or any(im) for re, im in rows)
 
 
 def mu_K(w: WElement) -> list:
-    """Momentum map for the compact group H: -dagger(a) a, valued in Lie(H).
-    For ostar only its left block column is multiplied (Fact 3). A
-    `sample_zero_level` element returns the value that sampling checked."""
-    if w.checked_mu_K is not None:
-        return w.checked_mu_K
-    return linalg.mat_neg(_chain(w.case, dagger(w), w.alpha))
+    """Momentum map for the compact group H: -dagger(a) a, valued in Lie(H)."""
+    # the sign stays on QI while perfbench's moment test asserts qi_ops > 0 (ROADMAP 10)
+    return linalg.mat_neg(split_matrix(*_checked_mu_k(w)))
 
 
 def mu_G(w: WElement) -> list:
-    """Momentum map for G: a dagger(a), valued in Lie(G). For ostar only its
-    left block column is multiplied (Fact 3)."""
-    return _chain(w.case, w.alpha, dagger(w))
+    """Momentum map for G: a dagger(a), valued in Lie(G)."""
+    return split_matrix(*_mu_g(w))
 
 
 def in_lie_h(case: DualPairCase, x: list) -> bool:
@@ -342,9 +370,9 @@ def _is_member(case: DualPairCase, x: list, on_v: bool, group: bool) -> bool:
 def equivariance_check(w: WElement, x: list, y: list) -> bool:
     """Ad-equivariance of both momentum maps under (x, y) . a = y a x^-1:
     mu_K(y a x^-1) = x mu_K(a) x^-1 and mu_G(y a x^-1) = y mu_G(a) y^-1.
-    Each side is one product chain; x and y are checked group elements, so
-    for ostar every chain is quaternion-linear and formed on its left block
-    column (Fact 3)."""
+    Each side is one QI product chain; x and y are checked group elements,
+    so for ostar every chain is quaternion-linear and formed on its left
+    block column (Fact 3)."""
     case = w.case
     if not in_group_h(case, x):
         raise InputError("x does not lie in the compact group H")
@@ -356,7 +384,8 @@ def equivariance_check(w: WElement, x: list, y: list) -> bool:
     x_inv = linalg.conj_transpose(x)
     y_inv = (-form).left(form.right(linalg.conj_transpose(y)))
     alpha, dag = w.alpha, dagger(w)
-    moved = WElement._trusted(case, _chain(case, y, alpha, x_inv))
+    moved = _chain(case, y, alpha, x_inv)
+    moved = _element(case, *to_plane([v for row in moved for v in row[:case.s]]))
     rhs_k = linalg.mat_neg(_chain(case, x, dag, alpha, x_inv))
     rhs_g = _chain(case, y, alpha, dag, y_inv)
     return linalg.mat_eq(mu_K(moved), rhs_k) and linalg.mat_eq(mu_G(moved), rhs_g)
@@ -379,29 +408,38 @@ def cartan_project(x: list, case: DualPairCase) -> StratumPoint:
     where [A | B] are the first rows of X_p."""
     if not in_lie_g(case, x):
         raise InputError("X does not lie in the Lie algebra of G")
-    return _project_p(x, case)
+    return _project_p(case, *_plane(x))
 
 
-def _project_p(x: list, case: DualPairCase) -> StratumPoint:
-    """`cartan_project` for X known to lie in g, such as mu_G(w)."""
+def _project_p(case: DualPairCase, den: int, x: list) -> StratumPoint:
+    """`cartan_project` for X known to lie in g, such as mu_G(w), given by
+    its split rows over den: the model point's plane over 2 den, read off
+    2 X_p = X + X^H."""
 
-    def x_p(i, j):  # entry (i, j) of the p part from cartan_split
-        return (x[i][j] + x[j][i].conjugate()) * HALF
+    def part(i, j):  # 2 x_p(i, j) as (re, im)
+        return x[i][0][j] + x[j][0][i], x[i][1][j] - x[j][1][i]
 
-    n = case.params[0]
+    n, flat = case.params[0], []
     if case.kind == "u":
-        m = [[x_p(i, j) for j in range(n)] for i in range(n, case.v_size)]
-    else:
-        k = 1 if case.kind == "sp" else 3  # the unit i or -i
-        m = [[x_p(i, j) + x_p(i, n + j).times_unit(k) for j in range(n)] for i in range(n)]
-    return StratumPoint(case.model(), m)
+        flat = [p for i in range(n, case.v_size) for j in range(n) for p in part(i, j)]
+    else:  # 2 x_p(i, j) + sign i 2 x_p(i, n + j): the unit i (sp) or -i (ostar)
+        sign = 1 if case.kind == "sp" else -1
+        for i in range(n):
+            for j in range(n):
+                (a, b), (p, q) = part(i, j), part(i, n + j)
+                flat += (a - sign * q, b + sign * p)
+    return _point(case.model(), 2 * den, flat)
 
 
 def reduced_point(w: WElement) -> StratumPoint:
     """Image of a zero-level element in the matrix model; rank <= min(s, r)."""
-    if not linalg.is_zero_matrix(mu_K(w)):
-        raise InputError("reduced_point needs mu_K(alpha) = 0")
-    return _project_p(mu_G(w), w.case)
+    return _project_p(w.case, *_mu_g(w, zero_level=True))
+
+
+def reduction(w: WElement) -> tuple:
+    """mu_G(w) and reduced_point(w) of a zero-level element, from one product."""
+    mu_g = _mu_g(w, zero_level=True)
+    return split_matrix(*mu_g), _project_p(w.case, *mu_g)
 
 
 def veronese_map(case: DualPairCase, v: list) -> StratumPoint:
@@ -416,8 +454,8 @@ def veronese_map(case: DualPairCase, v: list) -> StratumPoint:
         raise InputError(f"vector must have {case.v_size} coordinates")
     # for ostar J_q(v) = C conj(v) is the second column; the public checks
     # stay, as v comes from the caller
-    w = WElement(case, _with_right_half(case, [[x] for x in v]))
-    return _project_p(mu_G(w), case)
+    den, rows = _plane([[x] for x in v])
+    return _project_p(case, *_mu_g(WElement(case, split_matrix(den, _completed(case, rows)))))
 
 
 # --- sampling -------------------------------------------------------------------
@@ -427,65 +465,59 @@ def random_w_element(case: DualPairCase, seed: int) -> WElement:
     height = 10
     rng = make_rng(seed, "w-element", case.selector(), case.s, height)
     # for ostar the left block column [x; y] of x + j y, with case.s columns
-    lhalf = random_qi_matrix(rng, case.v_size, case.s, height, real=case.real_entries)
-    return WElement._trusted(case, _with_right_half(case, lhalf))
+    return _element(case, *random_plane(rng, case.v_size * case.s, height,
+                                        real=case.real_entries))
 
 
-def _isotropic_support(case: DualPairCase) -> list:
+def _isotropic_basis(case: DualPairCase) -> tuple:
     """A basis of a maximal B-isotropic subspace of V (complex span; closed
-    under the quaternionic structure in the ostar case), as sparse columns:
-    per column its entries (row, k), each i**k."""
-    if case.kind == "sp":  # e_i, i < L
-        return [[(i, 0)] for i in range(case.params[0])]
-    if case.kind == "u":  # e_i + e_{P+i}, i < Q
+    under the quaternionic structure in the ostar case): its size, and the
+    sparse action of the matrix of its columns."""
+    if case.kind == "sp":  # e_i, i < L; per column its entries (row, k), each i**k
+        cols = [[(i, 0)] for i in range(case.params[0])]
+    elif case.kind == "u":  # e_i + e_{P+i}, i < Q
         p, q = case.params
-        return [[(i, 0), (p + i, 0)] for i in range(q)]
-    # u_m = e_2m + i e_2m+1, then their images e_D+2m - i e_D+2m+1 under C conj
-    d = case.params[0]
-    return [[(o + 2 * m, 0), (o + 2 * m + 1, k)]
-            for o, k in ((0, 1), (d, 3)) for m in range(case.r)]
+        cols = [[(i, 0), (p + i, 0)] for i in range(q)]
+    else:  # u_m = e_2m + i e_2m+1, then their images e_D+2m - i e_D+2m+1 under C conj
+        d = case.params[0]
+        cols = [[(o + 2 * m, 0), (o + 2 * m + 1, k)]
+                for o, k in ((0, 1), (d, 3)) for m in range(case.r)]
+    rows = [[] for _ in range(case.v_size)]
+    for col, entries in enumerate(cols):
+        for row, k in entries:
+            rows[row].append((col, *_UNIT_PARTS[k]))
+    return len(cols), (1, rows)
 
 
 def sample_zero_level(case: DualPairCase, seed: int, height: int = 10) -> WElement:
-    """An exact point of the zero level of mu_K.
+    """An exact point of the zero level of mu_K, built on ints with no QI.
 
     Columns are drawn inside a fixed maximal isotropic subspace (so the
     image is B-isotropic, which is exactly mu_K = 0) and then moved by two
     random exact G elements. Any s >= 1 is allowed; for s above the
     isotropic dimension the columns are simply dependent.
-
-    The coefficients beta go to the integer plane once (for ostar only
-    their left block column); the isotropic basis and the six drawn
-    generators act on that plane as sparse actions, right to left, and QI
-    is built once for the result. No generator is formed as a matrix, and
-    the only matrix product is the mu_K check, whose value the element
-    keeps as `checked_mu_K` for `mu_K` to return.
     """
     rng = make_rng(seed, "zero-level", case.selector(), case.s, height)
-    support = _isotropic_support(case)
+    size, basis = _isotropic_basis(case)
     # for ostar the left block column [x; y] of x + j y, with case.s columns
-    beta = random_qi_matrix(rng, len(support), case.s, height, real=case.real_entries)
+    den, beta = random_plane(rng, size * case.s, height, real=case.real_entries)
     # mix m multiplies by g_m1 g_m2 g_m3; the last mix is leftmost
     mix_gens = [[_g_generator(case, rng) for _ in range(3)] for _ in range(2)]
-    basis = [[] for _ in range(case.v_size)]
-    for col, entries in enumerate(support):
-        for row, k in entries:
-            basis[row].append((col, SignedPerm.UNITS[k]))
-    chain = [g for gens in reversed(mix_gens) for g in gens] + [_sparse(basis)]
-    w = WElement._trusted(case, _product(case, chain, _plane(beta)))
-    mu_k = mu_K(w)
-    if not linalg.is_zero_matrix(mu_k):
+    plane = (den, split_rows(beta, case.s))
+    for action in [basis] + [g for gens in mix_gens for g in reversed(gens)]:
+        plane = _act(action, plane)
+    den, rows = plane
+    checked = _dagger_alpha(case, den, _completed(case, rows))
+    if not _is_zero(checked[1]):
         raise RuntimeError("zero-level construction failed; isotropy violated")
-    w.checked_mu_K = mu_k
-    return w
+    return _element(case, den, [p for re, im in rows for pair in zip(re, im) for p in pair],
+                    checked)
 
 
 def random_lie_g(case: DualPairCase, rng: Random) -> list:
     """A random element of Lie(G), built directly from the block structure."""
     height = 5
-
-    def qi():  # real in the sp case
-        return random_qi(rng, height, real=case.real_entries)
+    qi = partial(random_qi, rng, height, real=case.real_entries)  # real in the sp case
 
     def anti(x):
         return -x.conjugate()
@@ -498,61 +530,43 @@ def random_lie_g(case: DualPairCase, rng: Random) -> list:
         return _block(a, b, c, linalg.mat_neg(linalg.transpose(a)))
     if case.kind == "u":
         p, q = case.params
-        a = random_square(p, lambda: random_qi(rng, height, real=True).times_unit(1), qi, anti)
-        d = random_square(q, lambda: random_qi(rng, height, real=True).times_unit(1), qi, anti)
+        a, d = (random_square(n, lambda: random_qi(rng, height, real=True).times_unit(1), qi, anti)
+                for n in (p, q))
         b = random_qi_matrix(rng, p, q, height)
         return _block(a, b, linalg.conj_transpose(b), d)
     d = case.params[0]
     a = random_square(d, lambda: QI_ZERO, qi, lambda x: -x)  # complex skew
     b = random_square(d, lambda: random_qi(rng, height, real=True), qi, QI.conjugate)
-    return _block(
-        a, b, linalg.mat_neg(linalg.mat_conj(b)), linalg.mat_conj(a)
-    )
+    return _block(a, b, linalg.mat_neg(linalg.mat_conj(b)), linalg.mat_conj(a))
 
 
 # --- exact random group elements -------------------------------------------------
-#
-# A plane (den, rows) holds a matrix as per-row (re, im) int lists over one
-# denominator, the integer plane of `scalars` with its parts split. A sparse
-# action (den, rows) holds per row the (column, re, im) ints of its nonzero
-# entries (re + i im) / den; the ostar isotropic shear is a pair (V, W) of them.
 
 def random_h_element(case: DualPairCase, rng: Random) -> list:
     """A product of three random generators of H, their actions applied to
     the identity (for ostar only to its left half, Fact 3)."""
-    gens = [_h_generator(case, rng) for _ in range(3)]
-    return _product(case, gens, _plane(_left_half(case, linalg.identity(case.s_size))))
+    return _product(case, [_h_generator(case, rng) for _ in range(3)], case.s_size)
 
 
 def random_g_element(case: DualPairCase, rng: Random) -> list:
     """A product of three random generators of G, their actions applied to
     the identity (for ostar only to its left half, Fact 3)."""
-    gens = [_g_generator(case, rng) for _ in range(3)]
-    return _product(case, gens, _plane(_left_half(case, linalg.identity(case.v_size))))
+    return _product(case, [_g_generator(case, rng) for _ in range(3)], case.v_size)
 
 
-def _plane(m: list) -> tuple:
-    """The plane of a QI matrix, over the lcm of its entries' d."""
-    den, flat = to_plane([x for row in m for x in row])
-    w = 2 * len(m[0])
-    return den, [(flat[i:i + w:2], flat[i + 1:i + w:2]) for i in range(0, len(flat), w)]
-
-
-def _product(case: DualPairCase, actions: list, plane: tuple) -> list:
-    """The QI matrix actions[0] ... actions[-1] X for the plane of X, applied
-    right to left. For ostar, X is a left block column and the product's
-    right block column C conj(L) is appended (Fact 3)."""
+def _product(case: DualPairCase, actions: list, n: int) -> list:
+    cols = n // 2 if case.kind == "ostar" else n
+    plane = (1, [([int(i == j) for j in range(cols)], [0] * cols) for i in range(n)])
     for action in reversed(actions):
         plane = _act(action, plane)
-    den, rows = plane
-    return _with_right_half(case, [from_plane(den, [p for pair in zip(re, im) for p in pair])
-                                   for re, im in rows])
+    return split_matrix(plane[0], _completed(case, plane[1]))
 
 
 def _act(action: tuple, plane: tuple) -> tuple:
-    """The plane of M X for an action M and the plane (den, rows) of X. Row
-    i of a sparse M X is the sum over the terms (c, re, im) of row i of
-    (re + i im) times row c of X; a shear (V, W) is applied as X - V (W X)."""
+    """The plane of M X for an action M and the plane (den, split rows) of
+    X. Row i of a sparse M X is the sum over the terms (c, re, im) of row i
+    of (re + i im) times row c of X; a shear (V, W) is applied as
+    X - V (W X)."""
     head, tail = action
     den, rows = plane
     if not isinstance(head, int):  # a shear (V, W)
@@ -579,18 +593,10 @@ def _act(action: tuple, plane: tuple) -> tuple:
     return den * head, out
 
 
-def _sparse(rows: list) -> tuple:
-    """The sparse action of a matrix given per row as (column, QI) entries,
-    over the lcm of their d; zero entries are dropped."""
-    den = lcm(*[x.d for row in rows for _, x in row])
-    return den, [[(c, x.a * (den // x.d), x.b * (den // x.d)) for c, x in row if x]
-                 for row in rows]
-
-
 def _units(entries) -> tuple:
     """The sparse action of a signed permutation: row r holds i**k in column
     c, for (c, k) = entries[r], as in `SignedPerm`."""
-    return _sparse([[(c, SignedPerm.UNITS[k])] for c, k in entries])
+    return 1, [[(c, *_UNIT_PARTS[k])] for c, k in entries]
 
 
 def _permutation(rng: Random, n: int, signs: bool = True, phases: bool = False) -> tuple:
@@ -609,28 +615,39 @@ def _rotation(rng: Random, n: int) -> tuple:
     R^n; the identity for n < 2."""
     if n < 2:
         return _units([(i, 0) for i in range(n)])
-    c, s = _PYTH[rng.randrange(len(_PYTH))]
-    return _plane_rotations(n, [rng.sample(range(n), 2)], c, s, -s)
+    a, b, c = _PYTH[rng.randrange(len(_PYTH))]
+    return _plane_rotations(n, [rng.sample(range(n), 2)], c, a, b, -b)
 
 
-def _plane_rotations(n: int, planes, c, s, t) -> tuple:
-    """The sparse n x n identity with [[c, s], [t, c]] on rows and columns
-    i, j for each plane (i, j)."""
-    rows = [[(i, QI_ONE)] for i in range(n)]
+def _plane_rotations(n: int, planes, den: int, c: int, s: int, t: int) -> tuple:
+    """The sparse n x n identity with [[c, s], [t, c]] / den on rows and
+    columns i, j for each plane (i, j)."""
+    rows = [[(i, den, 0)] for i in range(n)]
     for i, j in planes:
-        rows[i] = [(i, c), (j, s)]
-        rows[j] = [(i, t), (j, c)]
-    return _sparse(rows)
+        rows[i] = [(i, c, 0), (j, s, 0)]
+        rows[j] = [(i, t, 0), (j, c, 0)]
+    return den, rows
 
 
 def _quaternion_monomial(entries) -> tuple:
     """The sparse block form [[a, -conj(b)], [b, conj(a)]] of the monomial
-    quaternionic matrix a + j b with row i holding qa in a and qb in b, both
-    in column c, for (c, qa, qb) = entries[i]."""
-    d = len(entries)
-    top = [[(c, qa), (d + c, -qb.conjugate())] for c, qa, qb in entries]
-    bot = [[(c, qb), (d + c, qa.conjugate())] for c, qa, qb in entries]
-    return _sparse(top + bot)
+    quaternionic matrix a + j b with row i holding a and b in column c, for
+    (c, (ar, ai, br, bi, e)) = entries[i]: a = (ar + i ai) / e, b likewise."""
+    d, den = len(entries), lcm(*[q[4] for _, q in entries])
+    top, bot = [], []
+    for c, (ar, ai, br, bi, e) in entries:
+        m = den // e
+        top.append([t for t in ((c, ar * m, ai * m), (d + c, -br * m, bi * m)) if t[1] or t[2]])
+        bot.append([t for t in ((c, br * m, bi * m), (d + c, ar * m, -ai * m)) if t[1] or t[2]])
+    return den, top + bot
+
+
+# unit quaternions (ar, ai, br, bi, e): +-1, +-i, +-j, +-ij, 3/5 + 4/5 j, 3/5 + 4/5 ij
+_H_UNITS = ((1, 0, 0, 0, 1), (-1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, -1, 0, 0, 1),
+            (0, 0, 1, 0, 1), (0, 0, -1, 0, 1), (0, 0, 0, 1, 1), (0, 0, 0, -1, 1),
+            (3, 0, 4, 0, 5), (3, 0, 0, 4, 5))
+# +-1, +-j, 3/5 + 4/5 j, 5/13 + 12/13 j
+_G_UNITS = _H_UNITS[:2] + _H_UNITS[4:6] + ((3, 0, 4, 0, 5), (5, 0, 12, 0, 13))
 
 
 def _h_generator(case: DualPairCase, rng: Random) -> tuple:
@@ -639,22 +656,15 @@ def _h_generator(case: DualPairCase, rng: Random) -> tuple:
     if case.kind == "sp":
         return _rotation(rng, s) if rng.random() < 0.5 else _units(_permutation(rng, s))
     if case.kind == "u":
-        pick = rng.randrange(3)
-        if pick == 0:
-            return _units(_permutation(rng, s, phases=True))
+        pick = rng.randrange(3)  # a phase permutation, a rotation or a permutation
         if pick == 1:
             return _rotation(rng, s)
-        return _units(_permutation(rng, s, signs=False))
+        return _units(_permutation(rng, s, signs=pick == 0, phases=pick == 0))
     # ostar: quaternionic permutations and unit-quaternion diagonals
     if rng.random() < 0.5:
-        return _quaternion_monomial([(c, QI_ONE, QI_ZERO)
+        return _quaternion_monomial([(c, _H_UNITS[0])
                                      for c, _ in _permutation(rng, s, signs=False)])
-    units = [
-        (QI_ONE, QI_ZERO), (-QI_ONE, QI_ZERO), (QI_I, QI_ZERO), (-QI_I, QI_ZERO),
-        (QI_ZERO, QI_ONE), (QI_ZERO, -QI_ONE), (QI_ZERO, QI_I), (QI_ZERO, -QI_I),
-        _PYTH[0], (_PYTH[0][0], _PYTH[0][1].times_unit(1)),  # 3/5 + 4/5 j, 3/5 + 4/5 ij
-    ]
-    return _quaternion_monomial([(i, *units[rng.randrange(len(units))]) for i in range(s)])
+    return _quaternion_monomial([(i, _H_UNITS[rng.randrange(len(_H_UNITS))]) for i in range(s)])
 
 
 def _g_generator(case: DualPairCase, rng: Random) -> tuple:
@@ -666,55 +676,44 @@ def _g_generator(case: DualPairCase, rng: Random) -> tuple:
     if case.kind == "sp":
         ell = case.params[0]
         pick = rng.randrange(3)
-        rows = [[(i, QI_ONE)] for i in range(2 * ell)]
+        rows = [[(i, 1, 0)] for i in range(2 * ell)]
         if pick < 2:
-            def small():
-                return QI(rng.randint(-2, 2))
-
+            small = partial(rng.randint, -2, 2)
             b = random_square(ell, small, small, lambda x: x)  # symmetric
             # [[I, b], [0, I]] (pick 0) or [[I, 0], [b, I]] (pick 1)
             shift = ell * pick
             for i, brow in enumerate(b):
-                rows[shift + i] += [(ell - shift + j, x) for j, x in enumerate(brow)]
+                rows[shift + i] += [(ell - shift + j, x, 0) for j, x in enumerate(brow) if x]
         elif ell >= 2:
             i, j = rng.sample(range(ell), 2)
-            x = QI(rng.randint(-2, 2))
-            rows[i].append((j, x))
-            rows[ell + j].append((ell + i, -x))
-        return _sparse(rows)
+            x = rng.randint(-2, 2)
+            rows[i].append((j, x, 0))
+            rows[ell + j].append((ell + i, -x, 0))
+        return 1, rows
     if case.kind == "u":
         p, q = case.params
-        if rng.random() < 0.5:
-            # block unitary
-            top = _permutation(rng, p, phases=True)
-            bot = _permutation(rng, q, phases=True)
+        if rng.random() < 0.5:  # block unitary
+            top, bot = (_permutation(rng, n, phases=True) for n in (p, q))
             return _units(top + tuple((p + c, k) for c, k in bot))
-        c, s = _HYP[rng.randrange(len(_HYP))]  # a hyperbolic boost
-        return _plane_rotations(p + q, [(rng.randrange(p), p + rng.randrange(q))], c, s, s)
+        a, b, c = _HYP[rng.randrange(len(_HYP))]  # a hyperbolic boost
+        return _plane_rotations(p + q, [(rng.randrange(p), p + rng.randrange(q))], c, a, b, b)
     # ostar
     d = case.params[0]
     pick = rng.randrange(3)
     if pick == 0:
-        units = [
-            (QI_ONE, QI_ZERO), (-QI_ONE, QI_ZERO),
-            (QI_ZERO, QI_ONE), (QI_ZERO, -QI_ONE),
-            _PYTH[0], _PYTH[1],  # 3/5 + 4/5 j, 5/13 + 12/13 j
-        ]
-        return _quaternion_monomial([(c, *units[rng.randrange(len(units))])
+        return _quaternion_monomial([(c, _G_UNITS[rng.randrange(len(_G_UNITS))])
                                      for c, _ in _permutation(rng, d, signs=False)])
     if pick == 1:
         # c I + s J_V with J_V = [[0, I], [-I, 0]]
-        c, s = _PYTH[rng.randrange(len(_PYTH))]
-        return _plane_rotations(2 * d, [(i, d + i) for i in range(d)], c, s, -s)
+        a, b, c = _PYTH[rng.randrange(len(_PYTH))]
+        return _plane_rotations(2 * d, [(i, d + i) for i in range(d)], c, a, b, -b)
     # isotropic shear I - (v v^H + u u^H) K = I - V W with V = [v | u],
     # u = J_q v = C conj(v), and W = V^H K = [-u | v]^T, as K = C (Fact 1),
-    # C^T = -C and C^2 = -I; v = B c is placed from the isotropic basis B
-    v = [QI_ZERO] * (2 * d)
-    for entries in _isotropic_support(case):
-        coef = random_qi(rng, 3)
-        for row, k in entries:
-            v[row] = coef.times_unit(k)
-    vu = _with_right_half(case, [[x] for x in v])
-    return (_sparse([[(0, a), (1, b)] for a, b in vu]),
-            _sparse([[(k, -b) for k, (_, b) in enumerate(vu)],
-                     [(k, a) for k, (a, _) in enumerate(vu)]]))
+    # C^T = -C and C^2 = -I; v = B c for the isotropic basis B
+    size, basis = _isotropic_basis(case)
+    den, coef = random_plane(rng, size, 3)
+    den, v = _act(basis, (den, split_rows(coef, 1)))
+    vu = [tuple(zip(re, im)) for re, im in _completed(case, v)]  # per row (v_r, u_r)
+    return ((den, [[(k, *x) for k, x in enumerate(row) if any(x)] for row in vu]),
+            (den, [[(k, -u[0], -u[1]) for k, (_, u) in enumerate(vu) if any(u)],
+                   [(k, *x) for k, (x, _) in enumerate(vu) if any(x)]]))

@@ -5,8 +5,11 @@ Matrices are plain lists of lists of QI. Products, rank and det run on
 the integer plane of `scalars` (one denominator, interleaved integer real
 and imaginary parts). Every product is a chain, mat_chain, formed right to
 left: each factor goes to the plane once, the running product stays column
-planes over one denominator summed as plain ints, and QI is built only for
-the result; mat_mul is its two-factor case.
+planes over one denominator summed as plain ints by `products`, and QI is
+built only for the result; mat_mul is its two-factor case. `products` is
+also the kernel of the momentum maps of `dual_pairs`, which hold their
+matrices as split rows: per row the int lists of its real and imaginary
+parts over one denominator (`split_rows`, `split_transpose`, `split_matrix`).
 
 There are three eliminations. Rank and det of QI matrices share
 _eliminate, a fraction-free (Bareiss 1968) elimination over Z[i] in place on
@@ -24,6 +27,7 @@ inverts.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import prod
 from operator import mul
 
@@ -31,10 +35,6 @@ from .errors import InputError
 from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, to_plane
 
 Matrix = list  # list[list[QI]]
-
-
-def identity(n: int) -> Matrix:
-    return [[QI_ONE if i == j else QI_ZERO for j in range(n)] for i in range(n)]
 
 
 def shape(m: Matrix) -> tuple[int, int]:
@@ -79,13 +79,36 @@ def mat_chain(*factors: Matrix) -> Matrix:
             den *= da
         else:  # the first factor: each result row keeps its own denominator
             dens, flats = [d for d, _ in planes], [flat for _, flat in planes]
-        rows = [(flat[0::2], flat[1::2]) for flat in flats]
-        cols = [([sum(map(mul, ar, br)) - sum(map(mul, ai, bi)) for ar, ai in rows],
-                 [sum(map(mul, ar, bi)) + sum(map(mul, ai, br)) for ar, ai in rows])
-                for br, bi in cols]
+        cols = products([(flat[0::2], flat[1::2]) for flat in flats], cols)
     parts = [part for col in cols for part in col]
     flats = zip(*parts) if parts else [()] * len(dens)
     return [from_plane(d * den, flat) for d, flat in zip(dens, flats)]
+
+
+def products(rows: list, cols: list) -> list:
+    """Per column (re, im) of int parts in cols, the (re, im) of its sums
+    sum(row * column) with every row (re, im) in rows: the columns of R @ C
+    for the split rows of R and the split columns of C. Gaussian products
+    commute, so products(C's columns, R's rows) are the rows of R @ C."""
+    return [([sum(map(mul, ar, br)) - sum(map(mul, ai, bi)) for ar, ai in rows],
+             [sum(map(mul, ar, bi)) + sum(map(mul, ai, br)) for ar, ai in rows])
+            for br, bi in cols]
+
+
+def split_rows(flat, cols: int) -> list:
+    """The split rows of a row-major interleaved plane with cols columns."""
+    w = 2 * cols
+    return [(flat[k:k + w:2], flat[k + 1:k + w:2]) for k in range(0, len(flat), w)]
+
+
+def split_transpose(rows: list) -> list:
+    """The split columns of a matrix given by its split rows, and back."""
+    return list(zip(zip(*[re for re, _ in rows]), zip(*[im for _, im in rows])))
+
+
+def split_matrix(den: int, rows: list) -> list:
+    """The QI matrix of split rows over den."""
+    return [from_plane(den, chain.from_iterable(zip(re, im))) for re, im in rows]
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -201,10 +201,16 @@ class StratumPoint:
     def __sub__(self, other: "StratumPoint") -> "StratumPoint":
         return self._combine(other, sub, "subtract")
 
-    def to_json(self) -> dict:
+    def to_json(self, qi_leaves: bool = False) -> dict:
+        """The point as JSON; with qi_leaves a matrix model's coords stay a
+        QI matrix, whose leaves `cli.render_json` writes as their to_json."""
         kind, coords = self.model.kind, self.coords
+        if kind == "exc27":
+            coords = coords.to_json()
+        elif not qi_leaves:
+            coords = linalg.matrix_to_json(coords)
         return {"model": {"kind": kind, **dict(zip(_PARAMS[kind], self.model.params))},
-                "coords": coords.to_json() if kind == "exc27" else linalg.matrix_to_json(coords)}
+                "coords": coords}
 
     @staticmethod
     def from_json(data: dict) -> "StratumPoint":

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from scorza import cli, linalg, verify
+from scorza import cli, linalg, scalars, verify
 from scorza import dual_pairs as dp
 from scorza.dual_pairs import (
     SignedPerm,
@@ -34,11 +34,15 @@ from scorza.dual_pairs import (
 from scorza.errors import InputError
 from scorza.sampling import derive_seed, make_rng, random_qi_matrix
 from scorza.scalars import HALF, QI
-from scorza.strata import rank_of
+from scorza.strata import StratumPoint, rank_of
 
 CASES = ["sp:3", "u:3,3", "ostar:6"]
 # every case kind, with small, square and tall parameters
 ALL_CASES = ["sp:1", "sp:3", "u:2,1", "u:3,3", "u:4,2", "ostar:2", "ostar:5", "ostar:6"]
+
+
+def identity(n: int) -> list:
+    return [[QI(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def _structure(case, on_v: bool) -> SignedPerm:
@@ -69,10 +73,10 @@ def test_case_structural_invariants(sel):
         j = case.j_v_matrix()
         gv = case.form_v_matrix()
         n = case.v_size
-        minus_one = linalg.mat_neg(linalg.identity(n))
+        minus_one = linalg.mat_neg(identity(n))
         # J^2 = -1, positivity of B(u, J v) on the basis Gram matrix, J in g
         assert linalg.mat_eq(linalg.mat_mul(j, j), minus_one)
-        assert linalg.mat_eq(linalg.mat_mul(gv, j), linalg.identity(n))
+        assert linalg.mat_eq(linalg.mat_mul(gv, j), identity(n))
         assert in_lie_g(case, j)
         # B is skew-hermitian: B(v,u) = -conj(B(u,v))
         assert linalg.is_zero_matrix(linalg.mat_add(linalg.conj_transpose(gv), gv))
@@ -83,7 +87,7 @@ def test_case_structural_invariants(sel):
             assert linalg.mat_eq(_structure(case, True).dense(), gv)
             cs = _structure(case, False).dense()
             assert linalg.mat_eq(
-                linalg.mat_mul(cs, cs), linalg.mat_neg(linalg.identity(case.s_size))
+                linalg.mat_mul(cs, cs), linalg.mat_neg(identity(case.s_size))
             )
 
 
@@ -149,31 +153,26 @@ def test_group_generators_and_equivariance(sel):
         assert in_group_g(case, y)
         w = random_w_element(case, seed=derive_seed("t-equiv-w", sel, t))
         assert equivariance_check(w, x, y)
-    ident_h = linalg.identity(case.s_size)
-    ident_g = linalg.identity(case.v_size)
+    ident_h = identity(case.s_size)
+    ident_g = identity(case.v_size)
     assert equivariance_check(w, ident_h, ident_g)
 
 
 def test_equivariance_rejects_non_group_input():
     case = parse_case("sp:3", 2)
     w = random_w_element(case, seed=1)
-    bad_h = linalg.mat_scale(linalg.identity(case.s_size), QI(2))
-    bad_g = linalg.mat_scale(linalg.identity(case.v_size), QI(3))
+    bad_h = linalg.mat_scale(identity(case.s_size), QI(2))
+    bad_g = linalg.mat_scale(identity(case.v_size), QI(3))
     with pytest.raises(InputError):
-        equivariance_check(w, bad_h, linalg.identity(case.v_size))
+        equivariance_check(w, bad_h, identity(case.v_size))
     with pytest.raises(InputError):
-        equivariance_check(w, linalg.identity(case.s_size), bad_g)
+        equivariance_check(w, identity(case.s_size), bad_g)
 
 
 def _isotropic_basis(case) -> list:
-    """The dense columns of the sampler's isotropic support."""
-    cols = []
-    for support in dp._isotropic_support(case):
-        col = [QI(0)] * case.v_size
-        for row, k in support:
-            col[row] = SignedPerm.UNITS[k]
-        cols.append(col)
-    return cols
+    """The dense columns of the sampler's isotropic basis."""
+    size, action = dp._isotropic_basis(case)
+    return linalg.transpose(_dense_action(action, size))
 
 
 @pytest.mark.parametrize("sel", CASES)
@@ -198,6 +197,8 @@ def test_reduced_point_requires_zero_level():
     if not linalg.is_zero_matrix(mu_K(w)):
         with pytest.raises(InputError):
             reduced_point(w)
+        with pytest.raises(InputError):
+            dp.reduction(w)
 
 
 @pytest.mark.parametrize("sel", ALL_CASES)
@@ -237,7 +238,7 @@ def test_cartan_split_and_projection(sel):
 def test_cartan_project_rejects_non_lie_input():
     case = parse_case("sp:3", 1)
     with pytest.raises(InputError):
-        cartan_project(linalg.identity(case.v_size), case)
+        cartan_project(identity(case.v_size), case)
 
 
 @pytest.mark.parametrize("sel", CASES)
@@ -266,7 +267,7 @@ def test_ragged_matrices_are_rejected():
     ragged = [[QI(1), QI(0)], [QI(0), QI(1), QI(5)]]
     assert not in_group_h(case, ragged)
     assert not in_lie_h(case, [[QI(0), QI(0)], [QI(0), QI(0), QI(0)]])
-    ragged_g = linalg.identity(case.v_size)
+    ragged_g = identity(case.v_size)
     ragged_g[3].append(QI(0))
     assert not in_group_g(case, ragged_g)
     alpha = [[QI(1), QI(0)] for _ in range(case.v_size)]
@@ -275,9 +276,9 @@ def test_ragged_matrices_are_rejected():
         WElement(case, alpha)
     w = random_w_element(case, seed=1)
     with pytest.raises(InputError):
-        equivariance_check(w, ragged, linalg.identity(case.v_size))
+        equivariance_check(w, ragged, identity(case.v_size))
     with pytest.raises(InputError):
-        equivariance_check(w, linalg.identity(case.s_size), ragged_g)
+        equivariance_check(w, identity(case.s_size), ragged_g)
 
 
 def _h_linear_oracle(case, m, rows_on_v, cols_on_v) -> bool:
@@ -301,7 +302,8 @@ def test_h_linearity_matches_the_structure_oracle(sel):
                    (random_g_element(case, rng), True, True)]
         for rows_on_v, cols_on_v in ((True, True), (False, False), (True, False)):
             lhalf = random_qi_matrix(rng, size[rows_on_v], size[cols_on_v] // 2, 7)
-            linear.append((dp._with_right_half(case, lhalf), rows_on_v, cols_on_v))
+            rhalf = _structure(case, rows_on_v).left(linalg.mat_conj(lhalf))  # Fact 3
+            linear.append(([a + b for a, b in zip(lhalf, rhalf)], rows_on_v, cols_on_v))
         for m, rows_on_v, cols_on_v in linear:
             assert dp._is_h_linear(case, m)
             assert _h_linear_oracle(case, m, rows_on_v, cols_on_v)
@@ -324,16 +326,21 @@ def test_h_linearity_holds_off_ostar(sel):
 
 @pytest.mark.parametrize("sel", ALL_CASES)
 def test_trusted_results_pass_the_public_checks(sel):
-    # every alpha built without the constructor's checks passes them
+    # every alpha built without the constructor's checks passes them, and
+    # the public element of a trusted element's alpha is the same plane
     for s in range(1, 5):
         case = parse_case(sel, s)
         for seed in range(3):
             rng = make_rng("t-trusted", sel, s, seed)
-            alpha = random_w_element(case, seed).alpha
+            sample, element = sample_zero_level(case, seed), random_w_element(case, seed)
+            alpha = element.alpha
             x, y = random_h_element(case, rng), random_g_element(case, rng)
             moved = dp._chain(case, y, alpha, linalg.inverse(x))
-            for built in (sample_zero_level(case, seed).alpha, alpha, moved):
-                assert WElement(case, built).alpha is built
+            for built in (sample.alpha, alpha, moved):
+                assert WElement(case, built).alpha == built
+            for trusted in (sample, element):
+                public = WElement(case, trusted.alpha)
+                assert (public.den, public.flat) == (trusted.den, trusted.flat)
     # veronese_map keeps the public checks: v comes from the caller
     with pytest.raises(InputError, match="case sp uses real matrices"):
         veronese_map(parse_case("sp:3", 1), [QI(0, 1)] * 6)
@@ -561,7 +568,22 @@ def test_verify_moment_report_pinned():
     )
 
 
-def test_momentum_maps_build_no_fraction_per_entry(count_calls):
+def _count_mat_chains(monkeypatch) -> list:
+    """[the number of linalg.mat_chain calls from now on]."""
+    calls, full = [0], linalg.mat_chain
+
+    def counting(*factors):
+        calls[0] += 1
+        return full(*factors)
+
+    monkeypatch.setattr(linalg, "mat_chain", counting)
+    return calls
+
+
+def test_momentum_maps_build_no_fraction_per_entry(count_calls, monkeypatch):
+    # the momentum maps, a zero-level sample, reduced_point and `scorza
+    # reduce` build no Fraction and, but for the QI chain, make no QI
+    # matrix product (mat_chain)
     def fractions_built(fn) -> int:
         """The number of Fraction.__new__ calls made while fn() runs."""
         return count_calls(fn, lambda frame: frame.f_code is Fraction.__new__.__code__)[1]
@@ -569,10 +591,14 @@ def test_momentum_maps_build_no_fraction_per_entry(count_calls):
     case = parse_case("ostar:6", 3)
     w = WElement(case, sample_zero_level(case, 5).alpha)  # keeps no mu_K: mu_K(w) forms it
     assert fractions_built(lambda: Fraction(1, 2)) == 1  # the counter sees a build
+    chains = _count_mat_chains(monkeypatch)
     built = fractions_built(lambda: (
-        mu_K(w), mu_G(w), linalg.mat_chain(w.alpha, dagger(w), w.alpha, dagger(w)),
+        mu_K(w), mu_G(w), reduced_point(w), reduced_point(sample_zero_level(case, 6)),
+        _cli_stdout(["reduce", "--case", "ostar:6", "--s", "3", "--seed", "11"]),
     ))
-    assert built == 0
+    assert built == 0 and chains[0] == 0
+    assert fractions_built(lambda: linalg.mat_chain(w.alpha, dagger(w), w.alpha, dagger(w))) == 0
+    assert chains[0] == 1
 
 
 def _record_chains(monkeypatch) -> list:
@@ -590,8 +616,10 @@ def _record_chains(monkeypatch) -> list:
 
 @pytest.mark.parametrize("sel", ["ostar:2", "ostar:5", "ostar:6"])
 def test_half_products_equal_full_chains(sel, monkeypatch):
-    # Fact 3: each quaternionic product formed on its left block column
-    # equals the full product of the same factors
+    # Fact 3: each quaternionic QI chain formed on its left block column
+    # equals the full product of the same factors. Only equivariance_check
+    # forms such chains; the momentum maps are integer products, held to
+    # the full chains by test_momentum_maps_equal_the_qi_chain_oracle
     formed = _record_chains(monkeypatch)
     v = parse_case(sel, 1).v_size
     expected = set()
@@ -599,20 +627,60 @@ def test_half_products_equal_full_chains(sel, monkeypatch):
         case = parse_case(sel, s)
         n = case.s_size
         expected |= {
-            ((n, v), (v, n)), ((v, n), (n, v)),  # mu_K and mu_G
             ((v, v), (v, n), (n, n)),  # y a x^-1
             ((n, n), (n, v), (v, n), (n, n)),  # -x dagger(a) a x^-1
             ((v, v), (v, n), (n, v), (v, v)),  # y a dagger(a) y^-1
         }
         for seed in range(3):
-            sample_zero_level(case, seed)
-            w = random_w_element(case, seed)
-            mu_K(w), mu_G(w)
+            w, count = random_w_element(case, seed), len(formed)
+            sample_zero_level(case, seed), mu_K(w), mu_G(w)
+            assert len(formed) == count
             rng = make_rng("t-half", sel, s, seed)
             assert equivariance_check(w, random_h_element(case, rng), random_g_element(case, rng))
-    assert expected <= {tuple(linalg.shape(f) for f in factors) for factors, _ in formed}
+    assert expected == {tuple(linalg.shape(f) for f in factors) for factors, _ in formed}
     for factors, out in formed:
         assert out == linalg.mat_chain(*factors)
+
+
+def _oracle_projection(case, x) -> StratumPoint:
+    """The model point of X in g read off the blocks of X_p from
+    cartan_split, on QI: the (P:, :P) block for u, A + i B (sp) or A - i B
+    (ostar) for the first rows [A | B] of X_p otherwise."""
+    _, x_p = cartan_split(x)
+    n = case.params[0]
+    if case.kind == "u":
+        m = [row[:n] for row in x_p[n:]]
+    else:
+        k = 1 if case.kind == "sp" else 3
+        m = [[a + b.times_unit(k) for a, b in zip(row[:n], row[n:])] for row in x_p[:n]]
+    return StratumPoint(case.model(), m)
+
+
+@pytest.mark.parametrize("sel", ["sp:1", "sp:3", "u:2,1", "u:3,3", "ostar:2", "ostar:6"])
+def test_momentum_maps_equal_the_qi_chain_oracle(sel):
+    # the integer products equal the full QI chains over the dense alpha
+    # and dagger = alpha^H J_V, and the integer projection equals the one
+    # read off cartan_split, for random, zero-level and public elements
+    rng = make_rng("t-qi-oracle", sel)
+    for s in range(1, 5):
+        case = parse_case(sel, s)
+        j = case.j_v_matrix()
+        for seed in range(3):
+            sample = sample_zero_level(case, seed)
+            elements = [random_w_element(case, seed), sample]
+            elements += [WElement(case, w.alpha) for w in elements]
+            for w in elements:
+                alpha = w.alpha
+                dag = linalg.mat_mul(linalg.conj_transpose(alpha), j)
+                assert dagger(w) == dag
+                assert mu_K(w) == linalg.mat_neg(linalg.mat_chain(dag, alpha))
+                assert mu_G(w) == linalg.mat_chain(alpha, dag)
+            for w in (sample, elements[3]):
+                mu_g = linalg.mat_chain(w.alpha, dagger(w))
+                assert reduced_point(w) == _oracle_projection(case, mu_g)
+                assert dp.reduction(w) == (mu_g, reduced_point(w))
+            x = random_lie_g(case, rng)
+            assert cartan_project(x, case) == _oracle_projection(case, x)
 
 
 # how many branches each generator draw picks from, for (G, H)
@@ -632,7 +700,7 @@ def _dense_action(action, cols) -> list:
     shear (V, W), I - V W, read off the representation alone."""
     head, tail = action
     if not isinstance(head, int):
-        return linalg.mat_add(linalg.identity(cols), linalg.mat_neg(linalg.mat_mul(
+        return linalg.mat_add(identity(cols), linalg.mat_neg(linalg.mat_mul(
             _dense_action(head, 2), _dense_action(tail, cols))))
     m = [[QI(0)] * cols for _ in tail]
     for row, terms in zip(m, tail):
@@ -663,24 +731,18 @@ def test_generator_actions_match_dense_oracle(sel):
                 assert got == linalg.mat_chain(dense, x)
 
 
-def test_zero_level_and_group_draws_form_no_generator_matrix(monkeypatch):
-    # the generators act on the integer plane: an ostar zero-level sample
-    # makes one matrix product, its mu_K check (2 + 2 per shear drawn when
-    # the generators were dense), and the random H and G elements none
-    calls, full = [0], linalg.mat_chain
-
-    def counting(*factors):
-        calls[0] += 1
-        return full(*factors)
-
-    monkeypatch.setattr(linalg, "mat_chain", counting)
-    case = parse_case("ostar:6", 4)
-    for seed in range(5):
-        calls[0] = 0
-        sample_zero_level(case, seed)
-        assert calls[0] == 1
-    calls[0] = 0
+def test_zero_level_and_group_draws_form_no_generator_matrix(monkeypatch, count_calls):
+    # the generators act on the integer plane: a zero-level sample makes no
+    # QI matrix product (1, its mu_K check, while alpha was a QI matrix; 2 +
+    # 2 per shear drawn when the generators were dense) and calls nothing in
+    # scalars, so it builds no QI; the random H and G elements make no product
+    calls = _count_mat_chains(monkeypatch)
+    in_scalars = lambda frame: frame.f_code.co_filename == scalars.__file__  # noqa: E731
     for sel in CASES:
+        for s in (1, 4):
+            case = parse_case(sel, s)
+            for seed in range(3):
+                assert count_calls(lambda: sample_zero_level(case, seed), in_scalars)[1] == 0
         rng = make_rng("t-no-dense", sel)
         for _ in range(4):
             random_h_element(parse_case(sel, 2), rng), random_g_element(parse_case(sel, 2), rng)
@@ -696,27 +758,37 @@ def test_chain_is_mat_chain_off_ostar(sel):
     assert dp._chain(case, *factors) == linalg.mat_chain(*factors)
 
 
+def _record_products(monkeypatch) -> list:
+    """Record the operands of every `linalg.products` call from now on."""
+    formed, kernel = [], linalg.products
+
+    def recording(rows, cols):
+        formed.append((rows, cols))
+        return kernel(rows, cols)
+
+    monkeypatch.setattr(linalg, "products", recording)
+    return formed
+
+
 def test_reduction_trial_forms_two_products(monkeypatch):
     # the zero-level sample keeps the mu_K it checked, so reduced_point
-    # forms mu_G alone (3 products when it formed mu_K again)
-    formed = _record_chains(monkeypatch)
+    # forms mu_G alone (3 products when it formed mu_K again); both are
+    # integer products, and no QI chain is formed
+    formed, chains = _record_products(monkeypatch), _count_mat_chains(monkeypatch)
     rows = {row.name: row for row in verify.CHECKS["moment"]}
     for sel in CASES:
         formed.clear()
         assert rows[f"reduced_rank_bound_{sel}_s2"].run(1, 0).ok
         assert len(formed) == 2
+    assert chains[0] == 0
 
 
 def test_reduce_multiplies_half_the_columns(monkeypatch):
-    # the columns of the last factor summed over every product one ostar
-    # reduce forms: 36 before the half products (the zero-level chain 8,
-    # mu_K twice 8 each, mu_G 12), 14 with them
-    columns, full = [0], linalg.mat_chain
-
-    def counting(*factors):
-        columns[0] += len(factors[-1][0])
-        return full(*factors)
-
-    monkeypatch.setattr(linalg, "mat_chain", counting)
+    # the result columns summed over every product one ostar reduce forms:
+    # 20 for full products (the mu_K check 8, mu_G 12), 10 with the half
+    # products; `products(C's columns, R's rows)` forms the rows of R @ C,
+    # whose columns are its first operand
+    formed, chains = _record_products(monkeypatch), _count_mat_chains(monkeypatch)
     _cli_stdout(["reduce", "--case", "ostar:6", "--s", "4", "--seed", "11"])
-    assert columns[0] <= 36 // 2
+    assert sum(len(cols) for cols, _ in formed) == 20 // 2
+    assert chains[0] == 0
