@@ -11,18 +11,17 @@ also the kernel of the momentum maps of `dual_pairs`, which hold their
 matrices as split rows: per row the int lists of its real and imaginary
 parts over one denominator (`split_rows`, `split_transpose`, `split_matrix`).
 
-There are three eliminations. Rank and det of QI matrices share
-_eliminate, a fraction-free (Bareiss 1968) elimination over Z[i] in place on
-interleaved row planes, which also ranks the plane of a stratum point
-(strata.rank_of); det returns to QI through from_plane. int_ranks is
-the same elimination over Z on a matrix of plain ints, such as the frame
-Jacobian of the dimension oracle, column by column, so that one pass gives
-the rank of every leading run of columns. Both divide exactly and keep entry
-growth polynomial. The Pfaffian eliminates on QI itself with 2 x 2 skew
-pivots (Bunch 1982), in O(n^3) QI operations; its oracle, the memoized
-cofactor expansion, is in tests/test_linalg.py. The inverse is the adjugate
-over the determinant, one det per cofactor: no caller in the package
-inverts.
+There are three eliminations, all fraction-free: each division is exact and
+entry growth stays polynomial. _eliminate (Bareiss 1968) runs over Z[i] in
+place on interleaved row planes, for rank and det; _skew_eliminate is its
+skew form with 2 x 2 pivots (Bunch 1982), for the Pfaffian, whose oracle,
+the memoized cofactor expansion, is in tests/test_linalg.py. Each returns
+the rank (halved for skew) and sign * last pivot, so strata reads a point's
+rank and relative invariant off one elimination of its own plane. int_ranks
+is Bareiss over Z on a matrix of plain ints, such as the frame Jacobian of
+the dimension oracle, column by column, so that one pass gives the rank of
+every leading run of columns. The inverse is the adjugate over the
+determinant, one det per cofactor: no caller in the package inverts.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from math import prod
 from operator import mul
 
 from .errors import InputError
-from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, to_plane
+from .scalars import QI, QI_ZERO, common_plane, from_plane, to_plane
 
 Matrix = list  # list[list[QI]]
 
@@ -142,7 +141,7 @@ def is_real_matrix(a: Matrix) -> bool:
 def _eliminate(work: list) -> tuple:
     """Fraction-free (Bareiss 1968) elimination in place on interleaved
     Gaussian-integer row planes, pivoting in every column; returns
-    (rank, swap sign, last pivot as (re, im)). Each update
+    (rank, swap sign * last pivot as (re, im)). Each update
     (pivot * x - f * y) / previous pivot is exact, since after step k every
     entry is a k x k minor, and on a full-rank square block sign * last pivot
     is the determinant.
@@ -181,7 +180,7 @@ def _eliminate(work: list) -> tuple:
             rowi[c] = rowi[c + 1] = 0
         qr, qi = pr, pi
         r += 1
-    return r, sign, (qr, qi)
+    return r, (sign * qr, sign * qi)
 
 
 def int_ranks(rows: list) -> list:
@@ -245,10 +244,8 @@ def det(m: Matrix) -> QI:
     if n != c:
         raise InputError("determinant needs a square matrix")
     dens, work = _integer_rows(m)
-    r, sign, (a, b) = _eliminate(work)
-    if r < n:
-        return QI_ZERO
-    return from_plane(prod(dens), (sign * a, sign * b))[0]
+    r, pivot = _eliminate(work)
+    return from_plane(prod(dens), pivot)[0] if r == n else QI_ZERO
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -278,35 +275,52 @@ def is_skew(m: Matrix) -> bool:
                           for row, col in zip(m, zip(*m)) for x, y in zip(row, col))
 
 
+def _skew_eliminate(rows: list) -> tuple:
+    """Fraction-free skew elimination with 2 x 2 pivots (Bunch 1982) in place
+    on the interleaved Gaussian-integer rows of a skew matrix; returns
+    (rank // 2, sign * last pivot as (re, im)), the Pfaffian at full rank.
+    Step k moves a nonzero of the rest to (k, k + 1) by symmetric swaps, each
+    flipping the sign, and maps each later row a_i to (p a_i + a_ik a_k+1 -
+    a_i,k+1 a_k) / q, p = a_k,k+1 and q the previous pivot: exact, as every
+    entry is then a bordered principal Pfaffian, and skew, so no mirror writes."""
+    n, qr, qi, sign, k = len(rows), 1, 0, 1, 0
+    while hit := next(((i, j) for i in range(k, n) for j in range(2 * i + 2, 2 * n, 2)
+                       if rows[i][j] or rows[i][j + 1]), None):
+        for s, d in zip((2 * hit[0], hit[1]), (2 * k, 2 * k + 2)):
+            if s != d:  # swap rows and columns s // 2 and d // 2
+                rows[s // 2], rows[d // 2] = rows[d // 2], rows[s // 2]
+                for row in rows[k:]:
+                    row[s:s + 2], row[d:d + 2] = row[d:d + 2], row[s:s + 2]
+                sign = -sign
+        rk, rk1 = rows[k], rows[k + 1]
+        pr, pi = rk[2 * k + 2], rk[2 * k + 3]
+        norm = qr * qr + qi * qi
+        for row in rows[k + 2:]:
+            ar, ai, br, bi = row[2 * k:2 * k + 4]
+            for j in range(2 * k + 4, 2 * n, 2):
+                xr, xi, yr, yi, zr, zi = row[j], row[j + 1], rk[j], rk[j + 1], rk1[j], rk1[j + 1]
+                ur = pr * xr - pi * xi + ar * zr - ai * zi - br * yr + bi * yi
+                ui = pr * xi + pi * xr + ar * zi + ai * zr - br * yi - bi * yr
+                # exact division by the previous pivot q: u * conj(q) / |q|^2
+                row[j], r1 = divmod(ur * qr + ui * qi, norm)
+                row[j + 1], r2 = divmod(ui * qr - ur * qi, norm)
+                if r1 or r2:
+                    raise RuntimeError("inexact Gaussian-integer division in skew elimination step")
+        qr, qi, k = pr, pi, k + 2
+    return k // 2, (sign * qr, sign * qi)
+
+
 def pfaffian(m: Matrix) -> QI:
-    """Pfaffian of an even skew-symmetric matrix by skew elimination: step k
-    swaps a nonzero a_kj into column k + 1 (Pf changes sign; none: Pf = 0),
-    multiplies Pf by the pivot p = a_k,k+1 and replaces the block past k + 1
-    by its Schur complement a_il + (a_ik a_k+1,l - a_i,k+1 a_kl) / p, again
-    skew. About n^3 / 3 QI multiplications."""
+    """Pfaffian of an even skew-symmetric matrix: sign * last pivot of
+    _skew_eliminate on its one integer plane, over den^(n / 2)."""
     n, c = shape(m)
     if n != c or not is_skew(m):
         raise InputError("pfaffian needs a square skew-symmetric matrix")
     if n % 2:
         raise InputError("pfaffian is defined for even-sized matrices")
-    a, pf = [list(row) for row in m], QI_ONE
-    for k in range(0, n, 2):
-        j = next((j for j in range(k + 1, n) if a[k][j]), None)
-        if j is None:
-            return QI_ZERO
-        if j != k + 1:
-            a[j], a[k + 1] = a[k + 1], a[j]
-            for row in a[k:]:
-                row[j], row[k + 1] = row[k + 1], row[j]
-            pf = -pf
-        rk, rk1, p = a[k], a[k + 1], a[k][k + 1]
-        pf *= p
-        for i, ri in enumerate(a[k + 2:], k + 2):
-            f0, f1 = ri[k] / p, ri[k + 1] / p
-            for l in range(i + 1, n):
-                ri[l] = x = ri[l] + f0 * rk1[l] - f1 * rk[l]
-                a[l][i] = -x
-    return pf
+    den, flat = to_plane([x for row in m for x in row])
+    half, pf = _skew_eliminate([flat[2 * n * i:2 * n * (i + 1)] for i in range(n)])
+    return from_plane(den ** half, pf)[0] if 2 * half == n else QI_ZERO
 
 
 def matrix_to_json(m: Matrix) -> list:

@@ -13,8 +13,9 @@ it, reading each frame Jacobian off one complex chart evaluation per block.
 The frame parameters are 0s and 1s, so that Jacobian is an integer matrix
 (entries 0, +-1, +-2), ranked by linalg.int_ranks, which gives every
 stratum of a model from one elimination. A point is one integer plane in
-`_chart_plane`'s layout: samplers hand it their chart sums, and rank, sums,
-comparison and peeling's pairing run on its ints; its QI form is only read.
+`_chart_plane`'s layout: samplers hand it their chart sums, and sums,
+comparison, peeling and the one elimination that gives a matrix point's rank
+and relative invariant run on its ints; its QI form is only read.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import InputError, UnsupportedError
 from .jordan import (JordanElement, _jordan, generic_det, jordan_product, jordan_rank3,
                      outer_square_planes, random_hermitian)
 from .sampling import derive_seed, make_rng, random_plane
-from .scalars import QI, common_plane, from_plane, json_int, to_plane
+from .scalars import QI, QI_ZERO, common_plane, from_plane, json_int, to_plane
 
 # model kind -> the names of its parameters, in selector and JSON order
 _PARAMS = {"sym": ("r",), "mat": ("q", "p"), "skew": ("n",), "exc27": ()}
@@ -45,9 +46,9 @@ _HEIGHT = 10  # the height of the ratios of random points and rank-one samples
 # s = 7, 105 x 210 = 22,050 cells, built from 7 chart evaluations and ranked
 # as ints in 1.5-1.7 ms on one Xeon vCPU under Python 3.11); skew:16 at s = 8
 # (k = 7) already needs 30,720. The same budget bounds a model's ambient_dim
-# and a dual-pair case's matrix size; every other step on a point (rank,
-# det, the skew-elimination Pfaffian, the cubic norm) is polynomial in its
-# size, so that no command starts work whose cost has no bound.
+# and a dual-pair case's matrix size; every other step on a point (rank and
+# det or Pfaffian by one elimination of its plane, the cubic norm) is
+# polynomial in its size, so that no command starts work whose cost has no bound.
 MAX_JACOBIAN_CELLS = 25_000
 
 
@@ -281,17 +282,19 @@ def zero_point(model: PSpaceModel) -> StratumPoint:
 
 def rank_of(point: StratumPoint) -> int:
     """Jordan rank: matrix rank (Bareiss on the plane's rows) for sym/mat,
-    half of it for skew, degree-3 rank for the exceptional model."""
-    model, flat = point.model, point.flat
-    if model.kind == "exc27":
+    half of it (skew elimination) for skew, degree-3 rank for exc27."""
+    if point.model.kind == "exc27":
         return jordan_rank3(point.coords)
-    width = 2 * _coords_shape(model)[1]
-    mr = linalg._eliminate([list(flat[k:k + width]) for k in range(0, len(flat), width)])[0]
-    if model.kind == "skew":
-        if mr % 2:
-            raise RuntimeError("skew matrix with odd rank; input not exact")
-        return mr // 2
-    return mr
+    return _eliminated(point)[0]
+
+
+def _eliminated(point: StratumPoint) -> tuple:
+    """(Jordan rank, sign * last pivot) of a matrix point by one elimination
+    of its plane's rows, skew (linalg._skew_eliminate) on the skew model; at
+    full rank the pivot over den^max_rank is the relative invariant."""
+    flat, width = point.flat, 2 * _coords_shape(point.model)[1]
+    rows = [list(flat[k:k + width]) for k in range(0, len(flat), width)]
+    return (linalg._skew_eliminate if point.model.kind == "skew" else linalg._eliminate)(rows)
 
 
 def closure_membership(point: StratumPoint, s: int) -> bool:
@@ -357,11 +360,10 @@ def relative_invariant(point: StratumPoint) -> QI:
         raise UnsupportedError(
             f"model {model} is not regular; no relative invariant of degree max rank"
         )
-    if model.kind in ("sym", "mat"):
-        return linalg.det(point.coords)
-    if model.kind == "skew":
-        return linalg.pfaffian(point.coords)
-    return generic_det(point.coords)
+    if model.kind == "exc27":
+        return generic_det(point.coords)
+    rank, pivot = _eliminated(point)
+    return from_plane(point.den ** model.max_rank, pivot)[0] if rank == model.max_rank else QI_ZERO
 
 
 # --- dimension oracle ------------------------------------------------------------
@@ -552,7 +554,7 @@ def peel_rank_one(point: StratumPoint) -> list:
     U_x(c) = 2 x o (x o c) - x^2 o c on exc27) and lowers its rank by one.
     c is the first candidate with <x, c> != 0: the chart's nonzero ints at
     the unit parameters e_a, then e_a + e_b for a < b, which span the model;
-    only c becomes a point. <x, c> is the C-bilinear dot product of the two
+    c becomes a point only on exc27. <x, c> is the C-bilinear dot product of the two
     planes: tr(c^t x), halved for skew, and on exc27 the trace form
     T(x, c) = sum_ik sp(x_ik c_ki), as c is hermitian and sp(a conj(b)) is
     the coefficient dot product of a and b.
@@ -569,8 +571,8 @@ def peel_rank_one(point: StratumPoint) -> list:
     while not x.is_zero():
         if len(out) == model.max_rank:
             raise RuntimeError("peeling failed to terminate")
-        (flat, _), pivot = next((c, t) for c in map(candidate, units) if (t := _pairing(x, c[1])))
-        out.append(StratumPoint(model, _quadratic_map(x, _point(model, 1, flat), 1 / pivot)))
+        c, pivot = next((c, t) for c in map(candidate, units) if (t := _pairing(x, c[1])))
+        out.append(_quadratic_map(x, c, 1 / pivot))
         x = x - out[-1]
     return out
 
@@ -583,9 +585,26 @@ def _pairing(x: StratumPoint, nonzero: list):
         return from_plane(x.den * (2 if x.model.kind == "skew" else 1), (re, im))[0]
 
 
-def _quadratic_map(x: StratumPoint, c: StratumPoint, s: QI):
-    a, b = x.coords, c.coords
-    if x.model.kind == "exc27":
-        return (jordan_product(a, jordan_product(a, b)).scale(2)
-                - jordan_product(jordan_product(a, a), b)).scale(s)
-    return linalg.mat_scale(linalg.mat_chain(a, linalg.transpose(b), a), s)
+def _quadratic_map(x: StratumPoint, c: tuple, s: QI) -> StratumPoint:
+    """The point s * P_x(c) for a candidate c = (flat, nonzero): on a matrix
+    model x c^t x = sum of c_ba (column a of x) (row b of x) over c's nonzero
+    real entries c_ba, on x's ints over den^2; U_x(c) on exc27's Jordan planes."""
+    model, (flat, nonzero) = x.model, c
+    if model.kind == "exc27":
+        a, b = x.coords, _point(model, 1, flat).coords
+        return StratumPoint(model, (jordan_product(a, jordan_product(a, b)).scale(2)
+                                    - jordan_product(jordan_product(a, a), b)).scale(s))
+    d, (sr, si) = to_plane([s])
+    width = 2 * _coords_shape(model)[1]
+    xs = [x.flat[k:k + width] for k in range(0, len(x.flat), width)]
+    out = [0] * len(x.flat)
+    for k, v in nonzero:
+        b, a = divmod(k, width)  # c_ba; a is the offset of column a in a row
+        rowb = xs[b]
+        for i, row in enumerate(xs):  # s c_ba x_ia times row b
+            ur, ui = v * (row[a] * sr - row[a + 1] * si), v * (row[a] * si + row[a + 1] * sr)
+            for j in range(0, width, 2):
+                yr, yi = rowb[j], rowb[j + 1]
+                out[i * width + j] += ur * yr - ui * yi
+                out[i * width + j + 1] += ur * yi + ui * yr
+    return _point(model, x.den * x.den * d, out)

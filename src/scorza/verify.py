@@ -415,7 +415,7 @@ def _inv_nonzero(seed, t):
 @check("strata", "pfaffian_squares_to_determinant", ("relative_invariant",))
 def _pf_sq(seed, t):
     p = st.random_point(st.skew_model(6), derive_seed(seed, "pfsq", t))
-    pf = linalg.pfaffian(p.coords)
+    pf = st.relative_invariant(p)
     return pf * pf == linalg.det(p.coords), _pt_witness(seed, t, p)
 
 

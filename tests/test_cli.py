@@ -109,7 +109,7 @@ def test_sample_and_invariant_pipeline(tmp_path):
 
 def test_invariant_of_skew40_costs_polynomial_time():
     # a 40 x 40 Pfaffian by cofactor expansion would take of the order of
-    # 2^40 steps; the skew elimination takes about 0.13 s
+    # 2^40 steps; the skew elimination takes about 0.03 s
     model = strata.skew_model(40)
     full = strata.random_point(model, 40)
     result = run_cli(["invariant"], stdin=json.dumps(full.to_json()), timeout=30)

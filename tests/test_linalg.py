@@ -8,7 +8,8 @@ from scorza.errors import InputError
 from scorza.linalg import is_skew, shape
 from scorza.sampling import make_rng, random_qi_matrix, random_qi_vector
 from scorza.scalars import QI, QI_ONE, QI_ZERO
-from scorza.strata import random_point, sample_secant, skew_model
+from scorza.strata import (StratumPoint, random_point, rank_of, relative_invariant,
+                           sample_secant, skew_model)
 
 
 def identity(n: int) -> list:
@@ -384,6 +385,23 @@ def test_pfaffian_matches_the_cofactor_expansion(n):
         if n >= 2:
             swap = [1, 0, *range(2, n)]
             assert linalg.pfaffian(_permuted(m, swap)[0]) == -pf
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_skew_elimination_of_a_point_matches_the_oracles(n):
+    # rank_of of a skew point is half the Bareiss rank of its matrix, and on
+    # even n <= 10 its relative invariant is the cofactor-expansion Pfaffian;
+    # sparse and permuted inputs force zero pivots and swaps
+    rng = make_rng("linalg", "skew-elimination", n)
+    model = skew_model(n)
+    inputs = [sample_secant(model, k, seed=k + n).coords for k in range(model.max_rank)]
+    inputs += [_sparse(rng, random_point(model, seed).coords) for seed in range(3)]
+    inputs += [_permuted(m, rng.sample(range(n), n))[0] for m in inputs]
+    for m in inputs:
+        p = StratumPoint(model, m)
+        assert rank_of(p) == linalg.rank(m) // 2
+        if n % 2 == 0 and n <= 10:
+            assert relative_invariant(p) == _pfaffian_by_expansion(m)
 
 
 # --- sympy oracle for the integer elimination --------------------------------

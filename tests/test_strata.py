@@ -536,17 +536,34 @@ def test_plane_pairing_equals_the_qi_pairing(sel):
 
 @pytest.mark.parametrize("sel", ["sym:4", "mat:3,5", "skew:6", *PEEL_POINTS])
 def test_peeling_builds_no_candidate_point(sel, count_calls):
-    # cost pin: candidates stay ints, and a piece builds three points: the
-    # chosen candidate, the piece and the remainder
+    # cost pin: candidates stay ints, and a piece builds two points on a
+    # matrix model: the piece and the remainder; exc27 also builds the chosen
+    # candidate, for U_x(c) on Jordan planes
     model = parse_model(sel)
     points = [sample_secant(model, model.max_rank - 1, seed=1)]
     if sel in PEEL_POINTS:
         points.append(_peel_point(model, PEEL_POINTS[sel][0]))
+    built = 3 if model.kind == "exc27" else 2
     for p in points:
-        for code, per_piece in ((chart_point.__code__, 0), (st._validate_coords.__code__, 3)):
+        for code, per_piece in ((chart_point.__code__, 0), (st._validate_coords.__code__, built)):
             pieces, calls = count_calls(lambda: peel_rank_one(p),
                                         lambda frame: frame.f_code is code)
             assert pieces and calls == per_piece * len(pieces), code.co_name
+
+
+@pytest.mark.parametrize("sel", ["sym:4", "mat:3,5", "mat:4,4", "skew:6", "skew:7"])
+def test_matrix_points_are_ranked_evaluated_and_peeled_on_their_plane(sel, count_calls):
+    # cost pin: rank, invariant and peeling of a matrix point read its plane
+    # and build no QI matrix
+    watched = {StratumPoint.coords.fget.__code__,
+               *(getattr(linalg, name).__code__ for name in ("mat_chain", "det", "pfaffian"))}
+    model = parse_model(sel)
+    ops = [rank_of, peel_rank_one, *([relative_invariant] if model.regular else [])]
+    for k in range(model.max_rank):
+        p = sample_secant(model, k, seed=k)
+        for op in ops:
+            _, calls = count_calls(lambda: op(p), lambda frame: frame.f_code in watched)
+            assert calls == 0, (op.__name__, k)
 
 
 @pytest.mark.parametrize("sel", ["sym:4", "mat:3,5", "skew:6", *PEEL_POINTS])
@@ -568,7 +585,7 @@ def test_peeling_stops_at_max_rank_pieces(monkeypatch):
 
     def no_progress(x, c, s):
         steps.append(c)
-        return zeros(3, 3)
+        return zero_point(x.model)
 
     monkeypatch.setattr(st, "_quadratic_map", no_progress)
     with pytest.raises(RuntimeError, match="failed to terminate"):
