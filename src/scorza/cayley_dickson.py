@@ -34,7 +34,7 @@ from __future__ import annotations
 from math import gcd
 from random import Random
 
-from .errors import InputError
+from .errors import InputError, quoted
 from .sampling import random_plane
 from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, json_int, to_plane
 
@@ -53,7 +53,7 @@ class CDElement:
         if not 0 <= level <= MAX_LEVEL:
             raise InputError(f"level {level} outside 0..{MAX_LEVEL}")
         if field not in FIELDS:
-            raise InputError(f"unknown field tag {field!r}")
+            raise InputError(f"unknown field tag {quoted(field)}")
         if len(coeffs) != 1 << level:
             raise InputError(
                 f"level {level} needs {1 << level} coefficients, got {len(coeffs)}"

@@ -22,8 +22,8 @@ from .catalog import (
     list_hermitian,
     scorza_json_obj,
 )
-from .errors import InputError
-from .scalars import QI
+from .errors import InputError, quoted
+from .scalars import QI, _past_digit_limit
 from .verify import SUITES, run_suite
 
 
@@ -80,7 +80,7 @@ def _emit(text: str, out: str | None):
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise InputError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
+            raise InputError(f"cannot write {quoted(out)}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -103,14 +103,17 @@ def _default_seed() -> int:
     try:
         return int(env)
     except ValueError:
-        raise InputError(f"SCORZA_SEED must be an integer, got {env!r}") from None
+        digits = env.strip().lstrip("+-").replace("_", "")
+        if digits.isdecimal() and len(digits) > sys.get_int_max_str_digits():
+            raise InputError(f"SCORZA_SEED {quoted(env)} has {_past_digit_limit()}") from None
+        raise InputError(f"SCORZA_SEED must be an integer, got {quoted(env)}") from None
 
 
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -297,7 +300,7 @@ def _cmd_invariant(args) -> int:
         else:
             data = json.load(sys.stdin)
     except OSError as exc:
-        raise InputError(f"cannot read {source!r}: {exc.strerror or exc}") from exc
+        raise InputError(f"cannot read {quoted(source)}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nested too deep
         raise InputError(f"{source} is not valid JSON: {exc}") from exc
     point = st.StratumPoint.from_json(data)

@@ -30,10 +30,11 @@ A W element is its integer plane: one denominator and the interleaved
 Gaussian-integer parts of alpha, for ostar of its left block column only.
 On its split rows (`linalg.split_rows`) dagger is a sparse action, mu_K
 and mu_G are one `linalg.products` each and the projection to p writes the
-model point's plane; the random generators of G and H are sparse actions
-too, and QI is built only for public results. The constants of a case
-(G_V, J_V, the structure maps, i I on K^s) are SignedPerms, per row a
-column and a unit i**k; their dense matrices are the tests' oracle.
+model point's plane. The group side is sparse actions too: the random
+generators of G and H, and the constants of a case (G_V, J_V, the structure
+maps, i I on K^s), signed permutations with per row a column and a unit
+i**k. Membership and equivariance read their QI arguments as planes once,
+and QI is built only for public results.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from math import gcd, lcm
 from random import Random
 
 from . import linalg
-from .errors import InputError
+from .errors import InputError, quoted
 from .linalg import split_matrix, split_rows, split_transpose
 from .sampling import make_rng, random_plane, random_qi, random_qi_matrix, random_square
-from .scalars import HALF, QI, QI_I, QI_ONE, QI_ZERO, to_plane
+from .scalars import HALF, QI, QI_ZERO, to_plane
 from .strata import (
     PSpaceModel, StratumPoint, _point, check_cells, mat_model, skew_model, split_selector,
     sym_model,
@@ -73,7 +74,7 @@ class DualPairCase:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise InputError(f"unknown dual-pair case {self.kind!r}; expected {CASE_GRAMMAR}")
+            raise InputError(f"unknown dual-pair case {quoted(self.kind)}; expected {CASE_GRAMMAR}")
         expected = {"sp": 1, "u": 2, "ostar": 1}[self.kind]
         if len(self.params) != expected:
             raise InputError(f"case {self.kind} takes {expected} parameter(s)")
@@ -121,18 +122,20 @@ class DualPairCase:
 
     # form on V (conjugate-linear in the first slot): B(u, v) = u^H G_V v;
     # G_V is Omega for sp, -Omega for ostar and i diag(I_P, -I_Q) for u
-    def form_v(self) -> "SignedPerm":
+    def form_v(self) -> tuple:
+        """G_V as a signed permutation: row r holds i**k in column c, for
+        (c, k) = form_v()[r]."""
         if self.kind == "u":
             p = self.params[0]
-            return SignedPerm(tuple((i, 1 if i < p else 3) for i in range(self.v_size)))
+            return tuple((i, 1 if i < p else 3) for i in range(self.v_size))
         return _omega(self.params[0], 1 if self.kind == "sp" else -1)
 
     def form_v_matrix(self) -> list:
-        return self.form_v().dense()
+        return _product(self, [_units(self.form_v())], self.v_size)
 
     def j_v_matrix(self) -> list:
         """The complex structure J_V = -G_V (Fact 1)."""
-        return (-self.form_v()).dense()
+        return _product(self, [_units((c, k ^ 2) for c, k in self.form_v())], self.v_size)
 
     def w_complex_dim(self) -> int:
         """Complex dimension of W(s) under the complex structure J_V o (.)"""
@@ -148,36 +151,10 @@ def _block(a, b, c, d) -> list:
     return [ra + rb for ra, rb in zip(a, b)] + [rc + rd for rc, rd in zip(c, d)]
 
 
-@dataclass(frozen=True)
-class SignedPerm:
-    """A monomial matrix with entries in {1, i, -1, -i}: row r holds i**k in
-    column c, for (c, k) = entries[r]."""
-
-    entries: tuple
-    UNITS = (QI_ONE, QI_I, -QI_ONE, -QI_I)  # i**k
-
-    def dense(self) -> list:
-        n = len(self.entries)
-        return [[self.UNITS[k] if j == c else QI_ZERO for j in range(n)]
-                for c, k in self.entries]
-
-    def left(self, x: list) -> list:
-        """self @ x: row r is i**k times row c of x."""
-        return [[v.times_unit(k) for v in x[c]] for c, k in self.entries]
-
-    def right(self, x: list) -> list:
-        """x @ self: column c is i**k times column r of x."""
-        order = sorted((c, r, k) for r, (c, k) in enumerate(self.entries))
-        return [[row[r].times_unit(k) for _, r, k in order] for row in x]
-
-    def __neg__(self) -> "SignedPerm":
-        return SignedPerm(tuple((c, k ^ 2) for c, k in self.entries))
-
-
-def _omega(n: int, sign: int) -> SignedPerm:
-    """The 2n x 2n matrix [[0, sign I], [-sign I, 0]]."""
+def _omega(n: int, sign: int) -> tuple:
+    """The 2n x 2n matrix [[0, sign I], [-sign I, 0]] as a signed permutation."""
     k = 0 if sign > 0 else 2
-    return SignedPerm(tuple((n + i, k) for i in range(n)) + tuple((i, k ^ 2) for i in range(n)))
+    return tuple((n + i, k) for i in range(n)) + tuple((i, k ^ 2) for i in range(n))
 
 
 # --- split rows ------------------------------------------------------------------
@@ -197,17 +174,6 @@ def _completed(case: DualPairCase, rows: list) -> list:
     right = [([-p for p in re], im) for re, im in rows[m:]] + [
         (re, [-q for q in im]) for re, im in rows[:m]]
     return [([*re, *r_re], [*im, *r_im]) for (re, im), (r_re, r_im) in zip(rows, right)]
-
-
-def _chain(case: DualPairCase, *factors: list) -> list:
-    """The product of the factors, as `linalg.mat_chain`. For ostar the
-    product must be quaternion-linear: only the left half of the last
-    factor's columns is multiplied, and the result is completed (Fact 3)."""
-    if case.kind != "ostar":
-        return linalg.mat_chain(*factors)
-    *left, last = factors
-    den, rows = _plane(linalg.mat_chain(*left, [row[:len(row) // 2] for row in last]))
-    return split_matrix(den, _completed(case, rows))
 
 
 def _is_h_linear(case: DualPairCase, m: list) -> bool:
@@ -277,10 +243,16 @@ def _rows(w: WElement) -> list:
 
 # --- momentum maps -------------------------------------------------------------
 
+def _conj(rows: list) -> list:
+    """The split rows of conj(M) for the split rows of M; for those of M^T,
+    the split columns of M^H."""
+    return [(re, [-q for q in im]) for re, im in rows]
+
+
 def _dagger_columns(case: DualPairCase, rows: list) -> list:
     """The split columns of dagger(a) = a^H J_V = (G_V a)^H for the split
     rows of a: the conjugated rows of G_V a."""
-    return [(re, [-q for q in im]) for re, im in _act(_units(case.form_v().entries), (1, rows))[1]]
+    return _conj(_act(_units(case.form_v()), (1, rows))[1])
 
 
 def dagger(w: WElement) -> list:
@@ -289,13 +261,15 @@ def dagger(w: WElement) -> list:
     return split_matrix(w.den, split_transpose(_dagger_columns(w.case, _rows(w))))
 
 
-def _times(case: DualPairCase, den: int, rows: list, cols: list) -> tuple:
-    """(den^2, split rows) of R C for the split rows of R and the split
-    columns of C over den; for ostar only the left half of C's columns is
-    multiplied, and the product is completed (Fact 3)."""
+def _times(case: DualPairCase, a: tuple, b: tuple) -> tuple:
+    """(den_a den_b, split rows) of A B for a = (den_a, split rows of A) and
+    b = (den_b, split columns of B); for ostar only the left half of B's
+    columns is multiplied, and the product is completed (Fact 3), so A and
+    B must be quaternion-linear there."""
+    (den_a, rows), (den_b, cols) = a, b
     if case.kind == "ostar":
         cols = cols[:len(cols) // 2]
-    return den ** 2, _completed(case, linalg.products(cols, rows))
+    return den_a * den_b, _completed(case, linalg.products(cols, rows))
 
 
 def _mu_g(w: WElement, zero_level: bool = False) -> tuple:
@@ -303,13 +277,13 @@ def _mu_g(w: WElement, zero_level: bool = False) -> tuple:
     if zero_level and not _is_zero(_checked_mu_k(w)[1]):
         raise InputError("reduced_point needs mu_K(alpha) = 0")
     rows = _rows(w)
-    return _times(w.case, w.den, rows, _dagger_columns(w.case, rows))
+    return _times(w.case, (w.den, rows), (w.den, _dagger_columns(w.case, rows)))
 
 
 def _dagger_alpha(case: DualPairCase, den: int, rows: list) -> tuple:
     """dagger(a) a = -mu_K(a) for the split rows of a over den, as `_times`."""
     dag = split_transpose(_dagger_columns(case, rows))
-    return _times(case, den, dag, split_transpose(rows))
+    return _times(case, (den, dag), (den, split_transpose(rows)))
 
 
 def _checked_mu_k(w: WElement) -> tuple:
@@ -349,46 +323,56 @@ def in_group_g(case: DualPairCase, y: list) -> bool:
 
 def _is_member(case: DualPairCase, x: list, on_v: bool, group: bool) -> bool:
     """Membership in G or H (group) or in its Lie algebra, acting on V or
-    K^s. Checks the shape, then the form condition (X^H F X = F, or
-    X^H F + F X = 0, with F = G_V on V and F = i I on K^s; both F are
-    skew-hermitian, so the second says F X is hermitian), then real entries
-    (sp), then quaternion-linearity (ostar)."""
+    K^s. Checks the shape, real entries (sp), quaternion-linearity (ostar),
+    then on the split rows of X: X^H (F X) = F, or F X = (F X)^H, that is
+    X^H F + F X = 0 for the skew-hermitian F = G_V on V, i I on K^s; i I is
+    not quaternion-linear, so the product is formed whole, not by `_times`."""
     n = case.v_size if on_v else case.s_size
     if len(x) != n or any(len(row) != n for row in x):
         return False
-    form = case.form_v() if on_v else SignedPerm(tuple((i, 1) for i in range(n)))
-    fx = form.left(x)
-    if group:
-        ok = linalg.mat_eq(linalg.mat_mul(linalg.conj_transpose(x), fx), form.dense())
-    else:
-        ok = linalg.mat_eq(fx, linalg.conj_transpose(fx))
-    if not ok or (case.real_entries and not linalg.is_real_matrix(x)):
+    if (case.real_entries and not linalg.is_real_matrix(x)) or not _is_h_linear(case, x):
         return False
-    return _is_h_linear(case, x)
+    form = _units(case.form_v() if on_v else [(i, 1) for i in range(n)])
+    den, rows = _plane(x)
+    fx = _act(form, (den, rows))[1]
+    if not group:
+        return _equal((1, fx), (1, _conj(split_transpose(fx))))
+    xh_fx = linalg.products(split_transpose(fx), _conj(split_transpose(rows)))
+    return _equal((den * den, xh_fx), _act(form, _identity(n, n)))
+
+
+def _equal(a: tuple, b: tuple) -> bool:
+    """Whether the planes (den, split rows) a and b of one shape are one matrix."""
+    (den_a, rows_a), (den_b, rows_b) = a, b
+    return all(den_b * p == den_a * q for ra, rb in zip(rows_a, rows_b)
+               for pa, pb in zip(ra, rb) for p, q in zip(pa, pb))
 
 
 def equivariance_check(w: WElement, x: list, y: list) -> bool:
     """Ad-equivariance of both momentum maps under (x, y) . a = y a x^-1:
     mu_K(y a x^-1) = x mu_K(a) x^-1 and mu_G(y a x^-1) = y mu_G(a) y^-1.
-    Each side is one QI product chain; x and y are checked group elements,
-    so for ostar every chain is quaternion-linear and formed on its left
-    block column (Fact 3)."""
+    Every side is integer products of split rows, `_times`; x and y are
+    checked group elements, so for ostar every product is quaternion-linear
+    and formed on its left block column (Fact 3)."""
     case = w.case
     if not in_group_h(case, x):
         raise InputError("x does not lie in the compact group H")
     if not in_group_g(case, y):
         raise InputError("y does not lie in G")
-    # inverses from the forms just checked (Fact 1): x^H x = I, and
-    # y^H G_V y = G_V with G_V^-1 = -G_V
-    form = case.form_v()
-    x_inv = linalg.conj_transpose(x)
-    y_inv = (-form).left(form.right(linalg.conj_transpose(y)))
-    alpha, dag = w.alpha, dagger(w)
-    moved = _chain(case, y, alpha, x_inv)
-    moved = _element(case, *to_plane([v for row in moved for v in row[:case.s]]))
-    rhs_k = linalg.mat_neg(_chain(case, x, dag, alpha, x_inv))
-    rhs_g = _chain(case, y, alpha, dag, y_inv)
-    return linalg.mat_eq(mu_K(moved), rhs_k) and linalg.mat_eq(mu_G(moved), rhs_g)
+    # inverses from the forms just checked (Fact 1): x^-1 = x^H, whose columns
+    # are the conjugated rows of x, and y^-1 = G_V (G_V y)^H, as G_V^-1 = -G_V
+    form = _units(case.form_v())
+    x, y = _plane(x), _plane(y)
+    x_inv = x[0], _conj(x[1])
+    den, y_inv = _act(form, (y[0], _conj(split_transpose(_act(form, y)[1]))))
+    y_inv = den, split_transpose(y_inv)
+    den, rows = _times(case, _times(case, y, (w.den, split_transpose(_rows(w)))), x_inv)
+    moved = _element(case, den, [p for re, im in rows
+                                 for pair in zip(re[:case.s], im[:case.s]) for p in pair])
+    dag_a, mu_g = _checked_mu_k(w), _mu_g(w)
+    rhs_k = _times(case, _times(case, x, (dag_a[0], split_transpose(dag_a[1]))), x_inv)
+    rhs_g = _times(case, _times(case, y, (mu_g[0], split_transpose(mu_g[1]))), y_inv)
+    return _equal(_checked_mu_k(moved), rhs_k) and _equal(_mu_g(moved), rhs_g)
 
 
 # --- Cartan projection ----------------------------------------------------------
@@ -555,11 +539,15 @@ def random_g_element(case: DualPairCase, rng: Random) -> list:
 
 
 def _product(case: DualPairCase, actions: list, n: int) -> list:
-    cols = n // 2 if case.kind == "ostar" else n
-    plane = (1, [([int(i == j) for j in range(cols)], [0] * cols) for i in range(n)])
+    plane = _identity(n, n // 2 if case.kind == "ostar" else n)
     for action in reversed(actions):
         plane = _act(action, plane)
     return split_matrix(plane[0], _completed(case, plane[1]))
+
+
+def _identity(n: int, cols: int) -> tuple:
+    """The plane of the first cols columns of the n x n identity."""
+    return 1, [([int(i == j) for j in range(cols)], [0] * cols) for i in range(n)]
 
 
 def _act(action: tuple, plane: tuple) -> tuple:
@@ -595,12 +583,12 @@ def _act(action: tuple, plane: tuple) -> tuple:
 
 def _units(entries) -> tuple:
     """The sparse action of a signed permutation: row r holds i**k in column
-    c, for (c, k) = entries[r], as in `SignedPerm`."""
+    c, for (c, k) = entries[r], as in `DualPairCase.form_v`."""
     return 1, [[(c, *_UNIT_PARTS[k])] for c, k in entries]
 
 
 def _permutation(rng: Random, n: int, signs: bool = True, phases: bool = False) -> tuple:
-    """The `SignedPerm` entries of a random signed permutation: column i has
+    """The `_units` entries of a random signed permutation: column i has
     its unit in row perm[i], drawn from 1, -1, i, -i (phases) or 1, -1
     (signs), else 1."""
     perm = list(range(n))

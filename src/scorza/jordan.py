@@ -40,7 +40,7 @@ from .cayley_dickson import (
     FIELD_QI,
     cd_scalar,
 )
-from .errors import InputError, UnsupportedError
+from .errors import InputError, UnsupportedError, quoted
 from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, json_int, to_plane
 from .sampling import random_plane
 
@@ -66,7 +66,7 @@ def _entry_algebra(algebra: str, n: int) -> tuple:
     ones need n <= 3."""
     level, field = ALGEBRAS.get(algebra, (None, None))
     if level is None:
-        raise InputError(f"unknown entry algebra {algebra!r}")
+        raise InputError(f"unknown entry algebra {quoted(algebra)}")
     if level == 3 and n > 3:
         raise UnsupportedError("octonionic hermitian matrices need n <= 3")
     return level, field
@@ -169,7 +169,7 @@ class JordanElement:
     def from_json(data: dict) -> "JordanElement":
         n = json_int(data["n"], "n")
         algebra = data["algebra"]
-        field = algebra_field(algebra)
+        field = _entry_algebra(algebra, n)[1]
         upper = data["entries"]
         if not isinstance(upper, list) or len(upper) != n:
             raise InputError(f"expected {n} rows of upper-triangle entries")

@@ -3,13 +3,13 @@ matrices.
 
 Matrices are plain lists of lists of QI. Products, rank and det run on
 the integer plane of `scalars` (one denominator, interleaved integer real
-and imaginary parts). Every product is a chain, mat_chain, formed right to
-left: each factor goes to the plane once, the running product stays column
-planes over one denominator summed as plain ints by `products`, and QI is
-built only for the result; mat_mul is its two-factor case. `products` is
-also the kernel of the momentum maps of `dual_pairs`, which hold their
-matrices as split rows: per row the int lists of its real and imaginary
-parts over one denominator (`split_rows`, `split_transpose`, `split_matrix`).
+and imaginary parts). mat_mul multiplies two QI matrices: each goes to the
+plane once, the sums are plain ints from `products`, and QI is built only
+for the result. `products` is also the kernel of every product in
+`dual_pairs`, which holds its matrices as split rows: per row the int lists
+of its real and imaginary parts over one denominator (`split_rows`,
+`split_transpose`, `split_matrix`); no caller in the package multiplies
+more than two QI matrices.
 
 There are three eliminations, all fraction-free: each division is exact and
 entry growth stays polynomial. _eliminate (Bareiss 1968) runs over Z[i] in
@@ -55,33 +55,18 @@ def mat_scale(a: Matrix, s) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return mat_chain(a, b)
-
-
-def mat_chain(*factors: Matrix) -> Matrix:
-    """The product factors[0] @ ... @ factors[-1], formed right to left on
-    the integer plane: each factor is cleared once, the running product stays
-    a list of (re, im) column planes over one denominator, and QI is built
-    only for the result, each of whose rows keeps its own denominator."""
-    for a, b in zip(factors, factors[1:]):
-        (ra, ca), (rb, cb) = shape(a), shape(b)
-        if ca != rb:
-            raise InputError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    *left, last = factors
-    den, flats = common_plane(map(to_plane, zip(*last)))
-    cols = [(flat[0::2], flat[1::2]) for flat in flats]
-    dens = [1] * len(last)
-    for n, a in enumerate(reversed(left), 1):
-        planes = [to_plane(row) for row in a]
-        if n < len(left):  # an inner factor: one denominator for all rows
-            da, flats = common_plane(planes)
-            den *= da
-        else:  # the first factor: each result row keeps its own denominator
-            dens, flats = [d for d, _ in planes], [flat for _, flat in planes]
-        cols = products([(flat[0::2], flat[1::2]) for flat in flats], cols)
-    parts = [part for col in cols for part in col]
-    flats = zip(*parts) if parts else [()] * len(dens)
-    return [from_plane(d * den, flat) for d, flat in zip(dens, flats)]
+    """The product a @ b on the integer plane: the columns of b are cleared
+    to one denominator, each row of a keeps its own, the sums are plain ints
+    from `products`, and QI is built only for the result."""
+    (ra, ca), (rb, cb) = shape(a), shape(b)
+    if ca != rb:
+        raise InputError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
+    den, flats = common_plane(map(to_plane, zip(*b)))
+    planes = [to_plane(row) for row in a]
+    rows = products([(flat[0::2], flat[1::2]) for flat in flats],
+                    [(flat[0::2], flat[1::2]) for _, flat in planes])
+    return [from_plane(d * den, chain.from_iterable(zip(re, im)))
+            for (d, _), (re, im) in zip(planes, rows)]
 
 
 def products(rows: list, cols: list) -> list:

@@ -31,7 +31,7 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InputError
+from .errors import InputError, quoted
 
 
 def _ratio(x) -> tuple:
@@ -43,7 +43,7 @@ def _ratio(x) -> tuple:
         return parse_ratio(x)
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
-    raise InputError(f"cannot interpret {x!r} as an exact rational")
+    raise InputError(f"cannot interpret {quoted(x)} as an exact rational")
 
 
 class QI:
@@ -217,7 +217,7 @@ class QI:
         """Inverse of to_json, read as ints by `parse_ratio`: p/q + (r/s) i
         is (p s + r q i) / (q s), put in lowest terms with one gcd."""
         if not isinstance(data, dict) or "re" not in data or "im" not in data:
-            raise InputError(f'expected {{"re": "p/q", "im": "p/q"}}, got {data!r}')
+            raise InputError(f'expected {{"re": "p/q", "im": "p/q"}}, got {quoted(data)}')
         p, q = parse_ratio(data["re"])
         r, s = parse_ratio(data["im"])
         return _reduced(p * s, r * q, q * s)
@@ -261,7 +261,6 @@ def _coerce(x):
 
 QI_ZERO = QI(0)
 QI_ONE = QI(1)
-QI_I = QI(0, 1)
 HALF = _mk(1, 0, 2)
 
 
@@ -309,15 +308,16 @@ def _past_digit_limit() -> str:
 def json_int(value, what: str) -> int:
     """A JSON integer field: an int and not a bool, else InputError."""
     if type(value) is not int:
-        raise InputError(f"{what} must be an integer, got {value!r}")
+        raise InputError(f"{what} must be an integer, got {quoted(value)}")
     return value
 
 
 def _malformed(s: str) -> InputError:
-    """The error for a rejected rational string, quoting at most its first 40 characters."""
+    """The error for a rejected rational string; a long one may have a part
+    past the int-string limit."""
     if len(s) <= 40:
         return InputError(f"malformed rational string {s!r}")
-    return InputError(f"rational string {s[:40]!r}... of {len(s)} characters is malformed "
+    return InputError(f"rational string {quoted(s)} is malformed "
                       f"or has a part of {_past_digit_limit()}")
 
 
@@ -327,7 +327,7 @@ def parse_ratio(s: str) -> tuple:
     underscores allowed). A non-str, a zero denominator or any other form
     raises InputError."""
     if not isinstance(s, str):
-        raise InputError(f"expected a rational string like \"p/q\", got {s!r}")
+        raise InputError(f"expected a rational string like \"p/q\", got {quoted(s)}")
     num, slash, den = s.partition("/")
     try:  # a second "/" is left in den, which int() then rejects
         p, q = int(num), int(den) if slash else 1

@@ -27,7 +27,7 @@ from itertools import combinations
 from operator import add, sub
 
 from . import linalg
-from .errors import InputError, UnsupportedError
+from .errors import InputError, UnsupportedError, quoted
 from .jordan import (JordanElement, _jordan, generic_det, jordan_product, jordan_rank3,
                      outer_square_planes, random_hermitian)
 from .sampling import derive_seed, make_rng, random_plane
@@ -65,7 +65,7 @@ class PSpaceModel:
 
     def __post_init__(self):
         if self.kind not in _PARAMS:
-            raise InputError(f"unknown model kind {self.kind!r}; expected {MODEL_GRAMMAR}")
+            raise InputError(f"unknown model kind {quoted(self.kind)}; expected {MODEL_GRAMMAR}")
         expected = len(_PARAMS[self.kind])
         if len(self.params) != expected:
             raise InputError(f"model {self.kind} takes {expected} parameter(s)")
@@ -143,7 +143,7 @@ def split_selector(selector: str, what: str, grammar: str) -> tuple[str, tuple]:
     try:
         return kind, tuple(int(a) for a in args.split(",")) if args else ()
     except ValueError as exc:
-        raise InputError(f"bad {what} selector {selector!r}; expected {grammar}") from exc
+        raise InputError(f"bad {what} selector {quoted(selector)}; expected {grammar}") from exc
 
 
 def parse_model(selector: str) -> PSpaceModel:
@@ -229,7 +229,7 @@ class StratumPoint:
             else:
                 coords = linalg.matrix_from_json(data["coords"])
             if "rank" in data and not 0 <= json_int(data["rank"], "rank") <= model.max_rank:
-                raise InputError(f"rank must be in 0..{model.max_rank}, got {data['rank']!r}")
+                raise InputError(f"rank must be in 0..{model.max_rank}, got {quoted(data['rank'])}")
         except InputError:
             raise
         except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -29,7 +29,7 @@ from .catalog import (
     severi_check,
     ScorzaEntry,
 )
-from .errors import InputError
+from .errors import InputError, quoted
 from .sampling import derive_seed, make_rng, random_qi, random_qi_vector
 
 SUITES = ("composition", "jordan", "strata", "moment", "catalog", "all")
@@ -546,8 +546,8 @@ def _lie_membership(sel, seed, t):
         # mu_K and mu_G are quaternion-linear by construction (Fact 3 of
         # dual_pairs), so check their half products against full ones
         dag = dp.dagger(w)
-        ok = (linalg.mat_eq(mu_k, linalg.mat_neg(linalg.mat_chain(dag, w.alpha)))
-              and linalg.mat_eq(mu_g, linalg.mat_chain(w.alpha, dag)))
+        ok = (linalg.mat_eq(mu_k, linalg.mat_neg(linalg.mat_mul(dag, w.alpha)))
+              and linalg.mat_eq(mu_g, linalg.mat_mul(w.alpha, dag)))
     return ok, _w_witness(seed, t, w)
 
 
@@ -740,7 +740,7 @@ def _ambient_cross_check(seed, t):
 
 def run_suite(name: str, trials: int, seed: int) -> VerificationReport:
     if name not in SUITES:
-        raise InputError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
+        raise InputError(f"unknown suite {quoted(name)}; expected one of {', '.join(SUITES)}")
     if not isinstance(trials, int) or trials < 1:
         raise InputError("trials must be >= 1")
     start = time.perf_counter()

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -363,12 +364,12 @@ def _mat22_point(q, p) -> str:
                        "coords": [[zero, zero], [zero, zero]]})
 
 
-def _exc27_point(n=3, level=3, rows=(3, 2, 1)) -> str:
+def _exc27_point(n=3, level=3, rows=(3, 2, 1), algebra="O_C") -> str:
     # the zero point, with the second upper-triangle row one entry short
     # when rows = (3, 1, 1)
     octonion = {"level": level, "coeffs": [{"re": "0", "im": "0"}] * 8}
     return json.dumps({"model": {"kind": "exc27"}, "coords": {
-        "n": n, "algebra": "O_C", "entries": [[octonion] * k for k in rows]}})
+        "n": n, "algebra": algebra, "entries": [[octonion] * k for k in rows]}})
 
 
 def _sym_point(diagonal: str, r: int) -> str:
@@ -458,6 +459,39 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path):
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
     assert "error:" in result.stderr
+
+
+# 100 KB rejected inputs, each quoted by its first 40 characters: (args,
+# stdin, SCORZA_SEED or None)
+LONG = "x" * 100_000
+LONG_INPUT = {
+    "model-kind-long": (["sample", "--model", LONG], None, None),
+    "model-selector-long": (["sample", "--model", "sym:" + LONG], None, None),
+    "case-kind-long": (["reduce", "--case", LONG, "--s", "1"], None, None),
+    "case-selector-long": (["reduce", "--case", "sp:" + LONG, "--s", "1"], None, None),
+    "suite-long": (["verify", "--suite", LONG], None, None),
+    "seed-env-long": (["sample", "--model", "sym:3"], None, LONG),
+    "seed-env-past-digit-limit": (["sample", "--model", "sym:3"], None, "7" * 100_000),
+    "point-model-kind-long": (["invariant"], SYM1_POINT.replace('"sym"', json.dumps(LONG)), None),
+    "point-model-r-long": (["invariant"], SYM1_POINT.replace('"r": 1', f'"r": "{LONG}"'), None),
+    "point-rank-long": (["invariant"], _sym2_point_with_rank(10**4000), None),
+    "point-algebra-long": (["invariant"], _exc27_point(algebra=LONG), None),
+    "qi-leaf-extra-key-long": (["invariant"], SYM1_POINT.replace('"im"', json.dumps(LONG)), None),
+    "qi-leaf-list-re-long": (
+        ["invariant"], SYM1_POINT.replace('"1/1"', json.dumps(list(range(20_000)))), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_INPUT))
+def test_long_rejected_inputs_are_quoted_by_their_start(case):
+    args, stdin, seed = LONG_INPUT[case]
+    env = None if seed is None else dict(os.environ, SCORZA_SEED=seed)
+    result = run_cli(args, env=env, stdin=stdin)
+    assert result.returncode == 2
+    assert result.stderr.count("\n") == 1 and len(result.stderr) < 300, result.stderr[:300]
+    assert "... of " in result.stderr
+    if case.endswith("past-digit-limit"):
+        assert f"more than {sys.get_int_max_str_digits()} digits" in result.stderr
 
 
 @pytest.mark.parametrize("case", sorted(PAST_DIGIT_LIMIT))

@@ -10,7 +10,6 @@ import pytest
 from scorza import cli, linalg, scalars, verify
 from scorza import dual_pairs as dp
 from scorza.dual_pairs import (
-    SignedPerm,
     WElement,
     cartan_project,
     cartan_split,
@@ -45,10 +44,13 @@ def identity(n: int) -> list:
     return [[QI(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def _structure(case, on_v: bool) -> SignedPerm:
-    """The antilinear quaternionic structure X -> C conj(X) C^-1 of an ostar
-    case, C = [[0, -I], [I, 0]] on V (size 2D) or on K^s (size 2s)."""
-    return dp._omega(case.params[0] if on_v else case.s, -1)
+def _structure(case, on_v: bool) -> list:
+    """The matrix C = [[0, -I], [I, 0]] of the antilinear quaternionic
+    structure X -> C conj(X) C^-1 of an ostar case, on V (size 2D) or on
+    K^s (size 2s)."""
+    n = case.params[0] if on_v else case.s
+    return [[QI(-1) if j == i + n else QI(1) if i == j + n else QI(0) for j in range(2 * n)]
+            for i in range(2 * n)]
 
 
 def test_case_parsing_and_shapes():
@@ -84,40 +86,11 @@ def test_case_structural_invariants(sel):
         assert linalg.mat_eq(linalg.mat_mul(gv, gv), minus_one)
         assert linalg.mat_eq(j, linalg.mat_neg(gv))
         if case.kind == "ostar":
-            assert linalg.mat_eq(_structure(case, True).dense(), gv)
-            cs = _structure(case, False).dense()
+            assert linalg.mat_eq(_structure(case, True), gv)
+            cs = _structure(case, False)
             assert linalg.mat_eq(
                 linalg.mat_mul(cs, cs), linalg.mat_neg(identity(case.s_size))
             )
-
-
-@pytest.mark.parametrize("sel", ALL_CASES)
-def test_signed_permutations_match_dense_products(sel):
-    # every constant applied by indexing equals the product by its dense
-    # public matrix, from the left and from the right
-    rng = make_rng("t-signed-perm", sel)
-    for s in (1, 2, 3):
-        case = parse_case(sel, s)
-        consts = [(case.form_v(), case.form_v_matrix()), (-case.form_v(), case.j_v_matrix())]
-        if case.kind == "ostar":
-            consts += [(_structure(case, on_v), _structure(case, on_v).dense())
-                       for on_v in (True, False)]
-        for perm, dense in consts:
-            n = len(dense)
-            for cols in (1, n, 3):
-                x = random_qi_matrix(rng, n, cols, 7)
-                assert perm.left(x) == linalg.mat_mul(dense, x)
-                assert perm.right(linalg.transpose(x)) == linalg.mat_mul(
-                    linalg.transpose(x), dense)
-    # and on signed permutations that are not involutions
-    for n in (1, 3, 5):
-        cols = list(range(n))
-        rng.shuffle(cols)
-        perm = SignedPerm(tuple((c, rng.randrange(4)) for c in cols))
-        x = random_qi_matrix(rng, n, n, 7)
-        assert perm.left(x) == linalg.mat_mul(perm.dense(), x)
-        assert perm.right(x) == linalg.mat_mul(x, perm.dense())
-        assert (-perm).dense() == linalg.mat_neg(perm.dense())
 
 
 def test_dagger_hand_example_sp1():
@@ -285,7 +258,7 @@ def _h_linear_oracle(case, m, rows_on_v, cols_on_v) -> bool:
     """Quaternion-linearity as M C_cols == C_rows conj(M), with the
     structure maps of the case on V or on K^s."""
     c_rows, c_cols = _structure(case, rows_on_v), _structure(case, cols_on_v)
-    return c_cols.right(m) == c_rows.left(linalg.mat_conj(m))
+    return linalg.mat_mul(m, c_cols) == linalg.mat_mul(c_rows, linalg.mat_conj(m))
 
 
 @pytest.mark.parametrize("sel", ["ostar:2", "ostar:5", "ostar:6"])
@@ -302,7 +275,7 @@ def test_h_linearity_matches_the_structure_oracle(sel):
                    (random_g_element(case, rng), True, True)]
         for rows_on_v, cols_on_v in ((True, True), (False, False), (True, False)):
             lhalf = random_qi_matrix(rng, size[rows_on_v], size[cols_on_v] // 2, 7)
-            rhalf = _structure(case, rows_on_v).left(linalg.mat_conj(lhalf))  # Fact 3
+            rhalf = linalg.mat_mul(_structure(case, rows_on_v), linalg.mat_conj(lhalf))  # Fact 3
             linear.append(([a + b for a, b in zip(lhalf, rhalf)], rows_on_v, cols_on_v))
         for m, rows_on_v, cols_on_v in linear:
             assert dp._is_h_linear(case, m)
@@ -335,7 +308,7 @@ def test_trusted_results_pass_the_public_checks(sel):
             sample, element = sample_zero_level(case, seed), random_w_element(case, seed)
             alpha = element.alpha
             x, y = random_h_element(case, rng), random_g_element(case, rng)
-            moved = dp._chain(case, y, alpha, linalg.inverse(x))
+            moved = linalg.mat_mul(linalg.mat_mul(y, alpha), linalg.inverse(x))
             for built in (sample.alpha, alpha, moved):
                 assert WElement(case, built).alpha == built
             for trusted in (sample, element):
@@ -568,22 +541,22 @@ def test_verify_moment_report_pinned():
     )
 
 
-def _count_mat_chains(monkeypatch) -> list:
-    """[the number of linalg.mat_chain calls from now on]."""
-    calls, full = [0], linalg.mat_chain
+def _count_mat_muls(monkeypatch) -> list:
+    """[the number of linalg.mat_mul calls from now on]."""
+    calls, full = [0], linalg.mat_mul
 
-    def counting(*factors):
+    def counting(a, b):
         calls[0] += 1
-        return full(*factors)
+        return full(a, b)
 
-    monkeypatch.setattr(linalg, "mat_chain", counting)
+    monkeypatch.setattr(linalg, "mat_mul", counting)
     return calls
 
 
 def test_momentum_maps_build_no_fraction_per_entry(count_calls, monkeypatch):
     # the momentum maps, a zero-level sample, reduced_point and `scorza
-    # reduce` build no Fraction and, but for the QI chain, make no QI
-    # matrix product (mat_chain)
+    # reduce` build no Fraction and make no QI matrix product (mat_mul);
+    # the QI product of the same factors builds no Fraction either
     def fractions_built(fn) -> int:
         """The number of Fraction.__new__ calls made while fn() runs."""
         return count_calls(fn, lambda frame: frame.f_code is Fraction.__new__.__code__)[1]
@@ -591,55 +564,59 @@ def test_momentum_maps_build_no_fraction_per_entry(count_calls, monkeypatch):
     case = parse_case("ostar:6", 3)
     w = WElement(case, sample_zero_level(case, 5).alpha)  # keeps no mu_K: mu_K(w) forms it
     assert fractions_built(lambda: Fraction(1, 2)) == 1  # the counter sees a build
-    chains = _count_mat_chains(monkeypatch)
+    products = _count_mat_muls(monkeypatch)
     built = fractions_built(lambda: (
         mu_K(w), mu_G(w), reduced_point(w), reduced_point(sample_zero_level(case, 6)),
         _cli_stdout(["reduce", "--case", "ostar:6", "--s", "3", "--seed", "11"]),
     ))
-    assert built == 0 and chains[0] == 0
-    assert fractions_built(lambda: linalg.mat_chain(w.alpha, dagger(w), w.alpha, dagger(w))) == 0
-    assert chains[0] == 1
+    assert built == 0 and products[0] == 0
+    assert fractions_built(lambda: linalg.mat_mul(w.alpha, dagger(w))) == 0
+    assert products[0] == 1
 
 
-def _record_chains(monkeypatch) -> list:
-    """Record (factors, result) of every `_chain` product from now on."""
-    formed, half = [], dp._chain
+def _record_times(monkeypatch) -> list:
+    """Record (a, b, result) of every `_times` product from now on."""
+    formed, half = [], dp._times
 
-    def recording(case, *factors):
-        out = half(case, *factors)
-        formed.append((factors, out))
+    def recording(case, a, b):
+        out = half(case, a, b)
+        formed.append((a, b, out))
         return out
 
-    monkeypatch.setattr(dp, "_chain", recording)
+    monkeypatch.setattr(dp, "_times", recording)
     return formed
 
 
-@pytest.mark.parametrize("sel", ["ostar:2", "ostar:5", "ostar:6"])
+@pytest.mark.parametrize("sel", ["sp:3", "u:3,3", "ostar:2", "ostar:5", "ostar:6"])
 def test_half_products_equal_full_chains(sel, monkeypatch):
-    # Fact 3: each quaternionic QI chain formed on its left block column
-    # equals the full product of the same factors. Only equivariance_check
-    # forms such chains; the momentum maps are integer products, held to
-    # the full chains by test_momentum_maps_equal_the_qi_chain_oracle
-    formed = _record_chains(monkeypatch)
+    # Fact 3: each integer product `_times` forms, on the left block column
+    # for ostar, equals the full QI product of its two operands; the
+    # momentum maps, a zero-level sample and equivariance_check form every
+    # product shape of the dual-pair layer
+    formed = _record_times(monkeypatch)
     v = parse_case(sel, 1).v_size
     expected = set()
     for s in range(1, 5):
         case = parse_case(sel, s)
         n = case.s_size
         expected |= {
-            ((v, v), (v, n), (n, n)),  # y a x^-1
-            ((n, n), (n, v), (v, n), (n, n)),  # -x dagger(a) a x^-1
-            ((v, v), (v, n), (n, v), (v, v)),  # y a dagger(a) y^-1
+            ((n, v), (v, n)),  # dagger(a) a = -mu_K(a)
+            ((v, n), (n, v)),  # a dagger(a) = mu_G(a)
+            ((v, v), (v, n)), ((v, n), (n, n)),  # y a, then (y a) x^-1
+            ((n, n), (n, n)),  # x (dagger(a) a), then its product by x^-1
+            ((v, v), (v, v)),  # y mu_G(a), then its product by y^-1
         }
         for seed in range(3):
-            w, count = random_w_element(case, seed), len(formed)
+            w = random_w_element(case, seed)
             sample_zero_level(case, seed), mu_K(w), mu_G(w)
-            assert len(formed) == count
             rng = make_rng("t-half", sel, s, seed)
             assert equivariance_check(w, random_h_element(case, rng), random_g_element(case, rng))
-    assert expected == {tuple(linalg.shape(f) for f in factors) for factors, _ in formed}
-    for factors, out in formed:
-        assert out == linalg.mat_chain(*factors)
+    shapes = set()
+    for (den_a, rows), (den_b, cols), out in formed:
+        a, b = linalg.split_matrix(den_a, rows), linalg.split_matrix(den_b, linalg.split_transpose(cols))
+        assert linalg.split_matrix(*out) == linalg.mat_mul(a, b)
+        shapes.add((linalg.shape(a), linalg.shape(b)))
+    assert shapes == expected
 
 
 def _oracle_projection(case, x) -> StratumPoint:
@@ -658,7 +635,7 @@ def _oracle_projection(case, x) -> StratumPoint:
 
 @pytest.mark.parametrize("sel", ["sp:1", "sp:3", "u:2,1", "u:3,3", "ostar:2", "ostar:6"])
 def test_momentum_maps_equal_the_qi_chain_oracle(sel):
-    # the integer products equal the full QI chains over the dense alpha
+    # the integer products equal the full QI products over the dense alpha
     # and dagger = alpha^H J_V, and the integer projection equals the one
     # read off cartan_split, for random, zero-level and public elements
     rng = make_rng("t-qi-oracle", sel)
@@ -673,10 +650,10 @@ def test_momentum_maps_equal_the_qi_chain_oracle(sel):
                 alpha = w.alpha
                 dag = linalg.mat_mul(linalg.conj_transpose(alpha), j)
                 assert dagger(w) == dag
-                assert mu_K(w) == linalg.mat_neg(linalg.mat_chain(dag, alpha))
-                assert mu_G(w) == linalg.mat_chain(alpha, dag)
+                assert mu_K(w) == linalg.mat_neg(linalg.mat_mul(dag, alpha))
+                assert mu_G(w) == linalg.mat_mul(alpha, dag)
             for w in (sample, elements[3]):
-                mu_g = linalg.mat_chain(w.alpha, dagger(w))
+                mu_g = linalg.mat_mul(w.alpha, dagger(w))
                 assert reduced_point(w) == _oracle_projection(case, mu_g)
                 assert dp.reduction(w) == (mu_g, reduced_point(w))
             x = random_lie_g(case, rng)
@@ -709,6 +686,13 @@ def _dense_action(action, cols) -> list:
     return m
 
 
+def _acts_as(action, dense, x) -> bool:
+    """Whether the action on the plane of x equals the product dense @ x."""
+    den, rows = dp._act(action, dp._plane(x))
+    return ([[QI.from_ints(a, b, den) for a, b in zip(re, im)] for re, im in rows]
+            == linalg.mat_mul(dense, x))
+
+
 @pytest.mark.parametrize("sel", ALL_CASES)
 def test_generator_actions_match_dense_oracle(sel):
     # every branch of both generators, at s = 1..3: the action's matrix lies
@@ -725,10 +709,31 @@ def test_generator_actions_match_dense_oracle(sel):
                 action = generator(case, rng)
                 dense = _dense_action(action, n)
                 assert in_group(case, dense)
-                x = random_qi_matrix(rng, n, 3, 7)
-                den, rows = dp._act(action, dp._plane(x))
-                got = [[QI.from_ints(a, b, den) for a, b in zip(re, im)] for re, im in rows]
-                assert got == linalg.mat_chain(dense, x)
+                assert _acts_as(action, dense, random_qi_matrix(rng, n, 3, 7))
+        # the constants of the case: G_V, J_V = -G_V, i I on K^s and, for
+        # ostar, the structure maps on V and K^s; each signed permutation's
+        # matrix is the public one and its action is the product by it
+        v, n = case.v_size, case.s_size
+        consts = [(case.form_v(), case.form_v_matrix()),
+                  ([(c, k ^ 2) for c, k in case.form_v()], case.j_v_matrix()),
+                  ([(i, 1) for i in range(n)], linalg.mat_scale(identity(n), QI(0, 1)))]
+        if case.kind == "ostar":
+            consts += [(dp._omega(m // 2, -1), _structure(case, on_v))
+                       for m, on_v in ((v, True), (n, False))]
+        for entries, dense in consts:
+            action = dp._units(entries)
+            assert _dense_action(action, len(dense)) == dense
+            for cols in (1, len(dense), 3):
+                assert _acts_as(action, dense, random_qi_matrix(rng, len(dense), cols, 7))
+    # and on signed permutations that are not involutions
+    for n in (1, 3, 5):
+        cols = list(range(n))
+        rng.shuffle(cols)
+        action = dp._units([(c, rng.randrange(4)) for c in cols])
+        dense = _dense_action(action, n)
+        assert sorted(c for row in dense for c, x in enumerate(row) if x) == list(range(n))
+        assert all(x in (QI(1), QI(-1), QI(0, 1), QI(0, -1)) for row in dense for x in row if x)
+        assert _acts_as(action, dense, random_qi_matrix(rng, n, n, 7))
 
 
 def test_zero_level_and_group_draws_form_no_generator_matrix(monkeypatch, count_calls):
@@ -736,7 +741,7 @@ def test_zero_level_and_group_draws_form_no_generator_matrix(monkeypatch, count_
     # QI matrix product (1, its mu_K check, while alpha was a QI matrix; 2 +
     # 2 per shear drawn when the generators were dense) and calls nothing in
     # scalars, so it builds no QI; the random H and G elements make no product
-    calls = _count_mat_chains(monkeypatch)
+    calls = _count_mat_muls(monkeypatch)
     in_scalars = lambda frame: frame.f_code.co_filename == scalars.__file__  # noqa: E731
     for sel in CASES:
         for s in (1, 4):
@@ -747,15 +752,6 @@ def test_zero_level_and_group_draws_form_no_generator_matrix(monkeypatch, count_
         for _ in range(4):
             random_h_element(parse_case(sel, 2), rng), random_g_element(parse_case(sel, 2), rng)
     assert calls[0] == 0
-
-
-@pytest.mark.parametrize("sel", ["sp:3", "u:3,3"])
-def test_chain_is_mat_chain_off_ostar(sel):
-    case = parse_case(sel, 2)
-    rng = make_rng("t-chain", sel)
-    v, n = case.v_size, case.s_size
-    factors = [random_qi_matrix(rng, *shape, 5) for shape in ((n, v), (v, v), (v, n))]
-    assert dp._chain(case, *factors) == linalg.mat_chain(*factors)
 
 
 def _record_products(monkeypatch) -> list:
@@ -773,14 +769,14 @@ def _record_products(monkeypatch) -> list:
 def test_reduction_trial_forms_two_products(monkeypatch):
     # the zero-level sample keeps the mu_K it checked, so reduced_point
     # forms mu_G alone (3 products when it formed mu_K again); both are
-    # integer products, and no QI chain is formed
-    formed, chains = _record_products(monkeypatch), _count_mat_chains(monkeypatch)
+    # integer products, and no QI product is formed
+    formed, qi_products = _record_products(monkeypatch), _count_mat_muls(monkeypatch)
     rows = {row.name: row for row in verify.CHECKS["moment"]}
     for sel in CASES:
         formed.clear()
         assert rows[f"reduced_rank_bound_{sel}_s2"].run(1, 0).ok
         assert len(formed) == 2
-    assert chains[0] == 0
+    assert qi_products[0] == 0
 
 
 def test_reduce_multiplies_half_the_columns(monkeypatch):
@@ -788,7 +784,28 @@ def test_reduce_multiplies_half_the_columns(monkeypatch):
     # 20 for full products (the mu_K check 8, mu_G 12), 10 with the half
     # products; `products(C's columns, R's rows)` forms the rows of R @ C,
     # whose columns are its first operand
-    formed, chains = _record_products(monkeypatch), _count_mat_chains(monkeypatch)
+    formed, qi_products = _record_products(monkeypatch), _count_mat_muls(monkeypatch)
     _cli_stdout(["reduce", "--case", "ostar:6", "--s", "4", "--seed", "11"])
     assert sum(len(cols) for cols, _ in formed) == 20 // 2
-    assert chains[0] == 0
+    assert qi_products[0] == 0
+
+
+@pytest.mark.parametrize("sel", CASES)
+def test_group_side_checks_make_no_qi_product(sel, count_calls):
+    # membership and equivariance multiply split rows: no call runs
+    # linalg.mat_mul's code, on group elements, Lie elements and rejects
+    in_mat_mul = lambda frame: frame.f_code is linalg.mat_mul.__code__  # noqa: E731
+    assert count_calls(lambda: linalg.mat_mul(identity(2), identity(2)), in_mat_mul)[1] == 1
+    for s in range(1, 5):
+        case = parse_case(sel, s)
+        rng = make_rng("t-no-qi-product", sel, s)
+        w = random_w_element(case, derive_seed("t-no-qi-product", sel, s))
+        x, y = random_h_element(case, rng), random_g_element(case, rng)
+        lie_h, lie_g, bad = mu_K(w), random_lie_g(case, rng), linalg.mat_scale(y, QI(2))
+        checks = [lambda: equivariance_check(w, x, y), lambda: in_group_h(case, x),
+                  lambda: in_group_g(case, y), lambda: in_group_g(case, bad),
+                  lambda: in_lie_h(case, lie_h), lambda: in_lie_g(case, lie_g),
+                  lambda: in_lie_g(case, y)]
+        for check in checks:
+            assert count_calls(check, in_mat_mul)[1] == 0
+        assert [check() for check in checks] == [True] * 3 + [False, True, True, False]

@@ -192,51 +192,26 @@ def _from_sympy(e) -> QI:
     return QI(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + ("per-factor",))
 def test_mat_mul_and_mat_vec_match_sympy(kind):
+    # "per-factor" draws each factor's kind, so one product mixes zero,
+    # real-only, imaginary and big-denominator factors; SHAPES has 1 x n by
+    # n x 1 and inner dimension 1
     rng = make_rng("linalg", "sympy-oracle", kind)
     for rows, inner, cols in SHAPES:
         for _ in range(2):
-            a = _oracle_matrix(rng, rows, inner, kind)
-            b = _oracle_matrix(rng, inner, cols, kind)
+            a, b = (_oracle_matrix(rng, r, c, rng.choice(KINDS) if kind == "per-factor" else kind)
+                    for r, c in ((rows, inner), (inner, cols)))
             expected = _to_sympy(a) * _to_sympy(b)
             got = linalg.mat_mul(a, b)
             assert linalg.shape(got) == (rows, cols)
             assert all(got[i][j] == _from_sympy(expected[i, j])
                        for i in range(rows) for j in range(cols))
-
-
-# chains as (dims): factor t is dims[t] x dims[t+1]; 1 x n and n x 1 ends,
-# inner dimension 1, a single factor and a long chain like sample_zero_level's
-CHAIN_DIMS = ((1, 4, 1), (4, 1, 3), (1, 5, 5, 1), (3, 1, 4, 1), (4, 3),
-              (2, 3, 3, 3, 3, 3, 3, 2, 2), (5, 5, 5, 2))
-
-
-@pytest.mark.parametrize("kind", KINDS + ("per-factor",))
-def test_mat_chain_matches_nested_mat_mul_and_sympy(kind):
-    # "per-factor" draws each factor's kind, so one chain mixes zero,
-    # real-only, imaginary and big-denominator factors
-    rng = make_rng("linalg", "chain-oracle", kind)
-    for dims in CHAIN_DIMS:
-        for _ in range(2):
-            factors = [_oracle_matrix(rng, r, c, rng.choice(KINDS) if kind == "per-factor"
-                                      else kind) for r, c in zip(dims, dims[1:])]
-            got = linalg.mat_chain(*factors)
-            nested = factors[0]
-            for f in factors[1:]:
-                nested = linalg.mat_mul(nested, f)
-            assert got == nested
-            expected = _sympy_dm(factors[0])
-            for f in factors[1:]:
-                expected = expected * _sympy_dm(f)
-            assert got == [[_from_sympy(expected.domain.to_sympy(x)) for x in row]
-                           for row in expected.to_list()]
-    zero = zeros(3, 3)
     a = _oracle_matrix(rng, 2, 3, "bigden")
-    assert linalg.mat_chain(a, zero, zero) == zeros(2, 3)
-    assert linalg.mat_chain(a, zero, [[]] * 3) == [[], []]  # 2 x 0
+    assert linalg.mat_mul(a, zeros(3, 3)) == zeros(2, 3)
+    assert linalg.mat_mul(a, [[]] * 3) == [[], []]  # 2 x 0
     with pytest.raises(InputError):
-        linalg.mat_chain(a, zero, a)
+        linalg.mat_mul(a, a)
 
 
 def _sympy_dm(m):

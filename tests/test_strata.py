@@ -556,7 +556,7 @@ def test_matrix_points_are_ranked_evaluated_and_peeled_on_their_plane(sel, count
     # cost pin: rank, invariant and peeling of a matrix point read its plane
     # and build no QI matrix
     watched = {StratumPoint.coords.fget.__code__,
-               *(getattr(linalg, name).__code__ for name in ("mat_chain", "det", "pfaffian"))}
+               *(getattr(linalg, name).__code__ for name in ("mat_mul", "det", "pfaffian"))}
     model = parse_model(sel)
     ops = [rank_of, peel_rank_one, *([relative_invariant] if model.regular else [])]
     for k in range(model.max_rank):
