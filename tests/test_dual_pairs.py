@@ -710,9 +710,16 @@ def test_generator_actions_match_dense_oracle(sel):
                 dense = _dense_action(action, n)
                 assert in_group(case, dense)
                 assert _acts_as(action, dense, random_qi_matrix(rng, n, 3, 7))
-        # the constants of the case: G_V, J_V = -G_V, i I on K^s and, for
-        # ostar, the structure maps on V and K^s; each signed permutation's
-        # matrix is the public one and its action is the product by it
+
+
+@pytest.mark.parametrize("sel", ALL_CASES)
+def test_signed_permutations_match_dense_products(sel):
+    # the constants of the case: G_V, J_V = -G_V, i I on K^s and, for
+    # ostar, the structure maps on V and K^s; each signed permutation's
+    # matrix is the public one and its action is the product by it
+    rng = make_rng("t-signed-perm", sel)
+    for s in (1, 2, 3):
+        case = parse_case(sel, s)
         v, n = case.v_size, case.s_size
         consts = [(case.form_v(), case.form_v_matrix()),
                   ([(c, k ^ 2) for c, k in case.form_v()], case.j_v_matrix()),

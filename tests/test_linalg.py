@@ -214,6 +214,37 @@ def test_mat_mul_and_mat_vec_match_sympy(kind):
         linalg.mat_mul(a, a)
 
 
+
+# chains as (dims): factor t is dims[t] x dims[t+1]; 1 x n and n x 1 ends,
+# inner dimension 1, a single factor and a long chain like sample_zero_level's
+CHAIN_DIMS = ((1, 4, 1), (4, 1, 3), (1, 5, 5, 1), (3, 1, 4, 1), (4, 3),
+              (2, 3, 3, 3, 3, 3, 3, 2, 2), (5, 5, 5, 2))
+
+
+@pytest.mark.parametrize("kind", KINDS + ("per-factor",))
+def test_mat_chain_matches_nested_mat_mul_and_sympy(kind):
+    # a matrix chain by repeated mat_mul is the same nested from the left
+    # and from the right, and equals sympy's product over QQ_I: each result
+    # row keeps its own denominator, and the next product clears them
+    rng = make_rng("linalg", "chain-oracle", kind)
+    for dims in CHAIN_DIMS:
+        for _ in range(2):
+            factors = [_oracle_matrix(rng, r, c, rng.choice(KINDS) if kind == "per-factor"
+                                      else kind) for r, c in zip(dims, dims[1:])]
+            got = factors[0]
+            for f in factors[1:]:
+                got = linalg.mat_mul(got, f)
+            nested = factors[-1]
+            for f in reversed(factors[:-1]):
+                nested = linalg.mat_mul(f, nested)
+            assert got == nested
+            assert linalg.shape(got) == (dims[0], dims[-1])
+            expected = _sympy_dm(factors[0])
+            for f in factors[1:]:
+                expected = expected * _sympy_dm(f)
+            assert got == [[_from_sympy(expected.domain.to_sympy(x)) for x in row]
+                           for row in expected.to_list()]
+
 def _sympy_dm(m):
     # the exact matrix over sympy's Gaussian-rational domain QQ_I
     return _to_sympy(m).to_DM(domain=sympy.QQ_I)
