@@ -37,6 +37,7 @@ from .dual_pairs import (
 from .errors import InputError, UnsupportedError
 from .jordan import (
     JordanElement,
+    from_upper,
     generic_det,
     jordan_diag,
     jordan_identity,

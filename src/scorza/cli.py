@@ -15,6 +15,7 @@ import sys
 from functools import cache
 
 from . import dual_pairs as dp
+from . import linalg
 from . import strata as st
 from .catalog import (
     catalog_scorza,
@@ -23,17 +24,20 @@ from .catalog import (
     scorza_json_obj,
 )
 from .errors import InputError, quoted
-from .scalars import QI, _past_digit_limit
+from .scalars import QI, Leaves, _past_digit_limit, leaf_strings
 from .verify import SUITES, run_suite
 
 
 def render_json(obj) -> str:
     """json.dumps(obj, indent=2) and a newline, byte for byte, for trees of
-    str-keyed dicts and lists (or tuples) with str, int, bool, None, float
-    and QI leaves; a QI is written as its `to_json` dict would be, from its
-    `part_strings`, so no dict is built for it. Built by joining strings
-    instead of by json's pure-Python indenting encoder. Any other key or
-    value type raises TypeError."""
+    str-keyed dicts and lists (or tuples) with str, int, bool, None, float,
+    QI and `scalars.Leaves` leaves. A QI is written as its `to_json` dict
+    would be, and a Leaves as its `plain_json` list would be, both from the
+    ints by `scalars.leaf_strings`: no dict and, for a Leaves, no QI is
+    built per value. Points, W elements and mu_G reach the writer as Leaves
+    (their `json_tree`). Built by joining strings instead of by json's
+    pure-Python indenting encoder. Any other key or value type raises
+    TypeError."""
     return _render(obj, "\n") + "\n"
 
 
@@ -42,7 +46,14 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 def _render(obj, nl: str) -> str:
     """obj as indented JSON; nl is the newline and indent of its own line."""
-    if obj.__class__ is QI:  # the parts are ASCII "p/q": nothing to escape
+    if obj.__class__ is Leaves:  # the parts are ASCII "p/q": nothing to escape
+        if not obj.flat:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([
+            f'{{{inner}  "re": "{re}",{inner}  "im": "{im}"{inner}}}'
+            for re, im in leaf_strings(obj.den, obj.flat)]) + nl + "]"
+    if obj.__class__ is QI:
         re, im = obj.part_strings()
         return f'{{{nl}  "re": "{re}",{nl}  "im": "{im}"{nl}}}'
     if isinstance(obj, str):
@@ -199,14 +210,15 @@ def _dispatch(args) -> int:
         )
         rank = st.rank_of(point)
         _emit_result(
-            args, {**point.to_json(), "rank": rank},
-            [["model", point.model.selector()], ["rank", rank], ["coords", "see JSON format"]],
+            args, {**point.json_tree(), "rank": rank},
+            lambda: [["model", point.model.selector()], ["rank", rank],
+                     ["coords", "see JSON format"]],
         )
         return 0
     if args.command == "dim":
         cone, proj = st.stratum_dimension(st.parse_model(args.model), args.stratum)
         obj = {"cone_dim": cone, "proj_dim": proj}
-        _emit_result(args, obj, [["cone_dim", cone], ["proj_dim", proj]])
+        _emit_result(args, obj, lambda: [["cone_dim", cone], ["proj_dim", proj]])
         return 0
     if args.command == "defects":
         d = st.defects(st.parse_model(args.model))
@@ -219,7 +231,7 @@ def _dispatch(args) -> int:
             "k0": d.k0,
             "scorza_ok": d.scorza_ok,
         }
-        _emit_result(args, obj, [[k, v] for k, v in obj.items()])
+        _emit_result(args, obj, lambda: [[k, v] for k, v in obj.items()])
         return 0
     if args.command == "invariant":
         return _cmd_invariant(args)
@@ -229,10 +241,11 @@ def _dispatch(args) -> int:
 
 
 def _emit_result(args, json_obj, table_rows):
+    """json_obj as JSON, or the rows that table_rows() builds as a table."""
     if args.format == "json":
         _emit(render_json(json_obj), args.out)
     else:
-        _emit(_table(["field", "value"], table_rows), args.out)
+        _emit(_table(["field", "value"], table_rows()), args.out)
 
 
 def _cmd_catalog(args) -> int:
@@ -303,19 +316,14 @@ def _cmd_invariant(args) -> int:
         raise InputError(f"cannot read {quoted(source)}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nested too deep
         raise InputError(f"{source} is not valid JSON: {exc}") from exc
-    point = st.StratumPoint.from_json(data)
+    point = st.StratumPoint.from_json(data, st.check_invariant)
     value = st.relative_invariant(point)
-    obj = {
-        "model": point.model.selector(),
-        "invariant": value.to_json(),
-        "is_zero": not value,
-    }
-    rows = [
+    obj = {"model": point.model.selector(), "invariant": value, "is_zero": not value}
+    _emit_result(args, obj, lambda: [
         ["model", point.model.selector()],
         ["invariant", str(value)],  # reduced-fraction rendering
         ["is_zero", not value],
-    ]
-    _emit_result(args, obj, rows)
+    ])
     return 0
 
 
@@ -325,18 +333,16 @@ def _cmd_reduce(args, seed: int) -> int:
     mu_g, point = dp.reduction(w)
     rank = st.rank_of(point)
     obj = {
-        "case": case.selector(),
-        "s": case.s,
-        "alpha": w.alpha,
+        **w.json_tree(),  # case, s and alpha
         "mu_K": dp.mu_K(w),
-        "mu_G": mu_g,
-        "reduced_point": {**point.to_json(qi_leaves=True), "rank": rank},
+        "mu_G": linalg.split_leaves(*mu_g),
+        "reduced_point": {**point.json_tree(), "rank": rank},
         "rank": rank,
     }
     _emit_result(
         args, obj,
-        [["case", case.selector()], ["s", case.s], ["rank", rank],
-         ["detail", "see JSON format"]],
+        lambda: [["case", case.selector()], ["s", case.s], ["rank", rank],
+                 ["detail", "see JSON format"]],
     )
     return 0
 

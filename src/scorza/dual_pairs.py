@@ -34,7 +34,9 @@ model point's plane. The group side is sparse actions too: the random
 generators of G and H, and the constants of a case (G_V, J_V, the structure
 maps, i I on K^s), signed permutations with per row a column and a unit
 i**k. Membership and equivariance read their QI arguments as planes once,
-and QI is built only for public results.
+and QI is built only for public results. `reduce` writes alpha, mu_G and
+the reduced point from their planes (`WElement.json_tree`, `reduction`)
+and builds QI only for mu_K.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ from random import Random
 
 from . import linalg
 from .errors import InputError, quoted
-from .linalg import split_matrix, split_rows, split_transpose
+from .linalg import split_leaves, split_matrix, split_rows, split_transpose
 from .sampling import make_rng, random_plane, random_qi, random_qi_matrix, random_square
-from .scalars import HALF, QI, QI_ZERO, to_plane
+from .scalars import HALF, QI, QI_ZERO, plain_json, to_plane
 from .strata import (
     PSpaceModel, StratumPoint, _point, check_cells, mat_model, skew_model, split_selector,
     sym_model,
@@ -221,9 +223,15 @@ class WElement:
     def alpha(self) -> list:
         return split_matrix(self.den, _rows(self))
 
-    def to_json(self) -> dict:
+    def json_tree(self) -> dict:
+        """The element as JSON, alpha's rows `scalars.Leaves` of its plane,
+        which `cli.render_json` writes with no QI."""
         return {"case": self.case.selector(), "s": self.case.s,
-                "alpha": linalg.matrix_to_json(self.alpha)}
+                "alpha": split_leaves(self.den, _rows(self))}
+
+    def to_json(self) -> dict:
+        """`json_tree` as plain JSON data, every leaf a {"re", "im"} dict."""
+        return plain_json(self.json_tree())
 
 
 def _element(case: DualPairCase, den: int, flat: list, checked_mu_K=None) -> WElement:
@@ -421,9 +429,11 @@ def reduced_point(w: WElement) -> StratumPoint:
 
 
 def reduction(w: WElement) -> tuple:
-    """mu_G(w) and reduced_point(w) of a zero-level element, from one product."""
+    """mu_G(w) as its plane (den, split rows), which `linalg.split_matrix`
+    builds into QI and `linalg.split_leaves` into JSON rows, and
+    reduced_point(w) of a zero-level element, from one product."""
     mu_g = _mu_g(w, zero_level=True)
-    return split_matrix(*mu_g), _project_p(w.case, *mu_g)
+    return mu_g, _project_p(w.case, *mu_g)
 
 
 def veronese_map(case: DualPairCase, v: list) -> StratumPoint:

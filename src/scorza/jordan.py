@@ -18,7 +18,8 @@ An element is one integer plane: a denominator and the n x n entry planes
 of `cayley_dickson` over it, in lowest terms, so equal values have equal
 planes. Sums, scalings, traces, products and sharps run on that plane
 alone; CDElement entries are built from it only at the boundary (`entries`,
-`entry`, `to_json`).
+`entry`). The JSON form is written from the plane and read into it, its
+coefficients as `scalars` leaves, with no CDElement and no QI.
 
 The rank characterization (x# = 0 iff rank <= 1, det = 0 iff rank <= 2) is
 field-agnostic and is used unchanged over the complexified algebras.
@@ -38,10 +39,12 @@ from .cayley_dickson import (
     CDElement,
     FIELD_Q,
     FIELD_QI,
+    MAX_LEVEL,
     cd_scalar,
 )
 from .errors import InputError, UnsupportedError, quoted
-from .scalars import QI, QI_ONE, QI_ZERO, common_plane, from_plane, json_int, to_plane
+from .scalars import (QI, QI_ONE, QI_ZERO, Leaves, common_plane, from_plane, json_int,
+                      leaves_plane, plain_json, to_plane)
 from .sampling import random_plane
 
 # algebra tag -> (Cayley-Dickson level, scalar field tag)
@@ -161,21 +164,60 @@ class JordanElement:
     def is_zero(self) -> bool:
         return not any(v for row in self.rows for e in row for v in e)
 
-    def to_json(self) -> dict:
-        upper = [[self.entry(i, j).to_json() for j in range(i, self.n)] for i in range(self.n)]
+    def json_tree(self) -> dict:
+        """The element as JSON: its upper triangle, row by row, each entry
+        {"level", "coeffs"} with its coefficients a `scalars.Leaves` of its
+        entry plane, which `cli.render_json` writes with no QI."""
+        level, rows = ALGEBRAS[self.algebra][0], self.rows
+        upper = [[{"level": level, "coeffs": Leaves(self.den, rows[i][j])}
+                  for j in range(i, self.n)] for i in range(self.n)]
         return {"n": self.n, "algebra": self.algebra, "entries": upper}
+
+    def to_json(self) -> dict:
+        return plain_json(self.json_tree())
 
     @staticmethod
     def from_json(data: dict) -> "JordanElement":
+        """Inverse of to_json, read into the element's plane with one lcm
+        (`scalars.leaves_plane`) and no QI: each entry is checked as
+        `CDElement` checks it and must be at the algebra's level, the
+        diagonal must be scalar, and the lower triangle is the conjugate of
+        the upper one, so the element is hermitian."""
         n = json_int(data["n"], "n")
         algebra = data["algebra"]
-        field = _entry_algebra(algebra, n)[1]
+        level, field = _entry_algebra(algebra, n)
         upper = data["entries"]
         if not isinstance(upper, list) or len(upper) != n:
             raise InputError(f"expected {n} rows of upper-triangle entries")
-        return from_upper(
-            algebra, [[CDElement.from_json(e, field=field) for e in row] for row in upper]
-        )
+        leaves = []
+        for row in upper:
+            for e in row:
+                coeffs = e["coeffs"]
+                leaves += coeffs
+                got = json_int(e["level"], "level")
+                if not 0 <= got <= MAX_LEVEL:
+                    raise InputError(f"level {got} outside 0..{MAX_LEVEL}")
+                if len(coeffs) != 1 << got:
+                    raise InputError(
+                        f"level {got} needs {1 << got} coefficients, got {len(coeffs)}")
+                if got != level:
+                    raise InputError("entry algebra mismatch")
+        den, flat = leaves_plane(leaves)
+        if field == FIELD_Q and any(flat[1::2]):
+            raise InputError("field tag Q requires real rational coefficients")
+        if any(len(row) != n - i for i, row in enumerate(upper)):
+            raise InputError("ragged upper triangle")
+        width, at = 2 << level, 0
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                e, at = flat[at:at + width], at + width
+                if j == i and any(e[2:]):
+                    raise InputError("diagonal entries must be scalars")
+                rows[i][j] = e
+                if j > i:
+                    rows[j][i] = e[:2] + [-v for v in e[2:]]
+        return _jordan(algebra, den, rows)
 
 
 def _jordan(algebra: str, den: int, rows) -> JordanElement:
@@ -372,7 +414,7 @@ def jordan_product(x: JordanElement, y: JordanElement) -> JordanElement:
 
 def jtrace(x: JordanElement) -> QI:
     diagonal = [x.rows[i][i] for i in range(x.n)]
-    return from_plane(x.den, (sum(e[0] for e in diagonal), sum(e[1] for e in diagonal)))[0]
+    return QI.from_ints(sum(e[0] for e in diagonal), sum(e[1] for e in diagonal), x.den)
 
 
 def _trace_pair(algebra: str, A: list, B: list) -> list:
@@ -389,7 +431,7 @@ def trace_form(x: JordanElement, y: JordanElement) -> QI:
     """T(x, y) = tr(x o y) = sum_ik sp(x_ik y_ki), without forming x o y:
     the scalar-part kernel summed on the integer planes."""
     x._require_match(y)
-    return from_plane(x.den * y.den, _trace_pair(x.algebra, x.rows, y.rows))[0]
+    return QI.from_ints(*_trace_pair(x.algebra, x.rows, y.rows), x.den * y.den)
 
 
 def _sharp_planes(x: JordanElement) -> tuple:

@@ -8,8 +8,8 @@ plane once, the sums are plain ints from `products`, and QI is built only
 for the result. `products` is also the kernel of every product in
 `dual_pairs`, which holds its matrices as split rows: per row the int lists
 of its real and imaginary parts over one denominator (`split_rows`,
-`split_transpose`, `split_matrix`); no caller in the package multiplies
-more than two QI matrices.
+`split_transpose`, `split_matrix`, and `split_leaves` for the JSON
+writer); no caller in the package multiplies more than two QI matrices.
 
 There are three eliminations, all fraction-free: each division is exact and
 entry growth stays polynomial. _eliminate (Bareiss 1968) runs over Z[i] in
@@ -31,7 +31,7 @@ from math import prod
 from operator import mul
 
 from .errors import InputError
-from .scalars import QI, QI_ZERO, common_plane, from_plane, to_plane
+from .scalars import QI, QI_ZERO, Leaves, common_plane, from_plane, to_plane
 
 Matrix = list  # list[list[QI]]
 
@@ -93,6 +93,11 @@ def split_transpose(rows: list) -> list:
 def split_matrix(den: int, rows: list) -> list:
     """The QI matrix of split rows over den."""
     return [from_plane(den, chain.from_iterable(zip(re, im))) for re, im in rows]
+
+
+def split_leaves(den: int, rows: list) -> list:
+    """The JSON rows of split rows over den, each a `scalars.Leaves`."""
+    return [Leaves(den, list(chain.from_iterable(zip(re, im)))) for re, im in rows]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -307,12 +312,3 @@ def pfaffian(m: Matrix) -> QI:
     half, pf = _skew_eliminate([flat[2 * n * i:2 * n * (i + 1)] for i in range(n)])
     return from_plane(den ** half, pf)[0] if 2 * half == n else QI_ZERO
 
-
-def matrix_to_json(m: Matrix) -> list:
-    return [[x.to_json() for x in row] for row in m]
-
-
-def matrix_from_json(rows: list) -> Matrix:
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise InputError("a matrix must be a JSON list of rows")
-    return [[QI.from_json(x) for x in row] for row in rows]

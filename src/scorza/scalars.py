@@ -4,12 +4,19 @@ A QI value is stored as three ints (a, b, d), meaning (a + b i) / d, with
 d > 0 and gcd(a, b, d) = 1, so every value has exactly one representation:
 a plane of length one. Arithmetic runs on the ints and reduces once with
 one three-argument gcd; negation, conjugation and multiplication by a unit
-only copy or negate ints. The JSON form {"re": "p/q", "im": "r/s"} is
-written from the ints (`part_strings`) and read into them (`parse_ratio`)
-without a `Fraction`; the real and imaginary parts are `Fraction`
-properties (`re`, `im`) for `str` and for callers. Values with
-b == 0 double as plain rationals; consumers that insist on the rational
-field (tag "Q") check is_real() at their boundaries.
+only copy or negate ints. The real and imaginary parts are `Fraction`
+properties (`re`, `im`) for `str` and for callers. Values with b == 0
+double as plain rationals; consumers that insist on the rational field
+(tag "Q") check is_real() at their boundaries.
+
+A JSON leaf {"re": "p/q", "im": "r/s"} is one Gaussian rational, each part
+in lowest terms on its own. It is written from ints by `leaf_strings`, two
+gcds per value, and a list of leaves is read into one plane over the lcm of
+their denominators by `leaves_plane` (`parse_ratio` per part), with no
+`Fraction`: a QI goes through them as a plane of one value, and so does a
+whole point, with no QI per value. `Leaves` is a run of leaves kept as its
+plane, which `cli.render_json` writes straight from the ints and
+`plain_json` lists as dicts.
 
 The integer work of the package (matrix products and Bareiss elimination
 in `linalg`, the Cayley-Dickson product in `cayley_dickson`, the Jordan
@@ -190,23 +197,19 @@ class QI:
 
     def __str__(self):
         re, im = self.re, self.im
-        if not im:
-            return str(re)
-        if not re:
-            return f"{im}i"
-        sign = "+" if im > 0 else "-"
-        return f"{re}{sign}{abs(im)}i"
+        try:
+            if not im:
+                return str(re)
+            if not re:
+                return f"{im}i"
+            sign = "+" if im > 0 else "-"
+            return f"{re}{sign}{abs(im)}i"
+        except ValueError:  # as in `leaf_strings`: a part past the int-string limit
+            raise InputError(f"a value has a part of {_past_digit_limit()}") from None
 
     def part_strings(self) -> tuple:
-        """(re, im) as strings "p/q", each part in lowest terms on its own:
-        the one statement of the JSON form, read by `to_json` and by
-        `cli.render_json`. A part too long to write raises InputError."""
-        a, b, d = self.a, self.b, self.d
-        g, h = gcd(a, d), gcd(b, d)
-        try:
-            return f"{a // g}/{d // g}", f"{b // h}/{d // h}"
-        except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
-            raise InputError(f"a value has a part of {_past_digit_limit()}") from None
+        """(re, im) as strings "p/q", by `leaf_strings`."""
+        return leaf_strings(self.d, (self.a, self.b))[0]
 
     def to_json(self) -> dict:
         re, im = self.part_strings()
@@ -214,13 +217,10 @@ class QI:
 
     @staticmethod
     def from_json(data: dict) -> "QI":
-        """Inverse of to_json, read as ints by `parse_ratio`: p/q + (r/s) i
-        is (p s + r q i) / (q s), put in lowest terms with one gcd."""
-        if not isinstance(data, dict) or "re" not in data or "im" not in data:
-            raise InputError(f'expected {{"re": "p/q", "im": "p/q"}}, got {quoted(data)}')
-        p, q = parse_ratio(data["re"])
-        r, s = parse_ratio(data["im"])
-        return _reduced(p * s, r * q, q * s)
+        """Inverse of to_json, read as ints by `leaves_plane`: a plane of one
+        value over the lcm of its two denominators, already in lowest terms."""
+        den, (a, b) = leaves_plane((data,))
+        return _mk(a, b, den)
 
 
 _new = object.__new__
@@ -338,4 +338,66 @@ def parse_ratio(s: str) -> tuple:
     elif not q:
         raise _malformed(s)
     g = gcd(p, q)
-    return p // g, q // g
+    return (p, q) if g == 1 else (p // g, q // g)
+
+
+# --- the JSON leaf form ----------------------------------------------------------
+
+def leaf_strings(den: int, flat) -> list:
+    """("p/q", "r/s") for each value (flat[2k] + i flat[2k+1]) / den, each
+    part in lowest terms on its own by one gcd with den: the one statement
+    of the JSON leaf {"re": "p/q", "im": "r/s"}, written by `QI.to_json`,
+    `plain_json` and `cli.render_json`. A part too long to write as text
+    raises InputError."""
+    parts = iter(flat)
+    try:
+        return [(f"{a // (g := gcd(a, den))}/{den // g}",
+                 f"{b // (h := gcd(b, den))}/{den // h}") for a, b in zip(parts, parts)]
+    except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
+        raise InputError(f"a value has a part of {_past_digit_limit()}") from None
+
+
+def leaves_plane(leaves) -> tuple:
+    """(den, flat) of a list of JSON leaves {"re": "p/q", "im": "r/s"}, each
+    part read by `parse_ratio` in lowest terms: the one reading of the leaf
+    form, for `QI.from_json` and the point readers. den is the lcm of every
+    part's denominator, so the plane is in lowest terms. A leaf that is not
+    a dict with both keys raises InputError."""
+    nums, dens = [], []
+    for leaf in leaves:
+        try:
+            re, im = leaf["re"], leaf["im"]
+        except (KeyError, TypeError):  # not a dict, or a key missing
+            raise InputError(
+                f'expected {{"re": "p/q", "im": "p/q"}}, got {quoted(leaf)}') from None
+        p, q = parse_ratio(re)
+        r, s = parse_ratio(im)
+        nums += (p, r)
+        dens += (q, s)
+    den = lcm(*dens)
+    if den == 1:
+        return den, nums
+    return den, [p * (den // q) for p, q in zip(nums, dens)]
+
+
+class Leaves:
+    """The JSON list of the leaves of the values (flat[2k] + i flat[2k+1]) /
+    den, kept as those ints: `cli.render_json` writes it from `leaf_strings`
+    with no QI and no dict per leaf, and `plain_json` lists the dicts."""
+
+    __slots__ = ("den", "flat")
+
+    def __init__(self, den: int, flat):
+        self.den, self.flat = den, flat
+
+
+def plain_json(tree):
+    """A JSON tree of dicts and lists with every `Leaves` in it replaced by
+    its list of {"re", "im"} dicts: data that `json.dumps` writes."""
+    if tree.__class__ is Leaves:
+        return [{"re": re, "im": im} for re, im in leaf_strings(tree.den, tree.flat)]
+    if isinstance(tree, dict):
+        return {key: plain_json(value) for key, value in tree.items()}
+    if isinstance(tree, list):
+        return [plain_json(value) for value in tree]
+    return tree

@@ -15,7 +15,11 @@ The frame parameters are 0s and 1s, so that Jacobian is an integer matrix
 stratum of a model from one elimination. A point is one integer plane in
 `_chart_plane`'s layout: samplers hand it their chart sums, and sums,
 comparison, peeling and the one elimination that gives a matrix point's rank
-and relative invariant run on its ints; its QI form is only read.
+and relative invariant run on its ints; its QI form is only read. A point
+crosses the JSON boundary as its plane too: `json_tree` hands its rows (or
+exc27's upper-triangle entries) to the writer as `scalars.Leaves`, and
+`from_json` reads the leaves into one plane with one lcm, so that
+`sample | invariant` builds no QI but the invariant itself.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from .errors import InputError, UnsupportedError, quoted
 from .jordan import (JordanElement, _jordan, generic_det, jordan_product, jordan_rank3,
                      outer_square_planes, random_hermitian)
 from .sampling import derive_seed, make_rng, random_plane
-from .scalars import QI, QI_ZERO, common_plane, from_plane, json_int, to_plane
+from .scalars import (QI, QI_ZERO, Leaves, common_plane, from_plane, json_int, leaves_plane,
+                      plain_json, to_plane)
 
 # model kind -> the names of its parameters, in selector and JSON order
 _PARAMS = {"sym": ("r",), "mat": ("q", "p"), "skew": ("n",), "exc27": ()}
@@ -49,13 +54,34 @@ _HEIGHT = 10  # the height of the ratios of random points and rank-one samples
 # and a dual-pair case's matrix size; every other step on a point (rank and
 # det or Pfaffian by one elimination of its plane, the cubic norm) is
 # polynomial in its size, so that no command starts work whose cost has no bound.
+# The relative invariant has its own budget, MAX_INVARIANT_SIDE = 80 on the
+# side n of the eliminated matrix: on a full-rank random_point it took 0.87 s
+# on sym:80, 0.92 s on mat:80,80 and 0.24 s on skew:80 (one run each, same
+# vCPU), growing about as n^4 with the entries, and sym:223, which the cell
+# budget admits, would take minutes. Every catalog family and suite model
+# has n <= 15.
 MAX_JACOBIAN_CELLS = 25_000
+MAX_INVARIANT_SIDE = 80
 
 
 def check_cells(what: str, cells: int):
     """Raise InputError when `what` has more than MAX_JACOBIAN_CELLS cells."""
     if cells > MAX_JACOBIAN_CELLS:
         raise InputError(f"{what} has {cells} cells; the limit is {MAX_JACOBIAN_CELLS}")
+
+
+def check_invariant(model: "PSpaceModel"):
+    """Raise before any work when `model` has no relative invariant
+    (UnsupportedError) or its matrix side is over MAX_INVARIANT_SIDE
+    (InputError)."""
+    if not model.regular:
+        raise UnsupportedError(
+            f"model {model} is not regular; no relative invariant of degree max rank"
+        )
+    side = max(model.params, default=0)
+    if side > MAX_INVARIANT_SIDE:
+        raise InputError(f"the relative invariant of {model} has side {side}; "
+                         f"the limit is {MAX_INVARIANT_SIDE}")
 
 
 @dataclass(frozen=True)
@@ -169,12 +195,7 @@ class StratumPoint:
                 raise InputError("exc27 coordinates must be a 3x3 hermitian O_C element")
             den, flat = coords.den, [v for row in coords.rows for e in row for v in e]
         else:
-            shape = linalg.shape(coords)
-            if any(len(row) != shape[1] for row in coords):
-                raise InputError("coordinate rows have different lengths")
-            rows, cols = _coords_shape(model)
-            if shape != (rows, cols):
-                raise InputError(f"expected {rows}x{cols} coordinates")
+            _check_shape(model, coords)
             den, flat = to_plane([x for row in coords for x in row])
         self.__dict__.update(vars(_point(model, den, flat)))
 
@@ -202,32 +223,46 @@ class StratumPoint:
     def __sub__(self, other: "StratumPoint") -> "StratumPoint":
         return self._combine(other, sub, "subtract")
 
-    def to_json(self, qi_leaves: bool = False) -> dict:
-        """The point as JSON; with qi_leaves a matrix model's coords stay a
-        QI matrix, whose leaves `cli.render_json` writes as their to_json."""
-        kind, coords = self.model.kind, self.coords
+    def json_tree(self) -> dict:
+        """The point as JSON with its runs of leaves `scalars.Leaves` of its
+        plane: one per coordinate row, or exc27's `JordanElement.json_tree`.
+        `cli.render_json` writes it with no QI and no dict per leaf."""
+        kind, den, flat = self.model.kind, self.den, self.flat
         if kind == "exc27":
-            coords = coords.to_json()
-        elif not qi_leaves:
-            coords = linalg.matrix_to_json(coords)
+            coords = self.coords.json_tree()
+        else:
+            width = 2 * _coords_shape(self.model)[1]
+            coords = [Leaves(den, flat[k:k + width]) for k in range(0, len(flat), width)]
         return {"model": {"kind": kind, **dict(zip(_PARAMS[kind], self.model.params))},
                 "coords": coords}
 
+    def to_json(self) -> dict:
+        """`json_tree` as plain JSON data, every leaf a {"re", "im"} dict."""
+        return plain_json(self.json_tree())
+
     @staticmethod
-    def from_json(data: dict) -> "StratumPoint":
+    def from_json(data: dict, check=None) -> "StratumPoint":
         """Inverse of to_json; a missing or ill-typed field (an integer field
         must be a JSON integer, not a float, bool or string), or a "rank"
-        outside 0..max_rank, raises InputError. The rank is not trusted:
-        `rank_of` computes it from the coordinates."""
+        outside 0..max_rank, raises InputError. The leaves go straight into
+        the point's plane (`scalars.leaves_plane`, `JordanElement.from_json`)
+        with no QI. `check`, if given, is called on the model before any leaf
+        is read. The rank is not trusted: `rank_of` computes it from the
+        coordinates."""
         try:
             mobj = data["model"]
             kind = mobj["kind"]
             model = PSpaceModel(kind, tuple(json_int(mobj[name], name)
                                             for name in _PARAMS.get(kind, ())))
+            if check is not None:
+                check(model)
+            coords = data["coords"]
             if kind == "exc27":
-                coords = JordanElement.from_json(data["coords"])
+                coords = JordanElement.from_json(coords)
+            elif isinstance(coords, list) and all(isinstance(row, list) for row in coords):
+                plane = leaves_plane([x for row in coords for x in row])
             else:
-                coords = linalg.matrix_from_json(data["coords"])
+                raise InputError("a matrix must be a JSON list of rows")
             if "rank" in data and not 0 <= json_int(data["rank"], "rank") <= model.max_rank:
                 raise InputError(f"rank must be in 0..{model.max_rank}, got {quoted(data['rank'])}")
         except InputError:
@@ -236,7 +271,21 @@ class StratumPoint:
             raise InputError(
                 f"malformed stratum point JSON ({type(exc).__name__}: {exc})"
             ) from exc
-        return StratumPoint(model, coords)
+        if kind == "exc27":
+            return StratumPoint(model, coords)
+        _check_shape(model, coords)
+        return _point(model, *plane)
+
+
+def _check_shape(model: PSpaceModel, coords: list):
+    """Raise InputError unless the rows of coords all have one length and
+    are the model's coordinate shape."""
+    shape = linalg.shape(coords)
+    if any(len(row) != shape[1] for row in coords):
+        raise InputError("coordinate rows have different lengths")
+    rows, cols = _coords_shape(model)
+    if shape != (rows, cols):
+        raise InputError(f"expected {rows}x{cols} coordinates")
 
 
 def _point(model: PSpaceModel, den: int, flat: list) -> StratumPoint:
@@ -354,16 +403,14 @@ def random_point(model: PSpaceModel, seed: int) -> StratumPoint:
 
 def relative_invariant(point: StratumPoint) -> QI:
     """Determinant, Pfaffian, or cubic norm; degree = max rank and vanishing
-    exactly below it. Defined on the regular models only."""
+    exactly below it. Defined on the regular models only, and on a side of
+    at most MAX_INVARIANT_SIDE (`check_invariant`)."""
     model = point.model
-    if not model.regular:
-        raise UnsupportedError(
-            f"model {model} is not regular; no relative invariant of degree max rank"
-        )
+    check_invariant(model)
     if model.kind == "exc27":
         return generic_det(point.coords)
     rank, pivot = _eliminated(point)
-    return from_plane(point.den ** model.max_rank, pivot)[0] if rank == model.max_rank else QI_ZERO
+    return QI.from_ints(*pivot, point.den ** model.max_rank) if rank == model.max_rank else QI_ZERO
 
 
 # --- dimension oracle ------------------------------------------------------------

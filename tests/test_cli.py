@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorza import cayley_dickson, cli, dual_pairs, linalg, strata
+from scorza import cayley_dickson, cli, dual_pairs, linalg, scalars, strata
 from scorza.sampling import make_rng
 from scorza.scalars import QI
 from scorza.verify import run_suite
@@ -128,6 +128,23 @@ def test_invariant_of_skew40_costs_polynomial_time():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("selector", ["sym:80", "mat:80,80", "skew:80"])
+def test_invariant_at_the_side_limit_costs_seconds(selector):
+    # the largest admitted side: about 0.9 s on sym:80 and mat:80,80 and
+    # 0.25 s on skew:80 (one Xeon vCPU, Python 3.11); sym:223, which the cell
+    # budget alone admits, would take minutes
+    model = strata.parse_model(selector)
+    assert max(model.params) == strata.MAX_INVARIANT_SIDE
+    full = strata.random_point(model, 1)
+    start = time.perf_counter()
+    value = strata.relative_invariant(full)
+    assert time.perf_counter() - start < 5.0
+    assert value
+    result = run_cli(["invariant"], stdin=json.dumps(full.to_json()), timeout=60)
+    assert result.returncode == 0
+    assert QI.from_json(json.loads(result.stdout)["invariant"]) == value
+
+
 def test_reduce_output_shape():
     result = run_cli(["reduce", "--case", "sp:3", "--s", "2", "--seed", "5"])
     assert result.returncode == 0
@@ -168,13 +185,16 @@ def test_seed_env_variable():
     assert run_cli(["sample", "--model", "sym:3"], env=env_bad).returncode == 2
 
 
-def _main_in_process(argv) -> tuple:
+def _main_in_process(argv, stdin="") -> tuple:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse errors and --help
-            code = exc.code
+    except SystemExit as exc:  # argparse errors and --help
+        code = exc.code
+    finally:
+        sys.stdin = saved
     return code, out.getvalue()
 
 
@@ -247,6 +267,72 @@ def test_sample_output_pinned(model, k):
                                   "--seed", "11"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_DIGESTS[model, k]
+
+
+# sha256 of the stdout of `scorza sample --model M --secant K --seed 11 |
+# scorza invariant`; the three secant points of each regular model, below
+# and at the top rank 3
+INVARIANT_DIGESTS = {
+    ("sym:3", 0): "286ff1343fcc8073658a4093f553e085ee8cc832a71467b017cbd48d7dc03992",
+    ("sym:3", 1): "286ff1343fcc8073658a4093f553e085ee8cc832a71467b017cbd48d7dc03992",
+    ("sym:3", 2): "11bc0062f5703ea387d47259d188288366b7c2d2809224e577630d6fdd44c984",
+    ("mat:3,3", 0): "b7a68b7b200032bbe9bb6cf589dac81fb209c1faf98b6b101480540d932f9158",
+    ("mat:3,3", 1): "b7a68b7b200032bbe9bb6cf589dac81fb209c1faf98b6b101480540d932f9158",
+    ("mat:3,3", 2): "f481448c574049bd212d267009dce065028d169f96f5db0c55189aa21911a9f7",
+    ("skew:6", 0): "7fd2b97b0df02e7bf4cb141ca69e06cda5448d4b696a831dbac4ad77b4399551",
+    ("skew:6", 1): "7fd2b97b0df02e7bf4cb141ca69e06cda5448d4b696a831dbac4ad77b4399551",
+    ("skew:6", 2): "c4cbff656a46ceca1b1d87b2e6ba3a0ca9b0abacae4ab01bb37914fbb71cfb07",
+    ("exc27", 0): "323d5231c7777abb8a540f628fd52d80f8f4025b1ba1f57de1ea4fd05b5c932d",
+    ("exc27", 1): "323d5231c7777abb8a540f628fd52d80f8f4025b1ba1f57de1ea4fd05b5c932d",
+    ("exc27", 2): "9fe4ef44bc75bf1a07657af9548afaf5fce01b6508b3a8584d5e6c66d65d9fba",
+}
+
+
+@pytest.mark.parametrize("model,k", sorted(INVARIANT_DIGESTS))
+def test_invariant_output_pinned(model, k):
+    code, point = _main_in_process(["sample", "--model", model, "--secant", str(k),
+                                    "--seed", "11"])
+    assert code == 0
+    code, out = _main_in_process(["invariant"], point)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == INVARIANT_DIGESTS[model, k]
+    assert json.loads(out)["is_zero"] is (k < 2)
+
+
+def _under(frame, code) -> bool:
+    """Whether frame runs inside a call of code."""
+    while frame is not None:
+        if frame.f_code is code:
+            return True
+        frame = frame.f_back
+    return False
+
+
+QI_BUILDERS = {scalars.from_plane.__code__, QI.from_json.__code__,
+               cayley_dickson.CDElement.from_json.__code__}
+
+
+@pytest.mark.parametrize("argv", [
+    *[["sample", "--model", m, "--secant", "2", "--seed", "5"]
+      for m in ("sym:3", "mat:3,3", "skew:6", "exc27")],
+    ["reduce", "--case", "ostar:6", "--s", "3", "--seed", "5"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_points_cross_the_cli_as_planes(argv, count_calls):
+    """sample, the invariant of its point and reduce write and read their
+    points, W element and mu_G on the integer plane: no QI list is built from
+    a plane and no leaf is read into a QI or CDElement, but for mu_K's
+    entries, which reduce still writes as QI."""
+    mu_k = dual_pairs.mu_K.__code__
+
+    def builds_qi(frame):
+        return frame.f_code in QI_BUILDERS and not _under(frame, mu_k)
+
+    (code, out), calls = count_calls(lambda: _main_in_process(argv), builds_qi)
+    assert code == 0 and calls == 0
+    if argv[0] == "sample":
+        (code, inv), calls = count_calls(lambda: _main_in_process(["invariant"], out), builds_qi)
+        assert code == 0 and calls == 0
+        assert json.loads(inv)["is_zero"] is (json.loads(out)["rank"] < 3)
 
 
 def test_defects_json():
@@ -364,12 +450,25 @@ def _mat22_point(q, p) -> str:
                        "coords": [[zero, zero], [zero, zero]]})
 
 
-def _exc27_point(n=3, level=3, rows=(3, 2, 1), algebra="O_C") -> str:
+def _exc27_point(n=3, level=3, rows=(3, 2, 1), algebra="O_C", size=8, first=None) -> str:
     # the zero point, with the second upper-triangle row one entry short
-    # when rows = (3, 1, 1)
-    octonion = {"level": level, "coeffs": [{"re": "0", "im": "0"}] * 8}
+    # when rows = (3, 1, 1), each entry with `size` coefficients, and the
+    # first entry's coefficients replaced by `first` when given
+    octonion = {"level": level, "coeffs": [{"re": "0", "im": "0"}] * size}
+    entries = [[octonion] * k for k in rows]
+    if first is not None:
+        entries[0][0] = {"level": level, "coeffs": first}
     return json.dumps({"model": {"kind": "exc27"}, "coords": {
-        "n": n, "algebra": algebra, "entries": [[octonion] * k for k in rows]}})
+        "n": n, "algebra": algebra, "entries": entries}})
+
+
+def _point_json(kind: str, params: dict, coords) -> str:
+    return json.dumps({"model": {"kind": kind, **params}, "coords": coords})
+
+
+ONE, ZERO = {"re": "1/1", "im": "0/1"}, {"re": "0/1", "im": "0/1"}
+# an octonion coefficient list with a nonzero imaginary unit e_1
+E1 = [ZERO, ONE] + [ZERO] * 6
 
 
 def _sym_point(diagonal: str, r: int) -> str:
@@ -424,6 +523,52 @@ MALFORMED = {
     "invariant-rank-null": (["invariant"], _sym2_point_with_rank(None)),
     "invariant-rank-negative": (["invariant"], _sym2_point_with_rank(-5)),
     "invariant-rank-above-max": (["invariant"], _sym2_point_with_rank(99)),
+    # every point input that reaches the leaves, one fault each
+    "invariant-coords-row-not-a-list": (["invariant"],
+        _point_json("sym", {"r": 2}, [[ONE, ZERO], 7])),
+    "invariant-coords-too-few-rows": (["invariant"], _point_json("sym", {"r": 2}, [[ONE, ZERO]])),
+    "invariant-coords-too-wide": (["invariant"],
+        _point_json("mat", {"q": 1, "p": 1}, [[ONE, ONE]])),
+    "invariant-coords-empty": (["invariant"], _point_json("skew", {"n": 2}, [])),
+    "invariant-leaf-not-a-dict": (["invariant"], _point_json("sym", {"r": 1}, [["1/1"]])),
+    "invariant-leaf-without-im": (["invariant"], _point_json("sym", {"r": 1}, [[{"re": "1"}]])),
+    "invariant-leaf-bad-ratio": (["invariant"],
+        _point_json("sym", {"r": 1}, [[{"re": "1/x", "im": "0"}]])),
+    "invariant-leaf-zero-denominator": (
+        ["invariant"], _point_json("sym", {"r": 1}, [[{"re": "0", "im": "3/0"}]])),
+    "invariant-leaf-number": (["invariant"],
+        _point_json("sym", {"r": 1}, [[{"re": 1, "im": "0"}]])),
+    "invariant-sym-not-symmetric": (["invariant"],
+        _point_json("sym", {"r": 2}, [[ONE, ONE], [ZERO, ONE]])),
+    "invariant-skew-not-skew": (["invariant"],
+        _point_json("skew", {"n": 2}, [[ZERO, ONE], [ONE, ZERO]])),
+    "invariant-skew-diagonal": (["invariant"],
+        _point_json("skew", {"n": 2}, [[ONE, ZERO], [ZERO, ZERO]])),
+    "invariant-exc27-coords-not-a-dict": (["invariant"], _point_json("exc27", {}, [])),
+    "invariant-exc27-entries-not-a-list": (["invariant"], _point_json("exc27", {}, {
+        "n": 3, "algebra": "O_C", "entries": 7})),
+    "invariant-exc27-coeffs-not-a-list": (["invariant"], _exc27_point(first=5)),
+    "invariant-exc27-bad-leaf": (["invariant"],
+        _exc27_point(first=[{"re": "0", "im": "1/0"}] + [ZERO] * 7)),
+    "invariant-exc27-diagonal-not-hermitian": (["invariant"], _exc27_point(first=E1)),
+    "invariant-exc27-level-2": (["invariant"], _exc27_point(level=2, size=4)),
+    "invariant-exc27-level-2-size-8": (["invariant"], _exc27_point(level=2)),
+    "invariant-exc27-level-4": (["invariant"], _exc27_point(level=4, size=16)),
+    "invariant-exc27-too-few-coeffs": (["invariant"], _exc27_point(size=7)),
+    "invariant-exc27-algebra-o": (["invariant"], _exc27_point(algebra="O")),
+    "invariant-exc27-algebra-o-complex": (["invariant"], _exc27_point(algebra="O", first=[
+        {"re": "0", "im": "1"}] + [ZERO] * 7)),
+    "invariant-exc27-algebra-unknown": (["invariant"], _exc27_point(algebra="X")),
+    "invariant-exc27-n-2": (["invariant"], _exc27_point(n=2, rows=(2, 1))),
+    "invariant-exc27-n-4": (["invariant"], _exc27_point(n=4, rows=(4, 3, 2, 1))),
+    "invariant-exc27-rank-4": (["invariant"],
+        json.dumps({**json.loads(_exc27_point()), "rank": 4})),
+    "invariant-not-regular": (["invariant"], _point_json("mat", {"q": 1, "p": 2}, [[ONE, ZERO]])),
+    # the side budget of the relative invariant, checked before any leaf is
+    # read: these coordinates are not even a matrix
+    "invariant-sym-over-side-limit": (["invariant"], _point_json("sym", {"r": 81}, 7)),
+    "invariant-mat-over-side-limit": (["invariant"], _point_json("mat", {"q": 81, "p": 81}, 7)),
+    "invariant-skew-over-side-limit": (["invariant"], _point_json("skew", {"n": 82}, 7)),
     "sample-height-0": (["sample", "--model", "sym:3", "--height", "0"], None),
     "dim-height-0": (["dim", "--model", "sym:3", "--stratum", "1", "--height", "0"], None),
     "dim-height": (["dim", "--model", "sym:3", "--stratum", "1", "--height", "3"], None),
@@ -449,6 +594,67 @@ MALFORMED = {
     "reduce-case-over-cost-limit": (["reduce", "--case", "sp:100000", "--s", "1"], None),
 }
 
+# the one-line message of every point input above, as the reader before
+# points were read on their planes gave it (the side budget's rows are new)
+POINT_ERRORS = {
+    "invariant-coords-empty": 'expected 2x2 coordinates',
+    "invariant-coords-row-not-a-list": 'a matrix must be a JSON list of rows',
+    "invariant-coords-too-few-rows": 'expected 2x2 coordinates',
+    "invariant-coords-too-wide": 'expected 1x1 coordinates',
+    "invariant-exc27-algebra-o": 'exc27 coordinates must be a 3x3 hermitian O_C element',
+    "invariant-exc27-algebra-o-complex": 'field tag Q requires real rational coefficients',
+    "invariant-exc27-algebra-unknown": "unknown entry algebra 'X'",
+    "invariant-exc27-bad-leaf": "malformed rational string '1/0'",
+    "invariant-exc27-coeffs-not-a-list":
+        "malformed stratum point JSON (TypeError: 'int' object is not iterable)",
+    "invariant-exc27-coords-not-a-dict":
+        "malformed stratum point JSON (TypeError: list indices must be integers or slices, "
+        "not str)",
+    "invariant-exc27-diagonal-not-hermitian": 'diagonal entries must be scalars',
+    "invariant-exc27-entries-not-a-list": 'expected 3 rows of upper-triangle entries',
+    "invariant-exc27-level-2": 'entry algebra mismatch',
+    "invariant-exc27-level-2-size-8": 'level 2 needs 4 coefficients, got 8',
+    "invariant-exc27-level-4": 'level 4 outside 0..3',
+    "invariant-exc27-level-float": 'level must be an integer, got 3.0',
+    "invariant-exc27-n-2": 'exc27 coordinates must be a 3x3 hermitian O_C element',
+    "invariant-exc27-n-4": 'octonionic hermitian matrices need n <= 3',
+    "invariant-exc27-n-float": 'n must be an integer, got 3.5',
+    "invariant-exc27-rank-4": 'rank must be in 0..3, got 4',
+    "invariant-exc27-short-row": 'ragged upper triangle',
+    "invariant-exc27-too-few-coeffs": 'level 3 needs 8 coefficients, got 7',
+    "invariant-ill-typed-coords": 'a matrix must be a JSON list of rows',
+    "invariant-leaf-bad-ratio": "malformed rational string '1/x'",
+    "invariant-leaf-not-a-dict": 'expected {"re": "p/q", "im": "p/q"}, got \'1/1\'',
+    "invariant-leaf-number": 'expected a rational string like "p/q", got 1',
+    "invariant-leaf-without-im": 'expected {"re": "p/q", "im": "p/q"}, got {\'re\': \'1\'}',
+    "invariant-leaf-zero-denominator": "malformed rational string '3/0'",
+    "invariant-mat-over-side-limit":
+        'the relative invariant of mat:81,81 has side 81; the limit is 80',
+    "invariant-missing-keys": "malformed stratum point JSON (KeyError: 'model')",
+    "invariant-missing-model-param": "malformed stratum point JSON (KeyError: 'p')",
+    "invariant-model-param-bool": 'r must be an integer, got True',
+    "invariant-model-param-float": 'q must be an integer, got 2.9',
+    "invariant-model-param-string": "q must be an integer, got '2'",
+    "invariant-not-regular":
+        'model mat:1,2 is not regular; no relative invariant of degree max rank',
+    "invariant-ragged-coords": 'coordinate rows have different lengths',
+    "invariant-rank-above-max": 'rank must be in 0..2, got 99',
+    "invariant-rank-bool": 'rank must be an integer, got True',
+    "invariant-rank-float": 'rank must be an integer, got 2.7',
+    "invariant-rank-negative": 'rank must be in 0..2, got -5',
+    "invariant-rank-null": 'rank must be an integer, got None',
+    "invariant-rank-string": "rank must be an integer, got '1'",
+    "invariant-skew-diagonal": 'coordinates are not skew-symmetric',
+    "invariant-skew-not-skew": 'coordinates are not skew-symmetric',
+    "invariant-skew-over-side-limit":
+        'the relative invariant of skew:82 has side 82; the limit is 80',
+    "invariant-sym-not-symmetric": 'coordinates are not symmetric',
+    "invariant-sym-over-side-limit":
+        'the relative invariant of sym:81 has side 81; the limit is 80',
+    "invariant-unknown-model-kind":
+        "unknown model kind 'frob'; expected sym:R | mat:Q,P | skew:N | exc27",
+}
+
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_2_without_traceback(case, tmp_path):
@@ -459,6 +665,8 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path):
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
     assert "error:" in result.stderr
+    if case in POINT_ERRORS:
+        assert result.stderr == f"error: {POINT_ERRORS[case]}\n"
 
 
 # 100 KB rejected inputs, each quoted by its first 40 characters: (args,
@@ -550,16 +758,24 @@ def test_render_json_writes_qi_leaves_as_their_to_json(obj):
     assert cli.render_json(obj) == expected
 
 
-def test_reduce_writes_its_matrices_without_matrix_to_json(count_calls):
-    """alpha, mu_K, mu_G and the reduced point's coordinates go to the
-    writer as QI matrices: nothing calls matrix_to_json."""
-    target = linalg.matrix_to_json.__code__
+def test_reduce_writes_its_matrices_from_their_planes(count_calls):
+    """alpha, mu_G and the reduced point's coordinates go to the writer as
+    `Leaves` of their planes, and mu_K as a QI matrix: no {"re", "im"} dict
+    is built for the writer (`QI.to_json`, `plain_json`), and a QI's parts
+    are written only for mu_K's entries."""
+    targets = {QI.to_json.__code__, scalars.plain_json.__code__}
     (code, out), calls = count_calls(
         lambda: _main_in_process(["reduce", "--case", "ostar:6", "--s", "3"]),
-        lambda frame: frame.f_code is target,
+        lambda frame: frame.f_code in targets,
     )
     assert code == 0 and calls == 0
-    assert len(json.loads(out)["alpha"]) == 12
+    data = json.loads(out)
+    assert len(data["alpha"]) == 12 and len(data["mu_G"]) == 12
+    (code, again), calls = count_calls(
+        lambda: _main_in_process(["reduce", "--case", "ostar:6", "--s", "3"]),
+        lambda frame: frame.f_code is QI.part_strings.__code__,
+    )
+    assert again == out and calls == len(data["mu_K"]) * len(data["mu_K"][0]) == 36
 
 
 def test_render_json_raises_type_error_outside_its_types():

@@ -348,6 +348,11 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _matrix_json(m: list) -> list:
+    """A QI matrix as JSON data, one {"re", "im"} dict per entry."""
+    return [[x.to_json() for x in row] for row in m]
+
+
 # sha256 of the stdout of `scorza reduce --case C --s S --seed 11`; any change
 # to a draw order or to the arithmetic of the dual-pair layer moves these
 REDUCE_DIGESTS = {
@@ -396,7 +401,7 @@ GROUP_DIGESTS = {
 }
 
 
-# sha256 of matrix_to_json(sample_zero_level(parse_case(C, S), seed).alpha) as
+# sha256 of _matrix_json(sample_zero_level(parse_case(C, S), seed).alpha) as
 # JSON, for every case kind at s = 1..4 and seeds 0..2; a changed draw order
 # or a wrong generator action moves these
 ZERO_LEVEL_DIGESTS = {
@@ -503,7 +508,7 @@ ZERO_LEVEL_DIGESTS = {
 def test_random_group_draws_pinned(sel):
     rng = make_rng("t-group-pin", sel)
     case = parse_case(sel, 2)
-    mats = [linalg.matrix_to_json(draw(case, rng))
+    mats = [_matrix_json(draw(case, rng))
             for _ in range(2) for draw in (random_h_element, random_g_element)]
     assert _sha256(json.dumps(mats)) == GROUP_DIGESTS[sel]
 
@@ -512,7 +517,7 @@ def test_random_group_draws_pinned(sel):
 def test_random_lie_g_draws_pinned(sel):
     rng = make_rng("t-lie-pin", sel)
     case = parse_case(sel, 2)
-    mats = [linalg.matrix_to_json(random_lie_g(case, rng)) for _ in range(3)]
+    mats = [_matrix_json(random_lie_g(case, rng)) for _ in range(3)]
     assert _sha256(json.dumps(mats)) == LIE_G_DIGESTS[sel]
 
 
@@ -520,7 +525,7 @@ def test_random_lie_g_draws_pinned(sel):
 def test_zero_level_samples_pinned(sel, s):
     case = parse_case(sel, s)
     for seed in range(3):
-        alpha = linalg.matrix_to_json(sample_zero_level(case, seed).alpha)
+        alpha = _matrix_json(sample_zero_level(case, seed).alpha)
         assert _sha256(json.dumps(alpha)) == ZERO_LEVEL_DIGESTS[sel, s, seed]
 
 
@@ -655,7 +660,8 @@ def test_momentum_maps_equal_the_qi_chain_oracle(sel):
             for w in (sample, elements[3]):
                 mu_g = linalg.mat_mul(w.alpha, dagger(w))
                 assert reduced_point(w) == _oracle_projection(case, mu_g)
-                assert dp.reduction(w) == (mu_g, reduced_point(w))
+                mu_g_plane, point = dp.reduction(w)
+                assert (linalg.split_matrix(*mu_g_plane), point) == (mu_g, reduced_point(w))
             x = random_lie_g(case, rng)
             assert cartan_project(x, case) == _oracle_projection(case, x)
 

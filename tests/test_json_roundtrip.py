@@ -1,9 +1,11 @@
 """Property tests: JSON round trips of QI, CDElement, JordanElement and
-StratumPoint.
+StratumPoint, and the JSON of points and W elements written from their
+integer planes.
 
 from_json(to_json(x)) must give back a value equal to x, and equal values
 must hash equal (the integer planes of CDElement and JordanElement are
-canonical).
+canonical). A point or W element written from its plane must read byte for
+byte as the JSON built from its QI values, and read back into the same plane.
 """
 
 import json
@@ -14,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scorza import cli, dual_pairs, strata
 from scorza.cayley_dickson import CDElement, cd_scalar
 from scorza.jordan import ALGEBRAS, JordanElement, from_upper
-from scorza.scalars import QI
+from scorza.scalars import QI, leaves_plane, to_plane
 from scorza.strata import EXC27, StratumPoint, mat_model, rank_of, skew_model, sym_model
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -119,3 +122,89 @@ def test_stratum_point_json_round_trip(kind, data):
     # `sample` writes the rank next to the point; from_json only range-checks it
     again = StratumPoint.from_json(json.loads(json.dumps({**x.to_json(), "rank": rank})))
     assert again == x and rank_of(again) == rank
+
+
+# --- points and W elements written from and read into their integer planes ------
+
+# parts from zero and small signed values up to 4,299 digits, just inside the
+# interpreter's 4,300-digit limit on an int as text; a large value is drawn
+# as m 10^k, so it shares factors with a large denominator
+BIG = 10**4299 - 1
+PARTS = (st.integers(-3, 3) | st.integers(-(10**30), 10**30) | st.sampled_from([BIG, -BIG])
+         | st.builds(lambda m, k: m * 10**k, st.integers(-(10**6), 10**6), st.integers(0, 4292)))
+DENS = (st.integers(1, 4) | st.integers(1, 10**30) | st.just(BIG)
+        | st.builds(lambda m, k: m * 10**k, st.integers(1, 10**6), st.integers(0, 4292)))
+
+
+@st.composite
+def planes(draw, model):
+    """(den, flat) of a random plane of the model: its independent
+    coordinates drawn, the rest mirrored (exc27: hermitian entry planes)."""
+    den = draw(DENS)
+    if model.kind == "exc27":
+        rows = [[None] * 3 for _ in range(3)]
+        for i in range(3):
+            rows[i][i] = [draw(PARTS), draw(PARTS)] + [0] * 14
+            for j in range(i + 1, 3):
+                e = draw(st.lists(PARTS, min_size=16, max_size=16))
+                rows[i][j], rows[j][i] = e, e[:2] + [-v for v in e[2:]]
+        return den, [v for row in rows for e in row for v in e]
+    rows, cols = strata._coords_shape(model)
+    flat = [0] * (2 * rows * cols)
+    for i in strata._coordinate_index(model):
+        flat[2 * i:2 * i + 2] = draw(PARTS), draw(PARTS)
+    for where, parts in strata._mirror(model, flat):
+        flat[where] = parts
+    return den, flat
+
+
+def _qi_json(point: StratumPoint) -> dict:
+    """The point's JSON built from its QI values, as `to_json` built it when
+    every leaf went through a QI: `QI.to_json` per coordinate, or per
+    octonion coefficient of each upper-triangle `CDElement` of exc27."""
+    kind, coords = point.model.kind, point.coords
+    if kind == "exc27":
+        coords = {"n": 3, "algebra": "O_C", "entries": [
+            [coords.entry(i, j).to_json() for j in range(i, 3)] for i in range(3)]}
+    else:
+        coords = [[x.to_json() for x in row] for row in coords]
+    params = dict(zip(strata._PARAMS[kind], point.model.params))
+    return {"model": {"kind": kind, **params}, "coords": coords}
+
+
+MODELS = [sym_model(1), sym_model(3), mat_model(2, 3), mat_model(3, 1), skew_model(2),
+          skew_model(5), EXC27]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_points_are_written_and_read_on_their_planes(model, data):
+    point = strata._point(model, *data.draw(planes(model)))
+    expected = _qi_json(point)
+    text = cli.render_json(point.json_tree())
+    assert text == json.dumps(expected, indent=2) + "\n"
+    assert point.to_json() == expected
+    back = StratumPoint.from_json(json.loads(text))
+    assert (back.model, back.den, back.flat) == (point.model, point.den, point.flat)
+
+
+@pytest.mark.parametrize("sel,s", [("sp:2", 1), ("sp:3", 3), ("u:2,1", 2), ("u:3,3", 3),
+                                   ("ostar:2", 1), ("ostar:5", 2)])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_w_elements_are_written_on_their_planes(sel, s, data):
+    case = dual_pairs.parse_case(sel, s)
+    size = 2 * case.v_size * case.s
+    flat = data.draw(st.lists(PARTS, min_size=size, max_size=size))
+    if case.real_entries:
+        flat[1::2] = [0] * (size // 2)
+    w = dual_pairs._element(case, data.draw(DENS), flat)
+    alpha = w.alpha
+    expected = {"case": sel, "s": s, "alpha": [[x.to_json() for x in row] for row in alpha]}
+    text = cli.render_json(w.json_tree())
+    assert text == json.dumps(expected, indent=2) + "\n"
+    assert w.to_json() == expected
+    # the leaves read back into the plane of all of alpha, over the lcm
+    leaves = [leaf for row in json.loads(text)["alpha"] for leaf in row]
+    assert leaves_plane(leaves) == tuple(to_plane([x for row in alpha for x in row]))
