@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
 """Regenerate the frozen catalog golden files from the symbolic formulas.
 
-Run from the repository root after an intentional catalog change, then
-review the diff; tests compare CLI output byte-for-byte against these.
+Run as `python scripts/regen_goldens.py` from a checkout after an
+intentional catalog change, then review the diff; tests compare CLI output
+byte-for-byte against these. It imports scorza from the checkout's `src/`,
+as the tests do, so no install is needed.
 """
 
+import sys
 from pathlib import Path
 
-from scorza.catalog import golden_objects
-from scorza.cli import render_json
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-OUT = Path(__file__).resolve().parent.parent / "src" / "scorza" / "data" / "catalog"
+from scorza.catalog import golden_objects  # noqa: E402
+from scorza.cli import render_json  # noqa: E402
+
+OUT = ROOT / "src" / "scorza" / "data" / "catalog"
 
 
 def main():

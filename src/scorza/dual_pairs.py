@@ -52,8 +52,8 @@ from .linalg import split_leaves, split_matrix, split_rows, split_transpose
 from .sampling import make_rng, random_plane, random_qi, random_qi_matrix, random_square
 from .scalars import HALF, QI, QI_ZERO, plain_json, to_plane
 from .strata import (
-    PSpaceModel, StratumPoint, _point, check_cells, mat_model, skew_model, split_selector,
-    sym_model,
+    PSpaceModel, StratumPoint, _point, check_cells, check_height, mat_model, skew_model,
+    split_selector, sym_model,
 )
 
 KINDS = ("sp", "u", "ostar")
@@ -66,6 +66,16 @@ _UNIT_PARTS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # the (re, im) of i**k
 
 
 CASE_GRAMMAR = "sp:L | u:P,Q | ostar:D"
+
+# Largest side of a case's reduced point (its model's largest parameter), for
+# `reduce`: the cell budget admitted sp:100 --s 100 (18.9 s, 16.8 s of it
+# `rank_of` eliminating the 100 x 100 point), u:80,80 --s 80 (8.5 s) and
+# sp:60 --s 60 at height 100 (44.8 s). The s x s mu_K is held to the cell
+# budget too: sp:8 --s 1500 took 15.7 s, most of it that product. At side 32,
+# s_size <= 158 and height <= strata.MAX_HEIGHT the slowest found, u:32,32
+# --s 158 at height 100, takes 3.6 s, sp:32 --s 32 3.1 s and ostar:32 --s 79
+# 1.3 s (one run each, same vCPU); every suite and test case has side <= 6.
+MAX_REDUCE_SIDE = 32
 
 
 @dataclass(frozen=True)
@@ -90,7 +100,11 @@ class DualPairCase:
             raise InputError("s must be >= 1")
         v, s = self.v_size, self.s_size
         check_cells(f"each {v} x {s} matrix of case {self}", v * s)
-        self.model()  # the reduced point's model is held to the same budget
+        check_cells(f"the {s} x {s} mu_K of case {self}", s * s)
+        side = max(self.model().params)  # the reduced point's model: the same budget
+        if side > MAX_REDUCE_SIDE:
+            raise InputError(f"the reduced point of case {self} has side {side}; "
+                             f"the limit is {MAX_REDUCE_SIDE}")
 
     @property
     def r(self) -> int:
@@ -489,8 +503,10 @@ def sample_zero_level(case: DualPairCase, seed: int, height: int = 10) -> WEleme
     Columns are drawn inside a fixed maximal isotropic subspace (so the
     image is B-isotropic, which is exactly mu_K = 0) and then moved by two
     random exact G elements. Any s >= 1 is allowed; for s above the
-    isotropic dimension the columns are simply dependent.
+    isotropic dimension the columns are simply dependent. A height over
+    strata.MAX_HEIGHT is rejected with InputError before any draw.
     """
+    check_height(height)
     rng = make_rng(seed, "zero-level", case.selector(), case.s, height)
     size, basis = _isotropic_basis(case)
     # for ostar the left block column [x; y] of x + j y, with case.s columns

@@ -14,12 +14,15 @@ only scalar parts of entry products (the scalar-part kernels of
 `cayley_dickson`). Full octonion products remain only for the terms
 x_ik y_kj with k != i, j.
 
-An element is one integer plane: a denominator and the n x n entry planes
-of `cayley_dickson` over it, in lowest terms, so equal values have equal
-planes. Sums, scalings, traces, products and sharps run on that plane
-alone; CDElement entries are built from it only at the boundary (`entries`,
-`entry`). The JSON form is written from the plane and read into it, its
-coefficients as `scalars` leaves, with no CDElement and no QI.
+An element is one flat integer plane: a denominator and the n x n entry
+planes of `cayley_dickson` over it in row order, in lowest terms, so equal
+values have equal planes. That is the layout of an exc27 point of `strata`,
+which shares its tuple with its element. Sums, negation, scalings, `is_zero`,
+traces and the sharp are passes over the flat, a product reads each
+operand's grid of entry slices once, and `_hermitian` writes every lower
+triangle from the entries on and above the diagonal. CDElement entries are
+built only at the boundary (`entries`, `entry`); the JSON form is written
+from the plane and read into it as `scalars` leaves, with no QI.
 
 The rank characterization (x# = 0 iff rank <= 1, det = 0 iff rank <= 2) is
 field-agnostic and is used unchanged over the complexified algebras.
@@ -76,29 +79,21 @@ def _entry_algebra(algebra: str, n: int) -> tuple:
 
 
 class JordanElement:
-    """An element of H_n(K), stored as one integer plane: a positive `den`
-    and `rows`, the n x n entry planes (the interleaved parts of
-    `cayley_dickson`) over it, with gcd(den, every part) = 1, so equal
-    values have equal planes. `JordanElement(algebra, entries)` takes and
-    checks a square tuple of CDElement rows; `entries` and `entry` build
-    them back from the plane."""
+    """An element of H_n(K), stored as one integer plane: `n`, a positive
+    `den` and `flat`, the n x n entry planes (the interleaved parts of
+    `cayley_dickson`) over it in row order, with gcd(den, every part) = 1, so
+    equal values have equal planes. An exc27 point holds the same plane.
+    `JordanElement(algebra, entries)` takes and checks a square tuple of
+    CDElement rows; `rows`, `entries` and `entry` are read views of `flat`."""
 
     def __init__(self, algebra: str, entries):
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise InputError("entries must form a square matrix")
-        level, field = _entry_algebra(algebra, n)
-        for row in entries:
-            for e in row:
-                if e.level != level or e.field != field:
-                    raise InputError("entry algebra mismatch")
-        for i in range(n):
-            if not entries[i][i].is_scalar():
-                raise InputError("diagonal entries must be scalars")
-            for j in range(i + 1, n):
-                if entries[j][i] != entries[i][j].conjugate():
-                    raise InputError("matrix is not hermitian")
-        self.__dict__.update(vars(_from_entries(algebra, entries)))
+        x = from_upper(algebra, [row[i:] for i, row in enumerate(entries)])
+        if _from_entries(algebra, entries) != x:  # a lower entry is not the mirror's
+            raise InputError("matrix is not hermitian")
+        self.__dict__.update(vars(x))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"JordanElement is immutable; cannot set {name!r}")
@@ -106,17 +101,18 @@ class JordanElement:
     def __eq__(self, other):
         if other.__class__ is not JordanElement:
             return NotImplemented
-        return self.den == other.den and self.rows == other.rows and self.algebra == other.algebra
+        return self.den == other.den and self.flat == other.flat and self.algebra == other.algebra
 
     def __hash__(self):
-        return hash((self.algebra, self.den, self.rows))
+        return hash((self.algebra, self.den, self.flat))
 
     def __repr__(self):
         return f"JordanElement(algebra={self.algebra!r}, entries={self.entries!r})"
 
     @property
-    def n(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple:
+        """The entry planes as n rows of n tuples, sliced from `flat`."""
+        return tuple([tuple(row) for row in _grid(self)])
 
     @property
     def entries(self) -> tuple:
@@ -125,24 +121,22 @@ class JordanElement:
 
     def entry(self, i: int, j: int) -> CDElement:
         level, field = ALGEBRAS[self.algebra]
-        return _element(level, field, self.den, self.rows[i][j])
+        width = 2 << level
+        at = (i * self.n + j) * width
+        return _element(level, field, self.den, self.flat[at:at + width])
 
     def _require_match(self, other: "JordanElement"):
         if self.algebra != other.algebra or self.n != other.n:
-            raise InputError(
-                f"shape/algebra mismatch: {self.n}x{self.n} {self.algebra} vs "
-                f"{other.n}x{other.n} {other.algebra}"
-            )
+            raise InputError(f"shape/algebra mismatch: {self.n}x{self.n} {self.algebra} vs "
+                             f"{other.n}x{other.n} {other.algebra}")
 
     def _combine(self, other: "JordanElement", sign: int) -> "JordanElement":
         """self + sign other, over the lcm of the two dens."""
         self._require_match(other)
         den = lcm(self.den, other.den)
         s, t = den // self.den, sign * (den // other.den)
-        return _jordan(self.algebra, den, [
-            [[s * p + t * q for p, q in zip(a, b)] for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.rows, other.rows)
-        ])
+        return _jordan(self.algebra, self.n, den,
+                       [s * p + t * q for p, q in zip(self.flat, other.flat)])
 
     def __add__(self, other: "JordanElement") -> "JordanElement":
         return self._combine(other, 1)
@@ -151,26 +145,25 @@ class JordanElement:
         return self._combine(other, -1)
 
     def __neg__(self) -> "JordanElement":
-        return _jordan(self.algebra, self.den, [[[-v for v in e] for e in row] for row in self.rows])
+        return _wrap(self.algebra, self.n, self.den, [-v for v in self.flat])
 
     def scale(self, s) -> "JordanElement":
         s = s if isinstance(s, QI) else QI(s)
         if algebra_field(self.algebra) == FIELD_Q and not s.is_real():
             raise InputError("cannot scale a Q-tagged element by a complex scalar")
         ds, pair = to_plane((s,))
-        return _jordan(self.algebra, self.den * ds,
-                       [[_scale(pair, e) for e in row] for row in self.rows])
+        return _jordan(self.algebra, self.n, self.den * ds, _scale(pair, self.flat))
 
     def is_zero(self) -> bool:
-        return not any(v for row in self.rows for e in row for v in e)
+        return not any(self.flat)
 
     def json_tree(self) -> dict:
         """The element as JSON: its upper triangle, row by row, each entry
         {"level", "coeffs"} with its coefficients a `scalars.Leaves` of its
         entry plane, which `cli.render_json` writes with no QI."""
-        level, rows = ALGEBRAS[self.algebra][0], self.rows
-        upper = [[{"level": level, "coeffs": Leaves(self.den, rows[i][j])}
-                  for j in range(i, self.n)] for i in range(self.n)]
+        level, rows = ALGEBRAS[self.algebra][0], _grid(self)
+        upper = [[{"level": level, "coeffs": Leaves(self.den, e)} for e in row[i:]]
+                 for i, row in enumerate(rows)]
         return {"n": self.n, "algebra": self.algebra, "entries": upper}
 
     def to_json(self) -> dict:
@@ -179,12 +172,11 @@ class JordanElement:
     @staticmethod
     def from_json(data: dict) -> "JordanElement":
         """Inverse of to_json, read into the element's plane with one lcm
-        (`scalars.leaves_plane`) and no QI: each entry is checked as
-        `CDElement` checks it and must be at the algebra's level, the
-        diagonal must be scalar, and the lower triangle is the conjugate of
-        the upper one, so the element is hermitian."""
-        n = json_int(data["n"], "n")
-        algebra = data["algebra"]
+        (`scalars.leaves_plane`, in lowest terms) and no QI: each entry is
+        checked as `CDElement` checks it and must be at the algebra's level,
+        the diagonal must be scalar, and `_hermitian` writes the lower
+        triangle as the conjugate of the upper one."""
+        n, algebra = json_int(data["n"], "n"), data["algebra"]
         level, field = _entry_algebra(algebra, n)
         upper = data["entries"]
         if not isinstance(upper, list) or len(upper) != n:
@@ -207,39 +199,61 @@ class JordanElement:
             raise InputError("field tag Q requires real rational coefficients")
         if any(len(row) != n - i for i, row in enumerate(upper)):
             raise InputError("ragged upper triangle")
-        width, at = 2 << level, 0
-        rows = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                e, at = flat[at:at + width], at + width
-                if j == i and any(e[2:]):
-                    raise InputError("diagonal entries must be scalars")
-                rows[i][j] = e
-                if j > i:
-                    rows[j][i] = e[:2] + [-v for v in e[2:]]
-        return _jordan(algebra, den, rows)
+        width = 2 << level
+        entries = [flat[k:k + width] for k in range(0, len(flat), width)]
+        if any(any(entries[i * n - i * (i - 1) // 2][2:]) for i in range(n)):
+            raise InputError("diagonal entries must be scalars")
+        return _wrap(algebra, n, den, _hermitian(n, entries))
 
 
-def _jordan(algebra: str, den: int, rows) -> JordanElement:
-    """The element with entry planes rows[i][j] over den, reduced to lowest
-    terms, built without the constructor's checks: for results hermitian by
+def _wrap(algebra: str, n: int, den: int, flat) -> JordanElement:
+    """The element with plane flat/den, which must be in lowest terms: a
+    read or drawn plane, a reduced one negated, or an exc27 point's own
+    tuple, which it keeps (tuple() of a tuple is that tuple)."""
+    x = object.__new__(JordanElement)
+    x.__dict__.update(algebra=algebra, n=n, den=den, flat=tuple(flat))
+    return x
+
+
+def _jordan(algebra: str, n: int, den: int, flat) -> JordanElement:
+    """The element with plane flat/den, reduced to lowest terms, built
+    without the constructor's checks: for results hermitian by
     construction, such as sums, scalings, Jordan products and sharps."""
-    g = gcd(den, *[v for row in rows for e in row for v in e])
+    g = gcd(den, *flat)
     if g > 1:
         den //= g
-        rows = [[[v // g for v in e] for e in row] for row in rows]
-    x = object.__new__(JordanElement)
-    x.__dict__.update(algebra=algebra, den=den,
-                      rows=tuple([tuple([tuple(e) for e in row]) for row in rows]))
-    return x
+        flat = [v // g for v in flat]
+    return _wrap(algebra, n, den, flat)
+
+
+def _grid(x: JordanElement) -> list:
+    """x's entry planes as n rows of n slices of its flat."""
+    flat, width = x.flat, 2 << ALGEBRAS[x.algebra][0]
+    step = x.n * width
+    return [[flat[k:k + width] for k in range(r, r + step, width)]
+            for r in range(0, len(flat), step)]
+
+
+def _hermitian(n: int, upper) -> list:
+    """The flat plane, in row order, of the hermitian n x n matrix whose
+    entries on and above the diagonal are the planes `upper`, row by row:
+    entry (j, i) is the conjugate of entry (i, j), its scalar pair kept and
+    the rest negated, as in `CDElement.conjugate`. Every lower triangle of
+    this module is written here."""
+    grid, entries = [None] * (n * n), iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            grid[i * n + j] = e = next(entries)
+            if j > i:
+                grid[j * n + i] = [e[0], e[1], *[-v for v in e[2:]]]
+    return [v for e in grid for v in e]
 
 
 def _from_entries(algebra: str, entries) -> JordanElement:
     """The element with these CDElement entries, built without the
     constructor's checks, on the lcm plane of the entries' own planes."""
-    n = len(entries)
     den, flats = common_plane([e.int_form() for row in entries for e in row])
-    return _jordan(algebra, den, [flats[i * n:(i + 1) * n] for i in range(n)])
+    return _jordan(algebra, len(entries), den, [v for f in flats for v in f])
 
 
 # --- constructors -----------------------------------------------------------
@@ -255,25 +269,25 @@ def jordan_identity(algebra: str, n: int) -> JordanElement:
 def jordan_diag(algebra: str, scalars) -> JordanElement:
     """The diagonal element with these scalars."""
     level, field = ALGEBRAS[algebra]
-    diag = [cd_scalar(s, level, field) for s in scalars]
-    zero = cd_scalar(QI_ZERO, level, field)
-    n = len(diag)
-    return JordanElement(algebra, [[diag[i] if i == j else zero for j in range(n)] for i in range(n)])
+    zero, n = cd_scalar(QI_ZERO, level, field), len(scalars)
+    return from_upper(algebra, [[cd_scalar(s, level, field)] + [zero] * (n - 1 - i)
+                                for i, s in enumerate(scalars)])
 
 
 def from_upper(algebra: str, upper) -> JordanElement:
-    """Build from diagonal-and-above entries; the lower triangle is conjugated."""
+    """Build from diagonal-and-above entries, each in the algebra and the
+    diagonal ones scalars; `_hermitian` writes the conjugates below."""
     n = len(upper)
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        if len(upper[i]) != n - i:
-            raise InputError("ragged upper triangle")
-        for j in range(i, n):
-            e = upper[i][j - i]
-            rows[i][j] = e
-            if j > i:
-                rows[j][i] = e.conjugate()
-    return JordanElement(algebra, tuple(tuple(r) for r in rows))
+    if any(len(row) != n - i for i, row in enumerate(upper)):
+        raise InputError("ragged upper triangle")
+    level, field = _entry_algebra(algebra, n)
+    entries = [e for row in upper for e in row]
+    if any(e.level != level or e.field != field for e in entries):
+        raise InputError("entry algebra mismatch")
+    if not all(row[0].is_scalar() for row in upper):
+        raise InputError("diagonal entries must be scalars")
+    den, flats = common_plane([e.int_form() for e in entries])
+    return _jordan(algebra, n, den, _hermitian(n, flats))
 
 
 def rank_one_from_vector(algebra: str, v) -> JordanElement:
@@ -288,56 +302,49 @@ def rank_one_from_vector(algebra: str, v) -> JordanElement:
     if any(x.field != field for x in vv):
         raise InputError("vector entries must match the algebra's field tag")
     den, flats = common_plane([x.int_form() for x in vv])
-    return _jordan(algebra, den * den, outer_square_planes(level, field, flats))
+    return _jordan(algebra, len(vv), den * den, outer_square_planes(level, field, flats))
 
 
 def outer_square_planes(level: int, field: str, vs) -> list:
-    """The entry planes, over den^2, of v v* for entry planes vs over one den:
+    """The flat plane, over den^2, of v v* for entry planes vs over one den:
     the norm form n(v_i) = sp(v_i conj(v_i)) on the diagonal; above it
     v_i conj(v_j), a scaling when v_j is a scalar and one kernel product
-    otherwise; below it the conjugates, so it is hermitian."""
+    otherwise; below it the conjugates (`_hermitian`)."""
     mul, sp = _kernel(level, field), _scalar_kernel(level, field)
-    width, n = 2 << level, len(vs)
+    width = 2 << level
     bars = [[a[0], a[1], *[-v for v in a[2:]]] for a in vs]
-    rows = [[None] * n for _ in range(n)]
+    upper = []
     for i, a in enumerate(vs):
-        rows[i][i] = sp(a, bars[i], [0, 0]) + [0] * (width - 2)
-        for j in range(i + 1, n):
-            b = bars[j]
-            e = _scale(b[:2], a) if not any(b[2:]) else mul(a, b, [0] * width)
-            rows[i][j], rows[j][i] = e, e[:2] + [-v for v in e[2:]]
-    return rows
+        upper.append(sp(a, bars[i], [0, 0]) + [0] * (width - 2))
+        for b in bars[i + 1:]:
+            upper.append(_scale(b[:2], a) if not any(b[2:]) else mul(a, b, [0] * width))
+    return _hermitian(len(vs), upper)
 
 
 def random_hermitian(rng: Random, algebra: str, n: int, height: int = 10) -> JordanElement:
     """A random element of H_n(K), entries of height at most height, drawn
     row by row: diagonal entry i as one `sampling.random_qi` scalar, then
     each entry above it as a `random_cd` draw. One `random_plane` call
-    draws all of them, with the per-entry draws and rng end state, and its
-    plane is mirrored into the element's: the lower entries are the
-    conjugates, so it is hermitian by construction and skips the
-    constructor's checks."""
+    draws all of them, with the per-entry draws and rng end state, in lowest
+    terms; `_hermitian` mirrors it into the element's plane, hermitian by
+    construction, so neither the constructor's checks nor a gcd runs."""
     level, field = _entry_algebra(algebra, n)
     width = 2 << level
     den, flat = random_plane(rng, n + n * (n - 1) // 2 * (1 << level), height, field == FIELD_Q)
-    rows = [[None] * n for _ in range(n)]
-    at = 0
+    upper, at = [], 0
     for i in range(n):
-        rows[i][i] = flat[at:at + 2] + [0] * (width - 2)
-        at += 2
-        for j in range(i + 1, n):
-            e = flat[at:at + width]
-            at += width
-            rows[i][j], rows[j][i] = e, e[:2] + [-v for v in e[2:]]
-    return _jordan(algebra, den, rows)
+        for j in range(i, n):
+            step = 2 if j == i else width  # a scalar on the diagonal
+            upper.append(flat[at:at + step] + [0] * (width - step))
+            at += step
+    return _wrap(algebra, n, den, _hermitian(n, upper))
 
 
 # --- operations --------------------------------------------------------------
 
 def _scale_add(s: tuple, a, t: tuple, b) -> list:
     """s a + t b on interleaved planes, for Gaussian-integer pairs s and t."""
-    sr, si = s
-    tr, ti = t
+    (sr, si), (tr, ti) = s, t
     out = []
     for k in range(0, len(a), 2):
         ar, ai, br, bi = a[k], a[k + 1], b[k], b[k + 1]
@@ -346,28 +353,24 @@ def _scale_add(s: tuple, a, t: tuple, b) -> list:
 
 
 def _product_planes(x: JordanElement, y: JordanElement) -> tuple:
-    """(den, rows): the planes of x o y over one den, as `jordan_product` says."""
+    """(den, flat): the plane of x o y over one den, as `jordan_product` says."""
     x._require_match(y)
     level, field = ALGEBRAS[x.algebra]
-    mul = _kernel(level, field)
-    sp = _scalar_kernel(level, field)
-    width = 2 << level
-    n = x.n
-    dx, X = x.den, x.rows
-    dy, Y = y.den, y.rows
-    square = x is y
-    rows = [[None] * n for _ in range(n)]
+    mul, sp = _kernel(level, field), _scalar_kernel(level, field)
+    width, n, square = 2 << level, x.n, x is y
+    X = _grid(x)
+    Y = X if square else _grid(y)
+    upper = []
     for i in range(n):
+        Xi, Yi = X[i], Y[i]
         acc = [0] * width
         for k in range(n):
-            sp(X[i][k], Y[k][i], acc)
+            sp(Xi[k], Y[k][i], acc)
         if not square:
-            acc[0] *= 2
-            acc[1] *= 2
-        rows[i][i] = acc
-    for i in range(n):
+            acc[:2] = 2 * acc[0], 2 * acc[1]
+        upper.append(acc)
         for j in range(i + 1, n):
-            Xi, Yi, Xj, Yj = X[i], Y[i], X[j], Y[j]
+            Xj, Yj = X[j], Y[j]
             if square:
                 acc = _scale((Xi[i][0] + Xj[j][0], Xi[i][1] + Xj[j][1]), Xi[j])
                 for k in range(n):
@@ -382,9 +385,8 @@ def _product_planes(x: JordanElement, y: JordanElement) -> tuple:
                     if k != i and k != j:
                         mul(Xi[k], Y[k][j], acc)
                         mul(Yi[k], X[k][j], acc)
-            rows[i][j] = acc
-            rows[j][i] = acc[:2] + [-v for v in acc[2:]]
-    return (dx * dx if square else 2 * dx * dy), rows
+            upper.append(acc)
+    return (x.den * x.den if square else 2 * x.den * y.den), _hermitian(n, upper)
 
 
 def jordan_product(x: JordanElement, y: JordanElement) -> JordanElement:
@@ -400,30 +402,36 @@ def jordan_product(x: JordanElement, y: JordanElement) -> JordanElement:
         2 (x o y)_ij = (x_ii + x_jj) y_ij + (y_ii + y_jj) x_ij
                        + sum over k != i, j of (x_ik y_kj + y_ik x_kj),
 
-    two Gaussian scale-adds and full kernels only for k != i, j. Entry
-    (j, i) is the conjugate of entry (i, j), its scalar pair kept and the
-    rest negated, as in `CDElement.conjugate`.
+    two Gaussian scale-adds and full kernels only for k != i, j. The lower
+    triangle is the conjugate of the upper one (`_hermitian`).
 
     A square, `jordan_product(x, x)` with the same object twice, has its
     two cross terms x_ik x_kj equal: it forms each once, so
     (x o x)_ij = (x_ii + x_jj) x_ij + sum over k != i, j of x_ik x_kj and
     (x o x)_ii = sum_k sp(x_ik x_ki), all over dx^2 with nothing doubled.
     """
-    return _jordan(x.algebra, *_product_planes(x, y))
+    return _jordan(x.algebra, x.n, *_product_planes(x, y))
+
+
+def _diagonal_step(x: JordanElement) -> int:
+    """The stride of the diagonal entries in a flat of x's shape: n + 1 entries."""
+    return (x.n + 1) * (2 << ALGEBRAS[x.algebra][0])
 
 
 def jtrace(x: JordanElement) -> QI:
-    diagonal = [x.rows[i][i] for i in range(x.n)]
-    return QI.from_ints(sum(e[0] for e in diagonal), sum(e[1] for e in diagonal), x.den)
+    step = _diagonal_step(x)
+    return QI.from_ints(sum(x.flat[0::step]), sum(x.flat[1::step]), x.den)
 
 
-def _trace_pair(algebra: str, A: list, B: list) -> list:
-    """sum_ik sp(A_ik B_ki) of two plane matrices, by the scalar-part kernel."""
-    sp = _scalar_kernel(*ALGEBRAS[algebra])
+def _trace_pair(x: JordanElement, A, B) -> list:
+    """sum_ik sp(A_ik B_ki) of two planes of x's shape, by the scalar-part kernel."""
+    level, field = ALGEBRAS[x.algebra]
+    sp, width, n = _scalar_kernel(level, field), 2 << level, x.n
     acc = [0, 0]
-    for i, row in enumerate(A):
-        for k, a in enumerate(row):
-            sp(a, B[k][i], acc)
+    for i in range(n):
+        for k in range(n):
+            a, b = (i * n + k) * width, (k * n + i) * width
+            sp(A[a:a + width], B[b:b + width], acc)
     return acc
 
 
@@ -431,26 +439,22 @@ def trace_form(x: JordanElement, y: JordanElement) -> QI:
     """T(x, y) = tr(x o y) = sum_ik sp(x_ik y_ki), without forming x o y:
     the scalar-part kernel summed on the integer planes."""
     x._require_match(y)
-    return QI.from_ints(*_trace_pair(x.algebra, x.rows, y.rows), x.den * y.den)
+    return QI.from_ints(*_trace_pair(x, x.flat, y.flat), x.den * y.den)
 
 
 def _sharp_planes(x: JordanElement) -> tuple:
-    """(den, rows): the planes of x# = x^2 - t x + s I, t = tr(x) and
+    """(den, flat): the plane of x# = x^2 - t x + s I, t = tr(x) and
     s = (t^2 - tr(x^2))/2, from the one square x o x = S / d^2 (the square
     path of `jordan_product`, nothing doubled). With tr(x) = t/d and
     tr(x^2) = p/d^2, x# = (2S - 2t X + (t^2 - p) I) / 2d^2."""
     d2, S = _product_planes(x, x)
-    X = x.rows
-    tr = sum(X[i][i][0] for i in range(3))
-    ti = sum(X[i][i][1] for i in range(3))
-    pr = sum(S[i][i][0] for i in range(3))
-    pi = sum(S[i][i][1] for i in range(3))
-    rows = [[_scale_add((2, 0), S[i][j], (-2 * tr, -2 * ti), X[i][j]) for j in range(3)]
-            for i in range(3)]
-    for i in range(3):
-        rows[i][i][0] += tr * tr - ti * ti - pr
-        rows[i][i][1] += 2 * tr * ti - pi
-    return 2 * d2, rows
+    X, step = x.flat, _diagonal_step(x)
+    tr, ti, pr, pi = sum(X[0::step]), sum(X[1::step]), sum(S[0::step]), sum(S[1::step])
+    flat = _scale_add((2, 0), S, (-2 * tr, -2 * ti), X)
+    for k in range(0, len(flat), step):
+        flat[k] += tr * tr - ti * ti - pr
+        flat[k + 1] += 2 * tr * ti - pi
+    return 2 * d2, flat
 
 
 def sharp(x: JordanElement) -> JordanElement:
@@ -458,7 +462,7 @@ def sharp(x: JordanElement) -> JordanElement:
     formed on the integer planes from one square x o x."""
     if x.n != 3:
         raise UnsupportedError("sharp is defined for 3x3 elements only")
-    return _jordan(x.algebra, *_sharp_planes(x))
+    return _jordan(x.algebra, 3, *_sharp_planes(x))
 
 
 def generic_det(x: JordanElement) -> QI:
@@ -470,9 +474,8 @@ def generic_det(x: JordanElement) -> QI:
     of degree n. The power sums are p_k = tr(x^k) with p_1 = tr(x); the
     last one is `trace_form`(x^(n-1), x), so x^n is never formed.
     """
-    n = x.n
+    n, xk = x.n, x
     power_sums = [jtrace(x)]
-    xk = x
     for _ in range(2, n):
         xk = jordan_product(xk, x)
         power_sums.append(jtrace(xk))
@@ -480,8 +483,7 @@ def generic_det(x: JordanElement) -> QI:
         power_sums.append(trace_form(xk, x))
     elem = [QI_ONE]
     for k in range(1, n + 1):
-        acc = QI_ZERO
-        sign = 1
+        acc, sign = QI_ZERO, 1
         for i in range(1, k + 1):
             term = elem[k - i] * power_sums[i - 1]
             acc = acc + term if sign > 0 else acc - term
@@ -502,9 +504,9 @@ def jordan_rank3(x: JordanElement) -> int:
     if x.is_zero():
         return 0
     _, adj = _sharp_planes(x)
-    if not any(v for row in adj for e in row for v in e):
+    if not any(adj):
         return 1
-    if not any(_trace_pair(x.algebra, adj, x.rows)):
+    if not any(_trace_pair(x, adj, x.flat)):
         return 2
     return 3
 
@@ -532,7 +534,7 @@ def to_complex_matrix(x: JordanElement):
     """
     level, field = ALGEBRAS[x.algebra]
     out = []
-    for row in x.rows:
+    for row in _grid(x):
         line = []
         for e in row:
             if not any(e[2:]):  # a scalar entry, every entry at level 0
@@ -540,8 +542,6 @@ def to_complex_matrix(x: JordanElement):
             elif level == 1 and field == FIELD_Q:  # plane (a, 0, b, 0) over den
                 line += from_plane(x.den, e[::2])
             else:
-                raise UnsupportedError(
-                    "entries do not lie in a commutative subfield"
-                )
+                raise UnsupportedError("entries do not lie in a commutative subfield")
         out.append(line)
     return out

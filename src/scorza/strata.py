@@ -15,7 +15,10 @@ The frame parameters are 0s and 1s, so that Jacobian is an integer matrix
 stratum of a model from one elimination. A point is one integer plane in
 `_chart_plane`'s layout: samplers hand it their chart sums, and sums,
 comparison, peeling and the one elimination that gives a matrix point's rank
-and relative invariant run on its ints; its QI form is only read. A point
+and relative invariant run on its ints; its QI form is only read. On exc27
+that layout is a JordanElement's flat, and a point shares the one tuple with
+its element: `StratumPoint(EXC27, J)` keeps `J.flat`, and `coords` wraps the
+point's own, so no step flattens, re-nests or reduces it again. A point
 crosses the JSON boundary as its plane too: `json_tree` hands its rows (or
 exc27's upper-triangle entries) to the writer as `scalars.Leaves`, and
 `from_json` reads the leaves into one plane with one lcm, so that
@@ -25,6 +28,7 @@ exc27's upper-triangle entries) to the writer as `scalars.Leaves`, and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations
@@ -32,11 +36,11 @@ from operator import add, sub
 
 from . import linalg
 from .errors import InputError, UnsupportedError, quoted
-from .jordan import (JordanElement, _jordan, generic_det, jordan_product, jordan_rank3,
+from .jordan import (JordanElement, _wrap, generic_det, jordan_product, jordan_rank3,
                      outer_square_planes, random_hermitian)
 from .sampling import derive_seed, make_rng, random_plane
-from .scalars import (QI, QI_ZERO, Leaves, common_plane, from_plane, json_int, leaves_plane,
-                      plain_json, to_plane)
+from .scalars import (QI, QI_ZERO, Leaves, _past_digit_limit, common_plane, from_plane,
+                      json_int, leaves_plane, plain_json, to_plane)
 
 # model kind -> the names of its parameters, in selector and JSON order
 _PARAMS = {"sym": ("r",), "mat": ("q", "p"), "skew": ("n",), "exc27": ()}
@@ -60,14 +64,35 @@ _HEIGHT = 10  # the height of the ratios of random points and rank-one samples
 # vCPU), growing about as n^4 with the entries, and sym:223, which the cell
 # budget admits, would take minutes. Every catalog family and suite model
 # has n <= 15.
+# The height of sampled ratios has its own budget, MAX_HEIGHT = 100, checked
+# by `check_height` before `sample_secant` or `dual_pairs.sample_zero_level`
+# draws: the denominators of a sum of charts grow with the lcm of every
+# height up to it, and the elimination in `rank_of` with them. The slowest
+# admitted samples found at height 100 take about 2 s (sym:35 --secant 19,
+# mat:25,40 --secant 24); at height 1000 sym:50 --secant 9 took 46 s and
+# skew:30 --secant 14 5.1 s (0.36 s at 100), and at 10^4 skew:30 took 49 s
+# (one run each, same vCPU). Suites, tests and the benchmark draw at 10 or
+# less. `reduce` has its side budget in `dual_pairs.MAX_REDUCE_SIDE`.
 MAX_JACOBIAN_CELLS = 25_000
 MAX_INVARIANT_SIDE = 80
+MAX_HEIGHT = 100
 
 
 def check_cells(what: str, cells: int):
     """Raise InputError when `what` has more than MAX_JACOBIAN_CELLS cells."""
     if cells > MAX_JACOBIAN_CELLS:
         raise InputError(f"{what} has {cells} cells; the limit is {MAX_JACOBIAN_CELLS}")
+
+
+def check_height(height: int):
+    """Raise InputError when `height` is over MAX_HEIGHT; a height whose
+    square (the size of a chart's parts) is past the interpreter's
+    int-string limit says so too."""
+    if height > MAX_HEIGHT:
+        limit = sys.get_int_max_str_digits()
+        past = limit and height * height >= 10 ** limit
+        raise InputError(f"height {quoted(height)} is over the limit {MAX_HEIGHT}"
+                         + (f"; its square has {_past_digit_limit()}" if past else ""))
 
 
 def check_invariant(model: "PSpaceModel"):
@@ -180,10 +205,12 @@ def parse_model(selector: str) -> PSpaceModel:
 @dataclass(frozen=True, init=False)
 class StratumPoint:
     """A model and one integer plane, `den` and `flat` in lowest terms: the
-    coordinate matrix in row order (exc27: its JordanElement's entry
-    planes). `StratumPoint(model, coords)` takes and checks a QI matrix or a
-    JordanElement, which `coords` builds back on each read. A point keeps
-    no rank: `rank_of` computes it, and `to_json` writes none."""
+    coordinate matrix in row order. An exc27 point and its JordanElement
+    share one plane: `StratumPoint(EXC27, J)` keeps `J.flat`, and `coords`
+    wraps the point's own tuple as an element. `StratumPoint(model, coords)`
+    takes and checks a QI matrix or a JordanElement; a matrix point's
+    `coords` builds QI rows on each read. A point keeps no rank: `rank_of`
+    computes it, and `to_json` writes none."""
 
     model: PSpaceModel
     den: int
@@ -193,18 +220,18 @@ class StratumPoint:
         if model.kind == "exc27":
             if not isinstance(coords, JordanElement) or coords.algebra != "O_C" or coords.n != 3:
                 raise InputError("exc27 coordinates must be a 3x3 hermitian O_C element")
-            den, flat = coords.den, [v for row in coords.rows for e in row for v in e]
+            den, flat = coords.den, coords.flat
         else:
             _check_shape(model, coords)
             den, flat = to_plane([x for row in coords for x in row])
-        self.__dict__.update(vars(_point(model, den, flat)))
+        _validate_coords(model, flat)  # both planes are in lowest terms already
+        self.__dict__.update(model=model, den=den, flat=tuple(flat))
 
     @property
     def coords(self):
         den, flat = self.den, self.flat
         if self.model.kind == "exc27":
-            return _jordan("O_C", den, [[flat[k:k + 16] for k in range(i, i + 48, 16)]
-                                        for i in range(0, 144, 48)])
+            return _wrap("O_C", 3, den, flat)
         values, cols = from_plane(den, flat), _coords_shape(self.model)[1]
         return [values[k:k + cols] for k in range(0, len(values), cols)]
 
@@ -373,11 +400,13 @@ def sample_secant(model: PSpaceModel, k: int, seed: int, height: int = 10) -> St
     """Sum of k+1 independent rank-1 samples; Jordan rank <= min(k+1, max),
     their planes added as ints over their common denominator. A summand costs
     the cells of its coordinate matrix (r^2, q p, n^2 or 27); over
-    MAX_JACOBIAN_CELLS in all is rejected with InputError up front."""
+    MAX_JACOBIAN_CELLS in all, or a height over MAX_HEIGHT, is rejected with
+    InputError up front."""
     if k < 0:
         raise InputError("secant index k must be >= 0")
     cells = 27 if model.kind == "exc27" else math.prod(_coords_shape(model))
     check_cells(f"a sum of {k + 1} rank-1 samples of {model.selector()}", (k + 1) * cells)
+    check_height(height)
     den, flats = common_plane(_rank_one_plane(model, derive_seed(seed, "secant", i), height)
                               for i in range(k + 1))
     return _point(model, den, reduce(lambda a, b: list(map(add, a, b)), flats))
@@ -448,8 +477,8 @@ def _chart_plane(model: PSpaceModel, den: int, flat: list) -> tuple:
     v_a v_b for a <= b, mirrored; mat: v_a w_b; skew: v_a w_b - v_b w_a for
     a < b, negated in the mirror; exc27: `jordan.outer_square_planes`."""
     if model.kind == "exc27":
-        rows = outer_square_planes(3, "Qi", [flat[:16], flat[16:32], flat[32:] + [0] * 14])
-        return den * den, [v for row in rows for e in row for v in e]
+        return den * den, outer_square_planes(3, "Qi",
+                                              [flat[:16], flat[16:32], flat[32:] + [0] * 14])
     v = list(zip(flat[0::2], flat[1::2]))
     if model.kind == "mat":
         q = model.params[0]

@@ -1,3 +1,9 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from scorza.catalog import ScorzaEntry, catalog_scorza, list_hermitian, severi_check
@@ -108,3 +114,25 @@ def test_hermitian_input_validation():
     with pytest.raises(InputError):
         list_hermitian(0)
 
+
+
+def test_regen_goldens_runs_from_a_checkout_and_rewrites_them_unchanged(tmp_path):
+    # the script imports scorza from the checkout's src/, with no install and
+    # no PYTHONPATH: run on a copy whose goldens are removed first, it writes
+    # all 11 back byte-identical to the checked-in ones
+    root = Path(__file__).resolve().parents[1]
+    for part in ("src", "scripts"):
+        shutil.copytree(root / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    goldens = root / "src" / "scorza" / "data" / "catalog"
+    written = tmp_path / "src" / "scorza" / "data" / "catalog"
+    names = sorted(p.name for p in goldens.glob("*.json"))
+    assert len(names) == 11
+    shutil.rmtree(written)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run([sys.executable, "scripts/regen_goldens.py"], cwd=tmp_path,
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert sorted(p.name for p in written.glob("*.json")) == names
+    for name in names:
+        assert (written / name).read_bytes() == (goldens / name).read_bytes(), name

@@ -145,6 +145,52 @@ def test_invariant_at_the_side_limit_costs_seconds(selector):
     assert QI.from_json(json.loads(result.stdout)["invariant"]) == value
 
 
+def test_sample_at_the_height_limit_costs_seconds():
+    # the slowest sample found at MAX_HEIGHT, about 2 s (one Xeon vCPU,
+    # Python 3.11); at height 1000 sym:50 --secant 9 took 46 s
+    argv = ["sample", "--model", "sym:35", "--secant", "19", "--seed", "1",
+            "--height", str(strata.MAX_HEIGHT)]
+    start = time.perf_counter()
+    code, out = _main_in_process(argv)
+    assert time.perf_counter() - start < 10.0
+    assert code == 0 and json.loads(out)["rank"] == 20
+
+
+def test_reduce_at_the_side_limit_costs_seconds():
+    # the slowest reduce found inside the budgets (side MAX_REDUCE_SIDE, an
+    # s x s mu_K of at most MAX_JACOBIAN_CELLS, MAX_HEIGHT): about 3.6 s on
+    # the same vCPU; sp:100 --s 100, which the cell budget alone admits, took 18.9 s
+    case = dual_pairs.parse_case("u:32,32", 158)
+    assert max(case.model().params) == dual_pairs.MAX_REDUCE_SIDE
+    assert case.s_size ** 2 <= strata.MAX_JACOBIAN_CELLS < (case.s_size + 1) ** 2
+    argv = ["reduce", "--case", "u:32,32", "--s", "158", "--seed", "1",
+            "--height", str(strata.MAX_HEIGHT)]
+    start = time.perf_counter()
+    code, out = _main_in_process(argv)
+    assert time.perf_counter() - start < 20.0
+    assert code == 0 and json.loads(out)["rank"] == 32
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sample", "--model", "sym:3", "--height", "101"], "height 101 is over the limit 100"),
+    (["reduce", "--case", "sp:2", "--s", "1", "--height", "101"],
+     "height 101 is over the limit 100"),
+    (["reduce", "--case", "sp:33", "--s", "1"],
+     "the reduced point of case sp:33 s=1 has side 33; the limit is 32"),
+    (["reduce", "--case", "u:33,1", "--s", "1"],
+     "the reduced point of case u:33,1 s=1 has side 33; the limit is 32"),
+    (["reduce", "--case", "ostar:33", "--s", "1"],
+     "the reduced point of case ostar:33 s=1 has side 33; the limit is 32"),
+    (["reduce", "--case", "sp:1", "--s", "159"],
+     "the 159 x 159 mu_K of case sp:1 s=159 has 25281 cells; the limit is 25000"),
+])
+def test_budgets_reject_before_any_draw(args, message):
+    code, out = _main_in_process(args)
+    assert code == 2 and out == ""
+    result = run_cli(args)
+    assert result.returncode == 2 and result.stderr == f"error: {message}\n"
+
+
 def test_reduce_output_shape():
     result = run_cli(["reduce", "--case", "sp:3", "--s", "2", "--seed", "5"])
     assert result.returncode == 0
@@ -592,6 +638,14 @@ MALFORMED = {
     "sample-skew-secant-over-cost-limit": (["sample", "--model", "skew:2", "--secant", "24999"], None),
     "reduce-s-over-cost-limit": (["reduce", "--case", "ostar:6", "--s", "100000"], None),
     "reduce-case-over-cost-limit": (["reduce", "--case", "sp:100000", "--s", "1"], None),
+    "sample-height-over-limit": (["sample", "--model", "sym:3", "--height", "101"], None),
+    "sample-skew-height-over-limit": (
+        ["sample", "--model", "skew:30", "--secant", "14", "--height", "2000"], None),
+    "reduce-height-over-limit": (
+        ["reduce", "--case", "sp:2", "--s", "1", "--height", "101"], None),
+    "reduce-side-over-limit": (["reduce", "--case", "sp:100", "--s", "100"], None),
+    "reduce-u-side-over-limit": (["reduce", "--case", "u:80,80", "--s", "80"], None),
+    "reduce-mu-k-over-cost-limit": (["reduce", "--case", "sp:8", "--s", "1500"], None),
 }
 
 # the one-line message of every point input above, as the reader before

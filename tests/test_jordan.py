@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorza import linalg
 from scorza.cayley_dickson import (
@@ -12,6 +14,7 @@ from scorza.jordan import (
     ALGEBRAS,
     JordanElement,
     _from_entries,
+    _hermitian,
     from_upper,
     generic_det,
     jordan_diag,
@@ -28,6 +31,7 @@ from scorza.jordan import (
 )
 from scorza.sampling import make_rng, random_qi, random_square
 from scorza.scalars import QI, from_plane
+from scorza.strata import EXC27, sample_secant
 
 
 def test_product_with_identity_and_diagonals():
@@ -338,3 +342,56 @@ def test_random_hermitian_is_one_draw_of_the_per_entry_stream(algebra):
                 y = _per_entry_hermitian(ref, algebra, n, height)
                 assert (x.den, x.rows) == (y.den, y.rows)
                 assert ours.getstate() == ref.getstate()
+
+
+# --- the flat plane ---------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_hermitian_mirror_equals_the_conjugated_matrix(data):
+    # _hermitian(n, upper) against the matrix built entry by entry, each entry
+    # below the diagonal the CDElement.conjugate of its mirror
+    algebra = data.draw(st.sampled_from(sorted(ALGEBRAS)))
+    level, field = ALGEBRAS[algebra]
+    n = data.draw(st.integers(0, 3))
+    part = st.integers(-10**6, 10**6)
+    pair = st.tuples(part, part if field == "Qi" else st.just(0))
+    upper = [[v for p in data.draw(st.lists(pair, min_size=1 << level, max_size=1 << level))
+              for v in p] for _ in range(n * (n + 1) // 2)]
+    cells, entries = {}, iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            e = cells[i, j] = CDElement(level, field, from_plane(1, next(entries)))
+            if j > i:
+                cells[j, i] = e.conjugate()
+    want = [v for i in range(n) for j in range(n) for v in cells[i, j].int_form()[1]]
+    assert _hermitian(n, upper) == want
+
+
+def _builders():
+    """(name, element) for every way the package builds a JordanElement."""
+    rng = make_rng("jd", "builders")
+    x, y = random_hermitian(rng, "O_C", 3, 5), random_hermitian(rng, "O_C", 3, 5)
+    v = [random_cd(rng, 3, "Qi", 5) for _ in range(2)] + [cd_scalar(QI(2), 3, "Qi")]
+    point = sample_secant(EXC27, 1, 3)
+    upper = [[x.entry(i, j) for j in range(i, 3)] for i in range(3)]
+    return {
+        "random_hermitian": x, "constructor": JordanElement("O_C", x.entries),
+        "from_upper": from_upper("O_C", upper), "jordan_diag": jordan_diag("C", [QI(1), QI(2)]),
+        "jordan_zero": jordan_zero("H", 2), "jordan_identity": jordan_identity("O", 3),
+        "from_json": JordanElement.from_json(x.to_json()),
+        "rank_one_from_vector": rank_one_from_vector("O_C", v),
+        "_from_entries": _from_entries("O_C", x.entries), "sum": x + y, "difference": x - y,
+        "negation": -x, "scale": x.scale(QI(2, 3)), "jordan_product": jordan_product(x, y),
+        "square": jordan_product(x, x), "sharp": sharp(x), "point_coords": point.coords,
+    }.items()
+
+
+@pytest.mark.parametrize("name, x", _builders(), ids=lambda v: v if isinstance(v, str) else "")
+def test_every_builder_stores_one_flat_plane(name, x):
+    assert sorted(vars(x)) == ["algebra", "den", "flat", "n"]
+    assert type(x.flat) is tuple and all(type(v) is int for v in x.flat)
+    width = 2 << ALGEBRAS[x.algebra][0]
+    assert len(x.flat) == x.n * x.n * width
+    assert x.rows == tuple(tuple(x.flat[(i * x.n + j) * width:(i * x.n + j + 1) * width]
+                                 for j in range(x.n)) for i in range(x.n))

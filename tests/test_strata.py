@@ -659,3 +659,18 @@ def test_to_json_is_the_same_before_and_after_rank_of():
 def test_from_json_computes_the_rank():
     data = StratumPoint(sym_model(2), [[QI(1), QI(0)], [QI(0), QI(1)]]).to_json()
     assert rank_of(StratumPoint.from_json({**data, "rank": 0})) == 2
+
+
+@pytest.mark.parametrize("seed", [1, 4, 9])
+def test_an_exc27_point_and_its_element_share_one_plane(seed):
+    # the point keeps its element's flat tuple, and its coords wrap the
+    # point's own tuple: no copy, no re-nesting, no second gcd
+    sampled = sample_secant(EXC27, seed % 3, seed)
+    read = StratumPoint.from_json(json.loads(json.dumps(sampled.to_json())))
+    drawn = random_point(EXC27, seed)
+    for p in (sampled, read, drawn, sample_rank_one(EXC27, seed)):
+        assert p.coords.flat is p.flat
+        x = p.coords
+        for element in (x, sharp(x)):
+            assert StratumPoint(EXC27, element).flat is element.flat
+    assert read == sampled
